@@ -15,13 +15,11 @@ import pytest
 from _common import SEED, comparison_table, duration, report, warmup
 from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.cluster.faults import FaultSchedule
-from repro.core.config import PigPaxosConfig
 
 NINE_NODE_CLIENTS = 120
 
 
 def _run(config_kwargs, **experiment_kwargs):
-    protocol_config = PigPaxosConfig(**config_kwargs)
     config = ExperimentConfig(
         protocol="pigpaxos",
         num_nodes=9,
@@ -29,7 +27,7 @@ def _run(config_kwargs, **experiment_kwargs):
         duration=duration(),
         warmup=warmup(),
         seed=SEED,
-        protocol_config=protocol_config,
+        protocol_config=config_kwargs,
         **experiment_kwargs,
     )
     return run_experiment(config)

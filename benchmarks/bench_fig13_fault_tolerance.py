@@ -15,7 +15,6 @@ from _common import SCALE, SEED, comparison_table, report, warmup
 from repro.bench.runner import ExperimentConfig
 from repro.bench.timeseries import throughput_timeseries
 from repro.cluster.faults import FaultSchedule
-from repro.core.config import PigPaxosConfig
 
 RUN_DURATION = 3.0 * SCALE
 FAIL_START = 1.0 * SCALE
@@ -37,7 +36,7 @@ def _measure():
         warmup=warmup(),
         seed=SEED,
         fault_schedule=schedule,
-        protocol_config=PigPaxosConfig(num_relay_groups=3, relay_timeout=0.05),
+        protocol_config={"num_relay_groups": 3, "relay_timeout": 0.05},
     )
     series, _cluster = throughput_timeseries(config, interval=SAMPLE_INTERVAL)
     return series

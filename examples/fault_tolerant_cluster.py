@@ -17,7 +17,8 @@ from __future__ import annotations
 from repro.bench.plots import format_table
 from repro.cluster.builder import build_cluster
 from repro.cluster.faults import FaultSchedule
-from repro.core.config import PigPaxosConfig
+from repro.overlay.config import OverlayConfig
+from repro.protocol.config import ProtocolConfig
 
 
 def follower_failure_demo() -> None:
@@ -27,10 +28,11 @@ def follower_failure_demo() -> None:
         protocol="pigpaxos",
         num_nodes=25,
         num_clients=120,
-        relay_groups=3,
         seed=3,
         fault_schedule=schedule,
-        protocol_config=PigPaxosConfig(num_relay_groups=3, relay_timeout=0.05),
+        protocol_config=ProtocolConfig(
+            overlay=OverlayConfig(kind="relay", num_groups=3, relay_timeout=0.05)
+        ),
     )
     cluster.sim.metrics.timeseries("client.completions", interval=0.25)
     cluster.run(3.0)
@@ -48,11 +50,11 @@ def follower_failure_demo() -> None:
 
 def leader_failover_demo() -> None:
     print("=== 2. Leader crash and automatic failover (9 nodes, 2 groups) ===\n")
-    config = PigPaxosConfig(num_relay_groups=2, election_timeout_min=0.15,
-                            election_timeout_max=0.3, heartbeat_interval=0.03)
+    config = ProtocolConfig(election_timeout_min=0.15, election_timeout_max=0.3,
+                            heartbeat_interval=0.03)
     schedule = FaultSchedule().crash(0, at=1.0)
     cluster = build_cluster(
-        protocol="pigpaxos", num_nodes=9, num_clients=30, seed=5,
+        protocol="pigpaxos", num_nodes=9, num_clients=30, seed=5, relay_groups=2,
         protocol_config=config, fault_schedule=schedule,
     )
     cluster.sim.metrics.timeseries("client.completions", interval=0.25)

@@ -8,7 +8,10 @@ skipped; a ``path#anchor`` link is checked for the path only.
 Additionally cross-checks the "Static analysis" section of
 ``docs/ARCHITECTURE.md`` against the live ``repro.lint`` rule registry,
 in both directions: every registered rule id must be documented, and
-every documented rule id must exist in the registry.
+every documented rule id must exist in the registry.  The knob x protocol
+table of the same file is cross-checked the same way against
+``repro.protocol.resolver.KNOB_TABLE``: same knobs, same protocol columns,
+and ``honoured``/``rejected`` in every cell exactly as the resolver has it.
 
 Usage::
 
@@ -124,10 +127,67 @@ def check_lint_rule_docs() -> list[str]:
     return problems
 
 
+#: The knob table's header row; its protocol columns are read from it.
+KNOB_TABLE_HEADER_RE = re.compile(r"^\| knob \|(.+)\|\s*$", re.MULTILINE)
+KNOB_ROW_RE = re.compile(r"^\| `([a-z_0-9]+)` \|(.+)\|\s*$")
+
+
+def check_knob_table_docs() -> list[str]:
+    """Cross-check ARCHITECTURE.md's knob x protocol table against the resolver's."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.protocol.resolver import KNOB_TABLE, PROTOCOLS
+    finally:
+        sys.path.pop(0)
+
+    if not ARCHITECTURE_MD.exists():
+        return []  # already reported by check_lint_rule_docs
+    text = ARCHITECTURE_MD.read_text(encoding="utf-8")
+    header = KNOB_TABLE_HEADER_RE.search(text)
+    if header is None:
+        return ["docs/ARCHITECTURE.md: no `| knob | <protocols...> |` table"]
+    columns = [cell.strip() for cell in header.group(1).split("|")]
+    problems = []
+    if columns != list(PROTOCOLS):
+        problems.append(
+            f"docs/ARCHITECTURE.md: knob table columns {columns} != "
+            f"resolver.PROTOCOLS {list(PROTOCOLS)}"
+        )
+        return problems
+    documented: dict[str, dict[str, str]] = {}
+    for line in text[header.end():].lstrip("\n").splitlines()[1:]:  # skip the |---| rule
+        row = KNOB_ROW_RE.match(line)
+        if row is None:
+            break
+        cells = [cell.strip() for cell in row.group(2).split("|")]
+        documented[row.group(1)] = dict(zip(columns, cells))
+    for knob in sorted(set(KNOB_TABLE) - set(documented)):
+        problems.append(
+            f"docs/ARCHITECTURE.md: knob `{knob}` is in resolver.KNOB_TABLE "
+            "but missing from the knob table"
+        )
+    for knob in sorted(set(documented) - set(KNOB_TABLE)):
+        problems.append(
+            f"docs/ARCHITECTURE.md: knob table documents `{knob}` "
+            "but resolver.KNOB_TABLE has no such knob"
+        )
+    for knob in sorted(set(documented) & set(KNOB_TABLE)):
+        for protocol in PROTOCOLS:
+            expected = "honoured" if protocol in KNOB_TABLE[knob] else "rejected"
+            found = documented[knob].get(protocol)
+            if found != expected:
+                problems.append(
+                    f"docs/ARCHITECTURE.md: knob table says `{knob}` x {protocol} "
+                    f"is {found!r}; resolver.KNOB_TABLE says {expected!r}"
+                )
+    return problems
+
+
 def main(arguments: list[str]) -> int:
     files = markdown_files(arguments)
     problems = [problem for markdown in files for problem in check_file(markdown)]
     problems.extend(check_lint_rule_docs())
+    problems.extend(check_knob_table_docs())
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"checked {len(files)} markdown file(s): "

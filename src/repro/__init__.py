@@ -4,11 +4,12 @@ This package reproduces the system described in "PigPaxos: Devouring the
 Communication Bottlenecks in Distributed Consensus" (Charapko, Ailijiang,
 Demirbas, SIGMOD 2021).  It contains:
 
-* ``repro.core`` -- the PigPaxos protocol (the paper's contribution):
-  relay groups, per-round random relay selection, in-network aggregation,
-  relay/leader timeouts and partial response collection.
-* ``repro.paxos`` -- the Multi-Paxos baseline with a stable leader and
-  commit piggybacking.
+* ``repro.overlay`` -- the paper's contribution as a pluggable fan-out
+  layer: relay groups, per-round random relay selection, in-network
+  aggregation, relay timeouts and partial response collection.
+* ``repro.paxos`` -- Multi-Paxos with a stable leader and commit
+  piggybacking; PigPaxos is this replica over the relay overlay plus the
+  leader round retry (the ``"pigpaxos"`` preset, ``repro.protocol.resolver``).
 * ``repro.epaxos`` -- the EPaxos baseline (pre-accept/accept/commit with
   dependency tracking and SCC-ordered execution).
 * ``repro.sim`` / ``repro.net`` / ``repro.cluster`` -- the deterministic

@@ -18,7 +18,7 @@ from repro.cluster.cpu import NodeCPUModel
 from repro.cluster.faults import FaultSchedule
 from repro.errors import BenchmarkError
 from repro.net.topology import Topology
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.resolver import ConfigLike
 from repro.workload.spec import WorkloadSpec
 
 
@@ -36,7 +36,7 @@ class ExperimentConfig:
     relay_groups: Optional[int] = None
     workload: WorkloadSpec = field(default_factory=WorkloadSpec.paper_default)
     topology: Optional[Topology] = None
-    protocol_config: Optional[ProtocolConfig] = None
+    protocol_config: ConfigLike = None
     cpu_model: Optional[NodeCPUModel] = None
     fault_schedule: Optional[FaultSchedule] = None
     use_region_groups: bool = False

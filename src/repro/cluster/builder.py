@@ -8,24 +8,21 @@ closed-loop benchmark clients and an optional fault schedule.  The returned
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
 from repro.cluster.faults import FaultKind, FaultSchedule
 from repro.cluster.node import ShardReplicaHost, SimNode
 from repro.cluster.topologies import lan_topology
-from repro.core.config import PigPaxosConfig
-from repro.core.replica import PigPaxosReplica
-from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
 from repro.net.faults import NetworkFaults
 from repro.net.network import SimNetwork
 from repro.net.sizes import SizeModel
 from repro.net.topology import Topology
-from repro.overlay.config import OverlayConfig, build_overlay
-from repro.paxos.replica import MultiPaxosReplica
-from repro.protocol.config import DEFAULT_RECOVERY_TIMEOUT, ProtocolConfig
+from repro.overlay.config import OverlayConfig
+from repro.protocol.config import ProtocolConfig
+from repro.protocol.resolver import PROTOCOLS, ConfigLike, build_replica, resolve_config
 from repro.shard.addressing import (
     SHARD_ENDPOINT_STRIDE,
     ShardAwareLatency,
@@ -39,8 +36,6 @@ from repro.workload.spec import WorkloadSpec
 
 #: Client endpoint ids start here so they never collide with node ids.
 CLIENT_ID_BASE = 1000
-
-PROTOCOLS = ("paxos", "pigpaxos", "epaxos")
 
 
 class ShardGroupView:
@@ -255,7 +250,7 @@ class ClusterBuilder:
     _protocol: str = "pigpaxos"
     _num_nodes: int = 5
     _topology: Optional[Topology] = None
-    _protocol_config: Optional[ProtocolConfig] = None
+    _protocol_config: ConfigLike = None
     _cpu_model: NodeCPUModel = field(default_factory=NodeCPUModel)
     _seed: int = 0
     _num_clients: int = 10
@@ -286,7 +281,8 @@ class ClusterBuilder:
         self._topology = topology
         return self
 
-    def protocol_config(self, config: ProtocolConfig) -> "ClusterBuilder":
+    def protocol_config(self, config: ConfigLike) -> "ClusterBuilder":
+        """Protocol knobs, resolved (never mutated) by ``resolve_config`` at build time."""
         self._protocol_config = config
         return self
 
@@ -321,13 +317,13 @@ class ClusterBuilder:
         return self
 
     def overlay(self, config) -> "ClusterBuilder":
-        """Choose the wide-cast fan-out overlay (Paxos and EPaxos).
+        """Choose the wide-cast fan-out overlay.
 
         Accepts an :class:`~repro.overlay.config.OverlayConfig`, a kind
         string (``"direct"``/``"relay"``/``"thrifty"``) or a mapping of
         OverlayConfig fields.  Takes precedence over
-        ``ProtocolConfig.overlay``.  PigPaxos *is* the relay overlay and is
-        configured via :class:`~repro.core.config.PigPaxosConfig` instead.
+        ``ProtocolConfig.overlay``.  PigPaxos *is* the relay overlay and
+        accepts no other kind.
         """
         self._overlay_config = OverlayConfig.coerce(config)
         return self
@@ -367,8 +363,12 @@ class ClusterBuilder:
     def build(self) -> Cluster:
         topology = self._topology or lan_topology(self._num_nodes)
         num_shards = self._num_shards
+        config = resolve_config(
+            self._protocol, self._protocol_config, overlay=self._overlay_config,
+            relay_groups=self._num_relay_groups, use_region_groups=self._use_region_groups,
+        )
         if num_shards > 1:
-            self._validate_sharding(topology)
+            self._validate_sharding(topology, config)
         sim = Simulator(seed=self._seed)
         faults = NetworkFaults(drop_probability=self._drop_probability)
         latency_override = None
@@ -388,6 +388,9 @@ class ClusterBuilder:
 
         node_ids = list(topology.node_ids)
         leaders = round_robin_leaders(num_shards, node_ids) if num_shards > 1 else None
+        shard0_leader = None if leaders is None else leaders[0]
+        region_map = topology.region_map()
+        zone_map = topology.zone_map()
         nodes: Dict[int, SimNode] = {}
         for node_id in node_ids:
             node = SimNode(
@@ -397,17 +400,12 @@ class ClusterBuilder:
                 cpu=self._cpu_model,
                 all_nodes=topology.node_ids,
             )
-            if leaders is None:
-                node.host(self._make_replica(topology))
-            else:
-                node.host(self._make_replica(topology, initial_leader=leaders[0]))
+            node.host(build_replica(self._protocol, config, region_map, zone_map, shard0_leader))
             nodes[node_id] = node
 
         shard_instances: List[ShardReplicaHost] = []
         router: Optional[ShardRouter] = None
         if num_shards > 1:
-            region_map = topology.region_map()
-            zone_map = topology.zone_map()
             groups: List[Sequence[int]] = [tuple(node_ids)]
             for shard in range(1, num_shards):
                 members = tuple(shard_endpoint(shard, n) for n in node_ids)
@@ -425,14 +423,10 @@ class ClusterBuilder:
                     instance = ShardReplicaHost(
                         host=nodes[node_id], shard=shard, all_nodes=members
                     )
-                    instance.host_replica(
-                        self._make_replica(
-                            topology,
-                            initial_leader=leaders[shard],
-                            region_of=shard_regions,
-                            zone_of=shard_zones,
-                        )
+                    replica = build_replica(
+                        self._protocol, config, shard_regions, shard_zones, leaders[shard]
                     )
+                    instance.host_replica(replica)
                     nodes[node_id].add_shard_sibling(instance)
                     shard_instances.append(instance)
                 groups.append(members)
@@ -471,7 +465,7 @@ class ClusterBuilder:
             router=router,
         )
 
-    def _validate_sharding(self, topology: Topology) -> None:
+    def _validate_sharding(self, topology: Topology, config: ProtocolConfig) -> None:
         """Reject builder settings that cannot host multiple shards.
 
         The compatibility contract for ``shards > 1``:
@@ -498,19 +492,14 @@ class ClusterBuilder:
                 f"sharding requires node ids in [0, {SHARD_ENDPOINT_STRIDE}); "
                 f"got range [{min(node_ids)}, {max(node_ids)}]"
             )
-        config = self._protocol_config
-        if (
-            config is not None
-            and self._protocol != "epaxos"
-            and config.initial_leader not in (None, 0)
-        ):
+        if config.initial_leader not in (None, 0):
             raise ConfigurationError(
                 "initial_leader cannot be combined with shards > 1: leader "
                 "placement is per-group round-robin across the node set"
             )
         # Only the *explicit* builder-level request is rejected here: a
-        # config-level count (PigPaxosConfig.num_relay_groups, overlay
-        # num_groups) may simply be the dataclass default, and the overlay
+        # config-level count (overlay num_groups, the num_relay_groups key)
+        # may simply be the dataclass default, and the overlay
         # planner clamps it to the follower count exactly as it does on
         # unsharded clusters -- sharding must not be stricter than the
         # machinery it multiplies.
@@ -522,110 +511,6 @@ class ClusterBuilder:
                 f"{len(node_ids) - 1} followers"
             )
 
-    def _resolve_overlay_config(self, config: Optional[ProtocolConfig]) -> Optional[OverlayConfig]:
-        """Builder-level overlay choice wins over ProtocolConfig.overlay."""
-        if self._overlay_config is not None:
-            return self._overlay_config
-        if config is not None and config.overlay is not None:
-            return config.overlay
-        return None
-
-    def _make_replica(
-        self,
-        topology: Topology,
-        initial_leader: Optional[int] = None,
-        region_of: Optional[Dict[int, str]] = None,
-        zone_of: Optional[Dict[int, str]] = None,
-    ):
-        """Construct one replica instance.
-
-        ``initial_leader``, ``region_of`` and ``zone_of`` are the sharding
-        hooks: a sharded build passes each group's round-robin leader
-        endpoint and region/zone maps re-keyed to the group's endpoint ids.
-        ``None`` (the unsharded path) preserves the historical behaviour
-        exactly, including the shared-config-object semantics.
-        """
-        regions = region_of if region_of is not None else topology.region_map()
-        zones = zone_of if zone_of is not None else topology.zone_map()
-        if self._protocol == "paxos":
-            config = self._protocol_config or ProtocolConfig()
-            overlay_config = self._resolve_overlay_config(config)
-            if overlay_config is not None and overlay_config.kind == "relay":
-                raise ConfigurationError(
-                    "paxos with a relay overlay is PigPaxos; use protocol "
-                    "'pigpaxos' (configured via PigPaxosConfig) instead"
-                )
-            if (
-                config.recovery_timeout not in (None, DEFAULT_RECOVERY_TIMEOUT)
-                or config.leader_retry_timeout is not None
-            ):
-                # The shared class default counts as "unset" for the Paxos
-                # family; only a deliberate override is an error.
-                raise ConfigurationError(
-                    "recovery_timeout and leader_retry_timeout are EPaxos "
-                    "knobs (PigPaxos has its own leader retry); plain paxos "
-                    "would silently ignore them"
-                )
-            if initial_leader is not None:
-                config = replace(config, initial_leader=initial_leader)
-            overlay = build_overlay(overlay_config)
-            return MultiPaxosReplica(config=config, overlay=overlay)
-        if self._protocol == "pigpaxos":
-            config = self._protocol_config
-            if config is None or not isinstance(config, PigPaxosConfig):
-                config = PigPaxosConfig()
-            if self._overlay_config is not None or config.overlay is not None:
-                raise ConfigurationError(
-                    "pigpaxos is the relay overlay; tune it via PigPaxosConfig "
-                    "(num_relay_groups, relay_timeout, ...) rather than an "
-                    "overlay config"
-                )
-            if self._num_relay_groups is not None:
-                config.num_relay_groups = self._num_relay_groups
-            if self._use_region_groups:
-                config.use_region_groups = True
-            if initial_leader is not None:
-                config = replace(config, initial_leader=initial_leader)
-            return PigPaxosReplica(config=config, region_of=regions, zone_of=zones)
-        if self._protocol == "epaxos":
-            # EPaxos is leaderless: ``initial_leader`` is deliberately
-            # ignored (sharded groups balance through the clients'
-            # random-target policy instead).
-            config = self._protocol_config
-            overlay_config = self._resolve_overlay_config(config)
-            overlay = build_overlay(overlay_config, region_of=regions, zone_of=zones)
-            if config is None:
-                return EPaxosReplica(overlay=overlay)
-            # EPaxos consumes only the shared session_window, overlay,
-            # recovery_timeout, leader_retry_timeout and batching knobs;
-            # reject a config that sets anything else rather than silently
-            # ignore it.
-            if type(config) is not ProtocolConfig or config != ProtocolConfig(
-                session_window=config.session_window,
-                overlay=config.overlay,
-                recovery_timeout=config.recovery_timeout,
-                leader_retry_timeout=config.leader_retry_timeout,
-                batch_max_commands=config.batch_max_commands,
-                batch_max_delay=config.batch_max_delay,
-                pipeline_depth=config.pipeline_depth,
-            ):
-                raise ConfigurationError(
-                    "epaxos only consumes ProtocolConfig.session_window, "
-                    ".overlay, .recovery_timeout, .leader_retry_timeout and "
-                    "the batching knobs; other protocol-config fields would "
-                    "be silently ignored"
-                )
-            return EPaxosReplica(
-                session_window=config.session_window,
-                overlay=overlay,
-                recovery_timeout=config.recovery_timeout,
-                leader_retry_timeout=config.leader_retry_timeout,
-                batch_max_commands=config.batch_max_commands,
-                batch_max_delay=config.batch_max_delay,
-                pipeline_depth=config.pipeline_depth,
-            )
-        raise ConfigurationError(f"unknown protocol {self._protocol!r}")
-
 
 def build_cluster(
     protocol: str = "pigpaxos",
@@ -635,7 +520,7 @@ def build_cluster(
     relay_groups: Optional[int] = None,
     workload: Optional[WorkloadSpec] = None,
     topology: Optional[Topology] = None,
-    protocol_config: Optional[ProtocolConfig] = None,
+    protocol_config: ConfigLike = None,
     cpu_model: Optional[NodeCPUModel] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     use_region_groups: bool = False,

@@ -43,10 +43,10 @@ partial PreAccept evidence survives, and otherwise commit a dependency-
 preserving no-op so the orphan can never block the cluster forever.  The
 recovery deadline is tracked *lazily* from ``_try_execute`` -- a run in
 which no instance ever blocks past the deadline schedules no extra events
-and stays bit-for-bit identical to a recovery-free build -- and the knob
-defaults to ``None`` (disabled) so existing scenarios keep their recorded
-fingerprints.  Reads still execute through the full commit path (no read
-leases).
+and stays bit-for-bit identical to a recovery-free build.  The knob
+defaults to ``DEFAULT_RECOVERY_TIMEOUT`` (0.25 s, on); ``None`` restores
+the historical degraded mode.  Reads still execute through the full commit
+path (no read leases).
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ from repro.net.message import Message
 from repro.overlay.base import FanoutOverlay
 from repro.overlay.messages import OverlayMessage
 from repro.protocol.base import Replica, build_batch_metrics
-from repro.protocol.config import DEFAULT_RECOVERY_TIMEOUT
+from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import ClientReply, ClientRequest
 from repro.quorum.systems import FastQuorum
 from repro.statemachine.command import Command, CommandBatch, CommandResult, NoOp
 from repro.statemachine.kvstore import KVStore
-from repro.statemachine.sessions import DEFAULT_SESSION_WINDOW, ClientSessionCache
+from repro.statemachine.sessions import ClientSessionCache
 
 _PREACCEPTED = "preaccepted"
 _ACCEPTED = "accepted"
@@ -165,16 +165,12 @@ class EPaxosReplica(Replica):
 
     def __init__(
         self,
+        config: Optional[ProtocolConfig] = None,
         quorum: Optional[FastQuorum] = None,
-        session_window: int = DEFAULT_SESSION_WINDOW,
         overlay: Optional[FanoutOverlay] = None,
-        recovery_timeout: Optional[float] = DEFAULT_RECOVERY_TIMEOUT,
-        leader_retry_timeout: Optional[float] = None,
-        batch_max_commands: int = 1,
-        batch_max_delay: Optional[float] = None,
-        pipeline_depth: Optional[int] = None,
     ) -> None:
         super().__init__(overlay=overlay)
+        self.config = config or ProtocolConfig()
         self._quorum = quorum
         self.store = KVStore()
         self.instances: Dict[InstanceId, _Instance] = {}
@@ -203,7 +199,7 @@ class EPaxosReplica(Replica):
         # its outer client LRU are driven only by that key's applies, which
         # are identically ordered everywhere.  Memory stays proportional to
         # the store itself: keys x bounded sessions x bounded window.
-        self._session_window = session_window
+        self._session_window = self.config.session_window
         self._client_sessions: Dict[str, ClientSessionCache] = {}
         # Execution order as applied locally, for the cross-replica
         # execution-consistency checker (repro.checkers.invariants).
@@ -214,7 +210,7 @@ class EPaxosReplica(Replica):
         # time it finds execution blocked on an uncommitted dependency and
         # only *checks* the stamp on later passes -- no timer is ever
         # scheduled for an instance that is not already blocked.
-        self._recovery_timeout = recovery_timeout
+        self._recovery_timeout = self.config.recovery_timeout
         self._first_blocked: Dict[InstanceId, float] = {}
         #: Deadline timers for stamped deps, so recovery still fires when
         #: the cluster goes quiet (no further commits re-entering
@@ -233,7 +229,7 @@ class EPaxosReplica(Replica):
         # here): an in-flight PreAccept/Accept round is re-wide_cast after
         # this long without a quorum.  None (default) keeps the historical
         # rely-on-client-retries behaviour.
-        self._leader_retry_timeout = leader_retry_timeout
+        self._leader_retry_timeout = self.config.leader_retry_timeout
         # Command batching (PR 9): this replica, as an opportunistic leader,
         # buffers pairwise non-conflicting client commands and leads one
         # instance for the whole batch.  A conflicting arrival flushes the
@@ -242,14 +238,12 @@ class EPaxosReplica(Replica):
         # buffer also flushes at batch_max_commands or after batch_max_delay.
         # With the delay unset, commands propose immediately and batching is
         # effectively off (EPaxos has no pipeline to park commands behind,
-        # so a delay bound is what creates batching opportunities here).
-        # ``pipeline_depth`` is accepted for config uniformity and ignored:
-        # instances are not a pipeline.  All off (zero events, zero metric
-        # registrations) at the default batch_max_commands == 1.
-        del pipeline_depth
-        self._batch_max_commands = batch_max_commands
-        self._batch_max_delay = batch_max_delay
-        self._batch_enabled = batch_max_commands > 1
+        # so a delay bound is what creates batching opportunities here, and
+        # ``pipeline_depth`` is a rejected knob).  All off (zero events, zero
+        # metric registrations) at the default batch_max_commands == 1.
+        self._batch_max_commands = self.config.batch_max_commands
+        self._batch_max_delay = self.config.batch_max_delay
+        self._batch_enabled = self._batch_max_commands > 1
         self._batch_buffer: List[Tuple[Command, int]] = []
         self._batch_timer: Optional[object] = None
         self._batch_metrics = None
@@ -263,10 +257,6 @@ class EPaxosReplica(Replica):
 
     def start(self) -> None:
         """EPaxos needs no leader election; nothing to bootstrap."""
-
-    def reshuffle_groups(self) -> None:
-        """Re-deal this replica's relay groups (no-op for non-relay overlays)."""
-        self._overlay.reshuffle()
 
     # ------------------------------------------------------------------ dispatch
     def on_message(self, src: int, message: Any) -> None:

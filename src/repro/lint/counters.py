@@ -44,7 +44,6 @@ REPLICA_COUNTERS: FrozenSet[str] = frozenset(
         "leader_fill_retries",
         "unknown_message",
         # --- PigPaxos / relay overlay
-        "pig_rounds",
         "relay_rounds",
         "relay_fanouts",
         "relay_timeouts",

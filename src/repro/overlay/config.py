@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.overlay.direct import DirectFanout
+from repro.overlay.relay import RelayFanout
+from repro.overlay.thrifty import ThriftyFanout
 
 #: Every fan-out strategy the factory knows how to build.
 OVERLAY_KINDS = ("direct", "relay", "thrifty")
@@ -124,10 +127,6 @@ def build_overlay(
     grouping (region groups, and zone sub-trees at ``relay_levels > 1``)
     and are ignored by the other kinds.
     """
-    from repro.overlay.direct import DirectFanout
-    from repro.overlay.relay import RelayFanout
-    from repro.overlay.thrifty import ThriftyFanout
-
     if config is None or config.kind == "direct":
         return DirectFanout()
     if config.kind == "relay":

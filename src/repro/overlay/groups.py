@@ -7,8 +7,7 @@ round, the fan-out root picks one random member of each group as the relay.
 This module provides the partitioners, the per-round tree builder (including
 the optional multi-level nesting of Section 6.3) and dynamic reshuffling
 (Section 4.1).  :class:`~repro.overlay.relay.RelayFanout` drives it for both
-protocol families; :mod:`repro.core.groups` re-exports everything for
-backwards compatibility.
+protocol families.
 
 Hierarchical topologies (region -> zone -> node) get a topology-aware plan:
 :class:`HierarchicalGroupPlan` keeps one group per region (the one-level

@@ -4,10 +4,11 @@ The replica plays all three classical roles (proposer, acceptor, learner).
 Its phase-1/phase-2/heartbeat fan-outs route through the replica's
 :class:`~repro.overlay.base.FanoutOverlay` -- :class:`DirectFanout` by
 default (plain broadcast), :class:`ThriftyFanout` for quorum-subset sends,
-and :class:`RelayFanout` when hosted by PigPaxos
-(:mod:`repro.core.replica`), which changes *only* this message-passing
-layer, mirroring how the paper's implementation reused Paxos' correctness
-argument unchanged.
+and :class:`RelayFanout` for relay trees.  PigPaxos is this replica over
+the relay overlay with the Figure 5b leader round retry switched on (the
+``"pigpaxos"`` preset in :mod:`repro.protocol.resolver`): it changes *only*
+the message-passing layer, mirroring how the paper's implementation reused
+Paxos' correctness argument unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.overlay.base import FanoutOverlay
-from repro.overlay.messages import OverlayMessage, RelayAggregate, RelayRequest
+from repro.overlay.messages import RelayAggregate, RelayRequest
 from repro.protocol.ballot import Ballot
 from repro.protocol.base import Replica, TimerLike, build_batch_metrics
 from repro.protocol.config import ProtocolConfig
@@ -168,22 +169,16 @@ class MultiPaxosReplica(Replica):
             Heartbeat: self._on_heartbeat,
             FillRequest: self._on_fill_request,
             FillReply: self._on_fill_reply,
-            RelayRequest: self._on_overlay_message,
-            RelayAggregate: self._on_overlay_message,
         }
         # When the bound overlay is the relay fan-out, dispatch its wire
-        # types straight to its handlers, skipping two generic hops per
-        # relayed message (the overlay indirection and its isinstance chain).
+        # types straight to its handlers (no overlay indirection, no
+        # isinstance chain); under any other overlay they are unknown.
         request_handler = getattr(self._overlay, "_on_relay_request", None)
         aggregate_handler = getattr(self._overlay, "_on_aggregate", None)
         if request_handler is not None and aggregate_handler is not None:
             handlers[RelayRequest] = request_handler
             handlers[RelayAggregate] = aggregate_handler
         return handlers
-
-    def _on_overlay_message(self, src: int, msg: OverlayMessage) -> None:
-        if not self._overlay.handle_message(src, msg):
-            self.count("unknown_message")
 
     # ------------------------------------------------------------------ overlay host hooks
     def process_for_overlay(self, src: int, inner: Any) -> Optional[Any]:
@@ -489,12 +484,28 @@ class MultiPaxosReplica(Replica):
         self._fanout_phase2(p2a, proposal)
 
     def _fanout_phase2(self, p2a: P2a, proposal: _Proposal) -> None:
-        """Disseminate phase-2a through the fan-out overlay (PigPaxos adds retries)."""
+        """Disseminate phase-2a through the fan-out overlay and arm the round retry."""
         self._overlay.wide_cast(
             p2a,
             round_id=("p2", p2a.ballot, p2a.slot),
             quorum_size=self.quorum.phase2_size,
         )
+        retry_timeout = self.config.leader_retry_timeout
+        if retry_timeout is not None:
+            proposal.retry_timer = self.ctx.schedule(
+                retry_timeout, self._retry_proposal, proposal, p2a
+            )
+
+    def _retry_proposal(self, proposal: _Proposal, p2a: P2a) -> None:
+        """Leader timeout (Fig. 5b): re-send the round through the overlay.
+
+        Under the relay overlay that means freshly chosen relays, so a relay
+        that died mid-round costs one timeout instead of the round.
+        """
+        if proposal.committed or not self.is_leader or p2a.ballot != self.ballot:
+            return
+        self.count("leader_round_retries")
+        self._fanout_phase2(p2a, proposal)
 
     # ------------------------------------------------------------------ acceptor path
     def _process_p2a(self, msg: P2a) -> P2b:

@@ -1,4 +1,8 @@
-"""Protocol configuration knobs shared by all replicas."""
+"""Protocol configuration knobs shared by all replicas.
+
+Which protocol honours which knob, what a protocol name presets, and the
+one function that resolves a config live in :mod:`repro.protocol.resolver`.
+"""
 
 from __future__ import annotations
 
@@ -12,15 +16,18 @@ from repro.statemachine.sessions import DEFAULT_SESSION_WINDOW
 #: Default EPaxos explicit-prepare deadline (seconds of virtual time).
 #: Recovery has been on by default since the fuzzing PR: the fuzz fleet
 #: exercises crash schedules constantly and a degraded-mode default made
-#: every one of them a liveness collapse.  The Paxos family treats this
-#: exact value as "unset" (the knob is EPaxos-only); pass ``None`` to get
-#: the historical degraded mode (see ``epaxos-crash-degraded``).
+#: every one of them a liveness collapse.  Pass ``None`` to get the
+#: historical degraded mode (see ``epaxos-crash-degraded``).  The knob is
+#: EPaxos-only: the Paxos family rejects any other value.
 DEFAULT_RECOVERY_TIMEOUT = 0.25
 
 
 @dataclass
 class ProtocolConfig:
-    """Timing and behaviour knobs common to Multi-Paxos and PigPaxos.
+    """Timing and behaviour knobs of every protocol.
+
+    Each knob is honoured or rejected per protocol, never silently ignored
+    (:data:`repro.protocol.resolver.KNOB_TABLE`).
 
     Attributes:
         heartbeat_interval: How often an idle leader broadcasts heartbeats /
@@ -46,22 +53,21 @@ class ProtocolConfig:
             historical degraded mode.  Recovery is armed lazily -- runs in
             which no instance ever blocks schedule no extra events, so the
             knob changes nothing on runs that never block.  EPaxos-only:
-            the builder rejects any *other* explicit value for the Paxos
-            family rather than silently ignoring it (the class default is
-            treated as unset there).
+            the Paxos family rejects any value but the class default.
         leader_retry_timeout: How long a round leader waits for a quorum on
             an in-flight round before re-sending it through the overlay
-            (fresh relays under ``RelayFanout``).  Consumed by EPaxos,
-            where ``None`` (the default) disables it and rounds rely on
-            client retries; PigPaxos has always had its own (Figure 5b,
-            via :class:`~repro.core.config.PigPaxosConfig`, default 0.15).
-            Plain Multi-Paxos has no use for it and the builder rejects it.
+            (fresh relays under ``RelayFanout`` -- the paper's Figure 5b
+            relay-failure recovery).  ``None`` (the default) disables it
+            and rounds rely on client retries; the ``"pigpaxos"`` preset
+            defaults it to 0.15.  Over a relay overlay it must exceed the
+            overlay's ``relay_timeout``, or the leader retries before the
+            relays have flushed.
         overlay: Fan-out overlay for wide-cast messages
             (:class:`~repro.overlay.config.OverlayConfig`, a kind string, or
             a mapping of its fields; ``None`` means the protocol's default
-            -- direct broadcast for Multi-Paxos and EPaxos).  PigPaxos *is*
-            the relay overlay and configures it through
-            :class:`~repro.core.config.PigPaxosConfig` instead.
+            -- direct broadcast for Multi-Paxos and EPaxos, the relay
+            overlay for the ``"pigpaxos"`` preset, which accepts no other
+            kind).
         batch_max_commands: Leader-side command batching -- how many client
             commands a leader may pack into one consensus slot (Paxos
             family) or one instance (EPaxos).  The default of 1 disables
@@ -83,7 +89,7 @@ class ProtocolConfig:
             the pipeline is full, new commands buffer past the size
             trigger and flush as soon as a slot commits.  ``None``
             (default) leaves the pipeline unbounded, the historical
-            behaviour.  EPaxos ignores it (instances are not a pipeline).
+            behaviour.  EPaxos rejects it (instances are not a pipeline).
     """
 
     heartbeat_interval: float = 0.05

@@ -12,12 +12,8 @@ import asyncio
 import socket
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import PigPaxosConfig
-from repro.core.replica import PigPaxosReplica
-from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
-from repro.paxos.replica import MultiPaxosReplica
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.resolver import build_replica, resolve_config
 from repro.runtime.client import KVClient
 from repro.runtime.server import NodeServer
 
@@ -52,14 +48,14 @@ class LocalCluster:
     # ------------------------------------------------------------------ lifecycle
     async def start(self) -> None:
         self.addresses = {node_id: (self._host, _free_port()) for node_id in range(self.num_nodes)}
+        config = resolve_config(self.protocol, relay_groups=self.relay_groups)
         for node_id in range(self.num_nodes):
             peers = {other: addr for other, addr in self.addresses.items() if other != node_id}
-            replica = self._make_replica()
             server = NodeServer(
                 node_id=node_id,
                 listen=self.addresses[node_id],
                 peers=peers,
-                replica=replica,
+                replica=build_replica(self.protocol, config),
             )
             self.servers.append(server)
         for server in self.servers:
@@ -80,15 +76,6 @@ class LocalCluster:
         await self.stop()
 
     # ------------------------------------------------------------------ helpers
-    def _make_replica(self):
-        if self.protocol == "paxos":
-            return MultiPaxosReplica(config=ProtocolConfig())
-        if self.protocol == "pigpaxos":
-            return PigPaxosReplica(config=PigPaxosConfig(num_relay_groups=self.relay_groups))
-        if self.protocol == "epaxos":
-            return EPaxosReplica()
-        raise ConfigurationError(f"unknown protocol {self.protocol!r}")
-
     def client(self, request_timeout: float = 5.0) -> KVClient:
         return KVClient(nodes=dict(self.addresses), request_timeout=request_timeout)
 

@@ -24,7 +24,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.cluster.builder import PROTOCOLS
+from repro.protocol.resolver import PROTOCOLS
 from repro.scenarios.library import (
     SHARDED_SMOKE_SCENARIOS,
     SMOKE_SCENARIOS,

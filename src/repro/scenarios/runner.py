@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.checkers.history import History, HistoryRecorder
 from repro.checkers.invariants import Violation, run_epaxos_checks, run_log_checks
@@ -33,9 +33,7 @@ from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import Cluster, ClusterBuilder
 from repro.cluster.faults import FaultEvent, FaultKind
 from repro.cluster.topologies import planet_topology, wan_topology
-from repro.core.config import PigPaxosConfig
-from repro.errors import ConfigurationError, ReproError
-from repro.protocol.config import ProtocolConfig
+from repro.errors import ReproError
 from repro.scenarios.spec import Scenario, ScenarioEvent
 
 
@@ -113,6 +111,9 @@ class ScenarioRunner:
             .workload(scenario.workload)
             .client_timeout(scenario.client_timeout)
             .history_recorder(self._recorder)
+            .relay_groups(scenario.relay_groups)
+            .region_relay_groups(scenario.use_region_groups)
+            .protocol_config(scenario.config_overrides)
         )
         if scenario.wan:
             builder.topology(wan_topology(num_nodes=scenario.num_nodes))
@@ -127,32 +128,9 @@ class ScenarioRunner:
             )
         if scenario.shards != 1:
             builder.shards(scenario.shards)
-        if scenario.relay_groups is not None:
-            builder.relay_groups(scenario.relay_groups)
-        if scenario.use_region_groups:
-            builder.region_relay_groups(True)
         if scenario.drop_probability > 0.0:
             builder.message_drop_probability(scenario.drop_probability)
-        config = self._protocol_config()
-        if config is not None:
-            builder.protocol_config(config)
         return builder.build()
-
-    def _protocol_config(self) -> Optional[ProtocolConfig]:
-        overrides = dict(self.scenario.config_overrides or {})
-        if self.scenario.protocol == "pigpaxos":
-            return PigPaxosConfig(**overrides)
-        if self.scenario.protocol == "paxos":
-            return ProtocolConfig(**overrides)
-        if self.scenario.protocol == "epaxos":
-            # EPaxos only consumes the shared session_window and overlay
-            # knobs; the builder rejects a config carrying anything else.
-            return ProtocolConfig(**overrides) if overrides else None
-        if overrides:
-            raise ConfigurationError(
-                f"protocol {self.scenario.protocol!r} takes no config overrides"
-            )
-        return None
 
     # ------------------------------------------------------------------ run
     def run(self) -> ScenarioResult:
@@ -274,16 +252,15 @@ class ScenarioRunner:
                 if node.crashed:
                     cluster.recover_node(node_id)
         elif action == "reshuffle_relays":
-            # Paxos-family: only the leader owns a relay plan.  EPaxos:
-            # every replica is a fan-out root with its own plan, so all of
-            # them reshuffle (a no-op under non-relay overlays).  Sharded
-            # clusters reshuffle every hosted group's eligible replicas.
+            # Paxos-family: only the leader owns a relay plan.  EPaxos has
+            # no ``is_leader``: every replica is a fan-out root with its own
+            # plan, so all of them reshuffle (a no-op under non-relay
+            # overlays).  Sharded clusters reshuffle every hosted group's
+            # eligible replicas.
             for node in cluster.all_replica_hosts():
                 replica = node.replica
-                if node.crashed or not hasattr(replica, "reshuffle_groups"):
-                    continue
-                if getattr(replica, "is_leader", False) or replica.protocol_name == "epaxos":
-                    replica.reshuffle_groups()
+                if not node.crashed and getattr(replica, "is_leader", True):
+                    replica.overlay.reshuffle()
         elif action == "set_drop":
             cluster.network.faults.drop_probability = event.probability
         elif action == "duplicate_storm":

@@ -45,7 +45,7 @@ def make_leader(**config_kwargs):
 
 def make_epaxos(**kwargs):
     ctx = FakeContext(node_id=0, all_nodes=list(range(5)))
-    replica = EPaxosReplica(**kwargs)
+    replica = EPaxosReplica(config=ProtocolConfig(**kwargs))
     replica.bind(ctx)
     replica.start()
     return replica, ctx

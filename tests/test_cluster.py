@@ -198,7 +198,7 @@ class TestBuilder:
         assert len(cluster.clients) == 3
         assert cluster.protocol == "pigpaxos"
         replica = cluster.nodes[0].replica
-        assert replica.pig_config.num_relay_groups == 2
+        assert replica.config.overlay.num_groups == 2
 
     def test_epaxos_clients_use_random_targets(self):
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=2, seed=1)
@@ -239,11 +239,3 @@ class TestSessionWindowWiring:
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=1)
         assert cluster.nodes[0].replica._session_window == DEFAULT_SESSION_WINDOW
 
-    def test_epaxos_rejects_non_session_config_fields(self):
-        from repro.protocol.config import ProtocolConfig
-
-        with pytest.raises(ConfigurationError):
-            build_cluster(
-                protocol="epaxos", num_nodes=3, num_clients=1,
-                protocol_config=ProtocolConfig(heartbeat_interval=0.2),
-            )

@@ -40,6 +40,7 @@ from repro.epaxos.messages import (
 from repro.epaxos.replica import EPaxosReplica
 from repro.overlay.messages import RelayAggregate, RelayRequest
 from repro.overlay.relay import RelayFanout
+from repro.protocol.config import ProtocolConfig
 from repro.statemachine.command import Command, NoOp, OpType
 
 
@@ -48,9 +49,9 @@ def _put(key="k", client=7, req=1):
 
 
 def _replica(node_id=0, recovery_timeout=None, leader_retry_timeout=None, nodes=(0, 1, 2, 3, 4)):
-    replica = EPaxosReplica(
+    replica = EPaxosReplica(config=ProtocolConfig(
         recovery_timeout=recovery_timeout, leader_retry_timeout=leader_retry_timeout
-    )
+    ))
     ctx = FakeContext(node_id=node_id, all_nodes=nodes)
     replica.bind(ctx)
     return replica, ctx
@@ -596,7 +597,6 @@ class TestRecoveredNoOpsAreLegal:
 class TestConfigWiring:
     def test_builder_threads_recovery_knobs_to_epaxos(self):
         from repro.cluster.builder import build_cluster
-        from repro.protocol.config import ProtocolConfig
 
         cluster = build_cluster(
             protocol="epaxos", num_nodes=3, num_clients=1,
@@ -608,34 +608,11 @@ class TestConfigWiring:
 
     def test_invalid_timeouts_rejected(self):
         from repro.errors import ConfigurationError
-        from repro.protocol.config import ProtocolConfig
 
         with pytest.raises(ConfigurationError):
             ProtocolConfig(recovery_timeout=0.0)
         with pytest.raises(ConfigurationError):
             ProtocolConfig(leader_retry_timeout=-1.0)
-
-    def test_paxos_rejects_the_epaxos_only_knobs(self):
-        """Silently ignoring a timeout knob is worse than rejecting it."""
-        from repro.cluster.builder import build_cluster
-        from repro.core.config import PigPaxosConfig
-        from repro.errors import ConfigurationError
-        from repro.protocol.config import ProtocolConfig
-
-        with pytest.raises(ConfigurationError):
-            build_cluster(
-                protocol="paxos", num_nodes=3, num_clients=1,
-                protocol_config=ProtocolConfig(leader_retry_timeout=0.3),
-            )
-        with pytest.raises(ConfigurationError):
-            build_cluster(
-                protocol="paxos", num_nodes=3, num_clients=1,
-                protocol_config=ProtocolConfig(recovery_timeout=0.3),
-            )
-        with pytest.raises(ConfigurationError):
-            PigPaxosConfig(recovery_timeout=0.3)
-        # PigPaxos keeps its own leader retry default untouched.
-        assert PigPaxosConfig().leader_retry_timeout == 0.15
 
     def test_commit_fallback_timeout_rejected_when_non_positive(self):
         from repro.errors import ConfigurationError

@@ -12,7 +12,8 @@ import pytest
 
 from repro.cluster.builder import build_cluster
 from repro.cluster.topologies import wan_topology
-from repro.core.config import PigPaxosConfig
+from repro.overlay.config import OverlayConfig
+from repro.protocol.config import ProtocolConfig
 from repro.workload.spec import WorkloadSpec
 
 
@@ -96,7 +97,7 @@ class TestPigPaxosCluster:
         cluster.run(1.0)
         assert cluster.total_completed_requests() > 10
         leader = cluster.nodes[cluster.leader_id()].replica
-        plan = leader.relay_group_plan()
+        plan = leader.overlay.plan()
         region_map = topology.region_map()
         for group in plan.groups:
             assert len({region_map[n] for n in group}) == 1  # one region per group
@@ -107,7 +108,7 @@ class TestPigPaxosCluster:
         assert pig.total_completed_requests() > 1.3 * paxos.total_completed_requests()
 
     def test_multi_level_relay_tree_still_correct(self):
-        config = PigPaxosConfig(num_relay_groups=2, relay_levels=2)
+        config = ProtocolConfig(overlay=OverlayConfig(kind="relay", num_groups=2, relay_levels=2))
         cluster = build_cluster(protocol="pigpaxos", num_nodes=13, num_clients=5, seed=13,
                                 protocol_config=config, workload=WorkloadSpec(num_keys=50))
         cluster.run(0.5)
@@ -115,7 +116,7 @@ class TestPigPaxosCluster:
         assert cluster.logs_agree()
 
     def test_partial_response_threshold_still_commits(self):
-        config = PigPaxosConfig(num_relay_groups=2, group_response_threshold=0.6)
+        config = {"num_relay_groups": 2, "group_response_threshold": 0.6}
         cluster = build_cluster(protocol="pigpaxos", num_nodes=9, num_clients=5, seed=13,
                                 protocol_config=config, workload=WorkloadSpec(num_keys=50))
         cluster.run(0.5)

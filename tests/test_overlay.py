@@ -231,7 +231,7 @@ class TestEPaxosRelayFanout:
         replica, ctx = epaxos_replica(overlay=RelayFanout(num_groups=2))
         before = [list(g) for g in replica.overlay.plan().groups]
         for _ in range(10):
-            replica.reshuffle_groups()
+            replica.overlay.reshuffle()
             after = [list(g) for g in replica.overlay.plan().groups]
             if after != before:
                 break
@@ -375,7 +375,7 @@ class TestDeepRelayResilience:
         assert relay.overlay.open_sessions == 1
 
         before = relay.overlay.plan()
-        relay.reshuffle_groups()
+        relay.overlay.reshuffle()
         after = relay.overlay.plan()
         # The rebuilt plan is still hierarchical and zone-preserving...
         assert isinstance(before, HierarchicalGroupPlan)
@@ -461,16 +461,6 @@ class TestBuilderWiring:
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=1,
                                 protocol_config=config)
         assert all(isinstance(n.replica.overlay, ThriftyFanout) for n in cluster.nodes.values())
-
-    def test_paxos_accepts_thrifty_but_not_relay(self):
-        cluster = build_cluster(protocol="paxos", num_nodes=3, num_clients=1, overlay="thrifty")
-        assert all(isinstance(n.replica.overlay, ThriftyFanout) for n in cluster.nodes.values())
-        with pytest.raises(ConfigurationError):
-            build_cluster(protocol="paxos", num_nodes=3, num_clients=1, overlay="relay")
-
-    def test_pigpaxos_rejects_overlay_config(self):
-        with pytest.raises(ConfigurationError):
-            build_cluster(protocol="pigpaxos", num_nodes=3, num_clients=1, overlay="direct")
 
     def test_builder_overlay_wins_over_protocol_config(self):
         config = ProtocolConfig(overlay={"kind": "thrifty"})

@@ -6,15 +6,20 @@ import random
 
 import pytest
 
-from repro.core.config import PigPaxosConfig
-from repro.core.groups import (
+from repro.errors import ConfigurationError
+from repro.overlay.groups import (
     RelayGroupPlan,
     contiguous_groups,
     hash_groups,
     region_groups,
     round_robin_groups,
 )
-from repro.errors import ConfigurationError
+from repro.protocol.resolver import resolve_config
+
+
+def pig_config(**overrides):
+    """The pigpaxos preset resolved over flat config keys."""
+    return resolve_config("pigpaxos", overrides)
 
 
 class TestPartitioners:
@@ -113,25 +118,27 @@ class TestRelayGroupPlan:
         assert tree.children == ()
 
 
-class TestPigPaxosConfig:
+class TestPigPaxosPresetConfig:
     def test_defaults_are_valid(self):
-        config = PigPaxosConfig()
-        assert config.num_relay_groups == 3
-        assert config.relay_timeout == pytest.approx(0.05)
+        config = pig_config()
+        assert config.overlay.kind == "relay"
+        assert config.overlay.num_groups == 3
+        assert config.overlay.relay_timeout == pytest.approx(0.05)
+        assert config.leader_retry_timeout == pytest.approx(0.15)
 
     def test_invalid_group_count(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(num_relay_groups=0)
+            pig_config(num_relay_groups=0)
 
     def test_leader_retry_must_exceed_relay_timeout(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(relay_timeout=0.2, leader_retry_timeout=0.1)
+            pig_config(relay_timeout=0.2, leader_retry_timeout=0.1)
 
     def test_threshold_range_checked(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(group_response_threshold=1.5)
-        assert PigPaxosConfig(group_response_threshold=0.5).group_response_threshold == 0.5
+            pig_config(group_response_threshold=1.5)
+        assert pig_config(group_response_threshold=0.5).overlay.group_response_threshold == 0.5
 
     def test_relay_levels_validated(self):
         with pytest.raises(ConfigurationError):
-            PigPaxosConfig(relay_levels=0)
+            pig_config(relay_levels=0)
