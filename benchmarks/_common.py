@@ -14,10 +14,14 @@ lower-variance runs.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence
 
 from repro.bench.plots import ascii_chart, format_table
+from repro.bench.results import RunResult, SweepResult
+from repro.scenarios import Scenario, ScenarioResult, run_scenario
+from repro.workload.spec import WorkloadSpec
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -27,6 +31,8 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 #: Base virtual duration of a single benchmark point, in simulated seconds.
 BASE_DURATION = 0.5 * SCALE
 BASE_WARMUP = 0.15 * SCALE
+#: Tail of every run left out of the measurement window (not scaled).
+COOLDOWN = 0.05
 
 #: Client-count sweeps reused across figures (closed-loop clients).
 LATENCY_SWEEP_CLIENTS: Sequence[int] = (2, 10, 40, 150, 300)
@@ -38,12 +44,31 @@ WAN_SWEEP_CLIENTS: Sequence[int] = (20, 100, 300, 600)
 SEED = 42
 
 
-def duration() -> float:
-    return BASE_DURATION
+def paper_scenario(name: str, protocol: str, **shape) -> Scenario:
+    """One figure cell: the paper's workload at the suite's seed and duration."""
+    shape.setdefault("duration", BASE_DURATION)
+    shape.setdefault("workload", WorkloadSpec.paper_default())
+    return Scenario(name=name, protocol=protocol, seed=SEED, **shape)
 
 
-def warmup() -> float:
-    return BASE_WARMUP
+def run_checked(scenario: Scenario) -> ScenarioResult:
+    """Run one cell; every figure point is also a safety-checked run."""
+    result = run_scenario(scenario)
+    result.raise_on_violations()
+    return result
+
+
+def measure(scenario: Scenario) -> RunResult:
+    """Run one cell and read its warm-up/cool-down-trimmed window."""
+    return run_checked(scenario).stats(start=BASE_WARMUP, end=scenario.duration - COOLDOWN)
+
+
+def client_sweep(scenario: Scenario, client_counts: Sequence[int]) -> SweepResult:
+    """The paper's load sweep: the same cell at each closed-loop client count."""
+    sweep = SweepResult(label=scenario.name)
+    for count in client_counts:
+        sweep.add(measure(replace(scenario, num_clients=count)))
+    return sweep
 
 
 def report(name: str, title: str, lines: Iterable[str]) -> str:

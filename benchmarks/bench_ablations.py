@@ -12,25 +12,18 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.cluster.faults import FaultSchedule
+from _common import comparison_table, measure, paper_scenario, report
+from repro.scenarios import ScenarioEvent
 
 NINE_NODE_CLIENTS = 120
+#: Node 8 answers 50x slower from the first instant of the run.
+SLUGGISH_FOLLOWER = (ScenarioEvent.sluggish(0.0, 8, 50.0),)
 
 
-def _run(config_kwargs, **experiment_kwargs):
-    config = ExperimentConfig(
-        protocol="pigpaxos",
-        num_nodes=9,
-        num_clients=NINE_NODE_CLIENTS,
-        duration=duration(),
-        warmup=warmup(),
-        seed=SEED,
-        protocol_config=config_kwargs,
-        **experiment_kwargs,
-    )
-    return run_experiment(config)
+def _run(config_overrides, events=()):
+    name = "ablation-" + "-".join(f"{k}={v}" for k, v in config_overrides.items())
+    return measure(paper_scenario(name, "pigpaxos", num_nodes=9, num_clients=NINE_NODE_CLIENTS,
+                                  config_overrides=config_overrides, events=events))
 
 
 @pytest.mark.benchmark(group="ablations")
@@ -61,11 +54,10 @@ def test_ablation_relay_rotation_vs_fixed_relays(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_relay_timeout_with_sluggish_follower(benchmark):
     def _measure():
-        schedule = FaultSchedule().sluggish(8, at=0.0, factor=50.0)
         tight = _run({"num_relay_groups": 2, "relay_timeout": 0.01, "leader_retry_timeout": 0.1},
-                     fault_schedule=schedule)
+                     events=SLUGGISH_FOLLOWER)
         loose = _run({"num_relay_groups": 2, "relay_timeout": 0.2, "leader_retry_timeout": 0.5},
-                     fault_schedule=schedule)
+                     events=SLUGGISH_FOLLOWER)
         return tight, loose
 
     tight, loose = benchmark.pedantic(_measure, rounds=1, iterations=1)
@@ -87,10 +79,9 @@ def test_ablation_relay_timeout_with_sluggish_follower(benchmark):
 @pytest.mark.benchmark(group="ablations")
 def test_ablation_partial_response_collection(benchmark):
     def _measure():
-        schedule = FaultSchedule().sluggish(8, at=0.0, factor=50.0)
-        wait_all = _run({"num_relay_groups": 2}, fault_schedule=schedule)
+        wait_all = _run({"num_relay_groups": 2}, events=SLUGGISH_FOLLOWER)
         threshold = _run({"num_relay_groups": 2, "group_response_threshold": 0.75},
-                         fault_schedule=schedule)
+                         events=SLUGGISH_FOLLOWER)
         return wait_all, threshold
 
     wait_all, threshold = benchmark.pedantic(_measure, rounds=1, iterations=1)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig, run_experiment
+from _common import comparison_table, measure, paper_scenario, report
 from repro.workload.spec import WorkloadSpec
 
 PAYLOAD_SIZES = (8, 128, 512, 1024, 1280)
@@ -22,17 +21,15 @@ def _measure():
     results = {"paxos": {}, "pigpaxos": {}}
     for protocol in results:
         for size in PAYLOAD_SIZES:
-            config = ExperimentConfig(
-                protocol=protocol,
+            scenario = paper_scenario(
+                f"fig12-{protocol}-{size}B",
+                protocol,
                 num_nodes=25,
                 relay_groups=3 if protocol == "pigpaxos" else None,
                 num_clients=SATURATING_CLIENTS,
                 workload=WorkloadSpec.payload(size),
-                duration=duration(),
-                warmup=warmup(),
-                seed=SEED,
             )
-            results[protocol][size] = run_experiment(config).throughput
+            results[protocol][size] = measure(scenario).throughput
     return results
 
 

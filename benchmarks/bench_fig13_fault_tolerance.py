@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SCALE, SEED, comparison_table, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.timeseries import throughput_timeseries
-from repro.cluster.faults import FaultSchedule
+from _common import SCALE, comparison_table, paper_scenario, report, run_checked
+from repro.scenarios import ScenarioEvent
 
 RUN_DURATION = 3.0 * SCALE
 FAIL_START = 1.0 * SCALE
@@ -26,20 +24,17 @@ PAPER_DEGRADATION_PCT = 3.0
 
 def _measure():
     # Node 24 sits in the last relay group of the round-robin partition.
-    schedule = FaultSchedule().crash_window(24, start=FAIL_START, end=FAIL_END)
-    config = ExperimentConfig(
-        protocol="pigpaxos",
+    scenario = paper_scenario(
+        "fig13-crash-window",
+        "pigpaxos",
         num_nodes=25,
         relay_groups=3,
         num_clients=SATURATING_CLIENTS,
         duration=RUN_DURATION,
-        warmup=warmup(),
-        seed=SEED,
-        fault_schedule=schedule,
-        protocol_config={"num_relay_groups": 3, "relay_timeout": 0.05},
+        events=(ScenarioEvent.crash(FAIL_START, 24), ScenarioEvent.recover(FAIL_END, 24)),
+        config_overrides={"num_relay_groups": 3, "relay_timeout": 0.05},
     )
-    series, _cluster = throughput_timeseries(config, interval=SAMPLE_INTERVAL)
-    return series
+    return run_checked(scenario).completion_rates(SAMPLE_INTERVAL)
 
 
 def _window_mean(series, start, end):

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from _common import MAX_THROUGHPUT_CLIENTS, SEED, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import max_throughput
+from _common import MAX_THROUGHPUT_CLIENTS, client_sweep, comparison_table, paper_scenario, report
 
 RELAY_GROUP_COUNTS = (2, 3, 4, 5, 6)
 PAPER_MAX_THROUGHPUT = {2: 9000, 3: 7000, 4: 6000, 5: 5500, 6: 5000}  # approximate req/s read off Fig. 7
@@ -20,16 +18,8 @@ PAPER_MAX_THROUGHPUT = {2: 9000, 3: 7000, 4: 6000, 5: 5500, 6: 5000}  # approxim
 def _measure() -> dict:
     results = {}
     for groups in RELAY_GROUP_COUNTS:
-        config = ExperimentConfig(
-            protocol="pigpaxos",
-            num_nodes=25,
-            relay_groups=groups,
-            duration=duration(),
-            warmup=warmup(),
-            seed=SEED,
-        )
-        best, _ = max_throughput(config, client_counts=MAX_THROUGHPUT_CLIENTS)
-        results[groups] = best.throughput
+        scenario = paper_scenario(f"fig7-r{groups}", "pigpaxos", num_nodes=25, relay_groups=groups)
+        results[groups] = client_sweep(scenario, MAX_THROUGHPUT_CLIENTS).max_throughput()
     return results
 
 

@@ -10,23 +10,19 @@ from __future__ import annotations
 
 import pytest
 
-from _common import LATENCY_SWEEP_CLIENTS, SEED, chart, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import latency_throughput_sweep
+from _common import LATENCY_SWEEP_CLIENTS, chart, client_sweep, comparison_table, paper_scenario, report
 
 PAPER_SATURATION = {"epaxos": 1000, "paxos": 2000, "pigpaxos": 7000}
 
 
 def _sweep_protocol(protocol: str):
-    config = ExperimentConfig(
-        protocol=protocol,
+    scenario = paper_scenario(
+        f"fig8-{protocol}",
+        protocol,
         num_nodes=25,
         relay_groups=3 if protocol == "pigpaxos" else None,
-        duration=duration(),
-        warmup=warmup(),
-        seed=SEED,
     )
-    return latency_throughput_sweep(config, client_counts=LATENCY_SWEEP_CLIENTS)
+    return client_sweep(scenario, LATENCY_SWEEP_CLIENTS)
 
 
 def _measure():

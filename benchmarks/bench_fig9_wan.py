@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, WAN_SWEEP_CLIENTS, chart, comparison_table, duration, report, warmup
-from repro.bench.runner import ExperimentConfig
-from repro.bench.sweeps import latency_throughput_sweep
-from repro.cluster.topologies import wan_topology
+from _common import (
+    BASE_DURATION, WAN_SWEEP_CLIENTS, chart, client_sweep, comparison_table, paper_scenario, report,
+)
 
 PAPER_SATURATION = {"paxos": 2000, "pigpaxos": 5500}
 
@@ -21,16 +20,15 @@ PAPER_SATURATION = {"paxos": 2000, "pigpaxos": 5500}
 def _measure():
     sweeps = {}
     for protocol in ("paxos", "pigpaxos"):
-        config = ExperimentConfig(
-            protocol=protocol,
+        scenario = paper_scenario(
+            f"fig9-{protocol}",
+            protocol,
             num_nodes=15,
-            topology=wan_topology(num_nodes=15),
+            wan=True,
             use_region_groups=(protocol == "pigpaxos"),
-            duration=max(duration(), 1.0),
-            warmup=warmup(),
-            seed=SEED,
+            duration=max(BASE_DURATION, 1.0),
         )
-        sweeps[protocol] = latency_throughput_sweep(config, client_counts=WAN_SWEEP_CLIENTS)
+        sweeps[protocol] = client_sweep(scenario, WAN_SWEEP_CLIENTS)
     return sweeps
 
 

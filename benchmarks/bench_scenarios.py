@@ -64,6 +64,26 @@ def _merge_into_json(section: str, payload) -> None:
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _record(result, **cell) -> dict:
+    """One table row: the cell's own keys plus the measurements every table shares."""
+    counters = result.counters()
+    node, hot = bottleneck_node(counters)
+    completed = max(result.completed_requests, 1)
+    return {
+        **cell,
+        "completed": result.completed_requests,
+        "ops_per_sec": round(result.stats().throughput, 1),
+        "bottleneck_node": node,
+        "bottleneck_messages": int(hot.get("messages_total", 0)),
+        "bottleneck_msgs_per_op": round(hot.get("messages_total", 0) / completed, 2),
+        "bottleneck_bytes": int(hot.get("bytes_total", 0)),
+        "bottleneck_bytes_per_op": round(hot.get("bytes_total", 0) / completed, 1),
+        "total_messages": int(counters.get("net.messages_sent", 0)),
+        "violations": len(result.violations),
+        "ok": result.ok,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Library safety sweep
 
@@ -81,16 +101,9 @@ def _post_crash_ops_per_sec(result):
         for event in result.scenario.events
         if event.action in ("crash", "crash_leader")
     ]
-    if not crash_times:
+    if not crash_times or max(crash_times) >= result.scenario.duration:
         return None
-    since = max(crash_times)
-    window = result.scenario.duration - since
-    if window <= 0:
-        return None
-    completed_after = sum(
-        1 for op in result.history.completed() if op.completed_at > since
-    )
-    return round(completed_after / window, 1)
+    return round(result.stats(start=max(crash_times)).throughput, 1)
 
 
 def _run_library():
@@ -98,30 +111,23 @@ def _run_library():
     for name in sorted(all_scenarios()):
         result = run_scenario(all_scenarios()[name])
         counters = result.counters()
-        node, hot = bottleneck_node(counters)
-        post_crash = _post_crash_ops_per_sec(result)
         records.append(
-            {
-                "scenario": name,
-                "protocol": result.scenario.protocol,
-                "nodes": result.scenario.num_nodes,
-                "completed": result.completed_requests,
-                "ops_per_sec": round(result.completed_requests / result.scenario.duration, 1),
-                "post_crash_ops_per_sec": post_crash,
-                "messages_sent": int(counters.get("net.messages_sent", 0)),
-                "bytes_sent": int(counters.get("net.bytes_sent", 0)),
-                "crashes": int(counters.get("faults.crashes", 0)),
-                "drops": int(counters.get("net.messages_dropped", 0)),
-                "dups": int(counters.get("net.messages_duplicated", 0)),
-                "relay_timeouts": int(
+            _record(
+                result,
+                scenario=name,
+                protocol=result.scenario.protocol,
+                nodes=result.scenario.num_nodes,
+                post_crash_ops_per_sec=_post_crash_ops_per_sec(result),
+                messages_sent=int(counters.get("net.messages_sent", 0)),
+                bytes_sent=int(counters.get("net.bytes_sent", 0)),
+                crashes=int(counters.get("faults.crashes", 0)),
+                drops=int(counters.get("net.messages_dropped", 0)),
+                dups=int(counters.get("net.messages_duplicated", 0)),
+                relay_timeouts=int(
                     counters.get("pigpaxos.relay_timeouts", 0)
                     + counters.get("epaxos.relay_timeouts", 0)
                 ),
-                "bottleneck_node": node,
-                "bottleneck_messages": int(hot.get("messages_total", 0)),
-                "violations": len(result.violations),
-                "ok": result.ok,
-            }
+            )
         )
     return records
 
@@ -199,28 +205,17 @@ def _run_matrix():
     for protocol, overlay in COMM_MATRIX:
         result = run_scenario(_comm_scenario(protocol, overlay))
         counters = result.counters()
-        node, hot = bottleneck_node(counters)
-        completed = max(result.completed_requests, 1)
         records.append(
-            {
-                "protocol": protocol,
-                "overlay": overlay,
-                "completed": result.completed_requests,
-                "ops_per_sec": round(result.completed_requests / result.scenario.duration, 1),
-                "bottleneck_node": node,
-                "bottleneck_messages": int(hot.get("messages_total", 0)),
-                "bottleneck_msgs_per_op": round(hot.get("messages_total", 0) / completed, 2),
-                "bottleneck_bytes": int(hot.get("bytes_total", 0)),
-                "bottleneck_bytes_per_op": round(hot.get("bytes_total", 0) / completed, 1),
-                "total_messages": int(counters.get("net.messages_sent", 0)),
-                "total_bytes": int(counters.get("net.bytes_sent", 0)),
-                "sent_by_kind": {
+            _record(
+                result,
+                protocol=protocol,
+                overlay=overlay,
+                total_bytes=int(counters.get("net.bytes_sent", 0)),
+                sent_by_kind={
                     kind: {"count": int(stats["count"]), "bytes": int(stats["bytes"])}
                     for kind, stats in sorted(sent_by_kind(counters).items())
                 },
-                "violations": len(result.violations),
-                "ok": result.ok,
-            }
+            )
         )
     return records
 
@@ -314,21 +309,9 @@ def _run_scaling():
     records = []
     for shards in SHARD_SCALING_CELLS:
         result = run_scenario(_scaling_scenario(shards))
-        counters = result.counters()
-        node, hot = bottleneck_node(counters)
-        summary = shard_summary(counters)
+        summary = shard_summary(result.counters())
         records.append(
-            {
-                "shards": shards,
-                "completed": result.completed_requests,
-                "ops_per_sec": round(result.completed_requests / result.scenario.duration, 1),
-                "hottest_share": round(summary.get("hottest_share", 1.0), 3),
-                "bottleneck_node": node,
-                "bottleneck_messages": int(hot.get("messages_total", 0)),
-                "total_messages": int(counters.get("net.messages_sent", 0)),
-                "violations": len(result.violations),
-                "ok": result.ok,
-            }
+            _record(result, shards=shards, hottest_share=round(summary.get("hottest_share", 1.0), 3))
         )
     base = records[0]["ops_per_sec"] or 1.0
     for record in records:
@@ -418,44 +401,24 @@ def _frontier_scenario(batch: int, clients: int) -> Scenario:
     )
 
 
-def _latencies(result) -> list:
-    return sorted(
-        op.completed_at - op.invoked_at
-        for op in result.history.completed()
-        if op.completed_at is not None
-    )
-
-
 def _run_frontier(cells) -> list:
     records = []
     for batch, clients in cells:
         result = run_scenario(_frontier_scenario(batch, clients))
         counters = result.counters()
-        node, hot = bottleneck_node(counters)
-        latencies = _latencies(result)
-        completed = max(result.completed_requests, 1)
-        p50 = latencies[len(latencies) // 2] if latencies else None
-        p99 = latencies[min(len(latencies) - 1, int(len(latencies) * 0.99))] if latencies else None
+        stats = result.stats()
         records.append(
-            {
-                "batch_max_commands": batch,
-                "clients": clients,
-                "completed": result.completed_requests,
-                "ops_per_sec": round(result.completed_requests / result.scenario.duration, 1),
-                "latency_p50_ms": None if p50 is None else round(p50 * 1e3, 2),
-                "latency_p99_ms": None if p99 is None else round(p99 * 1e3, 2),
-                "bottleneck_node": node,
-                "bottleneck_messages": int(hot.get("messages_total", 0)),
-                "bottleneck_msgs_per_op": round(hot.get("messages_total", 0) / completed, 2),
-                "bottleneck_bytes_per_op": round(hot.get("bytes_total", 0) / completed, 1),
-                "total_messages": int(counters.get("net.messages_sent", 0)),
-                "batch_flushes": int(
+            _record(
+                result,
+                batch_max_commands=batch,
+                clients=clients,
+                latency_p50_ms=round(stats.latency_p50 * 1e3, 2),
+                latency_p99_ms=round(stats.latency_p99 * 1e3, 2),
+                batch_flushes=int(
                     sum(v for k, v in counters.items() if k.startswith("batch.flush."))
                 ),
-                "commands_batched": int(counters.get("batch.commands_batched", 0)),
-                "violations": len(result.violations),
-                "ok": result.ok,
-            }
+                commands_batched=int(counters.get("batch.commands_batched", 0)),
+            )
         )
     return records
 
@@ -466,8 +429,8 @@ def frontier_table(records) -> list:
             r["batch_max_commands"],
             r["clients"],
             f"{r['ops_per_sec']:.0f}",
-            "-" if r["latency_p50_ms"] is None else f"{r['latency_p50_ms']:.1f}",
-            "-" if r["latency_p99_ms"] is None else f"{r['latency_p99_ms']:.1f}",
+            f"{r['latency_p50_ms']:.1f}",
+            f"{r['latency_p99_ms']:.1f}",
             r["bottleneck_msgs_per_op"],
             r["bottleneck_bytes_per_op"],
             "OK" if r["ok"] else f"{r['violations']} VIOLATIONS",
@@ -523,7 +486,7 @@ def test_batching_frontier_sweep(benchmark):
     # At light load the unbatched control keeps the lower p50: the
     # frontier's latency end must show the cost side of the trade-off.
     light = min(FRONTIER_CLIENT_CELLS)
-    assert by_cell[(1, light)]["latency_p50_ms"] is not None
+    assert by_cell[(1, light)]["latency_p50_ms"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -573,24 +536,14 @@ def _run_bottleneck_curve():
         for num_nodes in BOTTLENECK_CURVE_SIZES:
             result = run_scenario(_bottleneck_scenario(variant, num_nodes))
             counters = result.counters()
-            node, hot = bottleneck_node(counters)
-            completed = max(result.completed_requests, 1)
             records.append(
-                {
-                    "variant": variant,
-                    "nodes": num_nodes,
-                    "completed": result.completed_requests,
-                    "ops_per_sec": round(result.completed_requests / result.scenario.duration, 1),
-                    "bottleneck_node": node,
-                    "bottleneck_messages": int(hot.get("messages_total", 0)),
-                    "bottleneck_msgs_per_op": round(hot.get("messages_total", 0) / completed, 2),
-                    "bottleneck_bytes_per_op": round(hot.get("bytes_total", 0) / completed, 1),
-                    "region_cross_messages": int(counters.get("region.cross_messages", 0)),
-                    "zone_cross_messages": int(counters.get("zone.cross_messages", 0)),
-                    "total_messages": int(counters.get("net.messages_sent", 0)),
-                    "violations": len(result.violations),
-                    "ok": result.ok,
-                }
+                _record(
+                    result,
+                    variant=variant,
+                    nodes=num_nodes,
+                    region_cross_messages=int(counters.get("region.cross_messages", 0)),
+                    zone_cross_messages=int(counters.get("zone.cross_messages", 0)),
+                )
             )
     return records
 

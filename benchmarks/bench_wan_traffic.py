@@ -11,45 +11,27 @@ from __future__ import annotations
 
 import pytest
 
-from _common import SEED, comparison_table, report
+from _common import comparison_table, paper_scenario, report, run_checked
 from repro.analysis.wan import wan_traffic_table
-from repro.bench.runner import ExperimentConfig, build_from_config
-from repro.cluster.topologies import wan_topology
+from repro.cluster.topologies import paper_wan_regions
 from repro.workload.spec import WorkloadSpec
 
-REGIONS = {"virginia": [0, 3, 6], "california": [1, 4, 7], "oregon": [2, 5, 8]}
+REGIONS = paper_wan_regions(9)  # round-robin: virginia 0,3,6 / california 1,4,7 / oregon 2,5,8
 
 
 def _measured_cross_region_per_request(protocol: str) -> float:
-    topology = wan_topology(region_nodes=REGIONS)
-    config = ExperimentConfig(
-        protocol=protocol,
+    scenario = paper_scenario(
+        f"wan-traffic-{protocol}",
+        protocol,
         num_nodes=9,
-        topology=topology,
+        wan=True,
         use_region_groups=(protocol == "pigpaxos"),
         num_clients=20,
         workload=WorkloadSpec(read_ratio=0.0),
         duration=1.0,
-        warmup=0.2,
-        seed=SEED,
     )
-    cluster = build_from_config(config)
-
-    region_of = topology.region_map()
-    cross = {"count": 0}
-    original_send = cluster.network.send
-
-    def counting_send(src, dst, message):
-        src_region = region_of.get(src)
-        dst_region = region_of.get(dst)
-        if src_region is not None and dst_region is not None and src_region != dst_region:
-            cross["count"] += 1
-        return original_send(src, dst, message)
-
-    cluster.network.send = counting_send
-    cluster.run(config.duration)
-    completed = cluster.total_completed_requests()
-    return cross["count"] / completed if completed else float("inf")
+    result = run_checked(scenario)
+    return result.counters()["region.cross_messages"] / result.completed_requests
 
 
 @pytest.mark.benchmark(group="wan-traffic")

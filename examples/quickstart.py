@@ -1,16 +1,16 @@
 """Quickstart: run a simulated PigPaxos cluster and compare it with Paxos.
 
-This is the 60-second tour of the library: build a 9-node cluster of each
-protocol with the paper's default workload (1000 uniform keys, 50/50
+This is the 60-second tour of the library: declare a 9-node ``Scenario`` of
+each protocol with the paper's default workload (1000 uniform keys, 50/50
 reads/writes), drive it with closed-loop clients, and print throughput,
-latency and the leader's message load.
+latency, the leader's message load and the safety checkers' verdict.
 
 Run with:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
-from repro import build_cluster
+from repro import Scenario, WorkloadSpec, run_scenario
 from repro.analysis.model import messages_at_leader, paxos_messages_at_leader
 from repro.bench.plots import format_table
 
@@ -21,33 +21,26 @@ RELAY_GROUPS = 2
 
 
 def run_protocol(protocol: str):
-    cluster = build_cluster(
+    result = run_scenario(Scenario(
+        name=f"quickstart-{protocol}",
         protocol=protocol,
         num_nodes=NUM_NODES,
         num_clients=NUM_CLIENTS,
         relay_groups=RELAY_GROUPS if protocol == "pigpaxos" else None,
+        duration=DURATION,
         seed=7,
-    )
-    cluster.run(DURATION)
-
-    completed = cluster.total_completed_requests()
-    latencies = sorted(
-        latency for client in cluster.clients for _, latency in client.stats.completions
-    )
-    mean_latency_ms = 1000 * sum(latencies) / len(latencies)
-    leader = cluster.leader_id()
-    leader_messages = 0.0
-    if leader is not None:
-        leader_messages = (
-            cluster.sim.metrics.counter(f"node.{leader}.messages_in").value
-            + cluster.sim.metrics.counter(f"node.{leader}.messages_out").value
-        ) / max(completed, 1)
+        workload=WorkloadSpec.paper_default(),
+    ))
+    stats = result.stats()  # whole run; pass start=/end= to trim a warm-up
+    counters = result.counters()
+    leader = result.cluster.leader_id()
+    leader_messages = counters[f"node.{leader}.messages_in"] + counters[f"node.{leader}.messages_out"]
     return {
         "protocol": protocol,
-        "throughput": completed / DURATION,
-        "latency_ms": mean_latency_ms,
-        "leader_msgs_per_request": leader_messages,
-        "logs_agree": cluster.logs_agree(),
+        "throughput": stats.throughput,
+        "latency_ms": stats.latency_mean_ms,
+        "leader_msgs_per_request": leader_messages / max(stats.completed_requests, 1),
+        "checkers_ok": result.ok,  # linearizability + cross-replica log invariants
     }
 
 
@@ -61,12 +54,12 @@ def main() -> None:
             f"{r['throughput']:.0f}",
             f"{r['latency_ms']:.2f}",
             f"{r['leader_msgs_per_request']:.1f}",
-            "yes" if r["logs_agree"] else "NO",
+            "yes" if r["checkers_ok"] else "NO",
         ]
         for r in results
     ]
     print(format_table(
-        ["protocol", "throughput (req/s)", "mean latency (ms)", "leader msgs/request", "replicas agree"],
+        ["protocol", "throughput (req/s)", "mean latency (ms)", "leader msgs/request", "safety checks pass"],
         rows,
     ))
 

@@ -16,22 +16,28 @@ Demirbas, SIGMOD 2021).  It contains:
   discrete-event substrate standing in for the paper's Paxi/EC2 testbed.
 * ``repro.statemachine`` / ``repro.quorum`` -- replicated log, in-memory
   key-value store and quorum systems.
-* ``repro.workload`` / ``repro.bench`` -- the Paxi-style benchmark:
-  closed-loop clients, key distributions, latency/throughput sweeps.
+* ``repro.workload`` -- the Paxi-style load: closed-loop clients and key
+  distributions.
+* ``repro.bench`` -- result records and table/chart formatters only; it
+  builds and runs nothing.
 * ``repro.analysis`` -- the paper's analytical message-load model
   (Tables 1 and 2, Section 6).
 * ``repro.runtime`` -- an asyncio TCP runtime running the same protocol
   classes over real sockets.
-* ``repro.scenarios`` / ``repro.checkers`` -- deterministic adversarial
-  scenario engine (declarative fault schedules compiled onto the
-  simulator) and post-hoc safety checkers (per-key linearizability of
-  recorded client histories, cross-replica log invariants).
+* ``repro.scenarios`` / ``repro.checkers`` -- the one experiment harness:
+  a declarative ``Scenario`` (cluster shape, workload, fault schedule)
+  compiled onto the simulator, post-hoc safety checkers (per-key
+  linearizability of recorded client histories, cross-replica log
+  invariants), and the windowed measurements of the run::
+
+      from repro import Scenario, run_scenario
+      print(run_scenario(Scenario(name="demo")).stats(start=0.2).row())
 """
 
 from repro.version import __version__
 from repro.cluster.builder import ClusterBuilder, build_cluster
-from repro.bench.runner import ExperimentConfig, run_experiment
 from repro.bench.results import RunResult
+from repro.scenarios import Scenario, run_scenario
 from repro.workload.spec import WorkloadSpec
 from repro.analysis.model import (
     messages_at_leader,
@@ -44,8 +50,8 @@ __all__ = [
     "__version__",
     "ClusterBuilder",
     "build_cluster",
-    "ExperimentConfig",
-    "run_experiment",
+    "Scenario",
+    "run_scenario",
     "RunResult",
     "WorkloadSpec",
     "messages_at_leader",

@@ -1,26 +1,19 @@
-"""Benchmark harness.
+"""Benchmark records and formatters.
 
-Turns simulated cluster runs into the measurements the paper reports:
-latency/throughput points (Figures 8-11), maximum-throughput numbers
-(Figures 7 and 12), and per-second throughput time-series under faults
-(Figure 13).  Each module in ``benchmarks/`` drives these helpers with the
-paper's parameters and prints paper-vs-measured tables.
+Pure data and text: :class:`RunResult` / :class:`SweepResult` hold what a
+run measured, ``format_table`` / ``ascii_chart`` print it.  Nothing here
+builds or runs a cluster -- an experiment is a
+:class:`repro.scenarios.Scenario`, and ``run_scenario(s).stats(start=warmup)``
+fills the :class:`RunResult`.  Each module in ``benchmarks/`` does exactly
+that with the paper's parameters and prints paper-vs-measured tables.
 """
 
 from repro.bench.results import RunResult, SweepResult
-from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.bench.sweeps import latency_throughput_sweep, max_throughput
-from repro.bench.timeseries import throughput_timeseries
 from repro.bench.plots import ascii_chart, format_table
 
 __all__ = [
     "RunResult",
     "SweepResult",
-    "ExperimentConfig",
-    "run_experiment",
-    "latency_throughput_sweep",
-    "max_throughput",
-    "throughput_timeseries",
     "ascii_chart",
     "format_table",
 ]

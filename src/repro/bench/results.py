@@ -1,8 +1,9 @@
 """Benchmark result records.
 
-``RunResult`` summarizes one cluster run at one load level; ``SweepResult``
-collects the runs of a client-count sweep and exposes the latency/throughput
-series plotted in the paper's figures.
+``RunResult`` summarizes one cluster run at one load level (it is what
+:meth:`repro.scenarios.ScenarioResult.stats` fills); ``SweepResult`` collects
+the runs of a client-count sweep and exposes the latency/throughput series
+plotted in the paper's figures.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class RunResult:
     latency_p99: float
     latency_max: float
     client_retries: int = 0
-    extra: Dict[str, object] = field(default_factory=dict)
 
     @property
     def latency_mean_ms(self) -> float:
@@ -54,7 +54,6 @@ class RunResult:
             "latency_p99_ms": self.latency_p99_ms,
             "latency_max_ms": self.latency_max * 1000.0,
             "client_retries": self.client_retries,
-            **{f"extra.{key}": value for key, value in self.extra.items()},
         }
 
     def to_json(self) -> str:

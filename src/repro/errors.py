@@ -37,9 +37,5 @@ class WorkloadError(ReproError):
     """A workload specification or client was configured incorrectly."""
 
 
-class BenchmarkError(ReproError):
-    """A benchmark run could not be completed."""
-
-
 class RuntimeTransportError(ReproError):
     """The asyncio (real network) runtime hit a transport-level problem."""

@@ -110,10 +110,7 @@ class NoWallClock(Rule):
         "Determinism contract #1: nothing reads the wall clock; virtual time "
         "comes from sim.now / ctx.now only"
     )
-    hint = "use the simulator clock (sim.now / ctx.now); bench/ is exempt"
-
-    def applies(self, relpath: str) -> bool:
-        return not relpath.startswith("bench/")
+    hint = "use the simulator clock (sim.now / ctx.now)"
 
     def begin_file(self, ctx: FileContext) -> None:
         self._module_alias: Dict[str, str] = {}

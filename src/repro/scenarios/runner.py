@@ -6,7 +6,8 @@ and history recorder, arms the timed event schedule, runs the simulation,
 and applies the requested checkers post-hoc.  The returned
 :class:`ScenarioResult` bundles everything a test or benchmark needs: the
 cluster (for poking at replica state), the recorded history, the violations
-found, throughput stats and a determinism fingerprint.
+found, a determinism fingerprint, and -- on demand, never during the run --
+the windowed client-side measurements (:meth:`ScenarioResult.stats`).
 
 Example::
 
@@ -17,6 +18,7 @@ Example::
     assert result.ok, result.violations
     print(result.summary())
     print(result.counters()["net.messages_sent"])
+    print(result.stats(start=0.2).row())        # measure past a 0.2 s warm-up
     # Same spec + seed => identical fingerprint, every time:
     assert ScenarioRunner(result.scenario).run().fingerprint() == result.fingerprint()
 """
@@ -25,16 +27,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.bench.results import RunResult
 from repro.checkers.history import History, HistoryRecorder
 from repro.checkers.invariants import Violation, run_epaxos_checks, run_log_checks
 from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import Cluster, ClusterBuilder
 from repro.cluster.faults import FaultEvent, FaultKind
 from repro.cluster.topologies import planet_topology, wan_topology
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.scenarios.spec import Scenario, ScenarioEvent
+from repro.sim.metrics import Histogram, TimeSeries
 
 
 @dataclass
@@ -68,6 +72,50 @@ class ScenarioResult:
 
     def counters(self) -> Dict[str, float]:
         return self.cluster.sim.metrics.counters()
+
+    def _completions(self) -> Iterator[Tuple[float, float]]:
+        """Every client's ``(completed_at, latency)`` pairs."""
+        for client in self.cluster.clients:
+            yield from client.stats.completions
+
+    def stats(self, start: float = 0.0, end: Optional[float] = None) -> RunResult:
+        """Client-side measurements over completions in ``[start, end]``.
+
+        The one place completions become throughput and latency percentiles.
+        Both window edges are inclusive and ``end`` defaults to the
+        scenario's duration, so a warm-up is ``stats(start=warmup)`` and a
+        cool-down is ``stats(end=duration - cooldown)``.  A window without
+        completions yields zeros; one without extent is a caller bug.
+        """
+        end = self.scenario.duration if end is None else end
+        if not 0.0 <= start < end:
+            raise ConfigurationError(f"stats window [{start}, {end}] is empty or inverted")
+        latency = Histogram("client.latency")
+        for completed_at, value in self._completions():
+            if start <= completed_at <= end:
+                latency.observe(value)
+        return RunResult(
+            protocol=self.scenario.protocol,
+            num_nodes=self.scenario.num_nodes,
+            num_clients=self.scenario.num_clients,
+            duration=self.scenario.duration,
+            measured_window=end - start,
+            completed_requests=latency.count,
+            throughput=latency.count / (end - start),
+            latency_mean=latency.mean,
+            latency_p50=latency.percentile(50),
+            latency_p95=latency.percentile(95),
+            latency_p99=latency.percentile(99),
+            latency_max=latency.max,
+            client_retries=sum(client.stats.retries for client in self.cluster.clients),
+        )
+
+    def completion_rates(self, interval: float = 1.0) -> List[Tuple[float, float]]:
+        """``(window_start, ops/s)`` per ``interval`` over the whole run (Fig. 13)."""
+        series = TimeSeries("client.completions", interval)
+        for completed_at, _ in self._completions():
+            series.record(completed_at)
+        return series.rates(end=self.scenario.duration)
 
     def raise_on_violations(self, max_listed: int = 20) -> None:
         if self.violations:

@@ -38,13 +38,6 @@ class ClientStats:
     received: int = 0
     retries: int = 0
 
-    def latencies(self, start: float = 0.0, end: Optional[float] = None) -> List[float]:
-        return [
-            latency
-            for completed_at, latency in self.completions
-            if completed_at >= start and (end is None or completed_at <= end)
-        ]
-
 
 class _BaseClient:
     """Shared plumbing for simulated clients (network endpoint + generator)."""

@@ -1,18 +1,20 @@
-"""Tests for the benchmark harness: results, runner, sweeps, time-series, plots."""
+"""Tests for the measurement side of the harness: result records, plots, and
+``ScenarioResult.stats()`` -- the one place completions become numbers."""
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
+from repro import Scenario, WorkloadSpec, run_scenario
 from repro.bench.plots import ascii_chart, format_table
 from repro.bench.results import RunResult, SweepResult
-from repro.bench.runner import ExperimentConfig, run_experiment
-from repro.bench.sweeps import latency_throughput_sweep, max_throughput
-from repro.bench.timeseries import steady_state_rate, throughput_timeseries
-from repro.cluster.faults import FaultSchedule
-from repro.errors import BenchmarkError
+from repro.errors import ConfigurationError
+from repro.scenarios import ScenarioEvent
+from repro.sim.metrics import Histogram
 
 
 def _result(throughput: float, latency: float = 0.002, clients: int = 10) -> RunResult:
@@ -64,72 +66,120 @@ class TestResults:
             sweep.latency_throughput_series(percentile="p75")
 
 
-class TestRunner:
-    def test_run_experiment_produces_throughput_and_latency(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, num_clients=4,
-                                  duration=0.4, warmup=0.1, workload=tiny_workload, seed=2)
-        result = run_experiment(config)
-        assert result.completed_requests > 0
-        assert result.throughput > 0
-        assert 0 < result.latency_mean < 0.1
-        assert result.latency_p99 >= result.latency_p50
-
-    def test_invalid_window_rejected(self):
-        config = ExperimentConfig(duration=0.2, warmup=0.2)
-        with pytest.raises(BenchmarkError):
-            run_experiment(config)
-
-    def test_relay_groups_recorded_in_extra(self, tiny_workload):
-        config = ExperimentConfig(protocol="pigpaxos", num_nodes=5, num_clients=2,
-                                  relay_groups=2, duration=0.4, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        result = run_experiment(config)
-        assert result.extra["relay_groups"] == 2
-
-    def test_same_seed_reproducible(self, tiny_workload):
-        config = ExperimentConfig(protocol="pigpaxos", num_nodes=5, num_clients=3,
-                                  relay_groups=2, duration=0.4, warmup=0.1,
-                                  workload=tiny_workload, seed=7)
-        assert run_experiment(config).throughput == run_experiment(config).throughput
-
-    def test_fault_schedule_flows_through(self, tiny_workload):
-        schedule = FaultSchedule().crash(2, at=0.1)
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, num_clients=2,
-                                  duration=0.4, warmup=0.1, workload=tiny_workload,
-                                  fault_schedule=schedule, seed=2)
-        result = run_experiment(config)
-        assert result.completed_requests > 0  # majority still alive
+TINY = Scenario(
+    name="stats-probe",
+    protocol="paxos",
+    num_nodes=3,
+    num_clients=4,
+    duration=1.0,
+    seed=2,
+    workload=WorkloadSpec(num_keys=20, value_size=8, read_ratio=0.5),
+)
 
 
-class TestSweeps:
-    def test_latency_throughput_sweep_runs_each_point(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, duration=0.3, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        sweep = latency_throughput_sweep(config, client_counts=[1, 2, 4])
-        assert len(sweep) == 3
-        assert [run.num_clients for run in sweep] == [1, 2, 4]
+@pytest.fixture(scope="module")
+def tiny_result():
+    return run_scenario(TINY)
 
-    def test_throughput_grows_then_saturates(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, duration=0.3, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        sweep = latency_throughput_sweep(config, client_counts=[1, 8])
+
+def _completions(result):
+    return sorted(pair for client in result.cluster.clients for pair in client.stats.completions)
+
+
+class TestStats:
+    def test_stats_produces_throughput_and_latency(self, tiny_result):
+        stats = tiny_result.stats(start=0.1, end=0.95)
+        assert stats.completed_requests > 0
+        assert stats.throughput == stats.completed_requests / stats.measured_window
+        assert 0 < stats.latency_mean < 0.1
+        assert stats.latency_p50 <= stats.latency_p95 <= stats.latency_p99 <= stats.latency_max
+        assert (stats.protocol, stats.num_nodes, stats.num_clients) == ("paxos", 3, 4)
+
+    def test_default_window_is_the_whole_run(self, tiny_result):
+        stats = tiny_result.stats()
+        assert stats.completed_requests == tiny_result.completed_requests
+        assert stats.measured_window == stats.duration == TINY.duration
+
+    def test_window_edges_are_inclusive(self, tiny_result):
+        times = [completed_at for completed_at, _ in _completions(tiny_result)]
+        first, last = times[10], times[20]
+        assert len(set(times[9:22])) == 13  # distinct, so the counts below are exact
+        assert tiny_result.stats(start=first, end=last).completed_requests == 11
+        assert tiny_result.stats(start=math.nextafter(first, 1.0), end=last).completed_requests == 10
+        assert tiny_result.stats(start=first, end=math.nextafter(last, 0.0)).completed_requests == 10
+
+    def test_window_without_completions_yields_zeros(self, tiny_result):
+        stats = tiny_result.stats(end=0.01)  # clients start at t=0.05
+        assert stats.completed_requests == 0
+        assert stats.throughput == 0.0
+        assert (stats.latency_mean, stats.latency_p50, stats.latency_p99, stats.latency_max) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("window", [(0.5, 0.5), (0.6, 0.2), (-0.1, 0.5)])
+    def test_empty_or_inverted_window_rejected(self, tiny_result, window):
+        with pytest.raises(ConfigurationError):
+            tiny_result.stats(*window)
+
+    def test_percentiles_equal_histogram_on_the_same_samples(self, tiny_result):
+        histogram = Histogram("expected")
+        for completed_at, latency in _completions(tiny_result):
+            if 0.2 <= completed_at <= 0.9:
+                histogram.observe(latency)
+        stats = tiny_result.stats(start=0.2, end=0.9)
+        assert stats.completed_requests == histogram.count
+        assert stats.latency_p50 == histogram.percentile(50)
+        assert stats.latency_p95 == histogram.percentile(95)
+        assert stats.latency_p99 == histogram.percentile(99)
+        assert stats.latency_max == histogram.max
+
+    def test_rate_series_covers_run_and_sums_to_completed(self, tiny_result):
+        series = tiny_result.completion_rates(interval=0.25)
+        assert [start for start, _ in series] == [0.0, 0.25, 0.5, 0.75]
+        assert sum(rate * 0.25 for _, rate in series) == tiny_result.completed_requests
+        assert series[-1][1] > 0
+
+    def test_measuring_does_not_change_the_fingerprint(self, tiny_result):
+        before = tiny_result.fingerprint()
+        tiny_result.stats(start=0.3)
+        tiny_result.completion_rates(interval=0.1)
+        assert tiny_result.fingerprint() == before
+        assert run_scenario(TINY).fingerprint() == before
+
+    def test_same_seed_reproducible(self, tiny_result):
+        assert run_scenario(TINY).stats(start=0.1).throughput == tiny_result.stats(start=0.1).throughput
+
+    def test_fault_events_flow_through(self):
+        crashed = replace(TINY, duration=0.4, events=(ScenarioEvent.crash(0.1, 2),))
+        result = run_scenario(crashed)
+        assert result.events_fired == ["t=0.100 crash"]
+        assert result.stats(start=0.1).completed_requests > 0  # majority still alive
+
+    def test_client_sweep_is_a_replace_loop(self):
+        sweep = SweepResult(label="paxos n=3")
+        for clients in (1, 8):
+            scenario = replace(TINY, duration=0.3, num_clients=clients)
+            sweep.add(run_scenario(scenario).stats(start=0.1))
+        assert [run.num_clients for run in sweep] == [1, 8]
         assert sweep.runs[1].throughput > sweep.runs[0].throughput
+        assert sweep.best_run().throughput == sweep.max_throughput()
 
-    def test_max_throughput_returns_best(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, duration=0.3, warmup=0.1,
-                                  workload=tiny_workload, seed=2)
-        best, sweep = max_throughput(config, client_counts=[1, 4, 8])
-        assert best.throughput == sweep.max_throughput()
-
-
-class TestTimeseries:
-    def test_throughput_timeseries_covers_run(self, tiny_workload):
-        config = ExperimentConfig(protocol="paxos", num_nodes=3, num_clients=4,
-                                  duration=1.0, warmup=0.1, workload=tiny_workload, seed=2)
-        series, cluster = throughput_timeseries(config, interval=0.25)
-        assert len(series) == 4
-        assert sum(rate * 0.25 for _, rate in series) == cluster.total_completed_requests()
-        assert steady_state_rate(series, skip=1) > 0
+    def test_equivalence_pin_with_the_deleted_bench_harness(self):
+        """9-node PigPaxos r=2, paper workload, seed 42: numbers recorded from
+        the second harness (``repro.bench``'s runner, warmup=0.15,
+        cooldown=0.05) at commit 9f5c132, the last one that had it.  Same
+        window, same completions, same percentile rule."""
+        pinned = Scenario(name="pin", protocol="pigpaxos", num_nodes=9, relay_groups=2,
+                          num_clients=20, duration=0.5, seed=42,
+                          workload=WorkloadSpec.paper_default())
+        result = run_scenario(pinned)
+        stats = result.stats(start=0.15, end=0.5 - 0.05)
+        assert result.ok
+        assert stats.completed_requests == 2250
+        assert stats.throughput == 7499.999999999999
+        assert stats.latency_p50 == 0.002664697293207202
+        assert stats.latency_p95 == 0.00293584481592363
+        assert stats.latency_p99 == 0.0030632346813362866
+        assert stats.latency_max == 0.0033526088287508804
+        assert stats.client_retries == 0
 
 
 class TestPlots:
