@@ -50,15 +50,6 @@ class NodeCPUModel:
                 raise ConfigurationError(f"{name} must be non-negative")
 
     # ------------------------------------------------------------------ costs
-    def receive_cost(self, size_bytes: int, is_client_request: bool = False) -> float:
-        cost = self.recv_per_message + self.per_byte * size_bytes
-        if is_client_request:
-            cost += self.client_request_extra
-        return cost
-
-    def send_cost(self, size_bytes: int) -> float:
-        return self.send_per_message + self.per_byte * size_bytes
-
     def execution_cost(self, commands: int) -> float:
         return self.execute_per_command * commands
 

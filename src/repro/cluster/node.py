@@ -7,21 +7,25 @@ received message, sent message, executed command and unit of protocol
 bookkeeping reserves service time, so a node that must touch many messages
 per round saturates and its queueing delay shows up in client latency --
 exactly the leader bottleneck the paper studies.
+
+There is one charged send and one charged receive (``SimNode._send_as`` /
+``SimNode._arrive_for``), parameterised by the endpoint id the traffic
+travels under and the handler it is dispatched to.  A node binds them to its
+own id; every :class:`ShardReplicaHost` co-hosted on it binds the same
+bodies to its shard endpoint, so all instances queue on the machine's CPU
+through identical arithmetic.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from heapq import heappush
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
-
-#: Sentinel distinguishing "type not yet sized" from "type has no payload".
-_UNSIZED = object()
 from repro.net.message import Envelope
 from repro.net.network import SimNetwork
-from repro.net.transport import SimTransport
 from repro.protocol.base import Replica, TimerLike
 from repro.protocol.messages import ClientRequest
 from repro.shard.addressing import SHARD_ENDPOINT_STRIDE
@@ -30,7 +34,7 @@ from repro.sim.metrics import MetricsRegistry
 
 
 class SimNode:
-    """A consensus node: CPU queue + transport + hosted replica."""
+    """A consensus node: CPU queue + hosted replica."""
 
     def __init__(
         self,
@@ -47,7 +51,6 @@ class SimNode:
         self._all_nodes: List[int] = list(all_nodes or [])
         self._replica: Optional[Replica] = None
         self._replica_on_message: Optional[Callable[[int, Any], None]] = None
-        self._transport = SimTransport(network, node_id, send_hook=self._charged_send)
         self._rng = sim.random.stream(f"node-{node_id}")
 
         self._busy_until = 0.0
@@ -63,8 +66,8 @@ class SimNode:
         self._client_request_extra = self._cpu.client_request_extra
         self._network_send = network.send
         self._size_of = network.size_model.size_of
-        self._payload_fns = network.size_model._payload_fns
-        self._header_bytes = network.size_model.header_bytes
+        self._delivered = network.delivered
+        self._undeliverable = network.undeliverable
         self._messages_in = sim.metrics.counter(f"node.{node_id}.messages_in")
         self._messages_out = sim.metrics.counter(f"node.{node_id}.messages_out")
         self._bytes_in = sim.metrics.counter(f"node.{node_id}.bytes_in")
@@ -73,6 +76,10 @@ class SimNode:
         # (sharded deployments only; empty and untouched otherwise).
         self._shard_siblings: List["ShardReplicaHost"] = []
 
+        #: ``send(dst, message)``: the replica-facing NodeContext send.
+        self.send = partial(self._send_as, node_id)
+        #: ``arrive(envelope)``: the network-facing Endpoint arrival entry.
+        self.arrive = partial(self._arrive_for, self._handle)
         network.register(self)
 
     # ------------------------------------------------------------------ wiring
@@ -123,34 +130,23 @@ class SimNode:
     def metrics(self) -> MetricsRegistry:
         return self._sim.metrics
 
-    def send(self, dst: int, message: Any) -> None:
-        """Charge CPU for the send, then hand the message to the network.
+    def _send_as(self, endpoint_id: int, dst: int, message: Any) -> None:
+        """Charge this machine's CPU for a send, then hand it to the network.
 
-        This is the replica-facing hot path: it performs the charged send
-        inline (the equivalent of routing through ``SimTransport`` with the
-        :meth:`_charged_send` hook, minus two call hops) and passes the
-        already-computed wire size to the network so it is not re-derived.
+        The one charged-send body: ``endpoint_id`` is who the message
+        travels as (this node, or a co-hosted shard instance).  The wire
+        size is computed once here and passed through to the network.
         """
         if self._crashed:
             return
-        # Inlined SizeModel.size_of (shared per-type cache; cold misses fall
-        # back to the model so the cache fills through one code path).
-        fn = self._payload_fns.get(type(message), _UNSIZED)
-        if fn is _UNSIZED:
-            size = self._size_of(message)
-        elif fn is None:
-            size = self._header_bytes
-        else:
-            payload = int(fn(message))
-            size = self._header_bytes + (payload if payload > 0 else 0)
-        # Inlined _reserve(send_cost(size)) -- keep the arithmetic order
-        # identical so reservation times stay bit-for-bit reproducible.
+        size = self._size_of(message)
+        # Same reservation arithmetic as _reserve, inlined -- keep the
+        # operation order identical so times stay bit-for-bit reproducible.
         cost = (self._send_per_message + self._per_byte * size) * self._sluggish_factor
         sim = self._sim
         now = sim._now
         busy = self._busy_until
-        start = now if now > busy else busy
-        ready_at = start + cost
+        ready_at = (now if now > busy else busy) + cost
         self._busy_until = ready_at
         self._busy_time_total += cost
         self._messages_out.value += 1
@@ -159,7 +155,7 @@ class SimNode:
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, (ready_at, 0, seq, self._network_send, (self.endpoint_id, dst, message, size)))
+        heappush(queue._heap, (ready_at, 0, seq, self._network_send, (endpoint_id, dst, message, size)))
         queue._live += 1
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> TimerLike:
@@ -199,23 +195,28 @@ class SimNode:
         """Cumulative CPU-seconds consumed; busy_time_total / elapsed = utilization."""
         return self._busy_time_total
 
-    def _reserve(self, cost: float) -> float:
-        """Reserve ``cost`` seconds on the node's CPU; returns the completion time."""
+    def _reserve(self, cost: float) -> None:
+        """Reserve ``cost`` seconds on the node's CPU (single-server queue)."""
         cost *= self._sluggish_factor
-        start = max(self._sim.now, self._busy_until)
-        self._busy_until = start + cost
+        now = self._sim._now
+        busy = self._busy_until
+        self._busy_until = (now if now > busy else busy) + cost
         self._busy_time_total += cost
-        return self._busy_until
 
     # ------------------------------------------------------------------ Endpoint API
-    def is_reachable(self) -> bool:
-        return not self._crashed
+    def _arrive_for(self, handler: Callable[[Envelope], None], envelope: Envelope) -> None:
+        """An envelope lands on this machine: count it, charge CPU, queue ``handler``.
 
-    def deliver(self, envelope: Envelope) -> None:
+        The one charged-receive body, called directly by the network's
+        delivery event.  Reachability is judged here, at arrival time: a
+        machine that crashed after the send black-holes the envelope.
+        """
         if self._crashed:
+            self._undeliverable.value += 1
             return
+        self._delivered.value += 1
         size = envelope.size_bytes
-        # Inlined _reserve(receive_cost(...)) -- arithmetic order preserved.
+        # Same reservation arithmetic as _reserve, inlined (see _send_as).
         cost = self._recv_per_message + self._per_byte * size
         if type(envelope.message) is ClientRequest:
             cost += self._client_request_extra
@@ -223,8 +224,7 @@ class SimNode:
         sim = self._sim
         now = sim._now
         busy = self._busy_until
-        start = now if now > busy else busy
-        ready_at = start + cost
+        ready_at = (now if now > busy else busy) + cost
         self._busy_until = ready_at
         self._busy_time_total += cost
         self._messages_in.value += 1
@@ -233,18 +233,13 @@ class SimNode:
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, (ready_at, 0, seq, self._handle, (envelope,)))
+        heappush(queue._heap, (ready_at, 0, seq, handler, (envelope,)))
         queue._live += 1
 
     def _handle(self, envelope: Envelope) -> None:
         if self._crashed or self._replica is None:
             return
         self._replica_on_message(envelope.src, envelope.message)
-
-    def _charged_send(self, dst: int, message: Any) -> bool:
-        """SimTransport hook: charge CPU for the send, then hand to the network."""
-        self.send(dst, message)
-        return True
 
     # ------------------------------------------------------------------ faults
     @property
@@ -324,6 +319,15 @@ class ShardReplicaHost:
         self._replica: Optional[Replica] = None
         self._replica_on_message: Optional[Callable[[int, Any], None]] = None
         self._rng = self._sim.random.stream(f"node-{self.endpoint_id}")
+        # The host machine's charged send/receive, under this shard's
+        # endpoint id and dispatching to this shard's replica; every other
+        # CPU charge is the host's own method.
+        self.send = partial(host._send_as, self.endpoint_id)
+        self.arrive = partial(host._arrive_for, self._handle)
+        self.charge_execution = host.charge_execution
+        self.charge_graph_work = host.charge_graph_work
+        self.charge_overhead = host.charge_overhead
+        self.charge_seconds = host.charge_seconds
         self._network.register(self)
 
     # ------------------------------------------------------------------ wiring
@@ -366,16 +370,6 @@ class ShardReplicaHost:
     def metrics(self) -> MetricsRegistry:
         return self._sim.metrics
 
-    def send(self, dst: int, message: Any) -> None:
-        host = self._host
-        if host._crashed:
-            return
-        size = self._network.size_model.size_of(message)
-        ready_at = host._reserve(host.cpu.send_cost(size))
-        host._messages_out.value += 1
-        host._bytes_out.value += size
-        self._sim.post_at(ready_at, self._network.send, (self.endpoint_id, dst, message, size))
-
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> TimerLike:
         return self._sim.schedule(delay, self._guarded, callback, args)
 
@@ -384,34 +378,7 @@ class ShardReplicaHost:
             return
         callback(*args)
 
-    def charge_execution(self, commands: int = 1) -> None:
-        self._host.charge_execution(commands)
-
-    def charge_graph_work(self, vertices: int) -> None:
-        self._host.charge_graph_work(vertices)
-
-    def charge_overhead(self, units: float = 1.0) -> None:
-        self._host.charge_overhead(units)
-
-    def charge_seconds(self, seconds: float) -> None:
-        self._host.charge_seconds(seconds)
-
     # ------------------------------------------------------------------ Endpoint API
-    def is_reachable(self) -> bool:
-        return not self._host._crashed
-
-    def deliver(self, envelope: Envelope) -> None:
-        host = self._host
-        if host._crashed:
-            return
-        size = envelope.size_bytes
-        ready_at = host._reserve(
-            host.cpu.receive_cost(size, type(envelope.message) is ClientRequest)
-        )
-        host._messages_in.value += 1
-        host._bytes_in.value += size
-        self._sim.post_at(ready_at, self._handle, (envelope,))
-
     def _handle(self, envelope: Envelope) -> None:
         if self._host._crashed or self._replica is None:
             return

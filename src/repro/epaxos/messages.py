@@ -13,7 +13,9 @@ claims higher ballots so that a survivor finishing -- or no-op'ing -- a
 crashed leader's instance can never race the original round into committing
 two different values.  Ballots are fixed-width protocol metadata, so they
 are covered by the header estimate in :class:`~repro.net.sizes.SizeModel`
-and do not contribute to ``payload_bytes``.
+and do not contribute to ``payload_bytes``.  Like every wire type, the
+payload-carrying messages fix ``payload_bytes`` in ``__init__``: one object
+is broadcast by reference to every peer, so it is sized once.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class EPreAccept(Message):
     per round, and the frozen-dataclass constructor is ~2.5x slower.
     """
 
-    __slots__ = ("instance", "command", "seq", "deps", "ballot")
+    __slots__ = ("instance", "command", "seq", "deps", "ballot", "payload_bytes")
 
     def __init__(self, instance: InstanceId, command: Command, seq: int,
                  deps: FrozenSet[InstanceId], ballot: Optional[Ballot] = None) -> None:
@@ -56,18 +58,17 @@ class EPreAccept(Message):
         self.seq = seq
         self.deps = deps
         self.ballot = ballot if ballot is not None else initial_ballot(instance)
+        self.payload_bytes = command.payload_bytes + _deps_bytes(deps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EPreAccept(instance={self.instance} seq={self.seq} ballot={self.ballot})"
-
-    def payload_bytes(self) -> int:
-        return self.command.payload_bytes() + _deps_bytes(self.deps)
 
 
 class EPreAcceptReply(Message):
     """A replica's (possibly updated) view of the instance's seq and deps."""
 
-    __slots__ = ("instance", "voter", "ok", "seq", "deps", "changed", "ballot")
+    __slots__ = ("instance", "voter", "ok", "seq", "deps", "changed", "ballot",
+                 "payload_bytes")
 
     def __init__(self, instance: InstanceId, voter: int, ok: bool, seq: int,
                  deps: FrozenSet[InstanceId], changed: bool,
@@ -79,12 +80,10 @@ class EPreAcceptReply(Message):
         self.deps = deps
         self.changed = changed
         self.ballot = ballot if ballot is not None else initial_ballot(instance)
+        self.payload_bytes = _deps_bytes(deps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EPreAcceptReply(instance={self.instance} voter={self.voter} changed={self.changed})"
-
-    def payload_bytes(self) -> int:
-        return _deps_bytes(self.deps)
 
 
 class EAccept(Message):
@@ -95,7 +94,7 @@ class EAccept(Message):
     a ballot above the default one.
     """
 
-    __slots__ = ("instance", "command", "seq", "deps", "ballot")
+    __slots__ = ("instance", "command", "seq", "deps", "ballot", "payload_bytes")
 
     def __init__(self, instance: InstanceId, command: Command, seq: int,
                  deps: FrozenSet[InstanceId], ballot: Optional[Ballot] = None) -> None:
@@ -104,12 +103,10 @@ class EAccept(Message):
         self.seq = seq
         self.deps = deps
         self.ballot = ballot if ballot is not None else initial_ballot(instance)
+        self.payload_bytes = command.payload_bytes + _deps_bytes(deps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EAccept(instance={self.instance} seq={self.seq} ballot={self.ballot})"
-
-    def payload_bytes(self) -> int:
-        return self.command.payload_bytes() + _deps_bytes(self.deps)
 
 
 class EAcceptReply(Message):
@@ -161,7 +158,7 @@ class EPrepareReply(Message):
     """
 
     __slots__ = ("instance", "voter", "ok", "ballot", "status", "seq",
-                 "deps", "command", "attr_ballot", "changed")
+                 "deps", "command", "attr_ballot", "changed", "payload_bytes")
 
     def __init__(self, instance: InstanceId, voter: int, ok: bool, ballot: Ballot,
                  status: str, seq: int, deps: FrozenSet[InstanceId],
@@ -177,6 +174,8 @@ class EPrepareReply(Message):
         self.command = command
         self.attr_ballot = attr_ballot
         self.changed = changed
+        command_bytes = command.payload_bytes if command is not None else 0
+        self.payload_bytes = command_bytes + _deps_bytes(deps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -184,15 +183,11 @@ class EPrepareReply(Message):
             f"ok={self.ok} status={self.status!r})"
         )
 
-    def payload_bytes(self) -> int:
-        command_bytes = self.command.payload_bytes() if self.command is not None else 0
-        return command_bytes + _deps_bytes(self.deps)
-
 
 class ECommit(Message):
     """Commit notification broadcast to every replica."""
 
-    __slots__ = ("instance", "command", "seq", "deps")
+    __slots__ = ("instance", "command", "seq", "deps", "payload_bytes")
 
     def __init__(self, instance: InstanceId, command: Command, seq: int,
                  deps: FrozenSet[InstanceId]) -> None:
@@ -200,9 +195,7 @@ class ECommit(Message):
         self.command = command
         self.seq = seq
         self.deps = deps
+        self.payload_bytes = command.payload_bytes + _deps_bytes(deps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ECommit(instance={self.instance} seq={self.seq})"
-
-    def payload_bytes(self) -> int:
-        return self.command.payload_bytes() + _deps_bytes(self.deps)

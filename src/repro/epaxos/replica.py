@@ -299,13 +299,14 @@ class EPaxosReplica(Replica):
         PreAccept/Accept vote can be aggregated up the tree instead of sent
         straight back to the command leader.
         """
-        if isinstance(inner, EPreAccept):
+        kind = type(inner)
+        if kind is EPreAccept:
             return self._handle_preaccept(inner)
-        if isinstance(inner, EAccept):
+        if kind is EAccept:
             return self._handle_accept(inner)
-        if isinstance(inner, EPrepare):
+        if kind is EPrepare:
             return self._handle_prepare(inner)
-        if isinstance(inner, ECommit):
+        if kind is ECommit:
             self._on_commit(src, inner)
             return None
         self.on_message(src, inner)

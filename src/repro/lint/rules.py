@@ -451,7 +451,7 @@ class NoHashOrder(Rule):
 # ---------------------------------------------------------- wire-type-hygiene
 
 #: Constructor/field names that mean "this message carries variable-size
-#: data" and therefore must be priced by a payload_bytes override.
+#: data" and therefore must be priced through ``payload_bytes``.
 _PAYLOAD_FIELDS = {
     "command",
     "commands",
@@ -468,9 +468,32 @@ _PAYLOAD_FIELDS = {
 
 _MESSAGE_BASES = {"Message", "OverlayMessage"}
 
+#: The commands messages wrap cache their size too; only the size-memo
+#: checks apply there (the module also holds an enum and result types).
+_COMMAND_MODULE = "statemachine/command.py"
+
+
+def _stores_payload_bytes(function: ast.FunctionDef) -> bool:
+    """True when ``function`` assigns ``self.payload_bytes``."""
+    return any(
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr == "payload_bytes"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        for node in ast.walk(function)
+    )
+
+
+def _is_property(function: ast.FunctionDef) -> bool:
+    return any(_dotted_name(d) == "property" for d in function.decorator_list)
+
 
 class _ClassInfo:
-    __slots__ = ("node", "bases", "has_slots", "has_payload_bytes", "fields")
+    __slots__ = (
+        "node", "bases", "has_slots", "prices_payload", "fields",
+        "size_slot", "size_in_init", "lazy_size_writers", "size_method",
+    )
 
     def __init__(self, node: ast.ClassDef) -> None:
         self.node = node
@@ -478,27 +501,44 @@ class _ClassInfo:
             base for base in (_dotted_name(b) for b in node.bases) if base
         ]
         self.has_slots = False
-        self.has_payload_bytes = False
+        #: payload_bytes is defined here: filled in __init__, a property, or
+        #: a class-level constant.
+        self.prices_payload = False
         self.fields: Set[str] = set()
+        #: "payload_bytes" is a declared slot, i.e. the size is cached.
+        self.size_slot = False
+        self.size_in_init = False
+        #: Methods other than the constructor that write self.payload_bytes.
+        self.lazy_size_writers: List[ast.FunctionDef] = []
+        #: A plain (non-property) ``def payload_bytes`` -- the retired API.
+        self.size_method: Optional[ast.FunctionDef] = None
 
 
 class WireTypeHygiene(Rule):
-    """PR-4 message conventions: hand-slotted, and priced when they carry data."""
+    """Message conventions: hand-slotted, priced, and sized at construction."""
 
     id = "wire-type-hygiene"
-    title = "wire types declare __slots__ and price their payloads"
+    title = "wire types declare __slots__, price their payloads, size themselves in __init__"
     contract = (
         "PR-4 hot-path rule: every class in a */messages.py is a hand-slotted "
         "plain class; PR-5 sizing rule: a message carrying variable-size data "
-        "overrides payload_bytes so SizeModel prices it"
+        "defines payload_bytes so SizeModel prices it; PR-15 size-memo rule: a "
+        "type that caches payload_bytes fills it in __init__ and nowhere else "
+        "(messages are shared by reference across nodes, so a lazily filled "
+        "slot would be written by whichever node sizes it first)"
     )
     hint = (
-        "add __slots__ (or dataclass(slots=True)); override payload_bytes for "
+        "add __slots__ (or dataclass(slots=True)); assign self.payload_bytes in "
+        "__init__ (or expose an uncached payload_bytes property) for "
         "payload-carrying messages"
     )
 
     def applies(self, relpath: str) -> bool:
-        return relpath.endswith("messages.py") or relpath == "net/message.py"
+        return (
+            relpath.endswith("messages.py")
+            or relpath == "net/message.py"
+            or relpath == _COMMAND_MODULE
+        )
 
     def begin_file(self, ctx: FileContext) -> None:
         self._classes: Dict[str, _ClassInfo] = {}
@@ -519,8 +559,17 @@ class WireTypeHygiene(Rule):
             for statement in node.body:
                 if isinstance(statement, ast.Assign):
                     for target in statement.targets:
-                        if isinstance(target, ast.Name) and target.id == "__slots__":
+                        if not isinstance(target, ast.Name):
+                            continue
+                        if target.id == "__slots__":
                             info.has_slots = True
+                            info.size_slot = any(
+                                isinstance(element, ast.Constant)
+                                and element.value == "payload_bytes"
+                                for element in getattr(statement.value, "elts", ())
+                            )
+                        elif target.id == "payload_bytes":
+                            info.prices_payload = True
                 elif isinstance(statement, ast.AnnAssign):
                     if isinstance(statement.target, ast.Name):
                         if statement.target.id == "__slots__":
@@ -529,13 +578,21 @@ class WireTypeHygiene(Rule):
                             info.fields.add(statement.target.id)
                 elif isinstance(statement, ast.FunctionDef):
                     if statement.name == "payload_bytes":
-                        info.has_payload_bytes = True
+                        if _is_property(statement):
+                            info.prices_payload = True
+                        else:
+                            info.size_method = statement
                     elif statement.name == "__init__":
                         info.fields.update(
                             arg.arg
                             for arg in statement.args.args
                             if arg.arg != "self"
                         )
+                        if _stores_payload_bytes(statement):
+                            info.size_in_init = True
+                            info.prices_payload = True
+                    elif _stores_payload_bytes(statement):
+                        info.lazy_size_writers.append(statement)
             self._classes[node.name] = info
 
     def _is_message(self, name: str, seen: Optional[Set[str]] = None) -> bool:
@@ -554,19 +611,43 @@ class WireTypeHygiene(Rule):
         if info is None or name in seen:
             return False
         seen.add(name)
-        if info.has_payload_bytes:
+        if info.prices_payload:
             return True
         return any(self._prices_payload(base, seen) for base in info.bases)
 
     def end_file(self, ctx: FileContext) -> None:
+        wire_module = ctx.relpath != _COMMAND_MODULE
         for name, info in self._classes.items():
-            if not info.has_slots:
+            if wire_module and not info.has_slots:
                 ctx.report(
                     self,
                     info.node,
                     f"class {name} in a wire-type module has no __slots__",
                 )
-            if ctx.relpath == "net/message.py":
+            if info.size_method is not None:
+                ctx.report(
+                    self,
+                    info.size_method,
+                    f"{name}.payload_bytes is a method; sizes are read as an "
+                    f"attribute (fill self.payload_bytes in __init__, or make "
+                    f"it a property)",
+                )
+            if info.size_slot and not info.size_in_init:
+                ctx.report(
+                    self,
+                    info.node,
+                    f"{name} declares a payload_bytes slot but does not fill "
+                    f"it in __init__",
+                )
+            for writer in info.lazy_size_writers:
+                ctx.report(
+                    self,
+                    writer,
+                    f"{name}.{writer.name} writes self.payload_bytes outside "
+                    f"__init__; a lazily filled size races between the nodes "
+                    f"sharing the message",
+                )
+            if not wire_module or ctx.relpath == "net/message.py":
                 continue  # the base classes define the convention itself
             payload_fields = sorted(info.fields & _PAYLOAD_FIELDS)
             if (
@@ -578,7 +659,7 @@ class WireTypeHygiene(Rule):
                     self,
                     info.node,
                     f"message {name} carries {', '.join(payload_fields)} but "
-                    f"does not override payload_bytes; SizeModel will price "
+                    f"does not define payload_bytes; SizeModel will price "
                     f"it as header-only",
                 )
 

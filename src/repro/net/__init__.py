@@ -2,9 +2,10 @@
 
 Models what the Paxi testbed's real network provided: point-to-point message
 delivery with per-link latency, per-byte transmission cost, message drops,
-partitions and crashed endpoints.  Protocol code talks to the network only
-through the :class:`~repro.net.transport.Transport` interface, which is also
-implemented by the asyncio runtime in :mod:`repro.runtime`.
+partitions and crashed endpoints.  Protocol code never talks to the network
+directly: replicas send through their :class:`~repro.protocol.base.NodeContext`
+(:class:`~repro.cluster.node.SimNode` here, which charges CPU and then calls
+:meth:`SimNetwork.send`; ``AsyncNodeContext`` in :mod:`repro.runtime`).
 """
 
 from repro.net.message import Envelope, Message
@@ -19,7 +20,6 @@ from repro.net.latency import (
 from repro.net.topology import Topology, Region, Zone
 from repro.net.faults import NetworkFaults
 from repro.net.network import SimNetwork
-from repro.net.transport import Transport, SimTransport
 
 __all__ = [
     "Envelope",
@@ -35,6 +35,4 @@ __all__ = [
     "Zone",
     "NetworkFaults",
     "SimNetwork",
-    "Transport",
-    "SimTransport",
 ]

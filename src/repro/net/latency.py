@@ -12,9 +12,14 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from math import cos, log, pi, sin, sqrt
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
+
+#: ``(base, low, width)``: every draw on the link is
+#: ``base * (low + width * rng.random())``, or exactly ``base`` with no draw
+#: when ``low`` is None.
+LinkDelay = Tuple[float, Optional[float], Optional[float]]
 
 
 class LatencyModel(ABC):
@@ -23,6 +28,17 @@ class LatencyModel(ABC):
     @abstractmethod
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         """Return the one-way delay in seconds for a message from src to dst."""
+
+    def link(self, src: int, dst: int) -> Optional[LinkDelay]:
+        """The static part of the ``src -> dst`` delay, or None if there is none.
+
+        The network resolves this once per link and applies the per-send
+        jitter draw itself, with the arithmetic of :meth:`delay` (which
+        stays the per-send definition and the reference the tests compare
+        against).  Models whose every draw depends on the RNG alone return
+        None and have :meth:`delay` called per send.
+        """
+        return None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -38,6 +54,9 @@ class ConstantLatency(LatencyModel):
         if src == dst:
             return 0.0
         return self.one_way
+
+    def link(self, src: int, dst: int) -> LinkDelay:
+        return (0.0 if src == dst else self.one_way, None, None)
 
 
 @dataclass(frozen=True)
@@ -175,3 +194,11 @@ class WANMatrixLatency(LatencyModel):
         if base == 0.0 or self.jitter <= 0.0:
             return base
         return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+
+    def link(self, src: int, dst: int) -> LinkDelay:
+        base = self.base_delay(src, dst)
+        if base == 0.0 or self.jitter <= 0.0:
+            return (base, None, None)
+        # rng.uniform(a, b) is exactly a + (b - a) * rng.random().
+        low = 1.0 - self.jitter
+        return (base, low, (1.0 + self.jitter) - low)

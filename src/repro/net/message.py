@@ -3,41 +3,37 @@
 A :class:`Message` is any protocol-level payload (Phase-1a, Phase-2b, a relay
 aggregate, a client request...).  The network wraps it in an
 :class:`Envelope` carrying addressing and accounting information: sender,
-destination, wire size in bytes, send time, and a monotonically increasing
-message id used for tracing.
+destination, wire size in bytes and send time.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 
 class Message:
     """Base class for every protocol message.
 
-    Subclasses are plain dataclasses in the protocol packages.  ``kind``
+    Subclasses are plain slotted classes in the protocol packages.  ``kind``
     defaults to the class name and is used for metrics and wire encoding.
     """
 
     __slots__ = ()
 
+    #: Size of the variable-length payload carried by this message (bytes).
+    #: A message's size is fixed at construction: subclasses carrying user
+    #: data (commands, values, batched responses) declare a ``payload_bytes``
+    #: slot and fill it in ``__init__`` -- wrappers add to their inner
+    #: message's already-known figure -- so sizing a send is one attribute
+    #: read however many hops share the object.  Rare types may compute it
+    #: in a property instead.  The default is zero: the message is protocol
+    #: metadata whose size is covered by the fixed header estimate in
+    #: :class:`~repro.net.sizes.SizeModel`.
+    payload_bytes = 0
+
     @property
     def kind(self) -> str:
         return type(self).__name__
-
-    def payload_bytes(self) -> int:
-        """Size of the variable-length payload carried by this message (bytes).
-
-        Subclasses carrying user data (commands, values, batched responses)
-        override this; the default is zero, meaning the message is just
-        protocol metadata whose size is covered by the fixed header estimate
-        in :class:`~repro.net.sizes.SizeModel`.
-        """
-        return 0
-
-
-_envelope_ids = itertools.count(1)
 
 
 class Envelope:
@@ -47,7 +43,7 @@ class Envelope:
     attempted send, so construction must stay cheap.
     """
 
-    __slots__ = ("src", "dst", "message", "size_bytes", "send_time", "msg_id")
+    __slots__ = ("src", "dst", "message", "size_bytes", "send_time")
 
     def __init__(
         self,
@@ -56,14 +52,12 @@ class Envelope:
         message: Any,
         size_bytes: int = 0,
         send_time: float = 0.0,
-        msg_id: int = 0,
     ) -> None:
         self.src = src
         self.dst = dst
         self.message = message
         self.size_bytes = size_bytes
         self.send_time = send_time
-        self.msg_id = msg_id if msg_id else next(_envelope_ids)
 
     @property
     def kind(self) -> str:
@@ -74,12 +68,6 @@ class Envelope:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Envelope(#{self.msg_id} {self.kind} {self.src}->{self.dst} "
+            f"Envelope({self.kind} {self.src}->{self.dst} "
             f"{self.size_bytes}B @{self.send_time:.6f})"
         )
-
-
-def reset_envelope_ids() -> None:
-    """Reset the global envelope id counter (used by tests for determinism)."""
-    global _envelope_ids
-    _envelope_ids = itertools.count(1)

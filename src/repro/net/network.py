@@ -3,10 +3,17 @@
 ``SimNetwork`` connects endpoints (consensus nodes and clients).  Sending a
 message:
 
-1. asks the :class:`~repro.net.sizes.SizeModel` for the wire size,
-2. consults :class:`~repro.net.faults.NetworkFaults` (drops, partitions),
-3. computes delivery time = one-way latency + transmission time, and
-4. schedules delivery into the destination endpoint's inbox.
+1. fetches the ``(src, dst)`` link record -- the destination's arrival entry,
+   the locality counters and the static part of the link delay, resolved on
+   the link's first send,
+2. counts the attempt (globally, per message type, per locality level),
+3. consults :class:`~repro.net.faults.NetworkFaults` (drops, partitions),
+4. computes delivery time = one-way latency + transmission time, and
+5. schedules the destination endpoint's arrival entry at that time.
+
+Per-link state is resolved once; fault state never is: drops and partitions
+are judged on every send, and whether the destination is up is judged by its
+arrival entry when the envelope lands.
 
 CPU cost of sending/receiving is *not* modelled here; it is charged by the
 node model (:mod:`repro.cluster.node`), because that per-message processing
@@ -39,11 +46,14 @@ class Endpoint(Protocol):
 
     endpoint_id: int
 
-    def deliver(self, envelope: Envelope) -> None:
-        """Accept an envelope arriving off the wire."""
+    def arrive(self, envelope: Envelope) -> None:
+        """Accept an envelope at its delivery time.
 
-    def is_reachable(self) -> bool:
-        """False when the endpoint is crashed and should black-hole traffic."""
+        The delivery event calls this directly, so the endpoint judges its
+        own reachability *now*: a crashed endpoint counts the envelope on
+        :attr:`SimNetwork.undeliverable` and black-holes it, a live one
+        counts it on :attr:`SimNetwork.delivered` and processes it.
+        """
 
 
 class SimNetwork:
@@ -62,15 +72,12 @@ class SimNetwork:
         self._size_model = size_model or SizeModel()
         self._faults = faults or NetworkFaults()
         self._endpoints: Dict[int, Endpoint] = {}
-        self._endpoints_get = self._endpoints.get
         self._rng = sim.random.stream("network")
+        self._random = self._rng.random
         self._metrics = sim.metrics
-        # Hot-path bindings resolved once: the latency model and bandwidth
-        # are fixed for the topology's lifetime, so the per-send delay needs
-        # no re-consulting of the topology object.  ``latency_model``
-        # overrides the topology's model without mutating the topology --
-        # sharded clusters use it to fold shard endpoints onto physical
-        # nodes before every delay draw (see repro.shard.addressing).
+        # ``latency_model`` overrides the topology's model without mutating
+        # the topology -- sharded clusters use it to fold shard endpoints
+        # onto physical nodes (see repro.shard.addressing).
         self._latency = latency_model if latency_model is not None else topology.latency
         # Kept as a division (not a cached reciprocal) so delivery times stay
         # bit-identical with the historical `size / bandwidth` computation.
@@ -82,18 +89,17 @@ class SimNetwork:
         self._bytes_counter = self._metrics.counter("net.bytes_sent")
         self._dropped_counter = self._metrics.counter("net.messages_dropped")
         self._duplicated_counter = self._metrics.counter("net.messages_duplicated")
-        self._delivered_counter = self._metrics.counter("net.messages_delivered")
-        self._undeliverable_counter = self._metrics.counter("net.messages_undeliverable")
+        #: Bumped by the endpoints' arrival entries (see :class:`Endpoint`).
+        self.delivered = self._metrics.counter("net.messages_delivered")
+        self.undeliverable = self._metrics.counter("net.messages_undeliverable")
         self._kind_counters: Dict[type, tuple] = {}
-        # Locality accounting for region/zone topologies: every attempted
-        # send between two placed nodes counts as local or crossing at each
-        # hierarchy level.  LAN topologies have empty maps and skip the
-        # branch entirely; the per-(src, dst) verdict is cached so the send
-        # path stays one dict probe.  Endpoints outside the placement maps
-        # (clients, shard-group endpoints) are not classified.
         self._region_map = topology.region_map()
         self._zone_map = topology.zone_map()
-        self._locality_counters: Dict[tuple, tuple] = {}
+        # (src, dst) -> (arrive, locality counters, base, low, width): what is
+        # fixed per link for the run, so every send after the link's first is
+        # one probe.  ``base``/``low``/``width`` are the latency model's
+        # static part (LatencyModel.link); all None when it has none.
+        self._links: Dict[tuple, tuple] = {}
 
     # ----------------------------------------------------------------- wiring
     @property
@@ -133,42 +139,44 @@ class SimNetwork:
         it before the message reaches the fabric) pass it through instead of
         re-deriving it.
         """
-        endpoint = self._endpoints_get(dst)
-        if endpoint is None:
-            raise NetworkError(f"cannot send to unknown endpoint {dst}")
+        try:
+            arrive, locality, base, low, width = self._links[(src, dst)]
+        except KeyError:
+            arrive, locality, base, low, width = self._resolve_link(src, dst)
         sim = self._sim
         now = sim._now
-        rng = self._rng
         if size is None:
             size = self._size_model.size_of(message)
         envelope = Envelope(src, dst, message, size, now)
         self._sent_counter.value += 1
         self._bytes_counter.value += size
-        counters = self._kind_counters.get(type(message))
-        if counters is None:
+        try:
+            counters = self._kind_counters[type(message)]
+        except KeyError:
             kind = envelope.kind
-            counters = (
+            counters = self._kind_counters[type(message)] = (
                 self._metrics.counter(f"net.sent.{kind}"),
                 self._metrics.counter(f"net.sent_bytes.{kind}"),
             )
-            self._kind_counters[type(message)] = counters
         counters[0].value += 1
         counters[1].value += size
-        if self._region_map:
-            locality = self._locality_counters.get((src, dst))
-            if locality is None:
-                locality = self._classify_locality(src, dst)
-                self._locality_counters[(src, dst)] = locality
-            for counter in locality:
-                counter.value += 1
+        for counter in locality:
+            counter.value += 1
 
         faults = self._faults
-        if faults.lossy and faults.should_drop(src, dst, rng):
+        if faults.lossy and faults.should_drop(src, dst, self._rng):
             self._dropped_counter.value += 1
             return envelope
 
+        # The jitter draw stays per send, on the "network" stream; only the
+        # link's static part comes from the record.
+        if base is None:
+            delay = self._latency.delay(src, dst, self._rng)
+        elif low is None:
+            delay = base
+        else:
+            delay = base * (low + width * self._random())
         bandwidth = self._bandwidth
-        delay = self._latency.delay(src, dst, rng)
         if bandwidth:
             delay += size / bandwidth
         # Inlined EventQueue.push_call (canonical entry layout lives there):
@@ -177,18 +185,32 @@ class SimNetwork:
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, (now + delay, 0, seq, self._deliver, (envelope, endpoint)))
+        heappush(queue._heap, (now + delay, 0, seq, arrive, (envelope,)))
         queue._live += 1
-        if faults.duplicate_probability and faults.should_duplicate(src, dst, rng):
+        if faults.duplicate_probability and faults.should_duplicate(src, dst, self._rng):
             # A retransmitted copy of the same envelope with its own latency
             # draw; protocols must tolerate it (at-most-once execution,
             # per-voter reply dedup).
             self._duplicated_counter.value += 1
-            delay = self._latency.delay(src, dst, rng)
+            delay = self._latency.delay(src, dst, self._rng)
             if bandwidth:
                 delay += size / bandwidth
-            sim.post_at(now + delay, self._deliver, (envelope, endpoint))
+            sim.post_at(now + delay, arrive, (envelope,))
         return envelope
+
+    def _resolve_link(self, src: int, dst: int) -> tuple:
+        """Build the ``(src, dst)`` link record on the link's first send.
+
+        An unknown ``dst`` raises and is not remembered, so a later
+        ``register`` + send succeeds.
+        """
+        endpoint = self._endpoints.get(dst)
+        if endpoint is None:
+            raise NetworkError(f"cannot send to unknown endpoint {dst}")
+        static = self._latency.link(src, dst) or (None, None, None)
+        link = (endpoint.arrive, self._classify_locality(src, dst), *static)
+        self._links[(src, dst)] = link
+        return link
 
     def _classify_locality(self, src: int, dst: int) -> tuple:
         """Counters to bump for a (src, dst) pair, resolved once per pair.
@@ -197,7 +219,8 @@ class SimNetwork:
         region-crossing; when both ends are also zone-placed it is
         additionally zone-local or zone-crossing (zone names are
         region-qualified, so a region crossing is always a zone crossing
-        too).  Pairs with an unplaced end classify as nothing.
+        too).  Pairs with an unplaced end (clients, shard-group endpoints,
+        every pair of a LAN topology) classify as nothing.
         """
         src_region = self._region_map.get(src)
         dst_region = self._region_map.get(dst)
@@ -211,20 +234,3 @@ class SimNetwork:
             scope = "local" if src_zone == dst_zone else "cross"
             counters.append(self._metrics.counter(f"zone.{scope}_messages"))
         return tuple(counters)
-
-    def _delivery_delay(self, src: int, dst: int, size_bytes: int) -> float:
-        propagation = self._latency.delay(src, dst, self._rng)
-        if self._bandwidth:
-            propagation += size_bytes / self._bandwidth
-        return propagation
-
-    def _deliver(self, envelope: Envelope, endpoint: Optional[Endpoint] = None) -> None:
-        # The endpoint is resolved at send time (registrations are permanent)
-        # and passed through; reachability is still checked at delivery time.
-        if endpoint is None:
-            endpoint = self._endpoints.get(envelope.dst)
-        if endpoint is None or not endpoint.is_reachable():
-            self._undeliverable_counter.value += 1
-            return
-        self._delivered_counter.value += 1
-        endpoint.deliver(envelope)

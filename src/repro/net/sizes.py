@@ -18,22 +18,18 @@ counters (:mod:`repro.cluster.node`) that
 :func:`repro.sim.metrics.bottleneck_node` aggregates for the paper-style
 protocol x overlay tables.
 
-``size_of`` runs at least twice per send (CPU charge + network accounting),
-so the "does this type carry a payload?" probe is resolved once per message
-*type* and cached, instead of a dynamic ``getattr`` per call.  The cache
-stores the unbound ``payload_bytes`` function (or None for payload-free
-types); per-instance sizes stay fully dynamic -- only the method lookup is
-cached.
+A message knows its payload from construction (wire types are immutable,
+see :class:`~repro.net.message.Message`), so ``size_of`` is one attribute
+read per send: the node's CPU charge calls it and passes the result through
+to the network, whichever hop or however many recipients share the object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Any
 
 from repro.net.message import Message
-
-_UNRESOLVED = object()
 
 
 @dataclass(frozen=True)
@@ -46,21 +42,16 @@ class SizeModel:
     """
 
     header_bytes: int = 64
-    _payload_fns: Dict[type, Optional[Callable[[Any], int]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def size_of(self, message: Any) -> int:
-        mtype = type(message)
-        fn = self._payload_fns.get(mtype, _UNRESOLVED)
-        if fn is _UNRESOLVED:
-            probe = getattr(mtype, "payload_bytes", None)
-            fn = probe if callable(probe) else None
-            if fn is Message.payload_bytes:
-                # Inherited base implementation: the type is metadata-only
-                # (always payload 0), so skip the call entirely.
-                fn = None
-            self._payload_fns[mtype] = fn
-        if fn is None:
+        try:
+            payload = message.payload_bytes
+        except AttributeError:
+            if isinstance(message, Message):
+                # A wire type with an unfilled slot or a failing property is
+                # a bug, not a header-only message.
+                raise
+            # Not a wire type (tests send bare objects): header only.
             return self.header_bytes
-        return self.header_bytes + max(0, int(fn(message)))
+        # A negative payload never shrinks a message below its header.
+        return self.header_bytes + payload if payload > 0 else self.header_bytes

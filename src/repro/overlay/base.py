@@ -46,12 +46,8 @@ class OverlayHost(Protocol):
     """
 
     protocol_name: str
-
-    @property
-    def ctx(self) -> "NodeContext": ...
-
-    @property
-    def node_id(self) -> int: ...
+    ctx: "NodeContext"
+    node_id: int
 
     @property
     def peers(self) -> List[int]: ...
@@ -78,22 +74,19 @@ class FanoutOverlay(ABC):
     name = "abstract"
 
     def __init__(self) -> None:
-        self._host: Optional[OverlayHost] = None
+        #: The hosting replica; a plain attribute (overlay code reads it
+        #: several times per relayed message).  None until :meth:`bind`, so
+        #: unbound use fails with an AttributeError on None.
+        self.host: Optional[OverlayHost] = None
 
     def bind(self, host: OverlayHost) -> None:
         """Attach the overlay to its hosting replica (exactly once)."""
-        if self._host is not None and self._host is not host:
+        if self.host is not None and self.host is not host:
             raise RuntimeError(
                 f"{type(self).__name__} is already bound to node "
-                f"{self._host.node_id}; overlays must not be shared between replicas"
+                f"{self.host.node_id}; overlays must not be shared between replicas"
             )
-        self._host = host
-
-    @property
-    def host(self) -> OverlayHost:
-        if self._host is None:
-            raise RuntimeError(f"{type(self).__name__} used before bind()")
-        return self._host
+        self.host = host
 
     # ------------------------------------------------------------------ sending
     @abstractmethod

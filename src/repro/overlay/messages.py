@@ -10,7 +10,9 @@ Aggregation saves per-message header overhead and -- crucially for the
 paper's WAN argument (Section 6.4) -- reduces the number of messages the
 fan-out root sends and receives, but it does not shrink the payloads
 themselves: ``RelayAggregate.payload_bytes`` is the sum of its children's
-payloads.
+payloads.  Both wrappers fix their size at construction by adding to the
+already-known sizes of what they wrap, so a relayed message is never
+re-walked per hop.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ class RelayRequest(OverlayMessage):
             feeds the per-depth ``relay.depth.<d>.*`` durability counters.
     """
 
-    __slots__ = ("inner", "children", "agg_id", "timeout", "expects_response", "ack", "depth")
+    __slots__ = ("inner", "children", "agg_id", "timeout", "expects_response", "ack", "depth",
+                 "payload_bytes")
 
     def __init__(
         self,
@@ -118,23 +121,20 @@ class RelayRequest(OverlayMessage):
         self.expects_response = expects_response
         self.ack = ack
         self.depth = depth
+        # The membership list adds ~4 bytes per node id mentioned in the tree.
+        membership = 0
+        for subtree in children:
+            membership += subtree._size
+        self.payload_bytes = inner.payload_bytes + 4 * membership
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RelayRequest(agg_id={self.agg_id} inner={self.inner!r})"
-
-    def payload_bytes(self) -> int:
-        inner_payload = self.inner.payload_bytes()
-        # The membership list adds ~4 bytes per node id mentioned in the tree.
-        membership = 0
-        for subtree in self.children:
-            membership += subtree._size
-        return inner_payload + 4 * membership
 
 
 class RelayAggregate(OverlayMessage):
     """Aggregated responses travelling back up the relay tree."""
 
-    __slots__ = ("agg_id", "responses", "origin", "complete")
+    __slots__ = ("agg_id", "responses", "origin", "complete", "payload_bytes")
 
     def __init__(
         self,
@@ -147,12 +147,10 @@ class RelayAggregate(OverlayMessage):
         self.responses = responses
         self.origin = origin
         self.complete = complete
+        total = 0
+        for response in responses:
+            total += response.payload_bytes + 8
+        self.payload_bytes = total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RelayAggregate(agg_id={self.agg_id} n={len(self.responses)})"
-
-    def payload_bytes(self) -> int:
-        total = 0
-        for response in self.responses:
-            total += response.payload_bytes() + 8
-        return total

@@ -250,6 +250,7 @@ class RelayFanout(FanoutOverlay):
 
     # ------------------------------------------------------------------ relay / follower role
     def _on_relay_request(self, src: int, msg: RelayRequest) -> None:
+        host = self.host
         if msg.expects_response and (
             msg.agg_id in self._sessions or msg.agg_id in self._flushed_parents
         ):
@@ -259,9 +260,11 @@ class RelayFanout(FanoutOverlay):
             # timer would flush the replacement early.  Leaf followers have
             # no session to protect; their repeated replies are deduplicated
             # upstream (children_seen / per-voter accounting).
-            self.host.count("duplicate_relay_requests_ignored")
+            host.count("duplicate_relay_requests_ignored")
             return
-        own_response = self.host.process_for_overlay(src, msg.inner)
+        own_response = host.process_for_overlay(src, msg.inner)
+        # Every child gets the same (decayed) aggregation timeout.
+        child_timeout = max(msg.timeout * self.timeout_decay, 0.001) if msg.children else None
 
         if not msg.expects_response:
             # Pure fan-out traffic (heartbeats, commits): forward and stop.
@@ -281,24 +284,24 @@ class RelayFanout(FanoutOverlay):
                 child_ack = bool(want_child_acks and child.children)
                 if child_ack:
                     sub_relays[child.node_id] = child
-                self._forward_to_child(child, msg, ack=child_ack)
+                self._forward_to_child(child, msg, child_timeout, ack=child_ack)
             if sub_relays:
                 self._open_commit_round(msg.agg_id, msg.inner, sub_relays, depth=msg.depth)
             if msg.ack:
                 # Commit-durability leg: tell the parent this subtree's relay
                 # is alive and has forwarded the round.  Duplicate requests
                 # re-ack; the parent's acked-set makes that idempotent.
-                self.host.send(
+                host.send(
                     src,
-                    RelayAggregate(agg_id=msg.agg_id, responses=(), origin=self.host.node_id),
+                    RelayAggregate(agg_id=msg.agg_id, responses=(), origin=host.node_id),
                 )
             return
 
         if not msg.children:
             # Leaf follower: answer the relay immediately.
             responses = (own_response,) if own_response is not None else ()
-            self.host.send(
-                src, RelayAggregate(agg_id=msg.agg_id, responses=responses, origin=self.host.node_id)
+            host.send(
+                src, RelayAggregate(agg_id=msg.agg_id, responses=responses, origin=host.node_id)
             )
             return
 
@@ -312,13 +315,14 @@ class RelayFanout(FanoutOverlay):
         if own_response is not None:
             session.responses.append(own_response)
         self._sessions[msg.agg_id] = session
-        session.timer = self.host.ctx.schedule(msg.timeout, self._session_timeout, msg.agg_id)
+        session.timer = host.ctx.schedule(msg.timeout, self._session_timeout, msg.agg_id)
         for child in msg.children:
-            self._forward_to_child(child, msg)
-        self.host.count("relay_rounds")
+            self._forward_to_child(child, msg, child_timeout)
+        host.count("relay_rounds")
 
-    def _forward_to_child(self, child: RelaySubtree, msg: RelayRequest, ack: bool = False) -> None:
-        child_timeout = max(msg.timeout * self.timeout_decay, 0.001)
+    def _forward_to_child(
+        self, child: RelaySubtree, msg: RelayRequest, child_timeout: float, ack: bool = False
+    ) -> None:
         self.host.send(
             child.node_id,
             RelayRequest(

@@ -147,13 +147,14 @@ class MultiPaxosReplica(Replica):
     # ------------------------------------------------------------------ dispatch
     def on_message(self, src: int, message: Any) -> None:
         # The handler table is built lazily on first dispatch (subclasses
-        # extend _handlers()); afterwards dispatch is one dict lookup.
+        # extend _handlers()); afterwards dispatch is one dict probe.
         try:
-            handler = self._cached_handlers.get(type(message))
+            handler = self._cached_handlers[type(message)]
         except AttributeError:
             self._cached_handlers = self._handlers()
-            handler = self._cached_handlers.get(type(message))
-        if handler is None:
+            self.on_message(src, message)
+            return
+        except KeyError:
             self.count("unknown_message")
             return
         handler(src, message)
@@ -183,11 +184,12 @@ class MultiPaxosReplica(Replica):
     # ------------------------------------------------------------------ overlay host hooks
     def process_for_overlay(self, src: int, inner: Any) -> Optional[Any]:
         """Apply a relayed inner message as a follower; return the vote (if any)."""
-        if isinstance(inner, P2a):
+        kind = type(inner)
+        if kind is P2a:
             return self._process_p2a(inner)
-        if isinstance(inner, P1a):
+        if kind is P1a:
             return self._process_p1a(inner)
-        if isinstance(inner, Heartbeat):
+        if kind is Heartbeat:
             self._on_heartbeat(src, inner)
             return None
         # Fall back to ordinary handling for anything else wrapped by the
@@ -555,10 +557,7 @@ class MultiPaxosReplica(Replica):
             self._maybe_flush_batch("pipeline")
 
     def _advance_commit_frontier(self) -> None:
-        frontier = self.commit_upto
-        while self.log.is_committed(frontier + 1):
-            frontier += 1
-        self.commit_upto = frontier
+        self.commit_upto = self.log.committed_through(self.commit_upto)
 
     def _apply_command(self, command) -> object:
         """Apply ``command`` with at-most-once client-session filtering.

@@ -104,7 +104,9 @@ class Replica(ABC):
     node_id: int = -1
 
     def __init__(self, overlay: Optional[FanoutOverlay] = None) -> None:
-        self._ctx: Optional[NodeContext] = None
+        #: The host node's context; a plain attribute like ``node_id``.  None
+        #: until :meth:`bind`, so unbound use fails with an AttributeError.
+        self.ctx: Optional[NodeContext] = None
         self._overlay: FanoutOverlay = overlay or DirectFanout()
         self._overlay.bind(self)
         # Per-replica counter cache: ``count()`` fires on most protocol
@@ -115,7 +117,7 @@ class Replica(ABC):
     # ----------------------------------------------------------------- wiring
     def bind(self, ctx: NodeContext) -> None:
         """Attach the replica to its host node context."""
-        self._ctx = ctx
+        self.ctx = ctx
         self._counter_cache.clear()
         # Shadow the class-level send helper with the context's bound method:
         # replica sends are the hottest protocol->node edge, and the instance
@@ -127,12 +129,6 @@ class Replica(ABC):
     def overlay(self) -> FanoutOverlay:
         """The fan-out overlay this replica's wide-casts route through."""
         return self._overlay
-
-    @property
-    def ctx(self) -> NodeContext:
-        if self._ctx is None:
-            raise RuntimeError(f"{type(self).__name__} used before bind()")
-        return self._ctx
 
     @property
     def peers(self) -> List[int]:

@@ -14,7 +14,11 @@ on this hot path.  They are immutable by convention -- messages are shared
 by reference across simulated nodes and must never be mutated after being
 sent -- and compare by object identity (nothing in the repo relied on the
 generated value equality; match on fields/uids explicitly if you need it).
-The phase-1 and gap-fill types stay frozen dataclasses; they are rare.
+That immutability is also what lets a payload-carrying type fix its
+``payload_bytes`` in ``__init__`` (one attribute read from the command it
+wraps) instead of re-deriving it for every recipient.  The phase-1 and
+gap-fill types stay frozen dataclasses; they are rare, and price themselves
+through a ``payload_bytes`` property computed on read.
 """
 
 from __future__ import annotations
@@ -31,13 +35,11 @@ from repro.statemachine.command import Command, CommandResult
 class ClientRequest(Message):
     """A command submitted by a client to a replica."""
 
-    __slots__ = ("command",)
+    __slots__ = ("command", "payload_bytes")
 
     def __init__(self, command: Command) -> None:
         self.command = command
-
-    def payload_bytes(self) -> int:
-        return self.command.payload_bytes()
+        self.payload_bytes = command.payload_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientRequest(command={self.command!r})"
@@ -54,6 +56,7 @@ class ClientReply(Message):
         "result",
         "leader_hint",
         "request_send_time",
+        "payload_bytes",
     )
 
     def __init__(
@@ -73,9 +76,7 @@ class ClientReply(Message):
         self.result = result
         self.leader_hint = leader_hint
         self.request_send_time = request_send_time
-
-    def payload_bytes(self) -> int:
-        return self.result.payload_bytes() if self.result is not None else 0
+        self.payload_bytes = result.payload_bytes if result is not None else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -110,15 +111,12 @@ class P1b(Message):
     accepted: Dict[int, Tuple[Ballot, object]] = field(default_factory=dict)
     commit_upto: int = 0
 
+    @property
     def payload_bytes(self) -> int:
         total = 0
         # lint: ok(no-unordered-iteration) sum accumulation; order-insensitive
         for _, command in self.accepted.values():
-            try:
-                total += command.payload_bytes()
-            except AttributeError:
-                pass
-            total += 16  # slot + ballot encoding
+            total += getattr(command, "payload_bytes", 0) + 16  # + slot and ballot encoding
         return total
 
 
@@ -131,19 +129,14 @@ class P2a(Message):
     phase-2a).
     """
 
-    __slots__ = ("ballot", "slot", "command", "commit_upto")
+    __slots__ = ("ballot", "slot", "command", "commit_upto", "payload_bytes")
 
     def __init__(self, ballot: Ballot, slot: int, command: object, commit_upto: int = 0) -> None:
         self.ballot = ballot
         self.slot = slot
         self.command = command
         self.commit_upto = commit_upto
-
-    def payload_bytes(self) -> int:
-        try:
-            return self.command.payload_bytes()
-        except AttributeError:
-            return 0
+        self.payload_bytes = getattr(command, "payload_bytes", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"P2a(ballot={self.ballot} slot={self.slot} commit_upto={self.commit_upto})"
@@ -167,19 +160,14 @@ class P2b(Message):
 class Commit(Message):
     """Explicit phase-3 commit notification (used when there is no next P2a)."""
 
-    __slots__ = ("ballot", "slot", "command", "commit_upto")
+    __slots__ = ("ballot", "slot", "command", "commit_upto", "payload_bytes")
 
     def __init__(self, ballot: Ballot, slot: int, command: object, commit_upto: int = 0) -> None:
         self.ballot = ballot
         self.slot = slot
         self.command = command
         self.commit_upto = commit_upto
-
-    def payload_bytes(self) -> int:
-        try:
-            return self.command.payload_bytes()
-        except AttributeError:
-            return 0
+        self.payload_bytes = getattr(command, "payload_bytes", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Commit(ballot={self.ballot} slot={self.slot})"
@@ -202,14 +190,11 @@ class FillReply(Message):
 
     entries: Tuple[Tuple[int, Ballot, object], ...]
 
+    @property
     def payload_bytes(self) -> int:
         total = 0
         for _, _, command in self.entries:
-            try:
-                total += command.payload_bytes()
-            except AttributeError:
-                pass
-            total += 16
+            total += getattr(command, "payload_bytes", 0) + 16
         return total
 
 

@@ -16,15 +16,17 @@ replica instances they host: two co-hosted shard instances are one
 ``localhost`` apart, and a WAN link between two machines is equally wide
 for every group that crosses it.  :class:`ShardAwareLatency` wraps the
 topology's latency model and folds shard endpoints back onto their
-physical node before every delay draw.
+physical node, both per draw and when the network resolves a link's static
+delay.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.net.latency import LatencyModel
+from repro.net.latency import LatencyModel, LinkDelay
 
 #: Endpoint-id stride between consecutive shards' namespaces.  Physical
 #: node ids and client ids (``CLIENT_ID_BASE`` = 1000) both stay below it.
@@ -60,6 +62,9 @@ class ShardAwareLatency(LatencyModel):
         return self.base.delay(
             src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE, rng
         )
+
+    def link(self, src: int, dst: int) -> Optional[LinkDelay]:
+        return self.base.link(src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE)
 
     def describe(self) -> str:
         return f"ShardAware({self.base.describe()})"

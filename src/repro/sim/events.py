@@ -100,7 +100,7 @@ class EventQueue:
 
     CANONICAL ENTRY LAYOUT: the call-entry push here is also hand-inlined
     at the three hottest scheduling sites -- ``Simulator.post_at``,
-    ``SimNode.send``/``SimNode.deliver`` (cluster/node.py) and
+    ``SimNode._send_as``/``SimNode._arrive_for`` (cluster/node.py) and
     ``SimNetwork.send`` (net/network.py).  Changing the entry shape means
     updating every one of them; grep for "push_call" to find the list.
     """

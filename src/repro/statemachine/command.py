@@ -52,9 +52,13 @@ class Command:
         client_id: Endpoint id of the issuing client.
         request_id: Client-local sequence number, unique per client.
         uid: Globally unique command id (assigned automatically).
+        payload_bytes: Bytes of user data this command adds to a message
+            carrying it (key, plus the value for writes); fixed at
+            construction, so every wrapper and hop reads it for free.
     """
 
-    __slots__ = ("op", "key", "value", "payload_size", "client_id", "request_id", "uid")
+    __slots__ = ("op", "key", "value", "payload_size", "client_id", "request_id", "uid",
+                 "payload_bytes")
 
     def __init__(
         self,
@@ -75,6 +79,8 @@ class Command:
         self.client_id = client_id
         self.request_id = request_id
         self.uid = next(_command_uids) if uid is None else uid
+        key_bytes = len(key.encode("utf-8"))
+        self.payload_bytes = key_bytes if op is OpType.GET else key_bytes + payload_size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -89,13 +95,6 @@ class Command:
     @property
     def is_write(self) -> bool:
         return self.op.is_write
-
-    def payload_bytes(self) -> int:
-        """Bytes of user data this command adds to a message carrying it."""
-        key_bytes = len(self.key.encode("utf-8"))
-        if self.op is OpType.GET:
-            return key_bytes
-        return key_bytes + self.payload_size
 
     def conflicts_with(self, other) -> bool:
         """EPaxos-style conflict: same key and at least one of them writes."""
@@ -126,7 +125,10 @@ class CommandResult:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CommandResult(uid={self.command_uid} success={self.success} value={self.value!r})"
 
+    @property
     def payload_bytes(self) -> int:
+        """Computed on read: one result is allocated per applied command per
+        replica, but only the leader's reply to the client is ever sized."""
         return len(self.value.encode("utf-8")) if self.value else 0
 
 
@@ -154,15 +156,18 @@ class CommandBatch:
         commands: The batched commands, in client-arrival order.
         uid: Globally unique id (same counter as :class:`Command`), used by
             the log agreement checks exactly like a plain command's uid.
+        payload_bytes: Summed sub-command payloads, fixed at construction;
+            the shared header is priced once.
     """
 
-    __slots__ = ("commands", "uid")
+    __slots__ = ("commands", "uid", "payload_bytes")
 
     def __init__(self, commands, uid: Optional[int] = None) -> None:
         self.commands = tuple(commands)
         if not self.commands:
             raise ValueError("a CommandBatch needs at least one command")
         self.uid = next(_command_uids) if uid is None else uid
+        self.payload_bytes = sum(command.payload_bytes for command in self.commands)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CommandBatch(n={len(self.commands)} uid={self.uid})"
@@ -187,10 +192,6 @@ class CommandBatch:
                 seen.append(command.key)
         return tuple(seen)
 
-    def payload_bytes(self) -> int:
-        """Summed sub-command payloads; the shared header is priced once."""
-        return sum(command.payload_bytes() for command in self.commands)
-
     def conflicts_with(self, other) -> bool:
         """A batch conflicts when any of its commands does."""
         if type(other) is CommandBatch:
@@ -203,6 +204,8 @@ class NoOp:
 
     __slots__ = ("uid",)
 
+    payload_bytes = 0
+
     def __init__(self) -> None:
         self.uid = next(_command_uids)
 
@@ -213,9 +216,6 @@ class NoOp:
     @property
     def is_write(self) -> bool:
         return False
-
-    def payload_bytes(self) -> int:
-        return 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"NoOp(uid={self.uid})"

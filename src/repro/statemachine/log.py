@@ -43,6 +43,9 @@ class ReplicatedLog:
 
     def __init__(self) -> None:
         self._entries: Dict[int, LogEntry] = {}
+        #: ``get(slot)`` -> the slot's :class:`LogEntry` or None.  The dict's
+        #: own bound method: the frontier scans probe once per slot.
+        self.get = self._entries.get
         self._next_execute = 1
         self._max_slot = 0
         self.dirty_slots: set = set()
@@ -53,9 +56,6 @@ class ReplicatedLog:
 
     def __contains__(self, slot: int) -> bool:
         return slot in self._entries
-
-    def get(self, slot: int) -> Optional[LogEntry]:
-        return self._entries.get(slot)
 
     @property
     def max_slot(self) -> int:
@@ -122,32 +122,37 @@ class ReplicatedLog:
         entry = self._entries.get(slot)
         return entry is not None and entry.committed
 
-    # ----------------------------------------------------------------- execute
-    def executable_entries(self) -> List[LogEntry]:
-        """Committed-but-unexecuted entries forming a gap-free prefix."""
-        ready: List[LogEntry] = []
-        slot = self._next_execute
-        while True:
-            entry = self._entries.get(slot)
-            if entry is None or not entry.committed:
-                break
-            ready.append(entry)
-            slot += 1
-        return ready
+    def committed_through(self, frontier: int) -> int:
+        """Highest slot ``s >= frontier`` with every slot in ``(frontier, s]`` committed.
 
+        The commit-frontier advance as one call, instead of an
+        :meth:`is_committed` call per slot.
+        """
+        entries = self._entries
+        slot = frontier + 1
+        while slot in entries and entries[slot].committed:
+            slot += 1
+        return slot - 1
+
+    # ----------------------------------------------------------------- execute
     def execute_ready(self, apply_fn: Callable[[object], object]) -> List[Tuple[LogEntry, object]]:
-        """Execute every ready entry through ``apply_fn`` and advance the frontier."""
-        # Fast path: this runs after every commit-frontier advance, and most
-        # of those find nothing new to execute.
-        first = self._entries.get(self._next_execute)
-        if first is None or not first.committed:
-            return []
+        """Execute every ready entry through ``apply_fn`` and advance the frontier.
+
+        Runs after every commit-frontier advance, and most of those find
+        nothing new to execute: the loop probes the dict directly.
+        """
+        entries = self._entries
         executed: List[Tuple[LogEntry, object]] = []
-        for entry in self.executable_entries():
+        slot = self._next_execute
+        while slot in entries:
+            entry = entries[slot]
+            if not entry.committed:
+                break
             result = apply_fn(entry.command)
             entry.executed = True
             executed.append((entry, result))
-            self._next_execute = entry.slot + 1
+            slot += 1
+            self._next_execute = slot
         return executed
 
     # ----------------------------------------------------------------- queries

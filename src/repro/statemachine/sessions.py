@@ -78,27 +78,32 @@ class ClientSessionCache:
         return result
 
     def put(self, session_id: Hashable, request_id: int, result: object) -> None:
-        """Record an applied command's result, evicting beyond the windows."""
+        """Record an applied command's result, evicting beyond the windows.
+
+        Only what grew can overflow: a new session can push the client count
+        past ``max_clients`` (its single entry cannot exceed the window), a
+        new request id can push an existing session past ``window``, and a
+        re-touch grows nothing.
+        """
         sessions = self._sessions
         session = sessions.get(session_id)
         if session is None:
             # A fresh insert already lands at the MRU end of both dicts, so
             # the explicit move_to_end calls are only needed on re-touch.
-            session = sessions[session_id] = OrderedDict()
+            sessions[session_id] = OrderedDict({request_id: result})
+            while len(sessions) > self._max_clients:
+                sessions.popitem(last=False)
+                self.session_evictions += 1
+            return
+        sessions.move_to_end(session_id)
+        if request_id in session:
             session[request_id] = result
-        else:
-            sessions.move_to_end(session_id)
-            if request_id in session:
-                session[request_id] = result
-                session.move_to_end(request_id)
-            else:
-                session[request_id] = result
+            session.move_to_end(request_id)
+            return
+        session[request_id] = result
         while len(session) > self._window:
             session.popitem(last=False)
             self.evictions += 1
-        while len(sessions) > self._max_clients:
-            sessions.popitem(last=False)
-            self.session_evictions += 1
 
     # ----------------------------------------------------------------- stats
     def __len__(self) -> int:

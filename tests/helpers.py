@@ -98,3 +98,72 @@ class FakeContext:
 
     def pending_timers(self) -> List[FakeTimer]:
         return [timer for timer in self.timers if not timer.cancelled and not timer.fired]
+
+
+# --------------------------------------------------------------------- network
+class ArrivalSink:
+    """A network endpoint that records ``(arrival time, envelope)`` pairs."""
+
+    def __init__(self, endpoint_id: int, sim) -> None:
+        self.endpoint_id = endpoint_id
+        self._sim = sim
+        self.arrivals: List[Tuple[float, Any]] = []
+
+    def arrive(self, envelope) -> None:
+        self.arrivals.append((self._sim.now, envelope))
+
+    @property
+    def received(self) -> List[Any]:
+        return [envelope for _, envelope in self.arrivals]
+
+
+class SizedProbe:
+    """A bare wire object with a given payload (sized like any message)."""
+
+    def __init__(self, payload_bytes: int = 0) -> None:
+        self.payload_bytes = payload_bytes
+
+
+def drive_against_per_send_reference(
+    topology, endpoint_ids: Sequence[int], latency_model=None, seed: int = 11, sends: int = 400
+):
+    """Random sends through a ``SimNetwork`` vs. ``latency.delay`` per send.
+
+    The reference draws from a twin of the ``"network"`` RNG stream in send
+    order, exactly as the network did before it resolved links once.
+    Returns ``(records, counters)``: one ``(src, dst, actual, expected)``
+    record per send -- the two arrival times must be bit-equal -- and the
+    run's counter snapshot.
+    """
+    from repro.net.network import SimNetwork
+    from repro.sim.engine import Simulator
+
+    sim = Simulator(seed=seed)
+    twin = Simulator(seed=seed).random.stream("network")
+    network = SimNetwork(sim, topology, latency_model=latency_model)
+    model = latency_model if latency_model is not None else topology.latency
+    bandwidth = topology.bandwidth_bytes_per_sec
+    sinks = {endpoint_id: ArrivalSink(endpoint_id, sim) for endpoint_id in endpoint_ids}
+    for sink in sinks.values():
+        network.register(sink)
+    expected = {}
+    picker = random.Random(seed)
+
+    def send_one() -> None:
+        src, dst = picker.choice(endpoint_ids), picker.choice(endpoint_ids)
+        envelope = network.send(src, dst, SizedProbe(picker.randrange(0, 2000)))
+        delay = model.delay(src, dst, twin)
+        if bandwidth:
+            delay += envelope.size_bytes / bandwidth
+        expected[id(envelope)] = (src, dst, sim.now + delay)
+
+    for index in range(sends):
+        sim.schedule(index * 0.0003, send_one)
+    sim.run()
+    records = [
+        (*expected[id(envelope)][:2], arrived_at, expected[id(envelope)][2])
+        for sink in sinks.values()
+        for arrived_at, envelope in sink.arrivals
+    ]
+    assert len(records) == sends
+    return records, sim.metrics.counters()

@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import SizedProbe
 from repro.cluster.builder import ClusterBuilder, build_cluster
 from repro.cluster.cpu import NodeCPUModel
 from repro.cluster.faults import FaultKind, FaultSchedule
-from repro.cluster.node import SimNode
+from repro.cluster.node import ShardReplicaHost, SimNode
 from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topology
 from repro.errors import ConfigurationError
-from repro.net.latency import WANMatrixLatency
+from repro.net.latency import ConstantLatency, WANMatrixLatency
+from repro.net.message import Envelope
 from repro.net.network import SimNetwork
+from repro.net.topology import Topology
 from repro.protocol.base import Replica
+from repro.protocol.messages import ClientRequest
+from repro.shard import shard_endpoint
 from repro.sim.engine import Simulator
+from repro.statemachine.command import Command, OpType
 
 
 class _EchoReplica(Replica):
@@ -34,14 +40,24 @@ class _EchoReplica(Replica):
 
 
 class TestNodeCPUModel:
+    @staticmethod
+    def _receive_cost(cpu, message):
+        """CPU seconds one node books for receiving ``message``."""
+        sim = Simulator(seed=0)
+        network = SimNetwork(sim, lan_topology(1))
+        node = SimNode(0, sim, network, cpu=cpu)
+        node.arrive(Envelope(1, 0, message, network.size_model.size_of(message)))
+        return node.busy_time_total
+
     def test_costs_scale_with_size(self):
         cpu = NodeCPUModel(recv_per_message=1e-5, per_byte=1e-8)
-        assert cpu.receive_cost(1000) == pytest.approx(2e-5)
-        assert cpu.receive_cost(0) == pytest.approx(1e-5)
+        assert self._receive_cost(cpu, SizedProbe(1000 - 64)) == pytest.approx(2e-5)
+        assert self._receive_cost(NodeCPUModel(recv_per_message=1e-5, per_byte=0.0), "x") == 1e-5
 
     def test_client_request_surcharge(self):
         cpu = NodeCPUModel(recv_per_message=1e-5, per_byte=0.0, client_request_extra=5e-5)
-        assert cpu.receive_cost(100, is_client_request=True) == pytest.approx(6e-5)
+        request = ClientRequest(Command(OpType.GET, "k"))
+        assert self._receive_cost(cpu, request) == pytest.approx(6e-5)
 
     def test_scaled_model(self):
         cpu = NodeCPUModel().scaled(2.0)
@@ -91,7 +107,9 @@ class TestSimNode:
         nodes[0].replica.send(1, "lost")
         sim.run()
         assert nodes[1].replica.received == []
-        assert not nodes[1].is_reachable()
+        assert nodes[1].crashed
+        assert sim.metrics.counter("net.messages_undeliverable").value == 1
+        assert sim.metrics.counter("net.messages_delivered").value == 0
 
     def test_recovered_node_processes_again(self):
         sim, network, nodes = self._setup()
@@ -100,6 +118,66 @@ class TestSimNode:
         nodes[0].replica.send(1, "hello")
         sim.run()
         assert nodes[1].replica.received == [(0, "hello")]
+
+    def _slow_link_setup(self):
+        """Two nodes 1 ms apart, so faults can land while a message is in flight."""
+        sim = Simulator(seed=0)
+        network = SimNetwork(sim, Topology(node_ids=[0, 1], latency=ConstantLatency(0.001)))
+        nodes = {}
+        for node_id in (0, 1):
+            nodes[node_id] = SimNode(node_id, sim, network, all_nodes=[0, 1])
+            nodes[node_id].host(_EchoReplica())
+        return sim, nodes
+
+    def test_crash_between_send_and_arrival_is_undeliverable(self):
+        # Reachability is judged when the envelope lands, not when it left.
+        sim, nodes = self._slow_link_setup()
+        nodes[0].replica.send(1, "in flight")
+        sim.schedule(0.0005, nodes[1].crash)
+        sim.run()
+        assert nodes[1].replica.received == []
+        assert sim.metrics.counter("net.messages_sent").value == 1
+        assert sim.metrics.counter("net.messages_undeliverable").value == 1
+        assert sim.metrics.counter("net.messages_delivered").value == 0
+
+    def test_recovery_between_send_and_arrival_is_delivered(self):
+        sim, nodes = self._slow_link_setup()
+        nodes[1].crash()
+        nodes[0].replica.send(1, "in flight")
+        sim.schedule(0.0005, nodes[1].recover)
+        sim.run()
+        assert nodes[1].replica.received == [(0, "in flight")]
+        assert sim.metrics.counter("net.messages_undeliverable").value == 0
+
+    def test_shard_host_reserves_exactly_like_its_node(self):
+        # One charged send/receive body serves both: the same traffic must
+        # book the same CPU whether it runs as the node or as a shard
+        # instance co-hosted on it.
+        def run(as_shard: bool):
+            sim = Simulator(seed=3)
+            network = SimNetwork(sim, lan_topology(2))
+            machines = {n: SimNode(n, sim, network, all_nodes=[0, 1]) for n in (0, 1)}
+            machines[1].set_sluggish(2.5)
+            if as_shard:
+                hosts = {n: ShardReplicaHost(machines[n], 1, [0, 1]) for n in (0, 1)}
+                for host in hosts.values():
+                    host.host_replica(_EchoReplica())
+                peer = shard_endpoint(1, 1)
+            else:
+                hosts = machines
+                for node in machines.values():
+                    node.host(_EchoReplica())
+                peer = 1
+            request = ClientRequest(Command(OpType.PUT, "k", payload_size=300))
+            for index, message in enumerate([SizedProbe(0), request, SizedProbe(1500), "bare"]):
+                sim.schedule(index * 1e-6, hosts[0].send, peer, message)
+            sim.run()
+            assert len(hosts[1].replica.received) == 4
+            return [
+                (machines[n].busy_until, machines[n].busy_time_total) for n in (0, 1)
+            ], sim.metrics.counters()["node.1.bytes_in"]
+
+        assert run(as_shard=True) == run(as_shard=False)
 
     def test_sluggish_factor_inflates_costs(self):
         cpu = NodeCPUModel(recv_per_message=0.001, send_per_message=0.001, per_byte=0.0)

@@ -326,17 +326,100 @@ class TestWireTypeHygiene:
                 __slots__ = ()
 
             class Propose(Message):
+                __slots__ = ("command", "payload_bytes")
+
+                def __init__(self, command):
+                    self.command = command
+                    self.payload_bytes = command.payload_bytes
+            """,
+            relpath="protocol/messages.py",
+        )
+        assert ctx.findings == []
+
+    def test_uncached_property_prices_a_rare_type(self):
+        ctx = lint_snippet(
+            """
+            from dataclasses import dataclass
+
+            class Message:
+                __slots__ = ()
+
+            @dataclass(frozen=True, slots=True)
+            class Promise(Message):
+                accepted: dict
+
+                @property
+                def payload_bytes(self):
+                    return 16 * len(self.accepted)
+            """,
+            relpath="protocol/messages.py",
+        )
+        assert [f for f in ctx.findings if f.rule == "wire-type-hygiene"] == []
+
+    def test_fires_on_payload_bytes_method(self):
+        # The retired API: SizeModel reads an attribute, a method would be
+        # added to the header as a bound-method object.
+        ctx = lint_snippet(
+            """
+            class Message:
+                __slots__ = ()
+
+            class Propose(Message):
                 __slots__ = ("command",)
 
                 def __init__(self, command):
                     self.command = command
 
                 def payload_bytes(self):
-                    return self.command.payload_bytes()
+                    return self.command.payload_bytes
             """,
             relpath="protocol/messages.py",
         )
-        assert ctx.findings == []
+        assert any("is a method" in f.message for f in ctx.findings)
+
+    def test_fires_on_size_slot_never_filled_in_init(self):
+        ctx = lint_snippet(
+            """
+            class Message:
+                __slots__ = ()
+
+            class Propose(Message):
+                __slots__ = ("command", "payload_bytes")
+
+                def __init__(self, command):
+                    self.command = command
+            """,
+            relpath="protocol/messages.py",
+        )
+        assert any("does not fill it in __init__" in f.message for f in ctx.findings)
+
+    def test_fires_on_lazily_filled_size(self):
+        # A message is shared by reference across simulated nodes: a size
+        # memo filled on first use is written by whichever node gets there
+        # first.  The memo must be complete when __init__ returns.
+        snippet = """
+            class Message:
+                __slots__ = ()
+
+            class Propose(Message):
+                __slots__ = ("command", "payload_bytes")
+
+                def __init__(self, command):
+                    self.command = command
+                    self.payload_bytes = None
+
+                def wire_size(self):
+                    if self.payload_bytes is None:
+                        self.payload_bytes = self.command.payload_bytes
+                    return self.payload_bytes
+            """
+        ctx = lint_snippet(snippet, relpath="overlay/messages.py")
+        lazy = [f for f in ctx.findings if "outside __init__" in f.message]
+        assert len(lazy) == 1 and lazy[0].rule == "wire-type-hygiene"
+        # The commands that messages wrap are held to the same memo rule
+        # (and only to it: the module is not a */messages.py).
+        ctx = lint_snippet(snippet, relpath="statemachine/command.py")
+        assert [f.rule for f in ctx.findings] == ["wire-type-hygiene"]
 
     def test_inherited_payload_bytes_counts(self):
         ctx = lint_snippet(
@@ -347,8 +430,7 @@ class TestWireTypeHygiene:
             class Base(Message):
                 __slots__ = ("command",)
 
-                def payload_bytes(self):
-                    return 8
+                payload_bytes = 8
 
             class Derived(Base):
                 __slots__ = ()

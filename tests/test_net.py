@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from helpers import drive_against_per_send_reference
+from repro.cluster.topologies import planet_topology
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.faults import NetworkFaults
 from repro.net.latency import (
@@ -25,26 +27,21 @@ from repro.sim.engine import Simulator
 class _Probe(Message):
     """A test message with an adjustable payload size."""
 
-    def __init__(self, payload: int = 0) -> None:
-        self._payload = payload
+    __slots__ = ("payload_bytes",)
 
-    def payload_bytes(self) -> int:
-        return self._payload
+    def __init__(self, payload: int = 0) -> None:
+        self.payload_bytes = payload
 
 
 class _Sink:
-    """A trivially reachable endpoint that records deliveries."""
+    """An endpoint that records what arrives."""
 
-    def __init__(self, endpoint_id: int, reachable: bool = True) -> None:
+    def __init__(self, endpoint_id: int) -> None:
         self.endpoint_id = endpoint_id
-        self.reachable = reachable
         self.received = []
 
-    def deliver(self, envelope: Envelope) -> None:
+    def arrive(self, envelope: Envelope) -> None:
         self.received.append(envelope)
-
-    def is_reachable(self) -> bool:
-        return self.reachable
 
 
 class TestLatencyModels:
@@ -199,15 +196,34 @@ class TestSimNetwork:
         with pytest.raises(NetworkError):
             network.register(_Sink(0))
 
-    def test_unreachable_endpoint_blackholes(self):
+    def test_unknown_endpoint_is_not_remembered(self):
+        # The failed send must not poison the link: once the endpoint
+        # registers, the same (src, dst) pair delivers.
         sim, network = self._network()
         network.register(_Sink(0))
-        down = _Sink(1, reachable=False)
-        network.register(down)
+        with pytest.raises(NetworkError):
+            network.send(0, 1, _Probe())
+        sink = _Sink(1)
+        network.register(sink)
         network.send(0, 1, _Probe())
         sim.run()
-        assert down.received == []
-        assert sim.metrics.counter("net.messages_undeliverable").value == 1
+        assert len(sink.received) == 1
+
+    def test_partition_after_first_send_still_drops(self):
+        # Per-link state is resolved once; fault state never is.
+        sim, network = self._network()
+        network.register(_Sink(0))
+        sink = _Sink(1)
+        network.register(sink)
+        network.send(0, 1, _Probe())
+        network.faults.partition([0], [1])
+        network.send(0, 1, _Probe())
+        network.faults.heal_partition()
+        network.send(0, 1, _Probe())
+        sim.run()
+        assert len(sink.received) == 2
+        assert sim.metrics.counter("net.messages_dropped").value == 1
+        assert sim.metrics.counter("net.messages_sent").value == 3
 
     def test_dropped_messages_counted(self):
         sim, network = self._network(drop_probability=0.999)
@@ -238,3 +254,30 @@ class TestSimNetwork:
         network.send(0, 1, _Probe(payload=936))  # 1000 bytes on the wire
         sim.run()
         assert sim.now == pytest.approx(1.0)
+
+
+class TestLinkRecord:
+    """Resolving a link once must not change a single delivery time."""
+
+    def test_planet_sends_match_per_send_latency_reference(self):
+        topology = planet_topology(27, num_regions=3, zones_per_region=3)
+        # Replicas plus two unplaced endpoints (clients sit outside the maps).
+        endpoint_ids = [*topology.node_ids, 1000, 1001]
+        records, counters = drive_against_per_send_reference(topology, endpoint_ids)
+        assert all(actual == expected for _, _, actual, expected in records)
+
+        regions, zones = topology.region_map(), topology.zone_map()
+        reference = {"region.local": 0, "region.cross": 0, "zone.local": 0, "zone.cross": 0}
+        for src, dst, _, _ in records:
+            if src in regions and dst in regions:
+                reference["region.local" if regions[src] == regions[dst] else "region.cross"] += 1
+                reference["zone.local" if zones[src] == zones[dst] else "zone.cross"] += 1
+        assert min(reference.values()) > 0
+        for name, count in reference.items():
+            assert counters[f"{name}_messages"] == count
+
+    def test_models_without_a_static_part_draw_per_send(self):
+        for latency in (UniformLatency(0.001, 0.002), NormalLatency(), ConstantLatency(0.001)):
+            topology = Topology(node_ids=[0, 1, 2], latency=latency)
+            records, _ = drive_against_per_send_reference(topology, [0, 1, 2], sends=100)
+            assert all(actual == expected for _, _, actual, expected in records)

@@ -6,9 +6,10 @@ Three families:
   with the old keep-sorted-on-insert (``insort``) implementation for every
   statistic, under arbitrary interleavings of observes and reads (a read
   sorts; later observes must re-dirty the order).
-* The :class:`~repro.net.sizes.SizeModel` per-type payload cache must
-  resolve types with and without ``payload_bytes`` correctly, stay dynamic
-  per *instance*, and never leak results across types.
+* :class:`~repro.net.sizes.SizeModel` reads each message's own
+  ``payload_bytes`` (fixed at construction): per-instance sizes, header-only
+  for metadata types and bare objects, nothing shared between models.  The
+  per-type equivalence with a from-scratch walk is ``tests/test_wire_sizes.py``.
 * The incremental Paxos commit-frontier scan must behave exactly like a
   full window rescan: late accepts into remembered gaps, fill commits, and
   ballot changes must all be picked up.
@@ -137,50 +138,51 @@ def _percentile_oracle(ordered, p):
 class _Sized(Message):
     """Message whose payload varies per instance."""
 
-    def __init__(self, payload: int) -> None:
-        self._payload = payload
+    __slots__ = ("payload_bytes",)
 
-    def payload_bytes(self) -> int:
-        return self._payload
+    def __init__(self, payload: int) -> None:
+        self.payload_bytes = payload
 
 
 class _MetadataOnly(Message):
-    """Message that inherits the base zero-payload implementation."""
+    """Message that inherits the base zero payload."""
+
+    __slots__ = ()
 
 
-class _Negative(Message):
-    def payload_bytes(self) -> int:
-        return -100
-
-
-class TestSizeModelCache:
-    def test_type_with_payload_method(self):
+class TestSizeModel:
+    def test_sizes_are_per_instance(self):
         model = SizeModel(header_bytes=64)
         assert model.size_of(_Sized(100)) == 164
-        # The cache stores the *function*, not a size: per-instance payloads
-        # stay dynamic.
         assert model.size_of(_Sized(0)) == 64
         assert model.size_of(_Sized(7)) == 71
 
-    def test_type_without_payload_method(self):
-        model = SizeModel(header_bytes=32)
-        assert model.size_of(object()) == 32
-        assert model.size_of(object()) == 32
-
-    def test_inherited_base_payload_short_circuits_to_header(self):
+    def test_metadata_only_and_bare_objects_are_header_only(self):
         model = SizeModel(header_bytes=48)
         assert model.size_of(_MetadataOnly()) == 48
+        assert model.size_of(object()) == 48
+        assert model.size_of("text") == 48
 
     def test_negative_payload_clamped(self):
         model = SizeModel(header_bytes=64)
-        assert model.size_of(_Negative()) == 64
+        assert model.size_of(_Sized(-100)) == 64
 
-    def test_cache_does_not_leak_across_types(self):
-        model = SizeModel(header_bytes=10)
-        assert model.size_of(_Sized(5)) == 15
-        assert model.size_of(_MetadataOnly()) == 10
-        assert model.size_of(object()) == 10
-        assert model.size_of(_Sized(6)) == 16
+    def test_wire_type_without_its_size_is_an_error_not_header_only(self):
+        class Unfilled(Message):
+            __slots__ = ("payload_bytes",)
+
+        class Broken(Message):
+            __slots__ = ()
+
+            @property
+            def payload_bytes(self) -> int:
+                return self.missing
+
+        model = SizeModel(header_bytes=64)
+        with pytest.raises(AttributeError):
+            model.size_of(Unfilled())
+        with pytest.raises(AttributeError):
+            model.size_of(Broken())
 
     def test_independent_models_share_nothing(self):
         small = SizeModel(header_bytes=1)

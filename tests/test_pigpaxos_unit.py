@@ -376,14 +376,14 @@ class TestAggregateSizeAccounting:
         ballot = Ballot(1, 0)
         votes = tuple(P2b(ballot=ballot, slot=1, voter=v, ok=True) for v in range(4))
         aggregate = RelayAggregate(agg_id=1, responses=votes)
-        assert aggregate.payload_bytes() == 4 * 8
+        assert aggregate.payload_bytes == 4 * 8
 
     def test_relay_request_counts_membership_bytes(self):
         inner = P2a(ballot=Ballot(1, 0), slot=1,
                     command=Command(op=OpType.PUT, key="abcd", payload_size=100), commit_upto=0)
         children = (RelaySubtree(2, (RelaySubtree(3),)), RelaySubtree(4))
         request = RelayRequest(inner=inner, children=children, agg_id=1, timeout=0.05)
-        assert request.payload_bytes() == inner.payload_bytes() + 4 * 3
+        assert request.payload_bytes == inner.payload_bytes + 4 * 3
 
     def test_subtree_size_and_depth(self):
         tree = RelaySubtree(1, (RelaySubtree(2), RelaySubtree(3, (RelaySubtree(4),))))

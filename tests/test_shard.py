@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import drive_against_per_send_reference
+from repro.cluster.topologies import lan_topology, wan_topology
 from repro.errors import ConfigurationError
 from repro.lint import LintEngine, default_rules
 from repro.shard import (
@@ -137,6 +139,22 @@ class TestAddressing:
         assert latency.delay(shard_endpoint(3, 1), shard_endpoint(2, 2), rng) == raw
         assert latency.delay(shard_endpoint(3, 1), 2, rng) == raw
         assert "Fixed" in latency.describe()
+
+    @pytest.mark.parametrize("topology", [lan_topology(3), wan_topology(num_nodes=6)], ids=["lan", "wan"])
+    def test_sharded_sends_match_per_send_latency_reference(self, topology):
+        # The network resolves each link's static delay once, through the
+        # folding model; deliveries must stay bit-equal to folding per send,
+        # and shard-group endpoints must still classify as no locality.
+        endpoints = [shard_endpoint(s, n) for s in range(3) for n in topology.node_ids] + [1000]
+        records, counters = drive_against_per_send_reference(
+            topology, endpoints, latency_model=ShardAwareLatency(topology.latency)
+        )
+        assert all(actual == expected for _, _, actual, expected in records)
+        placed = topology.region_map()
+        shard0_pairs = sum(1 for src, dst, _, _ in records if src in placed and dst in placed)
+        assert shard0_pairs == sum(
+            counters.get(f"region.{scope}_messages", 0) for scope in ("local", "cross")
+        )
 
 
 class TestShardRouter:

@@ -29,9 +29,9 @@ class TestCommand:
 
     def test_payload_bytes_include_key_and_value(self):
         command = Command(op=OpType.PUT, key="abcd", payload_size=100)
-        assert command.payload_bytes() == 104
+        assert command.payload_bytes == 104
         read = Command(op=OpType.GET, key="abcd")
-        assert read.payload_bytes() == 4
+        assert read.payload_bytes == 4
 
     def test_uids_are_unique(self):
         assert put().uid != put().uid
@@ -51,7 +51,7 @@ class TestCommand:
 
     def test_noop_has_no_payload(self):
         noop = NoOp()
-        assert noop.payload_bytes() == 0
+        assert noop.payload_bytes == 0
         assert not noop.is_read and not noop.is_write
 
 
