@@ -32,7 +32,7 @@ def _measure():
         num_clients=SATURATING_CLIENTS,
         duration=RUN_DURATION,
         events=(ScenarioEvent.crash(FAIL_START, 24), ScenarioEvent.recover(FAIL_END, 24)),
-        config_overrides={"num_relay_groups": 3, "relay_timeout": 0.05},
+        config_overrides={"relay_timeout": 0.05},
     )
     return run_checked(scenario).completion_rates(SAMPLE_INTERVAL)
 

@@ -13,6 +13,10 @@ table of the same file is cross-checked the same way against
 ``repro.protocol.resolver.KNOB_TABLE``: same knobs, same protocol columns,
 and ``honoured``/``rejected`` in every cell exactly as the resolver has it.
 
+Finally, every ``import repro...`` / ``from repro... import ...`` inside a
+fenced ``python`` block must resolve -- module importable, names present --
+so a document that teaches a deleted class fails the docs job.
+
 Usage::
 
     python scripts/check_docs.py [file_or_dir ...]   # defaults to README.md docs/
@@ -20,6 +24,8 @@ Usage::
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -61,6 +67,49 @@ def check_file(markdown: Path) -> list[str]:
         resolved = (markdown.parent / relative).resolve()
         if not resolved.exists():
             problems.append(f"{markdown.relative_to(REPO_ROOT)}: broken link -> {target}")
+    return problems
+
+
+#: Fenced ```python blocks; group 1 is the code.
+PYTHON_BLOCK_RE = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def _imports(block: str):
+    """``(module, name | None)`` for every absolute import statement in ``block``."""
+    try:
+        tree = ast.parse(block)
+    except SyntaxError:
+        # A fragment (a lone loop header, ...): its import lines still count.
+        lines = [ln for ln in block.splitlines() if ln.startswith(("import ", "from "))]
+        tree = ast.parse("\n".join(lines))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield from ((node.module, alias.name) for alias in node.names)
+
+
+def unresolved_imports(text: str) -> list[str]:
+    """The ``repro`` imports in ``text``'s fenced python blocks that do not resolve."""
+    problems = []
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        for block in PYTHON_BLOCK_RE.findall(text):
+            try:
+                wanted = [pair for pair in _imports(block) if pair[0].split(".")[0] == "repro"]
+            except SyntaxError as exc:
+                problems.append(f"import in python block does not parse: {exc}")
+                continue
+            for module_name, name in wanted:
+                try:
+                    module = importlib.import_module(module_name)
+                except ImportError as exc:
+                    problems.append(f"`import {module_name}` fails: {exc}")
+                    continue
+                if name is not None and not hasattr(module, name):
+                    problems.append(f"`from {module_name} import {name}`: no such name")
+    finally:
+        sys.path.pop(0)
     return problems
 
 
@@ -186,6 +235,11 @@ def check_knob_table_docs() -> list[str]:
 def main(arguments: list[str]) -> int:
     files = markdown_files(arguments)
     problems = [problem for markdown in files for problem in check_file(markdown)]
+    problems.extend(
+        f"{markdown.relative_to(REPO_ROOT)}: {problem}"
+        for markdown in files
+        for problem in unresolved_imports(markdown.read_text(encoding="utf-8"))
+    )
     problems.extend(check_lint_rule_docs())
     problems.extend(check_knob_table_docs())
     for problem in problems:

@@ -35,7 +35,7 @@ Demirbas, SIGMOD 2021).  It contains:
 """
 
 from repro.version import __version__
-from repro.cluster.builder import ClusterBuilder, build_cluster
+from repro.cluster.builder import build_cluster
 from repro.bench.results import RunResult
 from repro.scenarios import Scenario, run_scenario
 from repro.workload.spec import WorkloadSpec
@@ -48,7 +48,6 @@ from repro.analysis.model import (
 
 __all__ = [
     "__version__",
-    "ClusterBuilder",
     "build_cluster",
     "Scenario",
     "run_scenario",

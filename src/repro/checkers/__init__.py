@@ -25,11 +25,11 @@ tests and benchmarks can also run them against hand-built clusters.
 Example -- checking a cluster you built yourself::
 
     from repro.checkers import HistoryRecorder, check_linearizability, run_log_checks
-    from repro.cluster.builder import ClusterBuilder
+    from repro.cluster.builder import build_cluster
 
     recorder = HistoryRecorder()
-    cluster = (ClusterBuilder().protocol("pigpaxos").nodes(5).clients(4)
-               .seed(3).history_recorder(recorder).build())
+    cluster = build_cluster("pigpaxos", num_nodes=5, num_clients=4, seed=3,
+                            history_recorder=recorder)
     cluster.run(1.0)
     violations = run_log_checks(cluster) + check_linearizability(recorder.history())
     assert not violations, violations

@@ -1,7 +1,7 @@
 """Operation-history recording for safety checking.
 
 A :class:`HistoryRecorder` is attached to the benchmark clients (via
-``ClusterBuilder.history_recorder``) and records, for every client command,
+``build_cluster(history_recorder=...)``) and records, for every client command,
 the invocation time, the completion time and the observed result.  The
 resulting :class:`History` is what the linearizability checker searches.
 

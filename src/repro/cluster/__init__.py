@@ -1,4 +1,4 @@
-"""Cluster substrate: simulated nodes, topology presets, fault schedules, builder.
+"""Cluster substrate: simulated nodes, topology presets, builder.
 
 A :class:`~repro.cluster.node.SimNode` hosts a protocol replica and models the
 node's CPU as a single-server queue: every received and sent message (and
@@ -18,8 +18,7 @@ from repro.cluster.topologies import (
     planet_topology,
     planet_zone_layout,
 )
-from repro.cluster.faults import FaultEvent, FaultSchedule
-from repro.cluster.builder import Cluster, ClusterBuilder, build_cluster
+from repro.cluster.builder import Cluster, build_cluster
 
 __all__ = [
     "NodeCPUModel",
@@ -30,9 +29,6 @@ __all__ = [
     "hierarchical_topology",
     "planet_topology",
     "planet_zone_layout",
-    "FaultEvent",
-    "FaultSchedule",
     "Cluster",
-    "ClusterBuilder",
     "build_cluster",
 ]

@@ -18,19 +18,19 @@ Three strategies ship:
 
 Quick start::
 
-    from repro.cluster.builder import ClusterBuilder
+    from repro.scenarios import Scenario, run_scenario
 
-    cluster = (ClusterBuilder()
-               .protocol("epaxos")
-               .nodes(9)
-               .overlay({"kind": "relay", "num_groups": 3})
-               .clients(6)
-               .seed(1)
-               .build())
-    cluster.run(1.0)
+    result = run_scenario(Scenario(
+        name="epaxos-relay",
+        protocol="epaxos",
+        num_nodes=9,
+        config_overrides={"overlay": {"kind": "relay", "num_groups": 3}},
+        checks=("linearizability", "epaxos_invariants"),
+    ))
+    result.raise_on_violations()
 
-or, declaratively, via a scenario's
-``config_overrides={"overlay": {"kind": "thrifty"}}``.
+A bare cluster names its overlay the same way:
+``build_cluster("epaxos", protocol_config={"overlay": {"kind": "thrifty"}})``.
 """
 
 from repro.overlay.base import FanoutOverlay, OverlayHost

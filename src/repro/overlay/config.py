@@ -5,9 +5,8 @@ strategy a replica should use and how it is tuned; ``build_overlay`` turns
 it into a fresh :class:`~repro.overlay.base.FanoutOverlay` instance (one per
 replica -- overlays hold per-node state and must never be shared).
 
-It rides into the stack through ``ProtocolConfig.overlay``, the
-``ClusterBuilder.overlay(...)`` fluent setter, or a scenario's
-``config_overrides``::
+It rides into the stack through ``ProtocolConfig.overlay`` -- for a
+scenario, the ``"overlay"`` key of its ``config_overrides``::
 
     Scenario(
         name="epaxos-relay",

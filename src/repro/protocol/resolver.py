@@ -2,7 +2,7 @@
 
 :func:`resolve_config` is the only place a knob is resolved and
 :func:`build_replica` the only place a replica is instantiated;
-``ClusterBuilder`` (and through it ``ScenarioRunner``) and the asyncio
+``build_cluster`` (and through it ``ScenarioRunner``) and the asyncio
 ``LocalCluster`` all go through them::
 
     config = resolve_config("pigpaxos", {"num_relay_groups": 2, "relay_timeout": 0.02})
@@ -81,19 +81,18 @@ def resolve_config(
     protocol: str,
     config: ConfigLike = None,
     *,
-    overlay: Union[OverlayConfig, str, Mapping, None] = None,
     relay_groups: Optional[int] = None,
     use_region_groups: bool = False,
 ) -> ProtocolConfig:
     """Resolve every knob for ``protocol`` into a fresh ``ProtocolConfig``.
 
     A mapping ``config`` may also carry the :data:`RELAY_KEYS` under the
-    pigpaxos preset.  ``overlay`` is the builder-level overlay choice: it
-    wins over ``config.overlay``, which wins over the preset's.
-    ``relay_groups``/``use_region_groups`` are the builder-level spellings
-    of the ``num_relay_groups``/``use_region_groups`` relay keys, win over
-    them, and like them apply to the pigpaxos preset only.  The input is
-    never mutated, and resolving a resolved config returns an equal one.
+    pigpaxos preset.  ``config.overlay`` names the overlay and wins over
+    the preset's.  ``relay_groups``/``use_region_groups`` are the
+    ``Scenario``-level spellings of the ``num_relay_groups``/
+    ``use_region_groups`` relay keys, win over them, and like them are
+    rejected by every protocol but the pigpaxos preset.  The input is never
+    mutated, and resolving a resolved config returns an equal one.
     """
     if protocol not in PRESETS:
         raise ConfigurationError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
@@ -108,6 +107,12 @@ def resolve_config(
             relay["num_groups"] = relay_groups
         if use_region_groups:
             relay["use_region_groups"] = True
+    elif relay_groups is not None or use_region_groups:
+        knob = "relay_groups" if relay_groups is not None else "use_region_groups"
+        raise ConfigurationError(
+            f"{knob} is honoured by {sorted(p for p in PRESETS if 'overlay' in PRESETS[p])} "
+            f"only; {protocol} would silently ignore it"
+        )
     unknown = set(values) - set(KNOB_TABLE)
     if unknown:
         raise ConfigurationError(f"{protocol} has no config knob(s) {sorted(unknown)}")
@@ -123,7 +128,7 @@ def resolve_config(
         if values[knob] == _DEFAULTS[knob]:
             values[knob] = preset[knob]
 
-    chosen = OverlayConfig.coerce(overlay) or OverlayConfig.coerce(values["overlay"])
+    chosen = OverlayConfig.coerce(values["overlay"])
     if "overlay" in preset and chosen.kind != preset["overlay"].kind:
         raise ConfigurationError(
             f"{protocol} is the {preset['overlay'].kind} overlay; "

@@ -33,7 +33,7 @@ class LocalCluster:
         self,
         protocol: str = "pigpaxos",
         num_nodes: int = 3,
-        relay_groups: int = 2,
+        relay_groups: Optional[int] = None,
         host: str = "127.0.0.1",
     ) -> None:
         if num_nodes < 1:

@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bench.results import RunResult
 from repro.checkers.history import History, HistoryRecorder
 from repro.checkers.invariants import Violation, run_epaxos_checks, run_log_checks
 from repro.checkers.linearizability import check_linearizability
-from repro.cluster.builder import Cluster, ClusterBuilder
-from repro.cluster.faults import FaultEvent, FaultKind
+from repro.cluster.builder import Cluster, build_cluster
 from repro.cluster.topologies import planet_topology, wan_topology
 from repro.errors import ConfigurationError, ReproError
 from repro.scenarios.spec import Scenario, ScenarioEvent
@@ -150,35 +149,31 @@ class ScenarioRunner:
     def build(self) -> Cluster:
         """Compile the spec into a ready-to-run cluster (without running)."""
         scenario = self.scenario
-        builder = (
-            ClusterBuilder()
-            .protocol(scenario.protocol)
-            .nodes(scenario.num_nodes)
-            .clients(scenario.num_clients)
-            .seed(scenario.seed)
-            .workload(scenario.workload)
-            .client_timeout(scenario.client_timeout)
-            .history_recorder(self._recorder)
-            .relay_groups(scenario.relay_groups)
-            .region_relay_groups(scenario.use_region_groups)
-            .protocol_config(scenario.config_overrides)
-        )
+        topology = None
         if scenario.wan:
-            builder.topology(wan_topology(num_nodes=scenario.num_nodes))
-        if scenario.hierarchy is not None:
+            topology = wan_topology(num_nodes=scenario.num_nodes)
+        elif scenario.hierarchy is not None:
             num_regions, zones_per_region = scenario.hierarchy
-            builder.topology(
-                planet_topology(
-                    num_nodes=scenario.num_nodes,
-                    num_regions=num_regions,
-                    zones_per_region=zones_per_region,
-                )
+            topology = planet_topology(
+                num_nodes=scenario.num_nodes,
+                num_regions=num_regions,
+                zones_per_region=zones_per_region,
             )
-        if scenario.shards != 1:
-            builder.shards(scenario.shards)
-        if scenario.drop_probability > 0.0:
-            builder.message_drop_probability(scenario.drop_probability)
-        return builder.build()
+        return build_cluster(
+            protocol=scenario.protocol,
+            num_nodes=scenario.num_nodes,
+            num_clients=scenario.num_clients,
+            seed=scenario.seed,
+            workload=scenario.workload,
+            protocol_config=scenario.config_overrides,
+            relay_groups=scenario.relay_groups,
+            use_region_groups=scenario.use_region_groups,
+            shards=scenario.shards,
+            client_timeout=scenario.client_timeout,
+            drop_probability=scenario.drop_probability,
+            topology=topology,
+            history_recorder=self._recorder,
+        )
 
     # ------------------------------------------------------------------ run
     def run(self) -> ScenarioResult:
@@ -256,64 +251,62 @@ class ScenarioRunner:
         return violations
 
     # ------------------------------------------------------------------ events
-    #: Static actions map 1:1 onto the cluster's own fault dispatcher.
-    _STATIC_FAULT_KINDS = {
-        "crash": FaultKind.CRASH,
-        "recover": FaultKind.RECOVER,
-        "sluggish": FaultKind.SLUGGISH,
-        "sever_link": FaultKind.SEVER_LINK,
-        "heal_link": FaultKind.HEAL_LINK,
-        "partition": FaultKind.PARTITION,
-        "heal_partition": FaultKind.HEAL_PARTITION,
-    }
+    @staticmethod
+    def _fire(cluster: Cluster, event: ScenarioEvent, fired: List[str]) -> None:
+        """Apply one scheduled event now; dynamic targets resolve here."""
+        detail = _ACTIONS[event.action](cluster, event)
+        fired.append(f"t={event.at:.3f} {event.action}{detail or ''}")
 
-    def _fire(self, cluster: Cluster, event: ScenarioEvent, fired: List[str]) -> None:
-        """Apply one scheduled event, resolving dynamic targets now.
 
-        Static faults are translated to :class:`FaultEvent` and routed
-        through :meth:`Cluster.apply_fault` so there is exactly one fault
-        dispatch path; only the dynamic actions live here.
-        """
-        action = event.action
-        label = f"t={event.at:.3f} {action}"
-        kind = self._STATIC_FAULT_KINDS.get(action)
-        if kind is not None:
-            cluster.apply_fault(
-                FaultEvent(
-                    at=event.at,
-                    kind=kind,
-                    node=event.node,
-                    peer=event.peer,
-                    factor=event.factor,
-                    groups=event.groups,
-                )
-            )
-        elif action == "crash_leader":
-            leader = cluster.leader_id()
-            if leader is None:
-                fired.append(f"{label} (no leader)")
-                return
-            cluster.crash_node(leader)
-            label = f"{label} (node {leader})"
-        elif action == "recover_all":
-            for node_id, node in cluster.nodes.items():
-                if node.crashed:
-                    cluster.recover_node(node_id)
-        elif action == "reshuffle_relays":
-            # Paxos-family: only the leader owns a relay plan.  EPaxos has
-            # no ``is_leader``: every replica is a fan-out root with its own
-            # plan, so all of them reshuffle (a no-op under non-relay
-            # overlays).  Sharded clusters reshuffle every hosted group's
-            # eligible replicas.
-            for node in cluster.all_replica_hosts():
-                replica = node.replica
-                if not node.crashed and getattr(replica, "is_leader", True):
-                    replica.overlay.reshuffle()
-        elif action == "set_drop":
-            cluster.network.faults.drop_probability = event.probability
-        elif action == "duplicate_storm":
-            cluster.network.faults.duplicate_probability = event.probability
-        fired.append(label)
+def _crash_leader(cluster: Cluster, event: ScenarioEvent) -> str:
+    leader = cluster.leader_id()
+    if leader is None:
+        return " (no leader)"
+    cluster.crash_node(leader)
+    return f" (node {leader})"
+
+
+def _recover_all(cluster: Cluster, event: ScenarioEvent) -> None:
+    for node_id, node in cluster.nodes.items():
+        if node.crashed:
+            cluster.recover_node(node_id)
+
+
+def _reshuffle_relays(cluster: Cluster, event: ScenarioEvent) -> None:
+    # Paxos-family: only the leader owns a relay plan.  EPaxos has no
+    # ``is_leader``: every replica is a fan-out root with its own plan, so
+    # all of them reshuffle (a no-op under non-relay overlays).  Sharded
+    # clusters reshuffle every hosted group's eligible replicas.
+    for node in cluster.all_replica_hosts():
+        replica = node.replica
+        if not node.crashed and getattr(replica, "is_leader", True):
+            replica.overlay.reshuffle()
+
+
+def _set_drop(cluster: Cluster, event: ScenarioEvent) -> None:
+    cluster.network.faults.drop_probability = event.probability
+
+
+def _duplicate_storm(cluster: Cluster, event: ScenarioEvent) -> None:
+    cluster.network.faults.duplicate_probability = event.probability
+
+
+#: action name -> ``(cluster, event)`` applier, one per ``EVENT_ACTIONS``
+#: entry; the returned string, if any, is appended to the fired-event label.
+_ACTIONS: Dict[str, Callable[[Cluster, ScenarioEvent], Optional[str]]] = {
+    "crash": lambda cluster, event: cluster.crash_node(event.node),
+    "recover": lambda cluster, event: cluster.recover_node(event.node),
+    "crash_leader": _crash_leader,
+    "recover_all": _recover_all,
+    "partition": lambda cluster, event: cluster.network.faults.partition(*event.groups),
+    "heal_partition": lambda cluster, event: cluster.network.faults.heal_partition(),
+    "sever_link": lambda cluster, event: cluster.network.faults.sever_link(event.node, event.peer),
+    "heal_link": lambda cluster, event: cluster.network.faults.heal_link(event.node, event.peer),
+    "sluggish": lambda cluster, event: cluster.nodes[event.node].set_sluggish(event.factor),
+    "reshuffle_relays": _reshuffle_relays,
+    "set_drop": _set_drop,
+    "duplicate_storm": _duplicate_storm,
+}
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

@@ -6,7 +6,7 @@ LAN/WAN topology, relay-group layout), the workload mix, how long to run,
 and a timed schedule of :class:`ScenarioEvent` faults.  The
 :class:`~repro.scenarios.runner.ScenarioRunner` compiles a spec onto the
 existing :class:`~repro.sim.engine.Simulator` /
-:class:`~repro.cluster.builder.ClusterBuilder` stack and runs the safety
+:func:`~repro.cluster.builder.build_cluster` stack and runs the safety
 checkers afterwards.
 
 Events come in two flavours:
@@ -287,6 +287,13 @@ class Scenario:
                 raise ConfigurationError(
                     f"event {event.action!r} at t={event.at} fires after the "
                     f"scenario ends (duration={self.duration})"
+                )
+            named = (event.node, event.peer, *(n for group in event.groups for n in group))
+            absent = sorted({n for n in named if n is not None and not 0 <= n < self.num_nodes})
+            if absent:
+                raise ConfigurationError(
+                    f"event {event.action!r} at t={event.at} names node(s) {absent} "
+                    f"outside the cluster (num_nodes={self.num_nodes})"
                 )
 
     def with_seed(self, seed: int) -> "Scenario":

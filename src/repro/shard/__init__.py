@@ -14,7 +14,7 @@ the single-group simulator into a sharded deployment:
 
 The cluster-side hosting lives in :mod:`repro.cluster.node`
 (:class:`~repro.cluster.node.ShardReplicaHost`) and is wired by
-``ClusterBuilder.shards(n)``; scenarios opt in with ``Scenario(shards=N)``.
+``build_cluster(shards=n)``; scenarios opt in with ``Scenario(shards=N)``.
 Sharding defaults off everywhere, and the unsharded code paths are
 bit-for-bit unchanged (see ``tests/test_golden_fingerprints.py``).
 """

@@ -1,13 +1,12 @@
-"""Unit tests for the node CPU model, SimNode, topologies, faults and builder."""
+"""Unit tests for the node CPU model, SimNode, topologies and builder."""
 
 from __future__ import annotations
 
 import pytest
 
 from helpers import SizedProbe
-from repro.cluster.builder import ClusterBuilder, build_cluster
+from repro.cluster.builder import build_cluster
 from repro.cluster.cpu import NodeCPUModel
-from repro.cluster.faults import FaultKind, FaultSchedule
 from repro.cluster.node import ShardReplicaHost, SimNode
 from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topology
 from repro.errors import ConfigurationError
@@ -232,46 +231,13 @@ class TestTopologies:
             wan_topology()
 
 
-class TestFaultSchedule:
-    def test_crash_window_produces_two_events(self):
-        schedule = FaultSchedule().crash_window(3, 1.0, 2.0)
-        kinds = [event.kind for event in schedule]
-        assert kinds == [FaultKind.CRASH, FaultKind.RECOVER]
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultSchedule().crash_window(3, 2.0, 1.0)
-
-    def test_events_iterate_in_time_order(self):
-        schedule = FaultSchedule().recover(1, at=5.0).crash(1, at=1.0)
-        times = [event.at for event in schedule]
-        assert times == [1.0, 5.0]
-
-    def test_sluggish_with_until_restores(self):
-        schedule = FaultSchedule().sluggish(2, at=1.0, factor=4.0, until=2.0)
-        events = list(schedule)
-        assert events[0].factor == 4.0 and events[1].factor == 1.0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FaultSchedule().crash(0, at=-1.0)
-
-
 class TestBuilder:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
-            ClusterBuilder().protocol("raft")
+            build_cluster(protocol="raft")
 
     def test_builder_wires_nodes_clients_and_replicas(self):
-        cluster = (
-            ClusterBuilder()
-            .protocol("pigpaxos")
-            .nodes(5)
-            .relay_groups(2)
-            .clients(3)
-            .seed(11)
-            .build()
-        )
+        cluster = build_cluster("pigpaxos", num_nodes=5, relay_groups=2, num_clients=3, seed=11)
         assert len(cluster.nodes) == 5
         assert len(cluster.clients) == 3
         assert cluster.protocol == "pigpaxos"
@@ -285,13 +251,6 @@ class TestBuilder:
     def test_paxos_clients_target_leader(self):
         cluster = build_cluster(protocol="paxos", num_nodes=3, num_clients=2, seed=1)
         assert all(client._target_policy == "leader" for client in cluster.clients)
-
-    def test_fault_schedule_applied_during_run(self):
-        schedule = FaultSchedule().crash(4, at=0.1)
-        cluster = build_cluster(protocol="paxos", num_nodes=5, num_clients=1, seed=1,
-                                fault_schedule=schedule)
-        cluster.run(0.2)
-        assert cluster.nodes[4].crashed
 
     def test_cluster_run_is_repeatable_for_same_seed(self):
         first = build_cluster(protocol="paxos", num_nodes=5, num_clients=5, seed=9)

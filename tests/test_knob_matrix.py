@@ -121,13 +121,13 @@ class TestPresets:
         [("direct", DirectFanout), ("relay", RelayFanout), ("thrifty", ThriftyFanout)],
     )
     def test_unpinned_protocols_accept_every_overlay_kind(self, protocol, kind, overlay_class):
-        for replica in _replicas(_build(protocol, overlay=kind)):
+        for replica in _replicas(_build(protocol, {"overlay": kind})):
             assert isinstance(replica.overlay, overlay_class)
 
     @pytest.mark.parametrize("kind", ["direct", "thrifty"])
     def test_pigpaxos_pins_the_relay_overlay(self, kind):
         with pytest.raises(ConfigurationError, match="relay overlay"):
-            _build("pigpaxos", overlay=kind)
+            _build("pigpaxos", {"overlay": kind})
         with pytest.raises(ConfigurationError, match="relay overlay"):
             _build("pigpaxos", ProtocolConfig(overlay=kind))
 
@@ -155,9 +155,21 @@ class TestPresets:
             with pytest.raises(ConfigurationError, match="relay_timeout"):
                 resolve_config(protocol, {"relay_timeout": 0.02})
 
-    def test_builder_level_relay_choices_win_over_flat_keys(self):
+    def test_scenario_level_relay_choices_win_over_flat_keys(self):
         config = resolve_config("pigpaxos", {"num_relay_groups": 4}, relay_groups=2)
         assert config.overlay.num_groups == 2
+
+    @pytest.mark.parametrize("protocol", ["paxos", "epaxos"])
+    @pytest.mark.parametrize(
+        "kwargs", [{"relay_groups": 3}, {"use_region_groups": True}], ids=lambda k: next(iter(k))
+    )
+    def test_scenario_level_relay_choices_are_the_pigpaxos_surface_only(self, protocol, kwargs):
+        # Used to be dropped without a word on paxos/epaxos.
+        (knob,) = kwargs
+        with pytest.raises(ConfigurationError, match=f"{knob} is honoured by .* only"):
+            resolve_config(protocol, **kwargs)
+        with pytest.raises(ConfigurationError, match=knob):
+            _build(protocol, **kwargs)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_leader_retry_must_outlast_the_relay_timeout(self, protocol):

@@ -5,7 +5,7 @@ equivalence, EPaxos rounds travelling through relay trees (including relay
 crashes and late replies), deep-tree resilience (recursive commit fallback
 at interior relays, zone-preserving mid-round reshuffles), thrifty subset
 sends with the full-broadcast fallback, configuration plumbing through
-ProtocolConfig/ClusterBuilder, and the scenario-level mutation test:
+ProtocolConfig/build_cluster, and the scenario-level mutation test:
 disabling the thrifty fallback must be caught by the scenario checkers
 (the ``progress`` liveness floor).
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import FakeContext
-from repro.cluster.builder import ClusterBuilder, build_cluster
+from repro.cluster.builder import build_cluster
 from repro.epaxos.messages import ECommit, EPreAccept, EPreAcceptReply
 from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
@@ -351,7 +351,7 @@ class TestDeepRelayResilience:
             RelayFanout(use_region_groups=True)
         with pytest.raises(ConfigurationError, match="region map"):
             build_cluster(protocol="epaxos", num_nodes=5, num_clients=1,
-                          overlay={"kind": "relay", "use_region_groups": True})
+                          protocol_config={"overlay": {"kind": "relay", "use_region_groups": True}})
 
     def test_mid_round_reshuffle_keeps_deep_session_alive(self):
         # A reshuffle between a depth-2 round's fan-out and its responses
@@ -451,7 +451,7 @@ class TestThriftyFanout:
 class TestBuilderWiring:
     def test_epaxos_overlay_reaches_every_replica(self):
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=1,
-                                overlay={"kind": "relay", "num_groups": 2})
+                                protocol_config={"overlay": {"kind": "relay", "num_groups": 2}})
         overlays = [node.replica.overlay for node in cluster.nodes.values()]
         assert all(isinstance(o, RelayFanout) for o in overlays)
         assert len({id(o) for o in overlays}) == 3  # one instance per replica
@@ -461,12 +461,6 @@ class TestBuilderWiring:
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=1,
                                 protocol_config=config)
         assert all(isinstance(n.replica.overlay, ThriftyFanout) for n in cluster.nodes.values())
-
-    def test_builder_overlay_wins_over_protocol_config(self):
-        config = ProtocolConfig(overlay={"kind": "thrifty"})
-        cluster = (ClusterBuilder().protocol("epaxos").nodes(3).clients(1)
-                   .protocol_config(config).overlay("direct").build())
-        assert all(isinstance(n.replica.overlay, DirectFanout) for n in cluster.nodes.values())
 
 
 class TestTrafficAccounting:

@@ -197,9 +197,9 @@ class TestIncrementalCommitFrontier:
     """The gap-set frontier scan must match a naive full rescan exactly."""
 
     def _replica(self, num_nodes=3):
-        from repro.cluster.builder import ClusterBuilder
+        from repro.cluster.builder import build_cluster
 
-        cluster = ClusterBuilder().protocol("paxos").nodes(num_nodes).clients(1).seed(1).build()
+        cluster = build_cluster("paxos", num_nodes=num_nodes, num_clients=1, seed=1)
         return cluster.nodes[1].replica  # a follower
 
     def test_late_accept_into_gap_commits_on_next_frontier(self):

@@ -48,7 +48,7 @@ def _run(coro):
 @pytest.mark.parametrize("protocol", ["paxos", "pigpaxos"])
 def test_local_cluster_put_get_delete(protocol):
     async def scenario():
-        async with LocalCluster(protocol=protocol, num_nodes=3, relay_groups=2) as cluster:
+        async with LocalCluster(protocol=protocol, num_nodes=3) as cluster:
             client = cluster.client()
             await client.connect(cluster.leader_id() or 0)
             await client.put("name", "pigpaxos")

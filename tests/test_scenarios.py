@@ -7,19 +7,26 @@ teeth; determinism regressions pin down byte-identical replay.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.checkers.history import HistoryRecorder
+from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
 from repro.quorum.systems import MajorityQuorum
 from repro.scenarios import (
     Scenario,
     ScenarioEvent,
+    ScenarioResult,
+    ScenarioRunner,
     all_scenarios,
     get_scenario,
     run_scenario,
     scenarios_for_protocol,
 )
 from repro.sim.engine import Simulator
+from repro.workload.spec import WorkloadSpec
 
 CANNED = sorted(all_scenarios())
 
@@ -346,6 +353,25 @@ class TestScenarioSpecValidation:
                 events=(ScenarioEvent.crash(2.0, node=1),),
             )
 
+    def test_negative_event_time_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ScenarioEvent.crash(-1.0, node=0)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ScenarioEvent.crash(0.1, 7),
+            ScenarioEvent.sever_link(0.1, 0, 3),
+            ScenarioEvent.partition(0.1, (0, 1), (2, 5)),
+        ],
+        ids=["node", "peer", "groups"],
+    )
+    def test_event_naming_an_absent_node_rejected(self, event):
+        # Used to die mid-run with a bare KeyError (crash) or be silently
+        # accepted and do nothing (sever_link, partition).
+        with pytest.raises(ConfigurationError, match=f"{event.action}.*outside the cluster"):
+            Scenario(name="absent-node", num_nodes=3, events=(event,))
+
     def test_unknown_check_rejected(self):
         with pytest.raises(ConfigurationError):
             Scenario(name="bad-check", checks=("vibes",))
@@ -393,3 +419,87 @@ class TestScenarioSpecValidation:
         result = run_scenario(scenario)
         result.raise_on_violations()
         assert result.completed_requests > 0
+
+
+def _overlay(cluster):
+    return cluster.nodes[0].replica.config.overlay
+
+
+#: Scenario field -> (a non-default spelling, where the built cluster shows it, what it shows).
+FORWARDED = {
+    "protocol": ({"protocol": "paxos"}, lambda c: c.protocol, "paxos"),
+    "num_nodes": ({"num_nodes": 7}, lambda c: len(c.nodes), 7),
+    "num_clients": ({"num_clients": 9}, lambda c: len(c.clients), 9),
+    "seed": ({"seed": 31}, lambda c: c.sim.random.master_seed, 31),
+    "relay_groups": ({"relay_groups": 2}, lambda c: _overlay(c).num_groups, 2),
+    "wan": ({"wan": True}, lambda c: len(set(c.topology.region_map().values())), 3),
+    "hierarchy": ({"hierarchy": (2, 2)}, lambda c: len(set(c.topology.zone_map().values())), 4),
+    "use_region_groups": (
+        {"use_region_groups": True, "wan": True},
+        lambda c: _overlay(c).use_region_groups,
+        True,
+    ),
+    "workload": (
+        {"workload": WorkloadSpec(num_keys=3)},
+        lambda c: c.clients[0]._generator.spec,
+        WorkloadSpec(num_keys=3),
+    ),
+    "client_timeout": ({"client_timeout": 0.7}, lambda c: c.clients[0]._request_timeout, 0.7),
+    "shards": ({"shards": 3}, lambda c: c.num_shards, 3),
+    "drop_probability": (
+        {"drop_probability": 0.1},
+        lambda c: c.network.faults.drop_probability,
+        0.1,
+    ),
+    "config_overrides": (
+        {"config_overrides": {"session_window": 4}},
+        lambda c: c.nodes[0].replica.config.session_window,
+        4,
+    ),
+}
+#: Fields the runner consumes itself (schedule, checkers, labels); the cluster never sees them.
+RUN_ONLY = {"name", "duration", "events", "checks", "min_completed", "description"}
+
+
+class TestScenarioCompilation:
+    def test_no_scenario_field_is_dropped_on_the_floor(self):
+        # A new Scenario field must be wired through ScenarioRunner.build
+        # (and observed here) or be declared run-only.
+        assert set(FORWARDED) | RUN_ONLY == {f.name for f in dataclasses.fields(Scenario)}
+        assert not set(FORWARDED) & RUN_ONLY
+
+    @pytest.mark.parametrize("field", sorted(FORWARDED))
+    def test_forwarded_field_reaches_the_built_cluster(self, field):
+        spelling, observe, expected = FORWARDED[field]
+        default = ScenarioRunner(Scenario(name="default")).build()
+        probe = ScenarioRunner(Scenario(name="probe", **spelling)).build()
+        assert observe(probe) == expected
+        assert observe(default) != expected
+
+    def test_build_cluster_called_directly_reproduces_the_runner(self):
+        scenario = get_scenario("pig-baseline-5")
+        assert not scenario.events and not scenario.wan and scenario.hierarchy is None
+        via_runner = run_scenario(scenario)
+        recorder = HistoryRecorder()
+        cluster = build_cluster(
+            scenario.protocol,
+            num_nodes=scenario.num_nodes,
+            num_clients=scenario.num_clients,
+            seed=scenario.seed,
+            workload=scenario.workload,
+            protocol_config=scenario.config_overrides,
+            relay_groups=scenario.relay_groups,
+            client_timeout=scenario.client_timeout,
+            history_recorder=recorder,
+        )
+        cluster.run(scenario.duration)
+        direct = ScenarioResult(
+            scenario=scenario,
+            cluster=cluster,
+            history=recorder.history(),
+            violations=[],
+            completed_requests=cluster.total_completed_requests(),
+            events_processed=cluster.sim.events_processed,
+            virtual_duration=cluster.sim.now,
+        )
+        assert direct.fingerprint() == via_runner.fingerprint()

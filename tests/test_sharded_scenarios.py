@@ -16,7 +16,7 @@ import pytest
 
 from repro.checkers.history import HistoryRecorder
 from repro.checkers.linearizability import check_linearizability
-from repro.cluster.builder import ClusterBuilder
+from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
 from repro.scenarios import get_scenario, run_scenario
 from repro.shard import physical_node, shard_of_endpoint
@@ -24,19 +24,11 @@ from repro.sim.metrics import shard_summary, shard_traffic
 from repro.workload.spec import WorkloadSpec
 
 
-def _sharded_builder(recorder=None, shards=4, protocol="paxos", **kwargs):
-    builder = (
-        ClusterBuilder()
-        .protocol(protocol)
-        .nodes(kwargs.pop("num_nodes", 5))
-        .clients(kwargs.pop("num_clients", 4))
-        .seed(kwargs.pop("seed", 9))
-        .workload(kwargs.pop("workload", WorkloadSpec.checking_default(num_keys=8)))
-        .shards(shards)
+def _sharded_cluster(recorder=None):
+    return build_cluster(
+        "paxos", num_nodes=5, num_clients=4, seed=9, shards=4,
+        workload=WorkloadSpec.checking_default(num_keys=8), history_recorder=recorder,
     )
-    if recorder is not None:
-        builder.history_recorder(recorder)
-    return builder
 
 
 class TestShardedFaultScenarios:
@@ -109,7 +101,7 @@ class TestMisroutingMutation:
         # correct group never observe the misrouted writes, which is
         # exactly the split-brain the linearizability checker exists for.
         recorder = HistoryRecorder()
-        cluster = _sharded_builder(recorder=recorder).build()
+        cluster = _sharded_cluster(recorder)
         victim = cluster.clients[0]
         assert victim._router is not None
         victim._router = _MisroutingRouter(victim._router)
@@ -129,7 +121,7 @@ class TestMisroutingMutation:
     def test_control_run_without_mutation_is_clean(self):
         # The control for the mutation above: identical build, no tampering.
         recorder = HistoryRecorder()
-        cluster = _sharded_builder(recorder=recorder).build()
+        cluster = _sharded_cluster(recorder)
         cluster.start()
         cluster.sim.run(until=1.0)
         assert check_linearizability(recorder.history()) == []
@@ -138,56 +130,32 @@ class TestMisroutingMutation:
 class TestBuilderRejections:
     def test_rejects_zero_shards(self):
         with pytest.raises(ConfigurationError):
-            ClusterBuilder().shards(0)
+            build_cluster("paxos", shards=0)
 
     def test_rejects_more_shards_than_keys(self):
-        builder = (
-            ClusterBuilder()
-            .protocol("paxos")
-            .nodes(5)
-            .clients(2)
-            .workload(WorkloadSpec.checking_default(num_keys=4))
-            .shards(8)
-        )
         with pytest.raises(ConfigurationError, match="num_keys"):
-            builder.build()
+            build_cluster("paxos", num_clients=2, shards=8,
+                          workload=WorkloadSpec.checking_default(num_keys=4))
 
     def test_rejects_relay_groups_incompatible_with_sharding(self):
         # Each shard instance fans out over the SAME physical node set, so
         # relay groups must still fit in num_nodes - 1 followers.
-        builder = (
-            ClusterBuilder()
-            .protocol("pigpaxos")
-            .nodes(5)
-            .clients(2)
-            .relay_groups(5)
-            .workload(WorkloadSpec.checking_default(num_keys=8))
-            .shards(2)
-        )
         with pytest.raises(ConfigurationError, match="relay"):
-            builder.build()
+            build_cluster("pigpaxos", num_clients=2, relay_groups=5, shards=2,
+                          workload=WorkloadSpec.checking_default(num_keys=8))
 
     def test_rejects_explicit_initial_leader_override(self):
         # Sharded leader placement is owned by round_robin_leaders; a
         # hand-pinned initial_leader would silently apply to every group.
-        from repro.protocol.config import ProtocolConfig
-
-        builder = (
-            ClusterBuilder()
-            .protocol("paxos")
-            .nodes(5)
-            .clients(2)
-            .protocol_config(ProtocolConfig(initial_leader=2))
-            .workload(WorkloadSpec.checking_default(num_keys=8))
-            .shards(2)
-        )
         with pytest.raises(ConfigurationError, match="initial_leader"):
-            builder.build()
+            build_cluster("paxos", num_clients=2, shards=2,
+                          protocol_config={"initial_leader": 2},
+                          workload=WorkloadSpec.checking_default(num_keys=8))
 
 
 class TestShardedDeterminism:
     def test_leaders_are_round_robin_across_machines(self):
-        cluster = _sharded_builder().build()
+        cluster = _sharded_cluster()
         cluster.start()
         cluster.sim.run(until=0.2)
         leaders = [cluster.shard_leader_endpoint(shard) for shard in range(4)]
