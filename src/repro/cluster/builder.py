@@ -42,6 +42,17 @@ CLIENT_START_TIME = 0.05
 NODE_CPU = NodeCPUModel()
 
 
+def _committed_prefixes(nodes: Dict[int, object]) -> Dict[int, List[Optional[int]]]:
+    """Gap-free committed command uids per log-bearing replica of ``nodes``."""
+    prefixes: Dict[int, List[Optional[int]]] = {}
+    # lint: ok(no-unordered-iteration) nodes insertion order is ascending endpoint id (built from sorted topology.node_ids)
+    for node_id, node in nodes.items():
+        log = getattr(node.replica, "log", None)
+        if log is not None:
+            prefixes[node_id] = log.committed_prefix_uids()
+    return prefixes
+
+
 class ShardGroupView:
     """One shard's consensus group, viewed as a mini-cluster for the checkers.
 
@@ -58,13 +69,7 @@ class ShardGroupView:
         self.nodes = nodes
 
     def committed_prefixes(self) -> Dict[int, List[Optional[int]]]:
-        prefixes: Dict[int, List[Optional[int]]] = {}
-        # lint: ok(no-unordered-iteration) nodes insertion order is ascending member endpoint id (built from sorted topology.node_ids)
-        for node_id, node in self.nodes.items():
-            log = getattr(node.replica, "log", None)
-            if log is not None:
-                prefixes[node_id] = log.committed_prefix_uids()
-        return prefixes
+        return _committed_prefixes(self.nodes)
 
     def leader_id(self) -> Optional[int]:
         """Endpoint id of this group's current leader (Paxos family)."""
@@ -178,13 +183,7 @@ class Cluster:
 
     def committed_prefixes(self) -> Dict[int, List[Optional[int]]]:
         """Gap-free committed command uids per replica (agreement checks)."""
-        prefixes: Dict[int, List[Optional[int]]] = {}
-        # lint: ok(no-unordered-iteration) nodes insertion order is ascending node id (built from sorted topology.node_ids)
-        for node_id, node in self.nodes.items():
-            log = getattr(node.replica, "log", None)
-            if log is not None:
-                prefixes[node_id] = log.committed_prefix_uids()
-        return prefixes
+        return _committed_prefixes(self.nodes)
 
     def logs_agree(self) -> bool:
         """True when every pair of replicas agrees on the common committed prefix."""

@@ -26,7 +26,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.cluster.cpu import NodeCPUModel
 from repro.net.message import Envelope
 from repro.net.network import SimNetwork
-from repro.protocol.base import Replica, TimerLike
+from repro.protocol.base import HandlerTable, Replica, TimerLike
 from repro.protocol.messages import ClientRequest
 from repro.shard.addressing import SHARD_ENDPOINT_STRIDE
 from repro.sim.engine import Simulator
@@ -50,7 +50,7 @@ class SimNode:
         self._cpu = cpu or NodeCPUModel()
         self._all_nodes: List[int] = list(all_nodes or [])
         self._replica: Optional[Replica] = None
-        self._replica_on_message: Optional[Callable[[int, Any], None]] = None
+        self._handlers: Optional[HandlerTable] = None
         self._rng = sim.random.stream(f"node-{node_id}")
 
         self._busy_until = 0.0
@@ -86,8 +86,8 @@ class SimNode:
     def host(self, replica: Replica) -> None:
         """Attach a protocol replica to this node."""
         self._replica = replica
-        self._replica_on_message = replica.on_message
         replica.bind(self)
+        self._handlers = replica.handlers
 
     @property
     def replica(self) -> Replica:
@@ -237,9 +237,11 @@ class SimNode:
         queue._live += 1
 
     def _handle(self, envelope: Envelope) -> None:
-        if self._crashed or self._replica is None:
+        """Dispatch a received envelope: one probe of the replica's handler table."""
+        if self._crashed or self._handlers is None:
             return
-        self._replica_on_message(envelope.src, envelope.message)
+        message = envelope.message
+        self._handlers[type(message)](envelope.src, message)
 
     # ------------------------------------------------------------------ faults
     @property
@@ -317,7 +319,7 @@ class ShardReplicaHost:
         self._network = host._network
         self._all_nodes: List[int] = list(all_nodes)
         self._replica: Optional[Replica] = None
-        self._replica_on_message: Optional[Callable[[int, Any], None]] = None
+        self._handlers: Optional[HandlerTable] = None
         self._rng = self._sim.random.stream(f"node-{self.endpoint_id}")
         # The host machine's charged send/receive, under this shard's
         # endpoint id and dispatching to this shard's replica; every other
@@ -333,8 +335,8 @@ class ShardReplicaHost:
     # ------------------------------------------------------------------ wiring
     def host_replica(self, replica: Replica) -> None:
         self._replica = replica
-        self._replica_on_message = replica.on_message
         replica.bind(self)
+        self._handlers = replica.handlers
 
     @property
     def replica(self) -> Replica:
@@ -380,9 +382,10 @@ class ShardReplicaHost:
 
     # ------------------------------------------------------------------ Endpoint API
     def _handle(self, envelope: Envelope) -> None:
-        if self._host._crashed or self._replica is None:
+        if self._host._crashed or self._handlers is None:
             return
-        self._replica_on_message(envelope.src, envelope.message)
+        message = envelope.message
+        self._handlers[type(message)](envelope.src, message)
 
     # ------------------------------------------------------------------ faults
     @property

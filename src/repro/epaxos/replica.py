@@ -69,7 +69,6 @@ from repro.epaxos.messages import (
 )
 from repro.net.message import Message
 from repro.overlay.base import FanoutOverlay
-from repro.overlay.messages import OverlayMessage
 from repro.protocol.base import Replica, build_batch_metrics
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import ClientReply, ClientRequest
@@ -259,37 +258,17 @@ class EPaxosReplica(Replica):
         """EPaxos needs no leader election; nothing to bootstrap."""
 
     # ------------------------------------------------------------------ dispatch
-    def on_message(self, src: int, message: Any) -> None:
-        # Type-keyed dispatch table built on first use; the isinstance
-        # fallback only handles overlay wrapper subtypes not in the table.
-        try:
-            handler = self._cached_handlers.get(type(message))
-        except AttributeError:
-            self._cached_handlers = {
-                ClientRequest: self._on_client_request,
-                EPreAccept: self._on_preaccept,
-                EPreAcceptReply: self._on_preaccept_reply,
-                EAccept: self._on_accept,
-                EAcceptReply: self._on_accept_reply,
-                ECommit: self._on_commit,
-                EPrepare: self._on_prepare,
-                EPrepareReply: self._on_prepare_reply,
-            }
-            request_handler = getattr(self._overlay, "_on_relay_request", None)
-            aggregate_handler = getattr(self._overlay, "_on_aggregate", None)
-            if request_handler is not None and aggregate_handler is not None:
-                from repro.overlay.messages import RelayAggregate, RelayRequest
-
-                self._cached_handlers[RelayRequest] = request_handler
-                self._cached_handlers[RelayAggregate] = aggregate_handler
-            handler = self._cached_handlers.get(type(message))
-        if handler is not None:
-            handler(src, message)
-        elif isinstance(message, OverlayMessage):
-            if not self._overlay.handle_message(src, message):
-                self.count("unknown_message")
-        else:
-            self.count("unknown_message")
+    def _handlers(self) -> Dict[type, Any]:
+        return {
+            ClientRequest: self._on_client_request,
+            EPreAccept: self._on_preaccept,
+            EPreAcceptReply: self._on_preaccept_reply,
+            EAccept: self._on_accept,
+            EAcceptReply: self._on_accept_reply,
+            ECommit: self._on_commit,
+            EPrepare: self._on_prepare,
+            EPrepareReply: self._on_prepare_reply,
+        }
 
     # ------------------------------------------------------------------ overlay host hooks
     def process_for_overlay(self, src: int, inner: Message) -> Optional[Message]:
@@ -1230,12 +1209,9 @@ class EPaxosReplica(Replica):
             sessions = self._client_sessions[command.key] = ClientSessionCache(
                 window=self._session_window, max_clients=self.MAX_CLIENTS_PER_KEY
             )
-        cached = sessions.get(client_id, request_id)
-        if cached is not None:
+        result, duplicate = sessions.apply_once(client_id, request_id, self.store.apply, command)
+        if duplicate:
             self.count("duplicate_commands_skipped")
-            return cached
-        result = self.store.apply(command)
-        sessions.put(client_id, request_id, result)
         return result
 
     def _execute_instance(self, instance_id: InstanceId) -> None:

@@ -12,7 +12,8 @@ special case.
 The overlay talks back to its hosting replica through the narrow
 :class:`OverlayHost` surface: sending, scheduling, processing a wrapped
 inner message as a follower (returning the response instead of sending it),
-and delivering unwrapped responses into ordinary message handling.
+and the host's dispatch table, through which unwrapped responses re-enter
+ordinary message handling.
 
 Example (unit-style, with the test FakeContext stand-in)::
 
@@ -27,7 +28,18 @@ Example (unit-style, with the test FakeContext stand-in)::
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Hashable, List, Optional, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 from repro.net.message import Message
 
@@ -41,13 +53,14 @@ class OverlayHost(Protocol):
     Implemented by :class:`repro.protocol.base.Replica`: ``ctx`` exposes the
     node context (send/schedule/rng/metrics), ``process_for_overlay`` applies
     a relayed inner message locally and *returns* the response so a relay
-    can aggregate it, and ``deliver_reply`` feeds an unwrapped response into
-    the replica's ordinary dispatch.
+    can aggregate it, and ``handlers[type(response)](src, response)`` feeds
+    an unwrapped response into the replica's ordinary dispatch.
     """
 
     protocol_name: str
     ctx: "NodeContext"
     node_id: int
+    handlers: Mapping[type, Callable[[int, Any], None]]
 
     @property
     def peers(self) -> List[int]: ...
@@ -58,17 +71,16 @@ class OverlayHost(Protocol):
 
     def process_for_overlay(self, src: int, inner: Message) -> Optional[Message]: ...
 
-    def deliver_reply(self, src: int, response: Message) -> None: ...
-
 
 class FanoutOverlay(ABC):
     """Strategy object replicas use for wide-cast (one-to-many) messaging.
 
     Lifecycle: constructed per replica (never shared between replicas),
     bound to its host once via :meth:`bind`, then driven entirely by the
-    host: :meth:`wide_cast` on the send side, :meth:`handle_message` for any
-    :class:`~repro.overlay.messages.OverlayMessage` arriving off the wire,
-    :meth:`complete_round`/:meth:`on_crash` for lifecycle notifications.
+    host: :meth:`wide_cast` on the send side, the :meth:`handlers` it
+    registered for any :class:`~repro.overlay.messages.OverlayMessage`
+    arriving off the wire, :meth:`complete_round`/:meth:`on_crash` for
+    lifecycle notifications.
     """
 
     name = "abstract"
@@ -112,9 +124,13 @@ class FanoutOverlay(ABC):
         """The host reached quorum for ``round_id``; cancel any fallback."""
 
     # ------------------------------------------------------------------ receiving
-    def handle_message(self, src: int, message: Message) -> bool:
-        """Handle an overlay wrapper message; False when not recognised."""
-        return False
+    def handlers(self) -> Dict[type, Callable[[int, Any], None]]:
+        """The overlay's own wire types and their handlers (none by default).
+
+        Merged into the host's dispatch table when the host is bound to its
+        node, so overlay traffic reaches the overlay without a replica hop.
+        """
+        return {}
 
     # ------------------------------------------------------------------ lifecycle
     def reshuffle(self) -> None:

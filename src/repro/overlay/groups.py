@@ -114,6 +114,11 @@ class RelayGroupPlan:
                 if member in seen:
                     raise ConfigurationError(f"node {member} appears in more than one relay group")
                 seen.add(member)
+        #: The childless subtree of every member: immutable, so one object
+        #: serves every round's trees instead of a fresh one per leaf per round.
+        self._leaves: Dict[int, RelaySubtree] = {
+            member: RelaySubtree(node_id=member) for member in sorted(seen)
+        }
 
     @property
     def num_groups(self) -> int:
@@ -173,8 +178,8 @@ class RelayGroupPlan:
         relay = members[0] if fixed_relays else rng.choice(members)
         rest = [member for member in members if member != relay]
         if levels <= 1 or len(rest) <= 1:
-            children = tuple(RelaySubtree(node_id=member) for member in rest)
-            return RelaySubtree(node_id=relay, children=children)
+            leaves = self._leaves
+            return RelaySubtree(node_id=relay, children=tuple([leaves[member] for member in rest]))
         # Multi-level: split the remainder into sub-groups, one sub-relay each.
         num_subgroups = max(1, int(round(len(rest) ** 0.5)))
         subgroups = contiguous_groups(rest, num_subgroups)

@@ -25,9 +25,9 @@ from repro.net.message import Message
 class OverlayMessage(Message):
     """Marker base class for overlay-level wrapper messages.
 
-    Replica dispatch uses it to hand any overlay traffic to the replica's
-    bound :class:`~repro.overlay.base.FanoutOverlay` without knowing which
-    overlay (if any) is installed.
+    The concrete types are dispatched by the handlers their overlay
+    registers (:meth:`~repro.overlay.base.FanoutOverlay.handlers`); under
+    any other overlay they are unknown messages.
     """
 
     __slots__ = ()

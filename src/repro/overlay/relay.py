@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -239,14 +239,8 @@ class RelayFanout(FanoutOverlay):
         self.host.count(f"relay.depth.{depth}.ack_rounds")
 
     # ------------------------------------------------------------------ receiving
-    def handle_message(self, src: int, message: Message) -> bool:
-        if isinstance(message, RelayRequest):
-            self._on_relay_request(src, message)
-            return True
-        if isinstance(message, RelayAggregate):
-            self._on_aggregate(src, message)
-            return True
-        return False
+    def handlers(self) -> Dict[type, Callable[[int, Message], None]]:
+        return {RelayRequest: self._on_relay_request, RelayAggregate: self._on_aggregate}
 
     # ------------------------------------------------------------------ relay / follower role
     def _on_relay_request(self, src: int, msg: RelayRequest) -> None:
@@ -262,9 +256,12 @@ class RelayFanout(FanoutOverlay):
             # upstream (children_seen / per-voter accounting).
             host.count("duplicate_relay_requests_ignored")
             return
-        own_response = host.process_for_overlay(src, msg.inner)
-        # Every child gets the same (decayed) aggregation timeout.
+        inner = msg.inner
+        agg_id = msg.agg_id
+        own_response = host.process_for_overlay(src, inner)
+        # Every child gets the same (decayed) aggregation timeout, one level down.
         child_timeout = max(msg.timeout * self.timeout_decay, 0.001) if msg.children else None
+        child_depth = msg.depth + 1
 
         if not msg.expects_response:
             # Pure fan-out traffic (heartbeats, commits): forward and stop.
@@ -278,22 +275,33 @@ class RelayFanout(FanoutOverlay):
                 msg.ack
                 and self.recursive_commit_fallback
                 and self.commit_fallback_timeout is not None
-                and msg.agg_id not in self._pending_commits
+                and agg_id not in self._pending_commits
             )
             for child in msg.children:
                 child_ack = bool(want_child_acks and child.children)
                 if child_ack:
                     sub_relays[child.node_id] = child
-                self._forward_to_child(child, msg, child_timeout, ack=child_ack)
+                host.send(
+                    child.node_id,
+                    RelayRequest(
+                        inner=inner,
+                        children=child.children,
+                        agg_id=agg_id,
+                        timeout=child_timeout,
+                        expects_response=False,
+                        ack=child_ack,
+                        depth=child_depth,
+                    ),
+                )
             if sub_relays:
-                self._open_commit_round(msg.agg_id, msg.inner, sub_relays, depth=msg.depth)
+                self._open_commit_round(agg_id, inner, sub_relays, depth=msg.depth)
             if msg.ack:
                 # Commit-durability leg: tell the parent this subtree's relay
                 # is alive and has forwarded the round.  Duplicate requests
                 # re-ack; the parent's acked-set makes that idempotent.
                 host.send(
                     src,
-                    RelayAggregate(agg_id=msg.agg_id, responses=(), origin=host.node_id),
+                    RelayAggregate(agg_id=agg_id, responses=(), origin=host.node_id),
                 )
             return
 
@@ -301,40 +309,33 @@ class RelayFanout(FanoutOverlay):
             # Leaf follower: answer the relay immediately.
             responses = (own_response,) if own_response is not None else ()
             host.send(
-                src, RelayAggregate(agg_id=msg.agg_id, responses=responses, origin=host.node_id)
+                src, RelayAggregate(agg_id=agg_id, responses=responses, origin=host.node_id)
             )
             return
 
         # Relay role: open an aggregation session, forward to the subtree.
         session = _AggregationSession(
-            agg_id=msg.agg_id,
+            agg_id=agg_id,
             parent=src,
             expected_children=len(msg.children),
             threshold=self._threshold_for(len(msg.children)),
         )
         if own_response is not None:
             session.responses.append(own_response)
-        self._sessions[msg.agg_id] = session
-        session.timer = host.ctx.schedule(msg.timeout, self._session_timeout, msg.agg_id)
+        self._sessions[agg_id] = session
+        session.timer = host.ctx.schedule(msg.timeout, self._session_timeout, agg_id)
         for child in msg.children:
-            self._forward_to_child(child, msg, child_timeout)
+            host.send(
+                child.node_id,
+                RelayRequest(
+                    inner=inner,
+                    children=child.children,
+                    agg_id=agg_id,
+                    timeout=child_timeout,
+                    depth=child_depth,
+                ),
+            )
         host.count("relay_rounds")
-
-    def _forward_to_child(
-        self, child: RelaySubtree, msg: RelayRequest, child_timeout: float, ack: bool = False
-    ) -> None:
-        self.host.send(
-            child.node_id,
-            RelayRequest(
-                inner=msg.inner,
-                children=child.children,
-                agg_id=msg.agg_id,
-                timeout=child_timeout,
-                expects_response=msg.expects_response,
-                ack=ack,
-                depth=msg.depth + 1,
-            ),
-        )
 
     def _threshold_for(self, num_children: int) -> Optional[int]:
         if self.response_threshold is None:
@@ -342,21 +343,23 @@ class RelayFanout(FanoutOverlay):
         return max(1, math.ceil(self.response_threshold * num_children))
 
     def _on_aggregate(self, src: int, msg: RelayAggregate) -> None:
-        commit_round = self._pending_commits.get(msg.agg_id)
-        if commit_round is not None:
+        agg_id = msg.agg_id
+        if agg_id in self._pending_commits:
             # Durability ack for a fire-and-forget round this node fanned
             # out: the relay is alive.  Once every relay acked, the round
             # is durable and the fallback is disarmed.
+            commit_round = self._pending_commits[agg_id]
             if msg.origin not in commit_round.acked:
                 commit_round.acked.add(msg.origin)
                 self.host.count(f"relay.depth.{commit_round.depth}.acks")
             if len(commit_round.acked) >= len(commit_round.subtrees):
                 if commit_round.timer is not None:
                     commit_round.timer.cancel()
-                del self._pending_commits[msg.agg_id]
+                del self._pending_commits[agg_id]
             return
-        session = self._sessions.get(msg.agg_id)
-        if session is not None and not session.flushed:
+        sessions = self._sessions
+        if agg_id in sessions and not sessions[agg_id].flushed:
+            session = sessions[agg_id]
             # Count distinct children only: a child relay that flushed early
             # may send a second aggregate when its own stragglers arrive, and
             # double-counting it would flush this session "complete" while a
@@ -371,8 +374,7 @@ class RelayFanout(FanoutOverlay):
                 self._flush_session(session, complete=done)
             return
 
-        parent = self._flushed_parents.get(msg.agg_id)
-        if parent is not None:
+        if agg_id in self._flushed_parents:
             # Late child responses for a session this relay already flushed
             # (timeout or early threshold).  The fan-out root may still need
             # these votes to reach quorum, so forward them up the tree rather
@@ -380,9 +382,9 @@ class RelayFanout(FanoutOverlay):
             if msg.responses:
                 self.host.count("late_responses_forwarded")
                 self.host.send(
-                    parent,
+                    self._flushed_parents[agg_id],
                     RelayAggregate(
-                        agg_id=msg.agg_id,
+                        agg_id=agg_id,
                         responses=msg.responses,
                         origin=self.host.node_id,
                         complete=False,
@@ -395,9 +397,10 @@ class RelayFanout(FanoutOverlay):
         if msg.responses:
             # No session was ever open for this id: we are the top of the
             # tree (the round's fan-out root).  Unwrap and feed each vote
-            # into ordinary handling; stale votes are ignored there.
+            # into the host's ordinary dispatch; stale votes are ignored there.
+            handlers = self.host.handlers
             for response in msg.responses:
-                self.host.deliver_reply(src, response)
+                handlers[type(response)](src, response)
         else:
             self.host.count("late_aggregates_dropped")
 

@@ -18,7 +18,6 @@ from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.overlay.base import FanoutOverlay
-from repro.overlay.messages import RelayAggregate, RelayRequest
 from repro.protocol.ballot import Ballot
 from repro.protocol.base import Replica, TimerLike, build_batch_metrics
 from repro.protocol.config import ProtocolConfig
@@ -145,22 +144,8 @@ class MultiPaxosReplica(Replica):
         self.ctx.schedule(self._election_timeout, self._check_leader_liveness)
 
     # ------------------------------------------------------------------ dispatch
-    def on_message(self, src: int, message: Any) -> None:
-        # The handler table is built lazily on first dispatch (subclasses
-        # extend _handlers()); afterwards dispatch is one dict probe.
-        try:
-            handler = self._cached_handlers[type(message)]
-        except AttributeError:
-            self._cached_handlers = self._handlers()
-            self.on_message(src, message)
-            return
-        except KeyError:
-            self.count("unknown_message")
-            return
-        handler(src, message)
-
     def _handlers(self) -> Dict[type, Any]:
-        handlers = {
+        return {
             ClientRequest: self._on_client_request,
             P1a: self._on_p1a,
             P1b: self._on_p1b,
@@ -171,15 +156,6 @@ class MultiPaxosReplica(Replica):
             FillRequest: self._on_fill_request,
             FillReply: self._on_fill_reply,
         }
-        # When the bound overlay is the relay fan-out, dispatch its wire
-        # types straight to its handlers (no overlay indirection, no
-        # isinstance chain); under any other overlay they are unknown.
-        request_handler = getattr(self._overlay, "_on_relay_request", None)
-        aggregate_handler = getattr(self._overlay, "_on_aggregate", None)
-        if request_handler is not None and aggregate_handler is not None:
-            handlers[RelayRequest] = request_handler
-            handlers[RelayAggregate] = aggregate_handler
-        return handlers
 
     # ------------------------------------------------------------------ overlay host hooks
     def process_for_overlay(self, src: int, inner: Any) -> Optional[Any]:
@@ -595,12 +571,11 @@ class MultiPaxosReplica(Replica):
             return self.store.apply(command)
         if client_id is None or client_id < 0 or request_id <= 0:
             return self.store.apply(command)
-        cached = self._client_sessions.get(client_id, request_id)
-        if cached is not None:
+        result, duplicate = self._client_sessions.apply_once(
+            client_id, request_id, self.store.apply, command
+        )
+        if duplicate:
             self.count("duplicate_commands_skipped")
-            return cached
-        result = self.store.apply(command)
-        self._client_sessions.put(client_id, request_id, result)
         return result
 
     def _execute_ready(self) -> None:
@@ -608,8 +583,11 @@ class MultiPaxosReplica(Replica):
         if not executed:
             return
         self.ctx.charge_execution(len(executed))
+        proposals = self._proposals
+        if not proposals:
+            return  # a follower: nobody here is waiting for these results
         for entry, result in executed:
-            proposal = self._proposals.pop(entry.slot, None)
+            proposal = proposals.pop(entry.slot, None)
             if proposal is None:
                 continue
             if proposal.batch_clients is not None:
@@ -713,7 +691,7 @@ class MultiPaxosReplica(Replica):
                 if entry.committed:
                     gaps.discard(slot)
                 elif entry.ballot == ballot:
-                    log.commit(slot, entry.ballot, entry.command)
+                    entry.committed = True
                     gaps.discard(slot)
         if dirty:
             # Retain dirt for gap slots beyond this announcement: they were
@@ -737,8 +715,10 @@ class MultiPaxosReplica(Replica):
                 gaps.add(slot)
                 heappush(heap, slot)
                 continue
-            if not entry.committed:
-                log.commit(slot, entry.ballot, entry.command)
+            # Commit the entry in hand.  Nothing is recorded in dirty_slots:
+            # dirt is only ever read back for gap slots, and a slot committed
+            # here (or re-judged above) is not, or no longer, one.
+            entry.committed = True
         if commit_upto > self._frontier_scanned_upto:
             self._frontier_scanned_upto = commit_upto
         self._advance_commit_frontier()

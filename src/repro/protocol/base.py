@@ -8,15 +8,15 @@ and timer callbacks, and it affects the world only through its
 
 Every replica also owns a :class:`~repro.overlay.base.FanoutOverlay` through
 which it routes wide-cast (one-to-many) messages; the base class provides
-the :class:`~repro.overlay.base.OverlayHost` hooks the overlay calls back
-into (``process_for_overlay``, ``deliver_reply``).
+the :class:`~repro.overlay.base.OverlayHost` surface the overlay calls back
+into (``process_for_overlay``, ``handlers``).
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, List, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence
 
 from repro.overlay.base import FanoutOverlay
 from repro.overlay.direct import DirectFanout
@@ -89,10 +89,33 @@ def build_batch_metrics(metrics: MetricsRegistry):
     )
 
 
+#: A message handler: ``handler(src, message)``.
+Handler = Callable[[int, Any], None]
+
+
+class HandlerTable(dict):
+    """``type(message) -> handler``; an unlisted type resolves to ``unknown``.
+
+    ``table[type(message)](src, message)`` is the whole of message dispatch,
+    whoever performs it: the host node for a delivered envelope, the relay
+    overlay for an unwrapped vote, :meth:`Replica.on_message` for everything
+    else.  Exact types only -- a wire type is never subclassed.
+    """
+
+    __slots__ = ("_unknown",)
+
+    def __init__(self, handlers: Dict[type, Handler], unknown: Handler) -> None:
+        super().__init__(handlers)
+        self._unknown = unknown
+
+    def __missing__(self, kind: type) -> Handler:
+        return self._unknown
+
+
 class Replica(ABC):
     """Base class for protocol replicas.
 
-    Subclasses implement :meth:`on_message` and :meth:`start`.  The host node
+    Subclasses implement :meth:`_handlers` and :meth:`start`.  The host node
     wires itself in through :meth:`bind` before the simulation (or server)
     starts delivering messages.
     """
@@ -107,6 +130,8 @@ class Replica(ABC):
         #: The host node's context; a plain attribute like ``node_id``.  None
         #: until :meth:`bind`, so unbound use fails with an AttributeError.
         self.ctx: Optional[NodeContext] = None
+        #: The dispatch table (:class:`HandlerTable`), built by :meth:`bind`.
+        self.handlers: Optional[HandlerTable] = None
         self._overlay: FanoutOverlay = overlay or DirectFanout()
         self._overlay.bind(self)
         # Per-replica counter cache: ``count()`` fires on most protocol
@@ -124,6 +149,11 @@ class Replica(ABC):
         # attribute skips two call hops (Replica.send and the ctx property).
         self.send = ctx.send
         self.node_id = ctx.node_id
+        # The protocol's own wire types plus the bound overlay's, which are
+        # dispatched straight to the overlay's handlers.
+        self.handlers = HandlerTable(
+            {**self._handlers(), **self._overlay.handlers()}, self._on_unknown_message
+        )
 
     @property
     def overlay(self) -> FanoutOverlay:
@@ -144,8 +174,16 @@ class Replica(ABC):
         """Called once when the node starts (bootstrap timers, elections...)."""
 
     @abstractmethod
+    def _handlers(self) -> Dict[type, Handler]:
+        """This protocol's wire types and the bound methods that handle them."""
+
     def on_message(self, src: int, message: Any) -> None:
         """Handle a message delivered off the wire from endpoint ``src``."""
+        self.handlers[type(message)](src, message)
+
+    def _on_unknown_message(self, src: int, message: Any) -> None:
+        """A message of a type nothing is registered for: counted and dropped."""
+        self.count("unknown_message")
 
     def on_crash(self) -> None:
         """Called when the host node crashes (volatile state may be dropped)."""
@@ -167,10 +205,6 @@ class Replica(ABC):
         """
         self.on_message(src, inner)
         return None
-
-    def deliver_reply(self, src: int, response: Any) -> None:
-        """Feed an unwrapped overlay response into ordinary message handling."""
-        self.on_message(src, response)
 
     # ----------------------------------------------------------------- helpers
     def send(self, dst: int, message: Any) -> None:

@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import fields, replace
 from typing import Dict, FrozenSet, Mapping, Optional, Union
 
-from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
 from repro.overlay.config import OverlayConfig, build_overlay
-from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol.base import Replica
 from repro.protocol.config import ProtocolConfig
 
@@ -166,7 +164,11 @@ def build_replica(
     if initial_leader is not None and protocol in KNOB_TABLE["initial_leader"]:
         config = replace(config, initial_leader=initial_leader)
     overlay = build_overlay(config.overlay, region_of=region_of, zone_of=zone_of)
-    replica_class = MultiPaxosReplica if protocol in _PAXOS_FAMILY else EPaxosReplica
+    # Imported here so a run loads only the protocol it builds.
+    if protocol in _PAXOS_FAMILY:
+        from repro.paxos.replica import MultiPaxosReplica as replica_class
+    else:
+        from repro.epaxos.replica import EPaxosReplica as replica_class
     replica = replica_class(config=config, overlay=overlay)
     # Counters stay under "<protocol>." for presets too ("pigpaxos.relay_rounds").
     replica.protocol_name = protocol

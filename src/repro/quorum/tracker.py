@@ -28,18 +28,21 @@ class VoteTracker:
 
     def ack(self, voter: int) -> bool:
         """Record a positive vote; returns True if the quorum is now satisfied."""
-        self._validate(voter)
+        if self._allowed is not None:
+            self._validate(voter)
         if voter not in self._nacks:
             self._acks.add(voter)
         return self.satisfied
 
     def nack(self, voter: int) -> None:
-        self._validate(voter)
+        if self._allowed is not None:
+            self._validate(voter)
         self._acks.discard(voter)
         self._nacks.add(voter)
 
     def _validate(self, voter: int) -> None:
-        if self._allowed is not None and voter not in self._allowed:
+        """Reject a voter outside the restricted voter set (restricted trackers only)."""
+        if voter not in self._allowed:
             raise QuorumError(f"voter {voter} is not part of this quorum")
 
     @property

@@ -35,10 +35,12 @@ class ReplicatedLog:
     """Slot-indexed log with gap-aware in-order execution.
 
     ``dirty_slots`` records every slot whose entry was created, replaced or
-    committed since a consumer last cleared it.  The Paxos commit-frontier
-    scan uses it to re-examine only slots that could have become committable
-    instead of rescanning its whole announced window per message (which was
-    quadratic across a recovery gap).
+    committed through :meth:`accept`/:meth:`commit` since a consumer last
+    cleared it.  The Paxos commit-frontier scan uses it to re-examine only
+    slots that could have become committable instead of rescanning its whole
+    announced window per message (which was quadratic across a recovery
+    gap); the commits that scan makes itself, on entries it already holds,
+    are the one change it does not need to be told about.
     """
 
     def __init__(self) -> None:
@@ -174,14 +176,12 @@ class ReplicatedLog:
             if self._entries[slot].committed
         ]
 
+    def committed_uids(self) -> Dict[int, Optional[int]]:
+        """``slot -> command uid`` of every committed slot (for agreement checks)."""
+        # lint: ok(no-unordered-iteration) a mapping to compare by item, not to walk; callers sort what they iterate
+        return {slot: entry.command.uid for slot, entry in self._entries.items() if entry.committed}
+
     def committed_prefix_uids(self) -> List[Optional[int]]:
         """uids of the gap-free committed prefix, used to compare replicas."""
-        uids: List[Optional[int]] = []
-        slot = 1
-        while True:
-            entry = self._entries.get(slot)
-            if entry is None or not entry.committed:
-                break
-            uids.append(getattr(entry.command, "uid", None))
-            slot += 1
-        return uids
+        entries = self._entries
+        return [entries[slot].command.uid for slot in range(1, self.committed_through(0) + 1)]

@@ -24,7 +24,7 @@ even small windows comfortably cover every retry the harness can produce.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Callable, Hashable, Optional, Tuple
 
 #: Default per-client window; far larger than any in-flight request count
 #: the workload generators produce, small enough to bound memory.
@@ -104,6 +104,41 @@ class ClientSessionCache:
         while len(session) > self._window:
             session.popitem(last=False)
             self.evictions += 1
+
+    def apply_once(
+        self,
+        session_id: Hashable,
+        request_id: int,
+        apply: Callable[[object], object],
+        command: object,
+    ) -> Tuple[object, bool]:
+        """The at-most-once filter as one operation: ``(result, duplicate)``.
+
+        A request still inside both windows returns its cached result and
+        ``duplicate=True`` without calling ``apply``; anything else is
+        applied and recorded.  Exactly :meth:`get` followed, on a miss, by
+        ``put(..., apply(command))`` -- same results, LRU order and eviction
+        counts -- but the session is probed and touched once, which is what
+        every replica pays per executed command.
+        """
+        sessions = self._sessions
+        if session_id not in sessions:
+            result = apply(command)
+            sessions[session_id] = OrderedDict({request_id: result})
+            while len(sessions) > self._max_clients:
+                sessions.popitem(last=False)
+                self.session_evictions += 1
+            return result, False
+        session = sessions[session_id]
+        sessions.move_to_end(session_id)
+        if request_id in session:
+            session.move_to_end(request_id)
+            return session[request_id], True
+        result = session[request_id] = apply(command)
+        while len(session) > self._window:
+            session.popitem(last=False)
+            self.evictions += 1
+        return result, False
 
     # ----------------------------------------------------------------- stats
     def __len__(self) -> int:

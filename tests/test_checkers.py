@@ -6,9 +6,11 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
 
 from repro.checkers.history import History, HistoryRecorder, Operation
 from repro.checkers.invariants import (
+    Violation,
     check_execution_frontier,
     check_prefix_agreement,
     check_quorum_sanity,
@@ -251,6 +253,175 @@ class TestLogInvariants:
         wrong_n = SimpleNamespace(n=5, phase1_size=3, phase2_size=3)
         violations = check_quorum_sanity(_FakeCluster([_replica(wrong_n)]))
         assert violations and "n=5" in violations[0].message
+
+
+# --------------------------------------------------------------------------
+# The log checks walk containers; these walk slots, one probe at a time, the
+# way the checks used to.  Kept as the reference: on any log state the two
+# must return the same violations, same messages, same order.
+# --------------------------------------------------------------------------
+
+
+def _ref_logs(cluster):
+    return sorted(
+        (node_id, node.replica.log) for node_id, node in cluster.nodes.items()
+        if getattr(node.replica, "log", None) is not None
+    )
+
+
+def _ref_slot_agreement(cluster):
+    violations, chosen = [], {}
+    for node_id, log in _ref_logs(cluster):
+        for entry in log.entries():
+            if not entry.committed:
+                continue
+            uid = getattr(entry.command, "uid", None)
+            previous = chosen.get(entry.slot)
+            if previous is None:
+                chosen[entry.slot] = (node_id, uid)
+            elif previous[1] != uid:
+                violations.append(Violation(
+                    checker="slot_agreement",
+                    message=(
+                        f"slot {entry.slot}: node {previous[0]} committed command "
+                        f"uid={previous[1]} but node {node_id} committed uid={uid}"
+                    ),
+                ))
+    return violations
+
+
+def _ref_committed_prefix_uids(log):
+    uids, slot = [], 1
+    while True:
+        entry = log.get(slot)
+        if entry is None or not entry.committed:
+            return uids
+        uids.append(getattr(entry.command, "uid", None))
+        slot += 1
+
+
+def _ref_prefix_agreement(cluster):
+    violations = []
+    prefixes = {node_id: _ref_committed_prefix_uids(log) for node_id, log in _ref_logs(cluster)}
+    node_ids = sorted(prefixes)
+    for i, a_id in enumerate(node_ids):
+        for b_id in node_ids[i + 1:]:
+            a, b = prefixes[a_id], prefixes[b_id]
+            for slot_index in range(min(len(a), len(b))):
+                if a[slot_index] != b[slot_index]:
+                    violations.append(Violation(
+                        checker="prefix_agreement",
+                        message=(
+                            f"nodes {a_id} and {b_id} diverge at slot "
+                            f"{slot_index + 1}: uid {a[slot_index]} vs {b[slot_index]}"
+                        ),
+                    ))
+                    break
+    return violations
+
+
+def _ref_execution_frontier(cluster):
+    violations = []
+    for node_id, log in _ref_logs(cluster):
+        for slot in range(1, log.next_execute_slot):
+            if not log.is_committed(slot):
+                violations.append(Violation(
+                    checker="execution_frontier",
+                    message=(
+                        f"node {node_id} executed through slot "
+                        f"{log.next_execute_slot - 1} but slot {slot} is not committed"
+                    ),
+                ))
+                break
+        commit_upto = getattr(cluster.nodes[node_id].replica, "commit_upto", None)
+        if commit_upto is not None:
+            for slot in range(1, commit_upto + 1):
+                if not log.is_committed(slot):
+                    violations.append(Violation(
+                        checker="execution_frontier",
+                        message=(
+                            f"node {node_id} advertises commit_upto={commit_upto} "
+                            f"but slot {slot} is not committed locally"
+                        ),
+                    ))
+                    break
+    return violations
+
+
+_REFERENCES = (
+    (check_slot_agreement, _ref_slot_agreement),
+    (check_prefix_agreement, _ref_prefix_agreement),
+    (check_execution_frontier, _ref_execution_frontier),
+)
+
+
+def _conflicting_commit(cluster, rng):
+    """One replica holds a different command in a slot everyone committed."""
+    log = cluster.nodes[rng.randrange(1, 5)].replica.log
+    log._entries[rng.randrange(2, log.committed_through(0))].command = _put("rogue")
+
+
+def _uncommitted_below_commit_upto(cluster, rng):
+    """A slot under the advertised (and executed) frontier lost its commit bit."""
+    log = cluster.nodes[rng.randrange(5)].replica.log
+    log._entries[rng.randrange(2, log.committed_through(0))].committed = False
+
+
+def _executed_past_commit(cluster, rng):
+    """The execute frontier ran ahead of everything the replica committed."""
+    log = cluster.nodes[rng.randrange(5)].replica.log
+    log._next_execute = log.max_slot + rng.randrange(2, 6)
+
+
+def _shorter_and_diverging_prefix(cluster, rng):
+    """One replica stops early (legal), another disagrees mid-prefix, and a
+    third lost a committed slot outright -- so prefixes differ in length and
+    the pairwise walk has both agreeing and diverging pairs to report."""
+    short, diverging, holed = rng.sample(range(5), 3)
+    log = cluster.nodes[short].replica.log
+    for slot in range(log.committed_through(0) // 2, log.max_slot + 1):
+        log._entries.pop(slot, None)
+    log = cluster.nodes[diverging].replica.log
+    log._entries[rng.randrange(2, log.committed_through(0) // 2)].command = _put("rogue")
+    log = cluster.nodes[holed].replica.log
+    del log._entries[rng.randrange(2, log.committed_through(0))]
+
+
+class TestLogChecksMatchThePerSlotReference:
+    @staticmethod
+    def _finished_cluster(seed):
+        from repro.scenarios import Scenario, run_scenario
+
+        result = run_scenario(Scenario(
+            name="checker-reference", protocol="paxos", num_nodes=5, num_clients=4,
+            duration=0.12, seed=seed, checks=(),
+        ))
+        assert min(n.replica.log.committed_through(0) for n in result.cluster.nodes.values()) > 20
+        return result.cluster
+
+    def test_clean_run_passes_both(self):
+        cluster = self._finished_cluster(seed=7)
+        for check, reference in _REFERENCES:
+            assert check(cluster) == reference(cluster) == []
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("corrupt", [
+        _conflicting_commit,
+        _uncommitted_below_commit_upto,
+        _executed_past_commit,
+        _shorter_and_diverging_prefix,
+    ])
+    def test_seeded_corruption_yields_identical_violations(self, corrupt, seed):
+        import random
+
+        cluster = self._finished_cluster(seed)
+        corrupt(cluster, random.Random(seed))
+        found = []
+        for check, reference in _REFERENCES:
+            violations = check(cluster)
+            assert violations == reference(cluster)
+            found.extend(violations)
+        assert found, f"{corrupt.__name__} corrupted nothing a log check can see"
 
 
 # --------------------------------------------------------------------------

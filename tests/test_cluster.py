@@ -9,11 +9,15 @@ from repro.cluster.builder import build_cluster
 from repro.cluster.cpu import NodeCPUModel
 from repro.cluster.node import ShardReplicaHost, SimNode
 from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topology
+from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency, WANMatrixLatency
 from repro.net.message import Envelope
 from repro.net.network import SimNetwork
 from repro.net.topology import Topology
+from repro.overlay import RelayFanout
+from repro.overlay.messages import RelayAggregate, RelayRequest
+from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol.base import Replica
 from repro.protocol.messages import ClientRequest
 from repro.shard import shard_endpoint
@@ -30,7 +34,10 @@ class _EchoReplica(Replica):
         super().__init__()
         self.received = []
 
-    def on_message(self, src, message):
+    def _handlers(self):
+        return {}
+
+    def _on_unknown_message(self, src, message):  # the catch-all: every type lands here
         if isinstance(message, tuple) and message and message[0] == "echo":
             self.received.append((src, message[1]))
             return
@@ -198,6 +205,66 @@ class TestSimNode:
         nodes[0].charge_graph_work(100)
         nodes[0].charge_overhead(2)
         assert nodes[0].busy_time_total > before
+
+
+class TestDispatch:
+    """A delivered envelope is one probe of the hosted replica's handler table."""
+
+    @staticmethod
+    def _node(replica_class, overlay=None, as_shard=False):
+        sim = Simulator(seed=0)
+        network = SimNetwork(sim, lan_topology(3))
+        machine = SimNode(0, sim, network, all_nodes=[0, 1, 2])
+        replica = replica_class(overlay=overlay)
+        if as_shard:
+            host = ShardReplicaHost(machine, 1, [shard_endpoint(1, n) for n in (0, 1, 2)])
+            host.host_replica(replica)
+        else:
+            host = machine
+            machine.host(replica)
+        return sim, machine, host
+
+    @staticmethod
+    def _deliver(host, message):
+        host.arrive(Envelope(1, host.endpoint_id, message, 64))
+
+    @pytest.mark.parametrize("as_shard", [False, True], ids=["node", "shard-host"])
+    @pytest.mark.parametrize("replica_class", [MultiPaxosReplica, EPaxosReplica])
+    def test_unregistered_type_counts_unknown_message(self, replica_class, as_shard):
+        sim, machine, host = self._node(replica_class, as_shard=as_shard)
+        self._deliver(host, "not a wire type")
+        # A relay wire type is just as unknown to a replica without the relay overlay.
+        self._deliver(host, RelayAggregate(agg_id=1, responses=()))
+        sim.run()
+        counters = sim.metrics.counters()
+        assert counters[f"{replica_class.protocol_name}.unknown_message"] == 2
+        assert counters["node.0.messages_in"] == 2
+
+    @pytest.mark.parametrize("as_shard", [False, True], ids=["node", "shard-host"])
+    def test_crashed_host_handles_nothing(self, as_shard):
+        # The crash lands after the envelope was accepted and charged but
+        # before its handler ran: the queued dispatch must drop it.
+        sim, machine, host = self._node(MultiPaxosReplica, as_shard=as_shard)
+        self._deliver(host, "not a wire type")
+        machine.crash()
+        sim.run()
+        counters = sim.metrics.counters()
+        assert counters["node.0.messages_in"] == 1
+        assert "paxos.unknown_message" not in counters
+
+    @pytest.mark.parametrize("replica_class", [MultiPaxosReplica, EPaxosReplica])
+    def test_relay_wire_types_reach_the_overlay(self, replica_class):
+        overlay = RelayFanout(num_groups=1)
+        sim, machine, host = self._node(replica_class, overlay=overlay)
+        assert host.replica.handlers[RelayRequest] == overlay._on_relay_request
+        # An aggregate for a round nobody here opened: the overlay (not the
+        # replica's unknown-message path) sees it and drops it as late.
+        self._deliver(host, RelayAggregate(agg_id=1, responses=()))
+        sim.run()
+        counters = sim.metrics.counters()
+        protocol = replica_class.protocol_name
+        assert counters[f"{protocol}.late_aggregates_dropped"] == 1
+        assert f"{protocol}.unknown_message" not in counters
 
 
 class TestTopologies:

@@ -239,6 +239,48 @@ class TestClientSessionCache:
         with pytest.raises(ValueError):
             ClientSessionCache(max_clients=0)
 
+    def test_apply_once_is_get_then_put_on_a_miss(self):
+        """The fused filter the replicas call against the plain get/put pair,
+        under a seeded stream small enough that both the per-client window
+        and the client bound evict: same results, same duplicate verdicts,
+        same eviction counts, same LRU order inside and across sessions."""
+        import random
+
+        from repro.statemachine.sessions import ClientSessionCache
+
+        def lru_order(cache):
+            return [(sid, list(session)) for sid, session in cache._sessions.items()]
+
+        rng = random.Random(22)
+        fused = ClientSessionCache(window=3, max_clients=4)
+        reference = ClientSessionCache(window=3, max_clients=4)
+        applied = []
+        duplicates = 0
+
+        def apply(command):
+            applied.append(command)
+            return f"result-{command}"
+
+        for step in range(3000):
+            client, request = rng.randrange(7), rng.randrange(1, 9)
+            applied_before = len(applied)
+            result, duplicate = fused.apply_once(client, request, apply, step)
+
+            expected = reference.get(client, request)
+            expected_duplicate = expected is not None
+            if expected is None:
+                expected = f"result-{step}"
+                reference.put(client, request, expected)
+
+            assert (result, duplicate) == (expected, expected_duplicate)
+            assert duplicate == (len(applied) == applied_before)  # applied iff not a duplicate
+            assert lru_order(fused) == lru_order(reference)
+            duplicates += duplicate
+        assert (fused.evictions, fused.session_evictions) == (
+            reference.evictions, reference.session_evictions)
+        # The stream really exercised all three outcomes.
+        assert duplicates > 100 and fused.evictions > 100 and fused.session_evictions > 100
+
     def test_client_churn_evicts_idle_sessions(self):
         from repro.statemachine.sessions import ClientSessionCache
 
