@@ -12,6 +12,9 @@ every documented rule id must exist in the registry.  The knob x protocol
 table of the same file is cross-checked the same way against
 ``repro.protocol.resolver.KNOB_TABLE``: same knobs, same protocol columns,
 and ``honoured``/``rejected`` in every cell exactly as the resolver has it.
+The flush-trigger table of the "Batching & pipelining" section is held to
+``repro.protocol.batching.TRIGGERS`` -- and those to the ``batch.flush.*``
+names in ``repro.lint.counters`` -- in both directions too.
 
 Finally, every ``import repro...`` / ``from repro... import ...`` inside a
 fenced ``python`` block must resolve -- module importable, names present --
@@ -232,6 +235,50 @@ def check_knob_table_docs() -> list[str]:
     return problems
 
 
+#: The flush-trigger table's header row and its rows (first cell: the trigger).
+TRIGGER_TABLE_HEADER_RE = re.compile(r"^\| trigger \|.+\|\s*$", re.MULTILINE)
+TRIGGER_ROW_RE = re.compile(r"^\| `([a-z_]+)` \|")
+
+
+def trigger_table_problems(text: str) -> list[str]:
+    """Cross-check ``text``'s flush-trigger table against the batcher's triggers."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.lint.counters import METRIC_NAMES
+        from repro.protocol.batching import TRIGGERS
+    finally:
+        sys.path.pop(0)
+
+    header = TRIGGER_TABLE_HEADER_RE.search(text)
+    if header is None:
+        return ["docs/ARCHITECTURE.md: no `| trigger | ... |` table of batch flush triggers"]
+    documented = set()
+    for line in text[header.end():].lstrip("\n").splitlines()[1:]:  # skip the |---| rule
+        row = TRIGGER_ROW_RE.match(line)
+        if row is None:
+            break
+        documented.add(row.group(1))
+    prefix = "batch.flush."
+    counted = {name[len(prefix):] for name in METRIC_NAMES if name.startswith(prefix)}
+    problems = []
+    for trigger in sorted(set(TRIGGERS) - documented):
+        problems.append(
+            f"docs/ARCHITECTURE.md: flush trigger `{trigger}` is in batching.TRIGGERS "
+            "but missing from the trigger table"
+        )
+    for trigger in sorted(documented - set(TRIGGERS)):
+        problems.append(
+            f"docs/ARCHITECTURE.md: trigger table documents `{trigger}` "
+            "but batching.TRIGGERS has no such trigger"
+        )
+    for trigger in sorted(set(TRIGGERS) ^ counted):
+        problems.append(
+            f"src/repro/lint/counters.py: `{prefix}{trigger}` is in only one of "
+            "METRIC_NAMES and batching.TRIGGERS"
+        )
+    return problems
+
+
 def main(arguments: list[str]) -> int:
     files = markdown_files(arguments)
     problems = [problem for markdown in files for problem in check_file(markdown)]
@@ -242,6 +289,8 @@ def main(arguments: list[str]) -> int:
     )
     problems.extend(check_lint_rule_docs())
     problems.extend(check_knob_table_docs())
+    if ARCHITECTURE_MD.exists():  # a missing file is already reported above
+        problems.extend(trigger_table_problems(ARCHITECTURE_MD.read_text(encoding="utf-8")))
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"checked {len(files)} markdown file(s): "

@@ -69,9 +69,10 @@ from repro.epaxos.messages import (
 )
 from repro.net.message import Message
 from repro.overlay.base import FanoutOverlay
-from repro.protocol.base import Replica, build_batch_metrics
+from repro.protocol.base import Replica
+from repro.protocol.batching import Batcher
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.messages import ClientReply, ClientRequest
+from repro.protocol.messages import ClientRequest
 from repro.quorum.systems import FastQuorum
 from repro.statemachine.command import Command, CommandBatch, CommandResult, NoOp
 from repro.statemachine.kvstore import KVStore
@@ -100,8 +101,10 @@ class _Instance:
     # never integer counters: the network may retransmit or duplicate a
     # reply, and a duplicated vote must not fake a quorum.
     leader_here: bool = False
-    client_id: Optional[int] = None
-    request_id: int = 0
+    #: Reply routing for an instance led here: one ``(client_id,
+    #: request_id)`` pair per command, in command order -- a single pair
+    #: for a plain command, one per sub-command for a :class:`CommandBatch`.
+    clients: Tuple[Tuple[int, int], ...] = ()
     preaccept_voters: Set[int] = field(default_factory=set)
     preaccept_changed: bool = False
     merged_seq: int = 0
@@ -119,10 +122,6 @@ class _Instance:
     attr_ballot: Optional[Ballot] = None
     local_changed: bool = False
     retry_timer: Optional[object] = None
-    #: For :class:`CommandBatch` instances led here: one (client_id,
-    #: request_id) pair per sub-command, in batch order, so execution can
-    #: reply per command (``client_id``/``request_id`` stay unset then).
-    batch_clients: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __post_init__(self) -> None:
         if self.ballot is None:
@@ -229,23 +228,19 @@ class EPaxosReplica(Replica):
         # this long without a quorum.  None (default) keeps the historical
         # rely-on-client-retries behaviour.
         self._leader_retry_timeout = self.config.leader_retry_timeout
-        # Command batching (PR 9): this replica, as an opportunistic leader,
-        # buffers pairwise non-conflicting client commands and leads one
-        # instance for the whole batch.  A conflicting arrival flushes the
-        # buffer first (batch order would otherwise have to encode the
-        # conflict ordering the instance graph exists to provide); the
-        # buffer also flushes at batch_max_commands or after batch_max_delay.
-        # With the delay unset, commands propose immediately and batching is
-        # effectively off (EPaxos has no pipeline to park commands behind,
-        # so a delay bound is what creates batching opportunities here, and
-        # ``pipeline_depth`` is a rejected knob).  All off (zero events, zero
-        # metric registrations) at the default batch_max_commands == 1.
-        self._batch_max_commands = self.config.batch_max_commands
-        self._batch_max_delay = self.config.batch_max_delay
-        self._batch_enabled = self._batch_max_commands > 1
-        self._batch_buffer: List[Tuple[Command, int]] = []
-        self._batch_timer: Optional[object] = None
-        self._batch_metrics = None
+        # Command batching: this replica, as an opportunistic leader, leads
+        # one instance for each flush of the shared batcher.  EPaxos has no
+        # pipeline to park commands behind (``pipeline_depth`` is a rejected
+        # knob), so the batcher gets no back-pressure test and a delay bound
+        # is what creates batching opportunities here; with it unset every
+        # command proposes immediately.  No batcher exists (zero events,
+        # zero metric registrations) at the default batch_max_commands == 1.
+        self._batcher: Optional[Batcher] = None
+        if self.config.batch_max_commands > 1:
+            self._batcher = Batcher(
+                self, self.config.batch_max_commands, self.config.batch_max_delay,
+                propose=self._lead_instance,
+            )
 
     # ------------------------------------------------------------------ setup
     @property
@@ -358,78 +353,20 @@ class EPaxosReplica(Replica):
         self.count("client_requests")
         command = msg.command
         client_id = command.client_id if command.client_id >= 0 else src
-        if self._batch_enabled:
-            self._buffer_for_batch(command, client_id)
+        batcher = self._batcher
+        if batcher is None:
+            self._lead_instance(command, ((client_id, command.request_id),))
             return
-        self._lead_instance(command, client_id, command.request_id)
-
-    # ------------------------------------------------------------------ batching
-    def _batch_counters(self):
-        """Lazily bound ``batch.*`` metrics (batching-enabled runs only)."""
-        if self._batch_metrics is None:
-            self._batch_metrics = build_batch_metrics(self.ctx.metrics)
-        return self._batch_metrics
-
-    def _buffer_for_batch(self, command: Command, client_id: int) -> None:
-        """Queue a command for this leader's next batched instance.
-
-        Flush triggers (counted under ``batch.flush.<trigger>``): a
-        **conflict**ing arrival flushes the standing buffer before being
-        queued itself (batches hold pairwise non-conflicting commands only,
-        so the instance graph keeps providing all conflict ordering); the
-        buffer reaching batch_max_commands flushes on **size**; a partial
-        buffer flushes after batch_max_delay (**delay**) -- or, with no
-        delay bound configured, **immediate**ly, which degenerates to the
-        unbatched behaviour.
-        """
-        buffer = self._batch_buffer
+        buffer = batcher.buffer
         if buffer and any(command.conflicts_with(queued) for queued, _ in buffer):
-            self._flush_batch("conflict")
-        self._batch_buffer.append((command, client_id))
-        if len(self._batch_buffer) >= self._batch_max_commands:
-            self._flush_batch("size")
-        elif self._batch_max_delay is not None:
-            if self._batch_timer is None:
-                self._batch_timer = self.ctx.schedule(
-                    self._batch_max_delay, self._batch_delay_fired
-                )
-        else:
-            self._flush_batch("immediate")
+            # Batches hold pairwise non-conflicting commands only: flush the
+            # standing buffer before a conflicting arrival joins it (batch
+            # order would otherwise have to encode the conflict ordering
+            # the instance graph exists to provide).
+            batcher.pump("conflict", force=True)
+        batcher.add(command, client_id)
 
-    def _batch_delay_fired(self) -> None:
-        self._batch_timer = None
-        self._flush_batch("delay")
-
-    def _flush_batch(self, trigger: str) -> None:
-        buffer = self._batch_buffer
-        if not buffer:
-            return
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-        flushed = list(buffer)
-        buffer.clear()
-        by_trigger, commands_batched, occupancy = self._batch_counters()
-        by_trigger[trigger].value += 1
-        commands_batched.value += len(flushed)
-        occupancy.observe(len(flushed))
-        if len(flushed) == 1:
-            command, client_id = flushed[0]
-            self._lead_instance(command, client_id, command.request_id)
-            return
-        batch = CommandBatch(command for command, _ in flushed)
-        batch_clients = tuple(
-            (client_id, command.request_id) for command, client_id in flushed
-        )
-        self._lead_instance(batch, None, 0, batch_clients=batch_clients)
-
-    def _lead_instance(
-        self,
-        command: Command,
-        client_id: Optional[int],
-        request_id: int,
-        batch_clients: Optional[Tuple[Tuple[int, int], ...]] = None,
-    ) -> None:
+    def _lead_instance(self, command: Command, clients: Tuple[Tuple[int, int], ...]) -> None:
         self._next_instance += 1
         instance_id: InstanceId = (self.node_id, self._next_instance)
         seq, deps = self._conflicts_for(command)
@@ -440,11 +377,9 @@ class EPaxosReplica(Replica):
             deps=deps,
             status=_PREACCEPTED,
             leader_here=True,
-            client_id=client_id,
-            request_id=request_id,
+            clients=clients,
             merged_seq=seq,
             merged_deps=deps,
-            batch_clients=batch_clients,
         )
         self.instances[instance_id] = instance
         self._record_key(command, instance_id)
@@ -636,7 +571,7 @@ class EPaxosReplica(Replica):
         elif existing.status in (_PREACCEPTED, _UNKNOWN):
             # Update in place rather than replacing the object: a recovery
             # re-PreAccept reaching the still-alive original leader must not
-            # clobber its leader bookkeeping (leader_here/client_id/retry
+            # clobber its leader bookkeeping (leader_here/clients/retry
             # timer) -- the client still deserves its reply once the
             # recovered command commits.  For default-ballot duplicates the
             # written fields are identical to a replacement.
@@ -1226,40 +1161,19 @@ class EPaxosReplica(Replica):
         self.graph.mark_executed(instance_id)
         self.executed_order.append(instance_id)
         self.count("instances_executed")
-        if instance.leader_here and instance.batch_clients is not None:
-            if (
-                type(instance.command) is not CommandBatch
-                or len(instance.command) != len(instance.batch_clients)
-            ):
-                # A recovery decided this instance with something other than
-                # the batch we proposed (e.g. a dependency-preserving no-op
-                # after a partition).  Stay silent; every client retries.
+        clients = instance.clients
+        if not clients:
+            return  # not led here: nobody is waiting on this replica
+        command = instance.command
+        if type(command) is NoOp:
+            # A recovery decided this instance with a dependency-preserving
+            # no-op instead of what we proposed (e.g. after a partition).
+            # Stay silent; every client retries.  Only a lost batch is
+            # counted: it costs one retry per command inside.
+            if len(clients) > 1:
                 self.count("orphaned_batch_replies_suppressed")
-                return
-            for (client_id, request_id), command, sub_result in zip(
-                instance.batch_clients, instance.command.commands, result
-            ):
-                if client_id is None or client_id < 0:
-                    continue
-                self.send(client_id, ClientReply(
-                    command_uid=command.uid,
-                    request_id=request_id,
-                    client_id=client_id,
-                    success=True,
-                    result=sub_result,
-                ))
-                self.count("client_replies")
-            return
-        if instance.leader_here and instance.client_id is not None and not isinstance(instance.command, NoOp):
-            reply = ClientReply(
-                command_uid=instance.command.uid,
-                request_id=instance.request_id,
-                client_id=instance.client_id,
-                success=True,
-                result=result,
-            )
-            self.send(instance.client_id, reply)
-            self.count("client_replies")
+        else:
+            self._reply_to_clients(clients, command, result)
 
     # ------------------------------------------------------------------ crash / recover
     def on_crash(self) -> None:
@@ -1267,11 +1181,8 @@ class EPaxosReplica(Replica):
         # buffer is leader-volatile state -- buffered commands were never
         # proposed, so they are simply lost and their clients retry.
         super().on_crash()
-        if self._batch_enabled:
-            self._batch_buffer.clear()
-            if self._batch_timer is not None:
-                self._batch_timer.cancel()
-                self._batch_timer = None
+        if self._batcher is not None:
+            self._batcher.reset()
 
     # ------------------------------------------------------------------ introspection
     def status(self) -> Dict[str, object]:

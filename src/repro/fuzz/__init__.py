@@ -10,7 +10,8 @@ The fuzz tier sits on top of the deterministic scenario engine
   a small repro and renders it as a library-ready ``Scenario(...)``
   literal for check-in.
 * :mod:`repro.fuzz.mutations` -- re-seeds three known (fixed) EPaxos bugs
-  so the fleet can prove it actually finds and shrinks real violations.
+  so the fleet can prove it actually finds and shrinks real violations,
+  plus two breaks of the batched reply path every protocol shares.
 * :mod:`repro.fuzz.fleet` -- drives many seeds, optionally across worker
   processes and under a wall-clock budget, shrinking every finding.
 

@@ -1,7 +1,7 @@
 """Re-seedable known bugs for mutation-fuzz calibration.
 
 A fuzzer you have never seen find a bug is just a random workload
-generator.  This module re-seeds the three latent EPaxos bugs fixed in the
+generator.  This module re-seeds three latent EPaxos bugs fixed in the
 "EPaxos under adversity" PR -- the same mutations the scenario-level
 mutation tests pin -- as named, reversible patches, so the fleet driver can
 prove end-to-end that random schedules + checkers + shrinking actually
@@ -20,6 +20,17 @@ flush real protocol bugs out:
 ``python -m repro.fuzz --fleet 40 --mutation vote-dedup --protocols epaxos``
 must find (and shrink) a violation; ``tests/test_fuzz.py`` gates all three.
 
+Two more break the batched reply path every protocol shares; each must trip
+``linearizability`` on a batched Paxos and a batched EPaxos run
+(``tests/test_batching.py``):
+
+* ``batch-unpack-reversed`` -- replicas apply a batch in reverse order while
+  the reply fan-out still zips results positionally with the recorded
+  clients, so clients are handed each other's results.
+* ``reply-misroute`` -- the shared reply helper rotates the recorded clients
+  by one.  One patch point breaking both protocols proves it is the only
+  reply path.
+
 Usage::
 
     from repro.fuzz.mutations import apply_mutation
@@ -33,6 +44,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
+
+from repro.statemachine.command import CommandBatch
 
 
 def _broken_register_vote(voters, voter):
@@ -52,6 +65,22 @@ def _make_broken_execution_order(original):
         return sorted(order), visited
 
     return id_sorted
+
+
+def _make_reversed_batch_apply(original):
+    def apply_reversed(self, command):
+        if type(command) is CommandBatch and len(command.commands) > 1:
+            return tuple(original(self, sub) for sub in reversed(command.commands))
+        return original(self, command)
+
+    return apply_reversed
+
+
+def _make_misrouted_replies(original):
+    def reply_misrouted(self, clients, command, result, leader_hint=None):
+        original(self, clients[1:] + clients[:1], command, result, leader_hint)
+
+    return reply_misrouted
 
 
 @contextmanager
@@ -91,12 +120,33 @@ def _planner_order() -> Iterator[None]:
         yield
 
 
-#: Mutation name -> context manager factory.  All three live in the EPaxos
-#: stack, so mutation-fuzz runs should use an epaxos-only profile.
+@contextmanager
+def _batch_unpack_reversed() -> Iterator[None]:
+    from repro.epaxos.replica import EPaxosReplica
+    from repro.paxos.replica import MultiPaxosReplica
+
+    with _patched(MultiPaxosReplica, "_apply_command", _make_reversed_batch_apply), \
+         _patched(EPaxosReplica, "_apply_command", _make_reversed_batch_apply):
+        yield
+
+
+@contextmanager
+def _reply_misroute() -> Iterator[None]:
+    from repro.protocol.base import Replica
+
+    with _patched(Replica, "_reply_to_clients", _make_misrouted_replies):
+        yield
+
+
+#: Mutation name -> context manager factory.  The first three live in the
+#: EPaxos stack, so mutation-fuzz runs of those should use an epaxos-only
+#: profile; the last two only bite on runs that batch.
 MUTATIONS: Dict[str, object] = {
     "vote-dedup": _vote_dedup,
     "key-index": _key_index,
     "planner-order": _planner_order,
+    "batch-unpack-reversed": _batch_unpack_reversed,
+    "reply-misroute": _reply_misroute,
 }
 
 

@@ -120,7 +120,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         # --- workload clients (workload/client.py)
         "client.latency",
         "client.completions",
-        # --- leader-side batching (protocol/base.py, build_batch_metrics)
+        # --- leader-side batching (protocol/batching.py; one flush counter
+        #     per batching.TRIGGERS entry, held to it by scripts/check_docs.py)
         "batch.flush.size",
         "batch.flush.delay",
         "batch.flush.pipeline",

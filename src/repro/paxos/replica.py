@@ -19,7 +19,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.overlay.base import FanoutOverlay
 from repro.protocol.ballot import Ballot
-from repro.protocol.base import Replica, TimerLike, build_batch_metrics
+from repro.protocol.base import Replica, TimerLike
+from repro.protocol.batching import Batcher
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import (
     ClientReply,
@@ -45,20 +46,18 @@ from repro.statemachine.sessions import ClientSessionCache
 class _Proposal:
     """Leader-side bookkeeping for one in-flight slot.
 
-    ``batch_clients`` is only set for :class:`CommandBatch` proposals: one
-    ``(client_id, request_id)`` pair per sub-command, in batch order, so
-    execution can reply per command (``client_id``/``request_id`` stay at
-    their defaults then -- the per-command pairs are the reply routing).
+    ``clients`` is the reply routing: one ``(client_id, request_id)`` pair
+    per command in the slot, in command order -- a single pair for a plain
+    command, one per sub-command for a :class:`CommandBatch`, and ``()`` for
+    a recovery re-proposal nobody here is waiting on.
     """
 
     slot: int
     command: object
     tracker: VoteTracker
-    client_id: Optional[int] = None
-    request_id: int = 0
+    clients: Tuple[Tuple[int, int], ...] = ()
     committed: bool = False
     retry_timer: Optional[TimerLike] = None
-    batch_clients: Optional[Tuple[Tuple[int, int], ...]] = None
 
 
 class MultiPaxosReplica(Replica):
@@ -96,16 +95,18 @@ class MultiPaxosReplica(Replica):
         self._phase1_tracker: Optional[BallotVoteTracker] = None
         self._phase1_timer: Optional[TimerLike] = None
 
-        # Leader-side command batching & pipelining (PR 9).  All off when
-        # batch_max_commands == 1 (the default): no buffer is ever filled,
-        # no timer armed, no metric registered, so unbatched runs schedule
-        # exactly the events they always did and recorded fingerprints stay
-        # byte-identical.
-        self._batch_enabled = self.config.batch_max_commands > 1
-        self._batch_buffer: List[Tuple[object, int]] = []
-        self._batch_timer: Optional[TimerLike] = None
+        # Leader-side command batching & pipelining.  All off when
+        # batch_max_commands == 1 (the default): no batcher exists, so
+        # unbatched runs schedule exactly the events they always did and
+        # recorded fingerprints stay byte-identical.  The pipeline bound is
+        # this protocol's back-pressure on the shared batcher.
         self._inflight_slots = 0
-        self._batch_metrics = None
+        self._batcher: Optional[Batcher] = None
+        if self.config.batch_max_commands > 1:
+            self._batcher = Batcher(
+                self, self.config.batch_max_commands, self.config.batch_max_delay,
+                propose=self._propose_in_slot, has_room=self._pipeline_has_room,
+            )
 
         # Failure detection.
         self._last_leader_contact = 0.0
@@ -269,7 +270,7 @@ class MultiPaxosReplica(Replica):
                     continue  # pruned/executed elsewhere: fetch, don't overwrite
                 existing = self.log.get(slot)
                 command = existing.command if existing is not None else NoOp()
-            self._propose_in_slot(slot, command, client_id=None, request_id=0)
+            self._propose_in_slot(command, (), slot)
         if quorum_commit_upto > self.commit_upto and tracker:
             self._fetch_committed_slots(tracker.commit_reports(), quorum_commit_upto)
 
@@ -343,115 +344,34 @@ class MultiPaxosReplica(Replica):
     def _propose(self, request: ClientRequest, client_src: int) -> None:
         command = request.command
         client_id = command.client_id if command.client_id >= 0 else client_src
-        if self._batch_enabled:
-            self._buffer_for_batch(command, client_id)
+        if self._batcher is not None:
+            self._batcher.add(command, client_id)
             return
-        slot = self.next_slot
-        self.next_slot += 1
-        self._propose_in_slot(slot, command, client_id=client_id, request_id=command.request_id)
+        self._propose_in_slot(command, ((client_id, command.request_id),))
 
     # ------------------------------------------------------------------ batching
-    def _batch_counters(self):
-        """Lazily bound ``batch.*`` metrics (batching-enabled runs only)."""
-        if self._batch_metrics is None:
-            self._batch_metrics = build_batch_metrics(self.ctx.metrics)
-        return self._batch_metrics
-
-    def _pipeline_full(self) -> bool:
+    def _pipeline_has_room(self) -> bool:
+        """The batcher's back-pressure test: may another slot go in flight?"""
         depth = self.config.pipeline_depth
-        return depth is not None and self._inflight_slots >= depth
-
-    def _buffer_for_batch(self, command: object, client_id: int) -> None:
-        """Queue a client command and flush by the batching rules.
-
-        Flush triggers, in precedence order (each counted under
-        ``batch.flush.<trigger>``):
-
-        * **size** -- the buffer reached ``batch_max_commands``;
-        * **delay** -- ``batch_max_delay`` elapsed since the oldest
-          buffered command (timer armed only while a partial buffer waits);
-        * **pipeline** -- a slot committed while commands were parked
-          behind a full pipeline;
-        * **immediate** -- a partial buffer with pipeline room and no delay
-          bound flushes right away (light load degenerates to unbatched).
-
-        While the pipeline is full nothing flushes; commands keep
-        accumulating (up to ``batch_max_commands`` per eventual flush).
-        """
-        self._batch_buffer.append((command, client_id))
-        if (
-            self.config.batch_max_delay is not None
-            and self._batch_timer is None
-            and len(self._batch_buffer) < self.config.batch_max_commands
-        ):
-            self._batch_timer = self.ctx.schedule(
-                self.config.batch_max_delay, self._batch_delay_fired
-            )
-        self._maybe_flush_batch("immediate")
-
-    def _batch_delay_fired(self) -> None:
-        self._batch_timer = None
-        if self._batch_buffer and self.is_leader:
-            self._maybe_flush_batch("delay", force_partial=True)
-
-    def _maybe_flush_batch(self, trigger: str, force_partial: bool = False) -> None:
-        buffer = self._batch_buffer
-        max_commands = self.config.batch_max_commands
-        while buffer and not self._pipeline_full():
-            if len(buffer) >= max_commands:
-                self._flush_batch(max_commands, "size")
-                continue
-            if self._batch_timer is not None and not force_partial:
-                return  # a delay flush is pending; keep accumulating
-            self._flush_batch(len(buffer), trigger)
-        if not buffer and self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
-
-    def _flush_batch(self, count: int, trigger: str) -> None:
-        buffer = self._batch_buffer
-        flushed = buffer[:count]
-        del buffer[:count]
-        by_trigger, commands_batched, occupancy = self._batch_counters()
-        by_trigger[trigger].value += 1
-        commands_batched.value += count
-        occupancy.observe(count)
-        slot = self.next_slot
-        self.next_slot += 1
-        if count == 1:
-            command, client_id = flushed[0]
-            self._propose_in_slot(slot, command, client_id=client_id,
-                                  request_id=command.request_id)
-            return
-        batch = CommandBatch(command for command, _ in flushed)
-        batch_clients = tuple(
-            (client_id, command.request_id) for command, client_id in flushed
-        )
-        self._propose_in_slot(slot, batch, client_id=None, request_id=0,
-                              batch_clients=batch_clients)
+        return depth is None or self._inflight_slots < depth
 
     def _reset_batching(self) -> None:
         """Drop buffered commands on leadership loss; clients retry them."""
-        self._batch_buffer.clear()
         self._inflight_slots = 0
-        if self._batch_timer is not None:
-            self._batch_timer.cancel()
-            self._batch_timer = None
+        if self._batcher is not None:
+            self._batcher.reset()
 
     def _propose_in_slot(
-        self,
-        slot: int,
-        command: object,
-        client_id: Optional[int],
-        request_id: int,
-        batch_clients: Optional[Tuple[Tuple[int, int], ...]] = None,
+        self, command: object, clients: Tuple[Tuple[int, int], ...], slot: Optional[int] = None
     ) -> None:
+        """Run phase 2 for ``command`` in ``slot`` (default: the next free one)."""
+        if slot is None:
+            slot = self.next_slot
+            self.next_slot += 1
         self.log.accept(slot, self.ballot, command)
         tracker = VoteTracker(self.quorum.phase2_size)
         tracker.ack(self.node_id)
-        proposal = _Proposal(slot=slot, command=command, tracker=tracker,
-                             client_id=client_id, request_id=request_id,
-                             batch_clients=batch_clients)
+        proposal = _Proposal(slot=slot, command=command, tracker=tracker, clients=clients)
         self._proposals[slot] = proposal
         self._inflight_slots += 1
         p2a = P2a(ballot=self.ballot, slot=slot, command=command, commit_upto=self.commit_upto)
@@ -529,8 +449,8 @@ class MultiPaxosReplica(Replica):
             self._inflight_slots -= 1
         self._advance_commit_frontier()
         self._execute_ready()
-        if self._batch_enabled and self._batch_buffer and self.is_leader:
-            self._maybe_flush_batch("pipeline")
+        if self._batcher is not None and self._batcher.buffer and self.is_leader:
+            self._batcher.pump("pipeline")  # the freed slot admits what was parked
 
     def _advance_commit_frontier(self) -> None:
         self.commit_upto = self.log.committed_through(self.commit_upto)
@@ -588,57 +508,22 @@ class MultiPaxosReplica(Replica):
             return  # a follower: nobody here is waiting for these results
         for entry, result in executed:
             proposal = proposals.pop(entry.slot, None)
-            if proposal is None:
+            if proposal is None or not proposal.clients:
                 continue
-            if proposal.batch_clients is not None:
-                self._reply_batch(proposal, entry, result)
-                continue
-            if proposal.client_id is None:
-                continue
-            if getattr(entry.command, "uid", -1) != getattr(proposal.command, "uid", -1):
+            command = entry.command
+            if command.uid != proposal.command.uid:
                 # The slot was decided with a different command than this
                 # node proposed into it: a new leader's recovery re-proposal
                 # (often a gap-filling NoOp) won the slot after we lost the
                 # ballot.  Replying would acknowledge the client's command
                 # with the winner's result -- e.g. a NoOp's empty result for
                 # a GET, a phantom "not found" read the linearizability
-                # checker flags.  Stay silent; the client retries against
-                # the new leader.  (Fuzz-found, seed 257.)
+                # checker flags.  Stay silent, once for a whole batch; every
+                # client retries against the new leader.  (Fuzz-found,
+                # seed 257.)
                 self.count("orphaned_proposal_replies_suppressed")
                 continue
-            reply = ClientReply(
-                command_uid=getattr(entry.command, "uid", -1),
-                request_id=proposal.request_id,
-                client_id=proposal.client_id,
-                success=True,
-                result=result,
-                leader_hint=self.node_id,
-            )
-            self.send(proposal.client_id, reply)
-            self.count("client_replies")
-
-    def _reply_batch(self, proposal: _Proposal, entry, result) -> None:
-        """Fan a batch's per-command results back to the issuing clients."""
-        if getattr(entry.command, "uid", -1) != getattr(proposal.command, "uid", -1):
-            # Same orphan case as the single-command path: a recovery
-            # re-proposal won the slot over our batch.  Stay silent once for
-            # the whole batch; every client inside retries.
-            self.count("orphaned_proposal_replies_suppressed")
-            return
-        for (client_id, request_id), command, sub_result in zip(
-            proposal.batch_clients, entry.command.commands, result
-        ):
-            if client_id is None or client_id < 0:
-                continue
-            self.send(client_id, ClientReply(
-                command_uid=command.uid,
-                request_id=request_id,
-                client_id=client_id,
-                success=True,
-                result=sub_result,
-                leader_hint=self.node_id,
-            ))
-            self.count("client_replies")
+            self._reply_to_clients(proposal.clients, command, result, self.node_id)
 
     def _apply_commit_frontier(self, commit_upto: int, ballot: Ballot) -> None:
         """Follower-side phase-3: mark slots <= commit_upto committed.
@@ -783,8 +668,7 @@ class MultiPaxosReplica(Replica):
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
-        if self._batch_enabled:
-            self._reset_batching()
+        self._reset_batching()
 
     def _schedule_heartbeat(self) -> None:
         if not self.is_leader:
@@ -829,8 +713,7 @@ class MultiPaxosReplica(Replica):
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
-        if self._batch_enabled:
-            self._reset_batching()
+        self._reset_batching()
 
     def on_recover(self) -> None:
         self._last_leader_contact = self.ctx.now

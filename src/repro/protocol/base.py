@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.overlay.base import FanoutOverlay
 from repro.overlay.direct import DirectFanout
+from repro.protocol.messages import ClientReply
 from repro.sim.metrics import MetricsRegistry
+from repro.statemachine.command import CommandBatch
 
 
 class TimerLike(Protocol):
@@ -64,29 +66,6 @@ class NodeContext(Protocol):
     def charge_overhead(self, units: float = 1.0) -> None:
         """Charge per-instance protocol bookkeeping (EPaxos dependency tracking)."""
         ...
-
-
-def build_batch_metrics(metrics: MetricsRegistry):
-    """Resolve the shared ``batch.*`` instruments once per batching replica.
-
-    Returns ``(flush_counters_by_trigger, commands_batched, occupancy)``.
-    Only called by replicas with batching enabled
-    (``ProtocolConfig.batch_max_commands > 1``), so unbatched runs never
-    register these names and their metric snapshots stay unchanged.  The
-    Paxos family uses the size/delay/pipeline/immediate triggers; EPaxos
-    uses size/delay/conflict/immediate (see the replicas for the rules).
-    """
-    return (
-        {
-            "size": metrics.counter("batch.flush.size"),
-            "delay": metrics.counter("batch.flush.delay"),
-            "pipeline": metrics.counter("batch.flush.pipeline"),
-            "conflict": metrics.counter("batch.flush.conflict"),
-            "immediate": metrics.counter("batch.flush.immediate"),
-        },
-        metrics.counter("batch.commands_batched"),
-        metrics.histogram("batch.occupancy"),
-    )
 
 
 #: A message handler: ``handler(src, message)``.
@@ -213,6 +192,40 @@ class Replica(ABC):
     def broadcast(self, dsts: Iterable[int], message: Any) -> None:
         for dst in dsts:
             self.ctx.send(dst, message)
+
+    def _reply_to_clients(
+        self,
+        clients: Sequence[Tuple[int, int]],
+        command: Any,
+        result: Any,
+        leader_hint: Optional[int] = None,
+    ) -> None:
+        """Answer every issuing client with the result of its own command.
+
+        The one place a successful :class:`ClientReply` is built.
+        ``clients`` is the ``(client_id, request_id)`` routing recorded at
+        proposal time, ``command`` what was decided and ``result`` what
+        applying it returned: one pair, a command and its result, or -- for
+        a :class:`CommandBatch` -- a pair per sub-command and the tuple of
+        their results, all in batch order.  The caller has already applied
+        its protocol's orphan rule: what was decided is what it proposed.
+        """
+        if type(command) is CommandBatch:
+            commands, results = command.commands, result
+        else:
+            commands, results = (command,), (result,)
+        for (client_id, request_id), answered, its_result in zip(clients, commands, results):
+            if client_id < 0:
+                continue
+            self.send(client_id, ClientReply(
+                command_uid=answered.uid,
+                request_id=request_id,
+                client_id=client_id,
+                success=True,
+                result=its_result,
+                leader_hint=leader_hint,
+            ))
+            self.count("client_replies")
 
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment a protocol-level metric counter namespaced by node id."""

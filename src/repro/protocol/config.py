@@ -74,16 +74,20 @@ class ProtocolConfig:
             batching entirely: no buffer, no timers, no extra events, so
             every recorded fingerprint is byte-identical.  Values > 1 let
             the leader accumulate commands into a pending buffer and flush
-            a :class:`~repro.statemachine.command.CommandBatch` when the
-            buffer fills (see :data:`batch_max_delay` for the time bound).
+            a :class:`~repro.statemachine.command.CommandBatch` by the rules
+            of :mod:`repro.protocol.batching`.  Alone it forms no batch:
+            commands accumulate only while ``batch_max_delay`` or a full
+            ``pipeline_depth`` holds them back.
         batch_max_delay: Upper bound (virtual seconds) a buffered command
-            may wait before its batch is flushed regardless of occupancy.
-            ``None`` (default) means no delay flush: with batching enabled
-            a partial buffer then flushes only when the pipeline frees or
-            the buffer fills.  Must stay well under the client timeout or
-            delayed flushes answer already-retried requests (the session
-            dedup window still makes that safe, just wasteful).  Only
-            takes effect when ``batch_max_commands > 1``.
+            may wait before its batch is flushed regardless of occupancy;
+            until then a partial buffer keeps accumulating.  ``None``
+            (default) means nothing waits: a partial buffer flushes
+            *immediately* whenever there is pipeline room, so without a
+            ``pipeline_depth`` every command is proposed alone.  Must stay
+            well under the client timeout or delayed flushes answer
+            already-retried requests (the session dedup window still makes
+            that safe, just wasteful).  Only takes effect when
+            ``batch_max_commands > 1``.
         pipeline_depth: Bound on concurrently in-flight (proposed but not
             yet committed) slots at a batching Paxos-family leader.  While
             the pipeline is full, new commands buffer past the size

@@ -175,15 +175,6 @@ class CommandBatch:
     def __len__(self) -> int:
         return len(self.commands)
 
-    @property
-    def is_read(self) -> bool:
-        """True only when every sub-command is a read."""
-        return all(command.is_read for command in self.commands)
-
-    @property
-    def is_write(self) -> bool:
-        return any(command.is_write for command in self.commands)
-
     def keys(self):
         """Distinct keys touched, in first-occurrence order (EPaxos deps)."""
         seen = []

@@ -4,8 +4,10 @@ Timers cannot gate on a shared runner; call counts can.  ``cProfile`` counts
 every Python and C function call, the count repeats exactly for a given
 scenario and seed, and it tracks the simulator's per-message host cost (the
 perf ledger's ``host_calls_per_op``, see ``benchmarks/ledger/README.md``).
-Two small fixed scenarios -- one relay-tree run on a planet topology, one
-sharded run through ``ShardReplicaHost`` -- must stay within a pinned budget.
+Three small fixed scenarios -- one relay-tree run on a planet topology, one
+sharded run through ``ShardReplicaHost``, one batched and pipelined run
+through the shared ``Batcher`` and the per-client reply fan-out -- must stay
+within a pinned budget.
 
 The budgets carry about 10 % headroom over the measured count.  Exceeding
 one means the send -> deliver -> handle path grew per-message work: find it
@@ -68,6 +70,22 @@ BUDGETS = [
             seed=5,
         ),
         485,  # measured 442; 547 (budget 600) and 792 before, as above
+    ),
+    (
+        Scenario(
+            name="budget-batched-pig5",
+            protocol="pigpaxos",
+            num_nodes=5,
+            num_clients=8,
+            duration=0.3,
+            config_overrides={"batch_max_commands": 4, "pipeline_depth": 2},
+            checks=CHECKS,
+            min_completed=1000,
+            seed=5,
+        ),
+        # measured 337.5 over 1480 ops; 341.1 with the two per-protocol
+        # batchers this cell was pinned against, so sharing one cost nothing
+        370,
     ),
 ]
 

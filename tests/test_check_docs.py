@@ -31,3 +31,40 @@ def test_stale_imports_in_python_blocks_are_reported():
 def test_the_repo_docs_teach_only_importable_names():
     for markdown in check_docs.markdown_files([]):
         assert check_docs.unresolved_imports(markdown.read_text(encoding="utf-8")) == []
+
+
+_TRIGGER_TABLE = (
+    "| trigger | named by | fires when |\n"
+    "|---|---|---|\n"
+    "| `size` | x | y |\n"
+    "| `delay` | x | y |\n"
+    "| `immediate` | x | y |\n"
+    "| `pipeline` | x | y |\n"
+    "| `conflict` | x | y |\n"
+    "\nprose after the table, with a `backticked` word\n"
+)
+
+
+def test_trigger_table_is_held_to_the_batcher_in_both_directions():
+    assert check_docs.trigger_table_problems(_TRIGGER_TABLE) == []
+    architecture = check_docs.ARCHITECTURE_MD.read_text(encoding="utf-8")
+    assert check_docs.trigger_table_problems(architecture) == []
+    undocumented = check_docs.trigger_table_problems(
+        _TRIGGER_TABLE.replace("| `pipeline` | x | y |\n", "")
+    )
+    assert len(undocumented) == 1 and "`pipeline`" in undocumented[0]
+    invented = check_docs.trigger_table_problems(
+        _TRIGGER_TABLE.replace("| `conflict` |", "| `conflict` | x | y |\n| `backlog` |")
+    )
+    assert len(invented) == 1 and "`backlog`" in invented[0]
+    assert len(check_docs.trigger_table_problems("no table here")) == 1
+
+
+def test_trigger_counters_are_held_to_the_batcher(monkeypatch):
+    from repro.lint import counters
+
+    monkeypatch.setattr(
+        counters, "METRIC_NAMES", counters.METRIC_NAMES - {"batch.flush.delay"}
+    )
+    (problem,) = check_docs.trigger_table_problems(_TRIGGER_TABLE)
+    assert "batch.flush.delay" in problem

@@ -361,7 +361,7 @@ class TestDecisionTable:
 
     def test_recovery_preaccept_preserves_leader_bookkeeping(self):
         """A recovery re-PreAccept reaching the alive original leader keeps
-        leader_here/client_id, so the leader still answers its client when
+        leader_here/clients, so the leader still answers its client when
         the recovered (real) command commits."""
         from repro.protocol.messages import ClientReply
 
@@ -375,7 +375,7 @@ class TestDecisionTable:
         reply = replica._handle_preaccept(recovery_pre)
         assert reply.ok
         instance = replica.instances[instance_id]
-        assert instance.leader_here and instance.client_id == 1007
+        assert instance.leader_here and instance.clients == ((1007, 1),)
         assert instance.ballot == (1, 2)
         # The recovery commits the real command: the client gets its answer.
         replica._on_commit(2, ECommit(instance=instance_id, command=command, seq=1, deps=frozenset()))

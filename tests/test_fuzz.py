@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import library_run
 from repro.errors import ConfigurationError
 from repro.fuzz import (
     DEFAULT_PROFILE,
@@ -114,27 +115,27 @@ class TestMutations:
     def test_mutations_are_reversible(self, name):
         from repro.epaxos.graph import DependencyGraph
         from repro.epaxos.replica import EPaxosReplica
+        from repro.paxos.replica import MultiPaxosReplica
+        from repro.protocol.base import Replica
 
-        before = (
-            EPaxosReplica.__dict__["_register_vote"],
-            EPaxosReplica.__dict__["_record_key"],
-            DependencyGraph.__dict__["execution_order"],
-        )
-        with apply_mutation(name):
-            after = (
+        def patch_points():
+            return (
                 EPaxosReplica.__dict__["_register_vote"],
                 EPaxosReplica.__dict__["_record_key"],
                 DependencyGraph.__dict__["execution_order"],
+                EPaxosReplica.__dict__["_apply_command"],
+                MultiPaxosReplica.__dict__["_apply_command"],
+                Replica.__dict__["_reply_to_clients"],
             )
-            assert after != before  # the patch actually landed
-        restored = (
-            EPaxosReplica.__dict__["_register_vote"],
-            EPaxosReplica.__dict__["_record_key"],
-            DependencyGraph.__dict__["execution_order"],
-        )
-        assert restored == before
 
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+        before = patch_points()
+        with apply_mutation(name):
+            assert patch_points() != before  # the patch actually landed
+        assert patch_points() == before
+
+    # The two batched-reply-path mutations are pinned against fixed batched
+    # scenarios in test_batching.py instead of fuzz seeds.
+    @pytest.mark.parametrize("name", sorted(CALIBRATION_SEEDS))
     def test_fleet_refinds_reseeded_bug(self, name):
         seed = CALIBRATION_SEEDS[name]
         report = run_fleet(
@@ -205,25 +206,25 @@ class TestFuzzFoundRegressions:
         # The shrunk seed-42 repro: even-cluster fast quorums + WAN client
         # retries.  Green only because FastQuorum floors the fast path at
         # a majority; see test_quorum.py for the size-level pin.
-        result = run_scenario(get_scenario("epaxos-even-cluster-retry"))
-        assert result.ok, result.violations
-        assert result.completed_requests >= 10
+        run = library_run("epaxos-even-cluster-retry")
+        assert run.ok, run.violations
+        assert run.completed_requests >= 10
 
     def test_deposed_leader_phantom_read_repro_passes(self):
         # The shrunk fleet-seed-257 repro: a deposed PigPaxos leader whose
         # slot was NoOp-filled by the takeover must not acknowledge the
         # orphaned client command with the NoOp's empty result.
-        result = run_scenario(get_scenario("pig-deposed-leader-phantom-read"))
-        assert result.ok, result.violations
-        assert result.completed_requests >= 40
+        run = library_run("pig-deposed-leader-phantom-read")
+        assert run.ok, run.violations
+        assert run.completed_requests >= 40
 
     def test_region_partition_recovery_repro_passes(self):
         # The shrunk fleet-seed-462 repro: explicit-prepare recovery under a
         # region partition must respect latest-per-origin deps semantics in
         # its fast-commit disproof.
-        result = run_scenario(get_scenario("epaxos-region-partition-recovery"))
-        assert result.ok, result.violations
-        assert result.completed_requests >= 10
+        run = library_run("epaxos-region-partition-recovery")
+        assert run.ok, run.violations
+        assert run.completed_requests >= 10
 
 
 # ---------------------------------------------------------------- parallel

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenarios.library import get_scenario
-from repro.scenarios.runner import ScenarioRunner
+from helpers import library_run
 
 #: scenario name -> fingerprint recorded at the pre-optimization baseline.
 GOLDEN_FINGERPRINTS = {
@@ -90,9 +89,9 @@ GOLDEN_FINGERPRINTS = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_FINGERPRINTS))
 def test_fingerprint_matches_pre_optimization_golden(name):
-    result = ScenarioRunner(get_scenario(name)).run()
-    assert result.ok, result.violations
-    assert result.fingerprint() == GOLDEN_FINGERPRINTS[name], (
+    run = library_run(name)  # the run the canned sweep also judges
+    assert run.ok, run.violations
+    assert run.fingerprint == GOLDEN_FINGERPRINTS[name], (
         f"scenario {name!r} no longer reproduces its pre-optimization "
         f"fingerprint: an optimization changed simulation semantics "
         f"(event order, RNG draw order, event count, or timing)"

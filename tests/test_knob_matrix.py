@@ -14,6 +14,7 @@ leader-election knobs), test_epaxos_recovery.py (Paxos family vs
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from operator import attrgetter
 
 import pytest
 
@@ -48,13 +49,15 @@ COMPANIONS = {
     "batch_max_delay": {"batch_max_commands": 4},
     "pipeline_depth": {"batch_max_commands": 4},
 }
-#: Where EPaxosReplica keeps what it consumed from its config.
-EPAXOS_CONSUMED = {
-    "session_window": "_session_window",
-    "recovery_timeout": "_recovery_timeout",
-    "leader_retry_timeout": "_leader_retry_timeout",
-    "batch_max_commands": "_batch_max_commands",
-    "batch_max_delay": "_batch_max_delay",
+#: Where a replica keeps what it consumed from its config, as an attribute
+#: path: EPaxos copies its own knobs at construction, and every protocol
+#: hands the batching knobs to its batcher.
+CONSUMED = {
+    ("epaxos", "session_window"): "_session_window",
+    ("epaxos", "recovery_timeout"): "_recovery_timeout",
+    ("epaxos", "leader_retry_timeout"): "_leader_retry_timeout",
+    **{(protocol, "batch_max_commands"): "_batcher.max_commands" for protocol in PROTOCOLS},
+    **{(protocol, "batch_max_delay"): "_batcher.max_delay" for protocol in PROTOCOLS},
 }
 
 
@@ -92,8 +95,8 @@ def test_every_cell_is_honoured_or_rejected(knob, protocol, as_mapping):
         if knob == "overlay":
             assert isinstance(replica.overlay, RelayFanout)
             assert replica.overlay.num_groups == 2
-        if protocol == "epaxos" and knob in EPAXOS_CONSUMED:
-            assert getattr(replica, EPAXOS_CONSUMED[knob]) == value
+        if (protocol, knob) in CONSUMED:
+            assert attrgetter(CONSUMED[protocol, knob])(replica) == value
 
 
 class TestPresets:

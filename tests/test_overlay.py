@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import FakeContext
+from helpers import FakeContext, library_run
 from repro.cluster.builder import build_cluster
 from repro.epaxos.messages import ECommit, EPreAccept, EPreAcceptReply
 from repro.epaxos.replica import EPaxosReplica
@@ -493,14 +493,13 @@ class TestScenarioIntegration:
         "epaxos-thrifty-severed-links",
     ])
     def test_overlay_scenarios_pass_all_checkers(self, name):
-        result = run_scenario(get_scenario(name))
-        result.raise_on_violations()
-        assert result.completed_requests > 0
+        run = library_run(name)
+        assert run.ok, run.violations
+        assert run.completed_requests > 0
 
     def test_overlay_scenarios_are_deterministic(self):
-        a = run_scenario(get_scenario("epaxos-relay-reshuffle-storm"))
-        b = run_scenario(get_scenario("epaxos-relay-reshuffle-storm"))
-        assert a.fingerprint() == b.fingerprint()
+        fresh = run_scenario(get_scenario("epaxos-relay-reshuffle-storm"))
+        assert fresh.fingerprint() == library_run("epaxos-relay-reshuffle-storm").fingerprint
 
     def test_thrifty_fallback_mutation_is_caught(self, monkeypatch):
         """Drop the fallback re-send: the progress checker must fire.

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from helpers import library_run
 from repro.checkers.history import HistoryRecorder
 from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
@@ -46,11 +47,10 @@ class TestCannedScenarios:
             # progress check (e.g. the thrifty-overlay fallback scenarios).
             expected.add("progress")
         assert set(scenario.checks) == expected
-        result = run_scenario(scenario)
-        result.raise_on_violations()
-        assert result.ok
-        assert result.completed_requests > 0
-        assert len(result.history) >= result.completed_requests
+        run = library_run(name)
+        assert run.ok, run.violations
+        assert run.completed_requests > 0
+        assert run.recorded_operations >= run.completed_requests
 
     def test_library_is_large_enough(self):
         # The acceptance bar: at least 8 canned adversarial scenarios for
@@ -61,25 +61,22 @@ class TestCannedScenarios:
         assert all(s.protocol == "epaxos" for s in epaxos.values())
 
     def test_fault_scenarios_actually_fire_faults(self):
-        result = run_scenario(get_scenario("pig-crash-leader-during-round"))
-        assert any("crash_leader" in line for line in result.events_fired)
-        assert result.counters().get("faults.crashes", 0) >= 1
+        run = library_run("pig-crash-leader-during-round")
+        assert any("crash_leader" in line for line in run.events_fired)
+        assert run.counters.get("faults.crashes", 0) >= 1
 
     def test_relay_churn_scenario_reshuffles(self):
-        result = run_scenario(get_scenario("pig-relay-churn"))
-        assert result.counters().get("pigpaxos.group_reshuffles", 0) >= 1
+        assert library_run("pig-relay-churn").counters.get("pigpaxos.group_reshuffles", 0) >= 1
 
     def test_timeout_storm_exercises_relay_timeouts(self):
-        result = run_scenario(get_scenario("pig-relay-timeout-storm"))
-        counters = result.counters()
+        counters = library_run("pig-relay-timeout-storm").counters
         assert counters.get("pigpaxos.relay_timeouts", 0) >= 1
         assert counters.get("net.messages_dropped", 0) >= 1
 
 
 class TestEPaxosScenarios:
     def test_duplicate_torture_actually_duplicates(self):
-        result = run_scenario(get_scenario("epaxos-duplicate-torture"))
-        counters = result.counters()
+        counters = library_run("epaxos-duplicate-torture").counters
         assert counters.get("net.messages_duplicated", 0) >= 100
         # The replicas saw (and ignored) retransmitted votes.
         duplicate_votes = sum(
@@ -89,33 +86,31 @@ class TestEPaxosScenarios:
         assert duplicate_votes >= 1
 
     def test_hot_key_storm_is_contended(self):
-        result = run_scenario(get_scenario("epaxos-hot-key-storm"))
-        counters = result.counters()
+        counters = library_run("epaxos-hot-key-storm").counters
         # Contention shows up as slow-path rounds (changed PreAccept replies).
         assert counters.get("epaxos.slow_path_rounds", 0) >= 1
         assert counters.get("epaxos.fast_path_commits", 0) >= 1
 
     def test_crash_scenario_degrades_but_stays_safe(self):
-        result = run_scenario(get_scenario("epaxos-crash-degraded"))
-        assert result.counters().get("faults.crashes", 0) >= 1
-        assert result.ok
+        run = library_run("epaxos-crash-degraded")
+        assert run.counters.get("faults.crashes", 0) >= 1
+        assert run.ok
 
     def test_retries_are_deduplicated_not_reapplied(self):
         """Client retries under drops land in fresh instances; the session
         filter must be what keeps the run linearizable."""
-        result = run_scenario(get_scenario("epaxos-drop-storm"))
-        assert result.counters().get("epaxos.duplicate_commands_skipped", 0) >= 1
+        counters = library_run("epaxos-drop-storm").counters
+        assert counters.get("epaxos.duplicate_commands_skipped", 0) >= 1
 
     @pytest.mark.parametrize(
         "name",
         ["epaxos-hot-key-storm", "epaxos-duplicate-torture", "epaxos-recovery-crash"],
     )
     def test_epaxos_scenarios_are_deterministic(self, name):
-        scenario = get_scenario(name)
-        first = run_scenario(scenario)
-        second = run_scenario(scenario)
-        assert first.fingerprint() == second.fingerprint()
-        assert first.counters() == second.counters()
+        first = library_run(name)
+        second = run_scenario(get_scenario(name))  # a fresh run, same seed
+        assert first.fingerprint == second.fingerprint()
+        assert first.counters == second.counters()
         assert first.events_processed == second.events_processed
 
 
@@ -154,8 +149,7 @@ class TestEPaxosRecoveryScenarios:
         assert result.completed_requests < scenario.min_completed
 
     def test_relay_recovery_exercises_all_three_mechanisms(self):
-        result = run_scenario(get_scenario("epaxos-relay-recovery-25"))
-        counters = result.counters()
+        counters = library_run("epaxos-relay-recovery-25").counters
         assert counters.get("epaxos.recoveries_started", 0) >= 1
         assert counters.get("epaxos.commit_fallbacks", 0) >= 1
         assert counters.get("epaxos.leader_round_retries", 0) >= 1

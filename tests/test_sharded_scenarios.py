@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import library_run
 from repro.checkers.history import HistoryRecorder
 from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import build_cluster
@@ -33,19 +34,19 @@ def _sharded_cluster(recorder=None):
 
 class TestShardedFaultScenarios:
     def test_crash_shard_leader_keeps_other_shards_live(self):
-        result = run_scenario(get_scenario("sharded-crash-shard-leader"))
-        result.raise_on_violations()
-        assert result.counters().get("faults.crashes", 0) >= 1
-        traffic = shard_traffic(result.counters())
+        run = library_run("sharded-crash-shard-leader")
+        assert run.ok, run.violations
+        assert run.counters.get("faults.crashes", 0) >= 1
+        traffic = shard_traffic(run.counters)
         assert sorted(traffic) == [0, 1, 2, 3]
         # Every shard -- including shard 1, whose leader's machine died --
         # completes operations (the crash heals mid-run).
         assert all(stats["completions"] > 0 for _, stats in sorted(traffic.items()))
 
     def test_partition_straddle_stalls_only_minority_side_shards(self):
-        result = run_scenario(get_scenario("sharded-partition-straddle"))
-        result.raise_on_violations()
-        traffic = shard_traffic(result.counters())
+        run = library_run("sharded-partition-straddle")
+        assert run.ok, run.violations
+        traffic = shard_traffic(run.counters)
         # Shards 2/3 lead from the majority side and ride through the
         # partition; shards 0/1 lead from the stranded minority and lose
         # most of the partition window.  The gap is the signature.
@@ -55,17 +56,17 @@ class TestShardedFaultScenarios:
         assert all(stats["completions"] > 0 for _, stats in sorted(traffic.items()))
 
     def test_hot_shard_zipfian_shows_imbalance_in_counters(self):
-        result = run_scenario(get_scenario("sharded-hot-shard-zipf"))
-        result.raise_on_violations()
-        summary = shard_summary(result.counters())
+        run = library_run("sharded-hot-shard-zipf")
+        assert run.ok, run.violations
+        summary = shard_summary(run.counters)
         assert summary["num_shards"] == 4.0
         # Zipfian skew concentrates on the low key indices, all owned by
         # shard 0: it must dominate, and visibly so.
-        traffic = shard_traffic(result.counters())
+        traffic = shard_traffic(run.counters)
         hottest = max(sorted(traffic), key=lambda shard: traffic[shard]["completions"])
         assert hottest == 0
         assert summary["hottest_share"] > 0.5
-        assert summary["completions_total"] == result.completed_requests
+        assert summary["completions_total"] == run.completed_requests
 
 
 class _MisroutingRouter:
