@@ -41,8 +41,8 @@ so it neither creates a conflict pair nor appears in a per-key executed
 sequence).  What recovery must still never do is commit a no-op for an
 instance some replica committed (or executed) with the real command: that
 divergence is exactly what :func:`check_epaxos_instance_agreement` and
-:func:`check_epaxos_execution_consistency` flag, and the forced-no-op
-mutation test in ``tests/test_scenarios.py`` keeps them honest.
+:func:`check_epaxos_execution_consistency` flag, and the ``recovery-noop``
+mutation (:mod:`repro.fuzz.mutations`) keeps them honest.
 
 Each check takes the :class:`~repro.cluster.builder.Cluster` post-run and
 returns a list of :class:`Violation` records; an empty list means the
@@ -54,7 +54,9 @@ dependency graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+
+from repro.statemachine.command import Command, CommandBatch
 
 
 @dataclass(frozen=True)
@@ -220,6 +222,8 @@ def run_log_checks(cluster) -> List[Violation]:
 #: Instance statuses that mean "this replica learned the commit decision".
 _EPAXOS_DECIDED = ("committed", "executed")
 
+InstanceId = Tuple[int, int]
+
 
 def _epaxos_replicas(cluster) -> Dict[int, object]:
     replicas: Dict[int, object] = {}
@@ -233,20 +237,18 @@ def _epaxos_replicas(cluster) -> Dict[int, object]:
 def check_epaxos_instance_agreement(cluster) -> List[Violation]:
     """Replicas that committed an instance agree on its (seq, deps, command)."""
     violations: List[Violation] = []
-    chosen: Dict[Tuple[int, int], Tuple[int, Tuple]] = {}
+    chosen: Dict[InstanceId, Tuple[int, Tuple]] = {}
     for node_id, replica in sorted(_epaxos_replicas(cluster).items()):
         for instance_id, instance in sorted(replica.instances.items()):
             if instance.status not in _EPAXOS_DECIDED:
                 continue
-            record = (
-                instance.seq,
-                frozenset(instance.deps),
-                getattr(instance.command, "uid", None),
-            )
-            previous = chosen.get(instance_id)
-            if previous is None:
+            # A decided instance always holds its command (a NoOp at worst).
+            record = (instance.seq, frozenset(instance.deps), instance.command.uid)
+            if instance_id not in chosen:
                 chosen[instance_id] = (node_id, record)
-            elif previous[1] != record:
+                continue
+            previous = chosen[instance_id]
+            if previous[1] != record:
                 violations.append(
                     Violation(
                         checker="epaxos_instance_agreement",
@@ -261,63 +263,101 @@ def check_epaxos_instance_agreement(cluster) -> List[Violation]:
     return violations
 
 
-def _committed_sccs(
-    nodes: Iterable[Tuple[int, int]],
-    deps_of,
-) -> Dict[Tuple[int, int], int]:
-    """Strongly connected components of the committed dependency graph.
+def _committed_sccs(deps: Mapping[InstanceId, FrozenSet[InstanceId]]) -> Dict[InstanceId, int]:
+    """Strongly connected components of a committed dependency graph.
 
-    Returns instance -> component id.  Edges to instances outside ``nodes``
+    ``deps`` maps every committed instance to its dependency set; returns
+    instance -> component id.  Edges to instances outside ``deps``
     (uncommitted at this replica) are ignored; such instances cannot be part
     of a committed cycle.  Iterative Tarjan, same shape as the planner in
-    :mod:`repro.epaxos.graph`.
+    :mod:`repro.epaxos.graph`, with roots and each vertex's dependencies
+    walked in sorted order: the numbering is deterministic and reverse
+    topological (a dependency's component never gets a larger id than its
+    dependent's).  A vertex is on Tarjan's stack iff it is indexed and not
+    yet in a component.
     """
-    node_set = set(nodes)
-    indices: Dict[Tuple[int, int], int] = {}
-    lowlink: Dict[Tuple[int, int], int] = {}
-    on_stack: Set[Tuple[int, int]] = set()
-    stack: List[Tuple[int, int]] = []
-    component_of: Dict[Tuple[int, int], int] = {}
+    vertices = set(deps)
+    index: Dict[InstanceId, int] = {}
+    lowlink: Dict[InstanceId, int] = {}
+    stack: List[InstanceId] = []
+    stack_position: Dict[InstanceId, int] = {}
+    component_of: Dict[InstanceId, int] = {}
     counter = 0
     components = 0
 
-    for root in sorted(node_set):
-        if root in indices:
+    for root in sorted(vertices):
+        if root in index:
             continue
-        work = [(root, iter(sorted(d for d in deps_of(root) if d in node_set)))]
-        indices[root] = lowlink[root] = counter
+        index[root] = lowlink[root] = counter
         counter += 1
+        stack_position[root] = 0  # every earlier root emptied the stack
         stack.append(root)
-        on_stack.add(root)
+        depth = 1
+        work = [(root, iter(sorted(deps[root] & vertices)))]
         while work:
-            node, dep_iter = work[-1]
-            advanced = False
-            for dep in dep_iter:
-                if dep not in indices:
-                    indices[dep] = lowlink[dep] = counter
+            node, pending = work[-1]
+            for dep in pending:
+                if dep not in index:
+                    index[dep] = lowlink[dep] = counter
                     counter += 1
+                    stack_position[dep] = depth
+                    depth += 1
                     stack.append(dep)
-                    on_stack.add(dep)
-                    work.append((dep, iter(sorted(d for d in deps_of(dep) if d in node_set))))
-                    advanced = True
+                    work.append((dep, iter(sorted(deps[dep] & vertices))))
                     break
-                if dep in on_stack:
-                    lowlink[node] = min(lowlink[node], indices[dep])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == indices[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component_of[member] = components
-                    if member == node:
-                        break
-                components += 1
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if dep not in component_of and index[dep] < lowlink[node]:
+                    lowlink[node] = index[dep]
+            else:
+                work.pop()
+                if lowlink[node] == index[node]:
+                    depth = stack_position[node]
+                    for member in stack[depth:]:
+                        component_of[member] = components
+                    del stack[depth:]
+                    components += 1
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
     return component_of
+
+
+def _misplaced_dependencies(node_id, instance, deps, position, scc) -> List[Violation]:
+    """Every dependency of one executed ``instance`` that breaks the order, in sorted order."""
+    violations: List[Violation] = []
+    for dep in sorted(deps[instance]):
+        if dep not in deps:
+            violations.append(
+                Violation(
+                    checker="epaxos_execution_order",
+                    message=(
+                        f"node {node_id} executed {instance} whose "
+                        f"dependency {dep} is not committed locally"
+                    ),
+                )
+            )
+        elif dep not in position:
+            violations.append(
+                Violation(
+                    checker="epaxos_execution_order",
+                    message=(
+                        f"node {node_id} executed {instance} whose "
+                        f"dependency {dep} was never executed"
+                    ),
+                )
+            )
+        elif scc[dep] != scc[instance] and position[dep] > position[instance]:
+            violations.append(
+                Violation(
+                    checker="epaxos_execution_order",
+                    message=(
+                        f"node {node_id} executed {instance} (position "
+                        f"{position[instance]}) before its dependency {dep} "
+                        f"(position {position[dep]})"
+                    ),
+                )
+            )
+    return violations
 
 
 def check_epaxos_execution_order(cluster) -> List[Violation]:
@@ -347,53 +387,33 @@ def check_epaxos_execution_order(cluster) -> List[Violation]:
                 )
             )
             continue
-        committed = graph.committed_instances()
-        scc = _committed_sccs(committed, graph.deps_of)
-        for instance in executed:
-            for dep in sorted(graph.deps_of(instance)):
-                if dep not in committed:
-                    violations.append(
-                        Violation(
-                            checker="epaxos_execution_order",
-                            message=(
-                                f"node {node_id} executed {instance} whose "
-                                f"dependency {dep} is not committed locally"
-                            ),
-                        )
+        deps = graph.committed_deps
+        scc = _committed_sccs(deps)
+        first_member: Dict[int, InstanceId] = {}
+        cycles: Dict[int, List[InstanceId]] = {}  # component -> its >= 2 executed members
+        for here, instance in enumerate(executed):
+            if instance not in deps:
+                continue  # not committed locally: no edges to check, no component
+            component = scc[instance]
+            for dep in deps[instance]:
+                if dep not in deps or dep not in position or (
+                    position[dep] > here and scc[dep] != component
+                ):
+                    violations.extend(
+                        _misplaced_dependencies(node_id, instance, deps, position, scc)
                     )
-                elif dep not in position:
-                    violations.append(
-                        Violation(
-                            checker="epaxos_execution_order",
-                            message=(
-                                f"node {node_id} executed {instance} whose "
-                                f"dependency {dep} was never executed"
-                            ),
-                        )
-                    )
-                elif scc.get(dep) != scc.get(instance) and position[dep] > position[instance]:
-                    violations.append(
-                        Violation(
-                            checker="epaxos_execution_order",
-                            message=(
-                                f"node {node_id} executed {instance} (position "
-                                f"{position[instance]}) before its dependency {dep} "
-                                f"(position {position[dep]})"
-                            ),
-                        )
-                    )
+                    break
+            if component not in first_member:
+                first_member[component] = instance
+            elif component in cycles:
+                cycles[component].append(instance)
+            else:
+                cycles[component] = [first_member[component], instance]
         # Members of one committed cycle must execute in (seq, id) order --
         # no member can execute until every member is committed, so the
         # planner emits the whole component as one deterministically sorted
         # batch; any other relative order is a planner bug.
-        members_by_component: Dict[int, List[Tuple[int, int]]] = {}
-        for instance in executed:
-            component = scc.get(instance)
-            if component is not None:
-                members_by_component.setdefault(component, []).append(instance)
-        for component, members in sorted(members_by_component.items()):
-            if len(members) < 2:
-                continue
+        for component, members in sorted(cycles.items()):
             by_position = sorted(members, key=lambda inst: position[inst])
             by_seq = sorted(members, key=lambda inst: (graph.seq_of(inst), inst))
             if by_position != by_seq:
@@ -414,27 +434,40 @@ def _command_keys(command) -> Tuple[str, ...]:
     """Every key a committed command touches.
 
     A :class:`~repro.statemachine.command.CommandBatch` touches each of its
-    sub-commands' keys (its ``keys()`` method); a plain command touches one;
+    sub-commands' keys (its ``keys()`` tuple); a plain command touches one;
     a recovery no-op touches none.  The per-key checks must treat a batch as
     a first-class vertex on *every* key inside it, or the dependency paths
     that run through batches look lost and per-key executed sequences skip
     the batch's writes.
     """
-    keys = getattr(command, "keys", None)
-    if callable(keys):
-        return tuple(keys())
-    key = getattr(command, "key", None)
-    return () if key is None else (key,)
+    kind = type(command)
+    if kind is Command:
+        return (command.key,)
+    if kind is CommandBatch:
+        # lint: ok(no-unordered-iteration) CommandBatch.keys() is a tuple in first-occurrence order, not a dict view
+        return command.keys()
+    return ()
 
 
-def _per_key_executed_uids(replica) -> Dict[str, List[Optional[int]]]:
-    by_key: Dict[str, List[Optional[int]]] = {}
+def _per_key_executed_uids(replica, keys_of: Dict[object, Tuple[str, ...]]) -> Dict[str, List[int]]:
+    """Key -> uids of the commands ``replica`` executed on it, in execution order.
+
+    ``keys_of`` caches :func:`_command_keys` per command object across
+    replicas, which all hold the same decided command objects.
+    """
+    by_key: Dict[str, List[int]] = {}
+    instances = replica.instances
     for instance_id in getattr(replica, "executed_order", []):
-        instance = replica.instances.get(instance_id)
-        if instance is None:
+        if instance_id not in instances:
             continue
-        for key in _command_keys(instance.command):
-            by_key.setdefault(key, []).append(getattr(instance.command, "uid", None))
+        command = instances[instance_id].command
+        if command not in keys_of:
+            keys_of[command] = _command_keys(command)
+        for key in keys_of[command]:
+            if key in by_key:
+                by_key[key].append(command.uid)
+            else:
+                by_key[key] = [command.uid]
     return by_key
 
 
@@ -448,8 +481,9 @@ def check_epaxos_execution_consistency(cluster) -> List[Violation]:
     if it holds for every key, all KV stores converge.
     """
     violations: List[Violation] = []
+    keys_of: Dict[object, Tuple[str, ...]] = {}
     sequences = {
-        node_id: _per_key_executed_uids(replica)
+        node_id: _per_key_executed_uids(replica, keys_of)
         for node_id, replica in sorted(_epaxos_replicas(cluster).items())
     }
     node_ids = sorted(sequences)
@@ -459,6 +493,8 @@ def check_epaxos_execution_consistency(cluster) -> List[Violation]:
             for key in sorted(set(a_keys) & set(b_keys)):
                 a, b = a_keys[key], b_keys[key]
                 common = min(len(a), len(b))
+                if a[:common] == b[:common]:
+                    continue
                 for index in range(common):
                     if a[index] != b[index]:
                         violations.append(
@@ -495,56 +531,71 @@ def check_epaxos_conflict_ordering(cluster) -> List[Violation]:
     if not replicas:
         return violations
 
-    # Union committed graph + executed set + key per instance.  Instance
-    # agreement (checked separately) makes the union well-defined.
-    deps: Dict[Tuple[int, int], frozenset] = {}
-    by_key: Dict[str, Set[Tuple[int, int]]] = {}
-    executed: Set[Tuple[int, int]] = set()
+    # Union committed graph + executed set + keys per instance.  Instance
+    # agreement (checked separately) makes the union well-defined.  Replicas
+    # share decided command objects, so keys are computed once per distinct
+    # command and an instance is filed under its keys once per distinct
+    # command it was decided with.
+    deps: Dict[InstanceId, FrozenSet[InstanceId]] = {}
+    first_command: Dict[InstanceId, object] = {}
+    keys_of: Dict[object, Tuple[str, ...]] = {}
+    by_key: Dict[str, Set[InstanceId]] = {}
+    executed: Set[InstanceId] = set()
     for _, replica in sorted(replicas.items()):
         executed.update(getattr(replica, "executed_order", []))
         for instance_id, instance in sorted(replica.instances.items()):
             if instance.status not in _EPAXOS_DECIDED:
                 continue
-            deps.setdefault(instance_id, frozenset(instance.deps))
-            for key in _command_keys(instance.command):
-                by_key.setdefault(key, set()).add(instance_id)
+            command = instance.command
+            if instance_id not in deps:
+                deps[instance_id] = frozenset(instance.deps)
+                first_command[instance_id] = command
+            elif first_command[instance_id] is command:
+                continue
+            if command not in keys_of:
+                keys_of[command] = _command_keys(command)
+            for key in keys_of[command]:
+                if key in by_key:
+                    by_key[key].add(instance_id)
+                else:
+                    by_key[key] = {instance_id}
 
-    def deps_of(instance_id):
-        return deps.get(instance_id, frozenset())
-
-    scc = _committed_sccs(deps, deps_of)
+    scc = _committed_sccs(deps)
     for key in sorted(by_key):
-        members = sorted(i for i in by_key[key] if i in executed)
+        members = sorted(by_key[key] & executed)
         if len(members) < 2:
             continue
         # Reachability over the condensed (acyclic) graph, restricted to
         # this key's instances: deps never cross keys, so the per-key
         # subgraph is self-contained.  Command batches are members of every
         # key they touch (``_command_keys``), which keeps paths that run
-        # through a batch inside the subgraph.  Bitmask DP over components.
-        components = sorted({scc[m] for m in members if m in scc})
+        # through a batch inside the subgraph.  Bitmask DP over components:
+        # Tarjan numbers a dependency's component below its dependent's, so
+        # walking members in component order finishes every successor's
+        # mask before the components that need it.
+        components = sorted({scc[member] for member in members})
         comp_index = {component: i for i, component in enumerate(components)}
-        comp_members: Dict[int, List[Tuple[int, int]]] = {}
+        reach = [0] * len(components)
+        for member in sorted(members, key=scc.__getitem__):
+            src = comp_index[scc[member]]
+            mask = reach[src]
+            for dep in deps[member]:
+                if dep in scc and scc[dep] in comp_index:
+                    dst = comp_index[scc[dep]]
+                    if dst != src:
+                        mask |= (1 << dst) | reach[dst]
+            reach[src] = mask
+        # Edges only point to lower components, so every pair is connected
+        # iff every component reaches all the components below it.  Only a
+        # key that fails that is walked pair by pair for the report.
+        for i, mask in enumerate(reach):
+            if mask != (1 << i) - 1:
+                break
+        else:
+            continue  # every pair connected: nothing to report for this key
+        comp_members: Dict[int, List[InstanceId]] = {}
         for member in members:
             comp_members.setdefault(comp_index[scc[member]], []).append(member)
-        edges: Dict[int, Set[int]] = {i: set() for i in range(len(components))}
-        for member in members:
-            src = comp_index[scc[member]]
-            for dep in deps_of(member):
-                dst = comp_index.get(scc.get(dep, -1))
-                if dst is not None and dst != src:
-                    edges[src].add(dst)
-        # Transitive closure by bitmask DP.  Tarjan emits components in
-        # reverse topological order (a dependency is always emitted before
-        # its dependents and gets the smaller id), so ascending id order
-        # visits every successor before the components that need it.
-        reach: Dict[int, int] = {}
-        for component in components:  # already sorted ascending
-            index = comp_index[component]
-            mask = 0
-            for successor in edges[index]:
-                mask |= (1 << successor) | reach[successor]
-            reach[index] = mask
         for a_pos, a in enumerate(components):
             for b in components[a_pos + 1:]:
                 ia, ib = comp_index[a], comp_index[b]

@@ -15,7 +15,8 @@ paper's small-key-space workload.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 InstanceId = Tuple[int, int]
 
@@ -57,13 +58,18 @@ class DependencyGraph:
         """The committed dependency set of ``instance`` (empty if unknown)."""
         return self._deps.get(instance, frozenset())
 
+    @property
+    def committed_deps(self) -> Mapping[InstanceId, FrozenSet[InstanceId]]:
+        """Read-only live view: committed instance -> its dependency set.
+
+        Its keys are exactly the committed instances.  The checkers walk it
+        by subscript, which costs no call per vertex (``deps_of`` costs one).
+        """
+        return MappingProxyType(self._deps)
+
     def seq_of(self, instance: InstanceId) -> int:
         """The committed sequence number of ``instance`` (0 if unknown)."""
         return self._seq.get(instance, 0)
-
-    def committed_instances(self) -> FrozenSet[InstanceId]:
-        """All instances this graph has seen commit (used by the checkers)."""
-        return frozenset(self._committed)
 
     # ------------------------------------------------------------------ planning
     def execution_order(self, root: InstanceId) -> Tuple[List[InstanceId], int]:
@@ -78,6 +84,10 @@ class DependencyGraph:
         """
         if root in self._executed or root not in self._committed:
             return [], 0
+        if self._deps[root] <= self._executed:
+            # Nothing left to order: the walk below would visit root alone
+            # and emit it as a one-member component.
+            return [root], 1
 
         # Iterative Tarjan SCC restricted to the closure reachable from root.
         index_counter = 0

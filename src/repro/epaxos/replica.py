@@ -298,22 +298,26 @@ class EPaxosReplica(Replica):
             merged: Set[InstanceId] = set()
             for sub in command.commands:
                 sub_seq, sub_deps = self._conflicts_for(sub, exclude)
-                seq = max(seq, sub_seq)
+                if sub_seq > seq:
+                    seq = sub_seq
                 merged |= sub_deps
             return seq, frozenset(merged)
-        deps: Set[InstanceId] = set()
+        key_index = self._key_index
+        if command.key not in key_index:
+            return 1, frozenset()
+        # The set is filled in the index's insertion order, exactly as one
+        # add() per entry would: the frozenset copied from it iterates in an
+        # order that depends on that history, and the planner's walk (hence
+        # every replica's execution order) follows it.  Built from anything
+        # else -- e.g. frozenset(index.items()) directly -- it would iterate
+        # differently and move executed orders.
+        deps = {last for last in key_index[command.key].items() if last != exclude}
         seq = 1
-        index = self._key_index.get(command.key)
-        if index:
-            # lint: ok(no-unordered-iteration) accumulates into a set and a max(); order-insensitive
-            for origin, number in index.items():
-                last: InstanceId = (origin, number)
-                if last == exclude:
-                    continue
-                deps.add(last)
-                last_instance = self.instances.get(last)
-                if last_instance is not None:
-                    seq = max(seq, last_instance.seq + 1)
+        instances = self.instances
+        # lint: ok(no-unordered-iteration) a running maximum; order-insensitive
+        for last in deps:
+            if last in instances and instances[last].seq >= seq:
+                seq = instances[last].seq + 1
         return seq, frozenset(deps)
 
     def _record_key(self, command: Command, instance: InstanceId) -> None:
@@ -328,22 +332,25 @@ class EPaxosReplica(Replica):
         that key silently loses its dependency edge to the newer instance
         (and can regress its sequence number).
         """
-        if type(command) is CommandBatch:
+        kind = type(command)
+        if kind is CommandBatch:
             # The batch's instance is the latest same-origin instance on
             # *every* key it touches; later commands on any of those keys
             # must depend on it.
             for sub in command.commands:
                 self._record_key(sub, instance)
             return
-        origin, number = instance
-        key = getattr(command, "key", None)
-        if key is None:
+        if kind is NoOp:
             # Recovery no-ops touch no key: nothing to conflict with.
             return
-        index = self._key_index.setdefault(key, {})
-        current = index.get(origin)
-        if current is not None and current >= number:
-            if current > number:
+        origin, number = instance
+        key_index = self._key_index
+        if command.key not in key_index:
+            key_index[command.key] = {origin: number}
+            return
+        index = key_index[command.key]
+        if origin in index and index[origin] >= number:
+            if index[origin] > number:
                 self.count("key_index_stale_updates_skipped")
             return
         index[origin] = number
@@ -817,13 +824,12 @@ class EPaxosReplica(Replica):
 
     def _clear_recovery_state(self, instance_id: InstanceId) -> None:
         """The instance got committed (here or elsewhere): stop recovering it."""
-        self._first_blocked.pop(instance_id, None)
-        timer = self._blocked_timers.pop(instance_id, None)
-        if timer is not None:
-            timer.cancel()
-        recovery = self._recoveries.pop(instance_id, None)
-        if recovery is not None:
-            self._cancel_recovery_rounds(recovery)
+        if instance_id in self._first_blocked:
+            del self._first_blocked[instance_id]
+        if instance_id in self._blocked_timers:
+            self._blocked_timers.pop(instance_id).cancel()
+        if instance_id in self._recoveries:
+            self._cancel_recovery_rounds(self._recoveries.pop(instance_id))
 
     # ---------------------------------------------------- recovery: acceptor side
     def _handle_prepare(self, msg: EPrepare) -> EPrepareReply:

@@ -20,6 +20,14 @@ flush real protocol bugs out:
 ``python -m repro.fuzz --fleet 40 --mutation vote-dedup --protocols epaxos``
 must find (and shrink) a violation; ``tests/test_fuzz.py`` gates all three.
 
+A fourth breaks explicit-prepare recovery's decision table:
+
+* ``recovery-noop`` -- every recovery ignores the commit and accept
+  evidence its prepare round gathered and commits a no-op, so an instance
+  some replica already committed with its real command is decided twice.
+  It is the one mutation that trips ``epaxos_instance_agreement``
+  (``tests/test_scenarios.py`` pins it on a recovery-enabled drop storm).
+
 Two more break the batched reply path every protocol shares; each must trip
 ``linearizability`` on a batched Paxos and a batched EPaxos run
 (``tests/test_batching.py``):
@@ -45,7 +53,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
-from repro.statemachine.command import CommandBatch
+from repro.statemachine.command import CommandBatch, NoOp
 
 
 def _broken_register_vote(voters, voter):
@@ -55,8 +63,25 @@ def _broken_register_vote(voters, voter):
 
 
 def _broken_record_key(self, command, instance):
-    """Pre-fix conflict index: one last-writer-wins slot per key."""
-    self._key_index[command.key] = {instance[0]: instance[1]}
+    """Pre-fix conflict index: one last-writer-wins slot per key.
+
+    Walks a batch's sub-commands and skips keyless recovery no-ops exactly
+    like the real ``_record_key``, so only the index update is broken.
+    """
+    if type(command) is CommandBatch:
+        for sub in command.commands:
+            _broken_record_key(self, sub, instance)
+    elif type(command) is not NoOp:
+        self._key_index[command.key] = {instance[0]: instance[1]}
+
+
+def _noop_every_recovery(self, recovery, msg):
+    """A recovery that ignores its prepare evidence and always commits a no-op."""
+    if msg.voter in recovery.replies:
+        return
+    recovery.replies[msg.voter] = msg
+    if len(recovery.replies) >= self.quorum.phase1_size:
+        self._recovery_accept(recovery, NoOp(), 1, frozenset(), noop=True)
 
 
 def _make_broken_execution_order(original):
@@ -121,6 +146,15 @@ def _planner_order() -> Iterator[None]:
 
 
 @contextmanager
+def _recovery_noop() -> Iterator[None]:
+    from repro.epaxos.replica import EPaxosReplica
+
+    with _patched(EPaxosReplica, "_record_prepare_reply",
+                  lambda _orig: _noop_every_recovery):
+        yield
+
+
+@contextmanager
 def _batch_unpack_reversed() -> Iterator[None]:
     from repro.epaxos.replica import EPaxosReplica
     from repro.paxos.replica import MultiPaxosReplica
@@ -138,13 +172,15 @@ def _reply_misroute() -> Iterator[None]:
         yield
 
 
-#: Mutation name -> context manager factory.  The first three live in the
+#: Mutation name -> context manager factory.  The first four live in the
 #: EPaxos stack, so mutation-fuzz runs of those should use an epaxos-only
-#: profile; the last two only bite on runs that batch.
+#: profile (``recovery-noop`` bites only where recovery runs); the last two
+#: only bite on runs that batch.
 MUTATIONS: Dict[str, object] = {
     "vote-dedup": _vote_dedup,
     "key-index": _key_index,
     "planner-order": _planner_order,
+    "recovery-noop": _recovery_noop,
     "batch-unpack-reversed": _batch_unpack_reversed,
     "reply-misroute": _reply_misroute,
 }

@@ -4,10 +4,11 @@ Timers cannot gate on a shared runner; call counts can.  ``cProfile`` counts
 every Python and C function call, the count repeats exactly for a given
 scenario and seed, and it tracks the simulator's per-message host cost (the
 perf ledger's ``host_calls_per_op``, see ``benchmarks/ledger/README.md``).
-Three small fixed scenarios -- one relay-tree run on a planet topology, one
+Four small fixed scenarios -- one relay-tree run on a planet topology, one
 sharded run through ``ShardReplicaHost``, one batched and pipelined run
-through the shared ``Batcher`` and the per-client reply fan-out -- must stay
-within a pinned budget.
+through the shared ``Batcher`` and the per-client reply fan-out, one
+leaderless EPaxos run on zipfian keys with the EPaxos invariants checked --
+must stay within a pinned budget.
 
 The budgets carry about 10 % headroom over the measured count.  Exceeding
 one means the send -> deliver -> handle path grew per-message work: find it
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 import cProfile
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.scenarios import Scenario, ScenarioRunner
+from repro.workload.spec import WorkloadSpec
 
 pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
@@ -35,6 +38,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 CHECKS = ("linearizability", "log_invariants", "progress")
+EPAXOS_CHECKS = ("linearizability", "epaxos_invariants", "progress")
 
 #: (scenario, budget in calls per completed op, count measured when pinned).
 BUDGETS = [
@@ -86,6 +90,22 @@ BUDGETS = [
         # measured 337.5 over 1480 ops; 341.1 with the two per-protocol
         # batchers this cell was pinned against, so sharing one cost nothing
         370,
+    ),
+    (
+        Scenario(
+            name="budget-epaxos5-hotkey",
+            protocol="epaxos",
+            num_nodes=5,
+            num_clients=12,
+            duration=0.3,
+            workload=replace(WorkloadSpec.checking_default(num_keys=25), distribution="zipfian"),
+            checks=EPAXOS_CHECKS,
+            min_completed=100,
+            seed=5,
+        ),
+        # measured 803.5 over 379 ops; 1217.2 while the conflict index, the
+        # planner and the EPaxos invariants paid calls per dependency
+        885,
     ),
 ]
 

@@ -122,6 +122,7 @@ class TestMutations:
             return (
                 EPaxosReplica.__dict__["_register_vote"],
                 EPaxosReplica.__dict__["_record_key"],
+                EPaxosReplica.__dict__["_record_prepare_reply"],
                 DependencyGraph.__dict__["execution_order"],
                 EPaxosReplica.__dict__["_apply_command"],
                 MultiPaxosReplica.__dict__["_apply_command"],

@@ -8,6 +8,8 @@ teeth; determinism regressions pin down byte-identical replay.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 
 import pytest
 
@@ -15,6 +17,7 @@ from helpers import library_run
 from repro.checkers.history import HistoryRecorder
 from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
+from repro.fuzz.mutations import apply_mutation
 from repro.quorum.systems import MajorityQuorum
 from repro.scenarios import (
     Scenario,
@@ -27,6 +30,7 @@ from repro.scenarios import (
     scenarios_for_protocol,
 )
 from repro.sim.engine import Simulator
+from repro.statemachine import command as command_module
 from repro.workload.spec import WorkloadSpec
 
 CANNED = sorted(all_scenarios())
@@ -200,23 +204,11 @@ class TestMutationsAreCaught:
         counts as a fresh vote, so retransmissions prematurely satisfy the
         fast-path quorum and conflict edges are lost.  The EPaxos checkers
         must see it under the duplicate-delivery storm."""
-        from repro.epaxos.replica import EPaxosReplica
-
-        def count_every_delivery(voters, voter):
-            voters.add((voter, len(voters)))  # duplicates look distinct
-            return True
-
-        monkeypatch.setattr(
-            EPaxosReplica, "_register_vote", staticmethod(count_every_delivery)
-        )
-        result = run_scenario(get_scenario("epaxos-duplicate-torture"))
+        result = _run_mutated(monkeypatch, "vote-dedup", get_scenario("epaxos-duplicate-torture"))
         assert not result.ok
-        checkers = {violation.checker for violation in result.violations}
-        assert checkers & {
-            "epaxos_conflict_ordering",
-            "epaxos_execution_consistency",
-            "epaxos_execution_order",
-            "linearizability",
+        assert _epaxos_verdicts(result) == {
+            "epaxos_conflict_ordering": (5, _PINS["torture/conflict_ordering"]),
+            "epaxos_execution_consistency": (15, _PINS["torture/consistency"]),
         }
 
     def test_epaxos_key_index_mutation_is_caught(self, monkeypatch):
@@ -224,34 +216,29 @@ class TestMutationsAreCaught:
         key (instead of one per origin replica) silently drops dependency
         edges under contention; replicas then execute conflicting commands
         in different orders."""
-        from repro.epaxos.replica import EPaxosReplica
-
-        def last_writer_wins(self, command, instance):
-            self._key_index[command.key] = {instance[0]: instance[1]}
-
-        monkeypatch.setattr(EPaxosReplica, "_record_key", last_writer_wins)
-        result = run_scenario(get_scenario("epaxos-hot-key-storm"))
+        result = _run_mutated(monkeypatch, "key-index", get_scenario("epaxos-hot-key-storm"))
         assert not result.ok
-        checkers = {violation.checker for violation in result.violations}
-        assert "epaxos_execution_consistency" in checkers or "epaxos_conflict_ordering" in checkers
+        assert _epaxos_verdicts(result) == {
+            "epaxos_conflict_ordering": (15824, _PINS["hot-key/key-index/conflict_ordering"]),
+            "epaxos_execution_consistency": (30, _PINS["hot-key/key-index/consistency"]),
+        }
+
+    def test_epaxos_key_index_mutation_runs_on_batched_epaxos(self, monkeypatch):
+        """The re-seeded key index walks batches and skips no-ops like the
+        real one: a batched run completes instead of crashing in the flush."""
+        result = _run_mutated(monkeypatch, "key-index", get_scenario("epaxos-batched-5"))
+        assert not any(v.checker == "runtime" for v in result.violations)
+        assert result.completed_requests >= get_scenario("epaxos-batched-5").min_completed
+        assert result.counters()["batch.flush.delay"] > 0
 
     def test_epaxos_forced_noop_recovery_is_caught(self, monkeypatch):
         """A recovery that no-ops every orphan -- ignoring the commit and
         accept evidence its prepare round gathered -- must trip the EPaxos
         invariants: some replica committed (and executed) the real command,
-        so the no-op commit diverges from it."""
+        so the no-op commit diverges from it.  No other mutation trips
+        instance agreement."""
         from dataclasses import replace
 
-        from repro.epaxos.replica import EPaxosReplica, NoOp
-
-        def noop_everything(self, recovery, msg):
-            if msg.voter in recovery.replies:
-                return
-            recovery.replies[msg.voter] = msg
-            if len(recovery.replies) >= self.quorum.phase1_size:
-                self._recovery_accept(recovery, NoOp(), 1, frozenset(), noop=True)
-
-        monkeypatch.setattr(EPaxosReplica, "_record_prepare_reply", noop_everything)
         scenario = replace(
             get_scenario("epaxos-drop-storm"),
             name="drop-storm-noop-mutation",
@@ -259,33 +246,73 @@ class TestMutationsAreCaught:
             duration=2.5,
             config_overrides={"recovery_timeout": 0.25},
         )
-        result = run_scenario(scenario)
+        result = _run_mutated(monkeypatch, "recovery-noop", scenario)
         assert not result.ok
-        checkers = {violation.checker for violation in result.violations}
-        assert checkers & {
-            "epaxos_instance_agreement",
-            "epaxos_execution_consistency",
-            "epaxos_conflict_ordering",
-            "linearizability",
+        assert _epaxos_verdicts(result) == {
+            "epaxos_instance_agreement": (12, _PINS["noop/instance_agreement"]),
+            "epaxos_execution_consistency": (28, _PINS["noop/consistency"]),
+            "epaxos_conflict_ordering": (16, _PINS["noop/conflict_ordering"]),
         }
 
     def test_epaxos_planner_order_mutation_is_caught(self, monkeypatch):
         """A planner that drops the (seq, id) cycle tie-break (sorting by
         instance id alone) executes cycles in the wrong deterministic order;
         the execution-order checker must flag it."""
-        from repro.epaxos.graph import DependencyGraph
-
-        original = DependencyGraph.execution_order
-
-        def id_sorted(self, root):
-            order, visited = original(self, root)
-            return sorted(order), visited
-
-        monkeypatch.setattr(DependencyGraph, "execution_order", id_sorted)
-        result = run_scenario(get_scenario("epaxos-hot-key-storm"))
+        result = _run_mutated(monkeypatch, "planner-order", get_scenario("epaxos-hot-key-storm"))
         assert not result.ok
-        checkers = {violation.checker for violation in result.violations}
-        assert "epaxos_execution_order" in checkers
+        assert _epaxos_verdicts(result) == {
+            "epaxos_execution_order": (316, _PINS["hot-key/planner-order/execution_order"]),
+            "epaxos_execution_consistency": (30, _PINS["hot-key/planner-order/consistency"]),
+        }
+
+
+#: sha256 of each EPaxos check's violation messages joined by newlines,
+#: recorded before the checkers were rewritten for fewer calls: the rewrite
+#: must report the same violations, word for word and in the same order.
+_PINS = {
+    "torture/conflict_ordering":
+        "8768c35de2f884988e0efd4477a79e1998520259dea9dd3ab554e6b2399d8101",
+    "torture/consistency":
+        "a39aeec49a266dfa7dc97ce0d0a77b3eaf2a83228c3fa59fde636ffb68df3a09",
+    "hot-key/key-index/conflict_ordering":
+        "04295ff9539864ea8e3c6c1cee348b6b4acf0428decb74f6d03ffdf5de07c5e6",
+    "hot-key/key-index/consistency":
+        "615404f7191e3b9fa110b40cb2e2627fae2a08fd0c42c66e5ac61d4232ef3377",
+    "hot-key/planner-order/execution_order":
+        "972a6a31aebe68bd65d9cef4d20e2f96efca717931354a1b2b79c16c2bc62f80",
+    "hot-key/planner-order/consistency":
+        "33229b6c4af171b933579e3d14ab8693eb68af4410f777c46172ef29c0d841f5",
+    "noop/instance_agreement":
+        "31088a4f57cb0735db93d7bf2082f81d30045e18ed504ea1e12fc7ab73bd4ed4",
+    "noop/consistency":
+        "1b690ca4b4f852988c2588e86ed1ca29f414d8d64bb68be539f300cc0474c28f",
+    "noop/conflict_ordering":
+        "76400190b39900ccf2d14bfb0deda6288a52e38d7b4c24537afd9486ad29f853",
+}
+
+
+def _run_mutated(monkeypatch, mutation, scenario):
+    """Run ``scenario`` under ``mutation`` with command uids counted from 1.
+
+    Uids are process-global and violation messages name them, so a fresh
+    count is what makes the pinned message digests independent of the
+    tests that ran earlier in the process.
+    """
+    monkeypatch.setattr(command_module, "_command_uids", itertools.count(1))
+    with apply_mutation(mutation):
+        return run_scenario(scenario)
+
+
+def _epaxos_verdicts(result):
+    """EPaxos check -> (violation count, sha256 of its messages joined by newlines)."""
+    messages = {}
+    for violation in result.violations:
+        if violation.checker.startswith("epaxos_"):
+            messages.setdefault(violation.checker, []).append(violation.message)
+    return {
+        checker: (len(found), hashlib.sha256("\n".join(found).encode("utf-8")).hexdigest())
+        for checker, found in messages.items()
+    }
 
 
 class TestDeterminism:
