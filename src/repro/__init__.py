@@ -22,8 +22,6 @@ Demirbas, SIGMOD 2021).  It contains:
   builds and runs nothing.
 * ``repro.analysis`` -- the paper's analytical message-load model
   (Tables 1 and 2, Section 6).
-* ``repro.runtime`` -- an asyncio TCP runtime running the same protocol
-  classes over real sockets.
 * ``repro.scenarios`` / ``repro.checkers`` -- the one experiment harness:
   a declarative ``Scenario`` (cluster shape, workload, fault schedule)
   compiled onto the simulator, post-hoc safety checkers (per-key

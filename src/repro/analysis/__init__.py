@@ -5,8 +5,6 @@
   generators for Tables 1 and 2.
 * :mod:`repro.analysis.wan` -- cross-region message counts for the WAN
   traffic argument of Section 6.4.
-* :mod:`repro.analysis.advisor` -- a small helper that recommends a relay
-  group count for a deployment, following the paper's findings.
 """
 
 from repro.analysis.model import (
@@ -19,7 +17,6 @@ from repro.analysis.model import (
     follower_load_limit,
 )
 from repro.analysis.wan import wan_messages_per_write, wan_traffic_table
-from repro.analysis.advisor import recommend_relay_groups
 
 __all__ = [
     "messages_at_leader",
@@ -31,5 +28,4 @@ __all__ = [
     "follower_load_limit",
     "wan_messages_per_write",
     "wan_traffic_table",
-    "recommend_relay_groups",
 ]

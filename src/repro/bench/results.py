@@ -108,19 +108,6 @@ class SweepResult:
             return None
         return max(self.runs, key=lambda run: run.throughput)
 
-    def saturation_run(self, latency_budget_ms: Optional[float] = None) -> Optional[RunResult]:
-        """The highest-throughput run, optionally subject to a latency budget."""
-        candidates = self.runs
-        if latency_budget_ms is not None:
-            within = [run for run in self.runs if run.latency_mean_ms <= latency_budget_ms]
-            candidates = within or self.runs
-        if not candidates:
-            return None
-        return max(candidates, key=lambda run: run.throughput)
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [run.to_dict() for run in self.runs]
-
     def summary(self) -> str:
         lines = [f"== {self.label} =="]
         lines.extend(run.row() for run in self.runs)

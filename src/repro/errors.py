@@ -21,10 +21,6 @@ class NetworkError(ReproError):
     """A simulated network operation could not be carried out."""
 
 
-class ProtocolError(ReproError):
-    """A consensus protocol reached an inconsistent internal state."""
-
-
 class QuorumError(ReproError):
     """A quorum system was configured or queried incorrectly."""
 
@@ -35,7 +31,3 @@ class StateMachineError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload specification or client was configured incorrectly."""
-
-
-class RuntimeTransportError(ReproError):
-    """The asyncio (real network) runtime hit a transport-level problem."""

@@ -164,7 +164,6 @@ class FileContext:
         "path",
         "relpath",
         "source",
-        "lines",
         "tree",
         "findings",
         "suppressions",
@@ -185,7 +184,6 @@ class FileContext:
         self.path = path
         self.relpath = relpath
         self.source = source
-        self.lines = source.splitlines()
         self.tree = tree
         self.findings: List[Finding] = []
         self.suppressions = parse_suppressions(relpath, source)
@@ -246,11 +244,6 @@ class FileContext:
         while current is not None:
             yield current
             current = self.parent(current)
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
 def _link_parents(tree: ast.AST) -> None:

@@ -129,14 +129,6 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         "batch.flush.immediate",
         "batch.commands_batched",
         "batch.occupancy",
-        # --- asyncio runtime (runtime/server.py)
-        "runtime.executed_commands",
-        "runtime.graph_vertices",
-        "runtime.bookkeeping_units",
-        "runtime.charged_seconds",
-        "runtime.messages_sent",
-        "runtime.messages_received",
-        "runtime.send_failures",
     }
 )
 

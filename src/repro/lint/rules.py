@@ -32,7 +32,6 @@ SIM_SCOPE: Tuple[str, ...] = (
     "quorum",
     "net",
     "sim",
-    "core",
     "cluster",
     "statemachine",
     "checkers",

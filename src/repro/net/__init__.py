@@ -4,8 +4,9 @@ Models what the Paxi testbed's real network provided: point-to-point message
 delivery with per-link latency, per-byte transmission cost, message drops,
 partitions and crashed endpoints.  Protocol code never talks to the network
 directly: replicas send through their :class:`~repro.protocol.base.NodeContext`
-(:class:`~repro.cluster.node.SimNode` here, which charges CPU and then calls
-:meth:`SimNetwork.send`; ``AsyncNodeContext`` in :mod:`repro.runtime`).
+(:class:`~repro.cluster.node.SimNode`, which charges CPU and then calls
+:meth:`SimNetwork.send`, or a sharded node's
+:class:`~repro.cluster.node.ShardReplicaHost`).
 """
 
 from repro.net.message import Envelope, Message
@@ -13,7 +14,6 @@ from repro.net.sizes import SizeModel
 from repro.net.latency import (
     LatencyModel,
     ConstantLatency,
-    UniformLatency,
     NormalLatency,
     WANMatrixLatency,
 )
@@ -27,7 +27,6 @@ __all__ = [
     "SizeModel",
     "LatencyModel",
     "ConstantLatency",
-    "UniformLatency",
     "NormalLatency",
     "WANMatrixLatency",
     "Topology",

@@ -60,25 +60,6 @@ class ConstantLatency(LatencyModel):
 
 
 @dataclass(frozen=True)
-class UniformLatency(LatencyModel):
-    """One-way delay drawn uniformly from ``[low, high]``."""
-
-    low: float = 0.0002
-    high: float = 0.0004
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ConfigurationError(
-                f"invalid uniform latency bounds: low={self.low!r} high={self.high!r}"
-            )
-
-    def delay(self, src: int, dst: int, rng: random.Random) -> float:
-        if src == dst:
-            return 0.0
-        return rng.uniform(self.low, self.high)
-
-
-@dataclass(frozen=True)
 class NormalLatency(LatencyModel):
     """One-way delay drawn from a truncated normal distribution."""
 

@@ -40,7 +40,6 @@ from repro.overlay.groups import (
     HierarchicalGroupPlan,
     RelayGroupPlan,
     contiguous_groups,
-    hash_groups,
     region_groups,
     round_robin_groups,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ThriftyFanout",
     "build_overlay",
     "contiguous_groups",
-    "hash_groups",
     "region_groups",
     "round_robin_groups",
 ]

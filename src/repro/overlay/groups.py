@@ -1,7 +1,7 @@
 """Relay-group construction and per-round relay tree building.
 
 The paper (Section 3.2) partitions all followers into a fixed number of
-disjoint relay groups, either arbitrarily (hash / round-robin) or following
+disjoint relay groups, either arbitrarily (contiguous / round-robin) or following
 the cluster topology (one group per region in the WAN deployment).  Per
 round, the fan-out root picks one random member of each group as the relay.
 This module provides the partitioners, the per-round tree builder (including
@@ -20,7 +20,6 @@ leaves, so each tree edge crosses the cheapest link that can carry it.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -54,27 +53,6 @@ def round_robin_groups(members: Sequence[int], num_groups: int) -> List[List[int
     for position, member in enumerate(members):
         groups[position % num_groups].append(member)
     return [group for group in groups if group]
-
-
-def hash_groups(members: Sequence[int], num_groups: int) -> List[List[int]]:
-    """Assign members to groups by hashing their id (paper: 'with the help of a hash function')."""
-    members = list(members)
-    if num_groups < 1:
-        raise ConfigurationError("num_groups must be >= 1")
-    num_groups = min(num_groups, len(members)) or 1
-    groups: List[List[int]] = [[] for _ in range(num_groups)]
-    for member in members:
-        # crc32, not builtin hash(): hash() of a tuple containing ints is
-        # stable today, but the determinism contract wants a digest that can
-        # never pick up per-process salting (PYTHONHASHSEED).
-        digest = zlib.crc32(f"pig-group:{member}".encode("ascii"))
-        groups[digest % num_groups].append(member)
-    populated = [group for group in groups if group]
-    if len(populated) < num_groups:
-        # Hashing left some groups empty (small clusters); fall back to a
-        # deterministic partition so the requested group count is honoured.
-        return contiguous_groups(members, num_groups)
-    return populated
 
 
 def region_groups(members: Sequence[int], region_of: Dict[int, str]) -> List[List[int]]:

@@ -4,9 +4,8 @@ Everything that Multi-Paxos, PigPaxos and EPaxos have in common lives here:
 ballot numbers, the client-facing and Paxos wire messages, the replica base
 class, and the :class:`~repro.protocol.base.NodeContext` interface through
 which replicas reach the outside world (transport, timers, randomness,
-CPU-cost accounting).  Keeping protocols behind this interface is what lets
-the same replica classes run both in the discrete-event simulator and in the
-asyncio runtime.
+CPU-cost accounting).  The simulator hosts every replica behind this
+interface (:class:`~repro.cluster.node.SimNode`).
 """
 
 from repro.protocol.ballot import Ballot

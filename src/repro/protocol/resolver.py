@@ -2,8 +2,7 @@
 
 :func:`resolve_config` is the only place a knob is resolved and
 :func:`build_replica` the only place a replica is instantiated;
-``build_cluster`` (and through it ``ScenarioRunner``) and the asyncio
-``LocalCluster`` all go through them::
+``build_cluster`` (and through it ``ScenarioRunner``) goes through them::
 
     config = resolve_config("pigpaxos", {"num_relay_groups": 2, "relay_timeout": 0.02})
     replica = build_replica("pigpaxos", config)

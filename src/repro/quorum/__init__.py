@@ -1,16 +1,14 @@
 """Quorum systems and vote tracking.
 
-The paper relies on classical majority quorums, discusses flexible quorums
-(Section 2.2) as a complementary technique, and compares against EPaxos which
-uses fast (super-majority) quorums.  All three quorum systems are implemented
-here, together with the per-ballot/per-slot vote trackers used by the
-protocol replicas.
+The paper relies on classical majority quorums and compares against EPaxos,
+which uses fast (super-majority) quorums.  Both quorum systems are
+implemented here, together with the per-ballot/per-slot vote trackers used by
+the protocol replicas.
 """
 
 from repro.quorum.systems import (
     QuorumSystem,
     MajorityQuorum,
-    FlexibleQuorum,
     FastQuorum,
 )
 from repro.quorum.tracker import VoteTracker, BallotVoteTracker
@@ -18,7 +16,6 @@ from repro.quorum.tracker import VoteTracker, BallotVoteTracker
 __all__ = [
     "QuorumSystem",
     "MajorityQuorum",
-    "FlexibleQuorum",
     "FastQuorum",
     "VoteTracker",
     "BallotVoteTracker",

@@ -5,10 +5,8 @@ A quorum system answers two questions for a cluster of ``n`` voters:
 * how many phase-1 (leader election / prepare) votes are needed, and
 * how many phase-2 (accept) votes are needed.
 
-Classical Paxos uses majorities for both; flexible Paxos only requires that
-every phase-1 quorum intersects every phase-2 quorum (q1 + q2 > n); EPaxos'
-fast path uses a super-majority of size ``f + floor((f+1)/2)`` out of
-``n = 2f + 1``.
+Classical Paxos uses majorities for both; EPaxos' fast path uses a
+super-majority of size ``f + floor((f+1)/2)`` out of ``n = 2f + 1``.
 """
 
 from __future__ import annotations
@@ -61,29 +59,6 @@ class MajorityQuorum(QuorumSystem):
     @property
     def phase2_size(self) -> int:
         return self.n // 2 + 1
-
-
-class FlexibleQuorum(QuorumSystem):
-    """Flexible Paxos quorums with explicit q1 and q2 (q1 + q2 > n)."""
-
-    def __init__(self, n: int, q1: int, q2: int) -> None:
-        super().__init__(n)
-        if not 1 <= q1 <= n or not 1 <= q2 <= n:
-            raise QuorumError(f"quorum sizes must lie in [1, {n}]: q1={q1} q2={q2}")
-        if q1 + q2 <= n:
-            raise QuorumError(
-                f"flexible quorums must intersect: q1 + q2 must exceed n ({q1}+{q2} <= {n})"
-            )
-        self._q1 = q1
-        self._q2 = q2
-
-    @property
-    def phase1_size(self) -> int:
-        return self._q1
-
-    @property
-    def phase2_size(self) -> int:
-        return self._q2
 
 
 class FastQuorum(QuorumSystem):

@@ -214,10 +214,6 @@ class Simulator:
             if gc_was_enabled:
                 gc.enable()
 
-    def run_until(self, until: float) -> float:
-        """Convenience wrapper for :meth:`run` with a time bound."""
-        return self.run(until=until)
-
     def reset(self, seed: Optional[int] = None) -> None:
         """Clear the queue and clock; optionally reseed the random streams."""
         self._queue.clear()

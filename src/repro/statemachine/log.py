@@ -168,14 +168,6 @@ class ReplicatedLog:
     def uncommitted_slots(self) -> List[int]:
         return [slot for slot, entry in sorted(self._entries.items()) if not entry.committed]
 
-    def committed_commands(self) -> List[object]:
-        """Commands of committed slots, in slot order (for agreement checks)."""
-        return [
-            self._entries[slot].command
-            for slot in sorted(self._entries)
-            if self._entries[slot].committed
-        ]
-
     def committed_uids(self) -> Dict[int, Optional[int]]:
         """``slot -> command uid`` of every committed slot (for agreement checks)."""
         # lint: ok(no-unordered-iteration) a mapping to compare by item, not to walk; callers sort what they iterate

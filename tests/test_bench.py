@@ -52,13 +52,6 @@ class TestResults:
         assert series[0] == (100, 1.0)
         assert len(series) == 3
 
-    def test_saturation_run_respects_latency_budget(self):
-        sweep = SweepResult(label="test")
-        sweep.add(_result(500, 0.002))
-        sweep.add(_result(900, 0.050))
-        assert sweep.saturation_run(latency_budget_ms=10).throughput == 500
-        assert sweep.saturation_run().throughput == 900
-
     def test_unknown_percentile_rejected(self):
         sweep = SweepResult(label="test")
         sweep.add(_result(100))

@@ -21,14 +21,13 @@ from repro.overlay.groups import (
     HierarchicalGroupPlan,
     RelayGroupPlan,
     contiguous_groups,
-    hash_groups,
     region_groups,
     round_robin_groups,
 )
 
 SEEDS = list(range(30))
 
-PARTITIONERS = (contiguous_groups, round_robin_groups, hash_groups)
+PARTITIONERS = (contiguous_groups, round_robin_groups)
 
 
 def random_members(rng: random.Random) -> list:

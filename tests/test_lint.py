@@ -4,6 +4,7 @@ real tree self-checks clean."""
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintEngine, default_rules, parse_suppressions, repro_relpath
-from repro.lint.rules import RULES
+from repro.lint.counters import METRIC_NAME_PREFIXES, METRIC_NAMES, REPLICA_COUNTERS
+from repro.lint.rules import RULES, SIM_SCOPE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -617,6 +619,23 @@ class TestCounterNameRegistry:
         )
         assert ctx.findings == []
 
+    def test_every_registered_name_has_a_writer(self):
+        # A registered counter must be written somewhere: an entry whose
+        # writer was deleted would otherwise keep the registry lying.
+        literals = set()
+        for path in (SRC / "repro").rglob("*.py"):
+            if "lint" in path.relative_to(SRC / "repro").parts:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        assert sorted(REPLICA_COUNTERS - literals) == []
+        unwritten = [
+            name for name in sorted(METRIC_NAMES - literals)
+            if not name.startswith(METRIC_NAME_PREFIXES)
+        ]
+        assert unwritten == []
+
 
 # -------------------------------------------------------- suppression handling
 class TestSuppressions:
@@ -711,6 +730,10 @@ class TestFramework:
             assert rule_cls.id == rule_id
             assert rule_cls.title
             assert rule_cls.contract
+
+    def test_sim_scope_names_existing_directories(self):
+        missing = [name for name in SIM_SCOPE if not (SRC / "repro" / name).is_dir()]
+        assert missing == []
 
 
 # ------------------------------------------------------------------ self-check

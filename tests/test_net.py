@@ -14,7 +14,6 @@ from repro.net.latency import (
     DEFAULT_WAN_MATRIX,
     ConstantLatency,
     NormalLatency,
-    UniformLatency,
     WANMatrixLatency,
 )
 from repro.net.message import Envelope, Message
@@ -50,16 +49,6 @@ class TestLatencyModels:
         rng = random.Random(0)
         assert model.delay(1, 1, rng) == 0.0
         assert model.delay(1, 2, rng) == 0.001
-
-    def test_uniform_latency_within_bounds(self):
-        model = UniformLatency(low=0.001, high=0.002)
-        rng = random.Random(0)
-        for _ in range(50):
-            assert 0.001 <= model.delay(0, 1, rng) <= 0.002
-
-    def test_uniform_latency_validates_bounds(self):
-        with pytest.raises(ConfigurationError):
-            UniformLatency(low=0.002, high=0.001)
 
     def test_normal_latency_has_floor(self):
         model = NormalLatency(mean=0.0001, stddev=0.01, floor=0.00005)
@@ -277,7 +266,7 @@ class TestLinkRecord:
             assert counters[f"{name}_messages"] == count
 
     def test_models_without_a_static_part_draw_per_send(self):
-        for latency in (UniformLatency(0.001, 0.002), NormalLatency(), ConstantLatency(0.001)):
+        for latency in (NormalLatency(), ConstantLatency(0.001)):
             topology = Topology(node_ids=[0, 1, 2], latency=latency)
             records, _ = drive_against_per_send_reference(topology, [0, 1, 2], sends=100)
             assert all(actual == expected for _, _, actual, expected in records)

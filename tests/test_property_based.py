@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.model import messages_at_follower, messages_at_leader
 from repro.overlay.groups import RelayGroupPlan, contiguous_groups, round_robin_groups
 from repro.protocol.ballot import Ballot
-from repro.quorum.systems import FastQuorum, FlexibleQuorum, MajorityQuorum
+from repro.quorum.systems import FastQuorum, MajorityQuorum
 from repro.sim.events import EventQueue
 from repro.sim.metrics import Histogram
 from repro.statemachine.command import Command, OpType
@@ -90,14 +90,6 @@ def test_majority_quorums_always_intersect(n):
     quorum = MajorityQuorum(n)
     assert quorum.phase1_size + quorum.phase2_size > n
     assert quorum.max_failures == (n - 1) // 2
-
-
-@given(st.integers(min_value=2, max_value=100), st.data())
-def test_flexible_quorums_intersect_by_construction(n, data):
-    q2 = data.draw(st.integers(min_value=1, max_value=n))
-    q1 = data.draw(st.integers(min_value=n - q2 + 1, max_value=n))
-    quorum = FlexibleQuorum(n, q1=q1, q2=q2)
-    assert quorum.phase1_size + quorum.phase2_size > n
 
 
 @given(st.integers(min_value=3, max_value=99).filter(lambda n: n % 2 == 1))

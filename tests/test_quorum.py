@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import QuorumError
 from repro.protocol.ballot import Ballot
-from repro.quorum.systems import FastQuorum, FlexibleQuorum, MajorityQuorum
+from repro.quorum.systems import FastQuorum, MajorityQuorum
 from repro.quorum.tracker import BallotVoteTracker, VoteTracker
 
 
@@ -29,23 +29,6 @@ class TestMajorityQuorum:
     def test_invalid_size_rejected(self):
         with pytest.raises(QuorumError):
             MajorityQuorum(0)
-
-
-class TestFlexibleQuorum:
-    def test_paper_example_10_nodes(self):
-        # Paper Section 2.2: N=10, Q2=3 requires Q1=8.
-        quorum = FlexibleQuorum(10, q1=8, q2=3)
-        assert quorum.phase1_size == 8
-        assert quorum.phase2_size == 3
-        assert quorum.max_failures == 2
-
-    def test_non_intersecting_quorums_rejected(self):
-        with pytest.raises(QuorumError):
-            FlexibleQuorum(10, q1=5, q2=5)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(QuorumError):
-            FlexibleQuorum(10, q1=11, q2=3)
 
 
 class TestFastQuorum:

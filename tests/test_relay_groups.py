@@ -10,7 +10,6 @@ from repro.errors import ConfigurationError
 from repro.overlay.groups import (
     RelayGroupPlan,
     contiguous_groups,
-    hash_groups,
     region_groups,
     round_robin_groups,
 )
@@ -39,12 +38,6 @@ class TestPartitioners:
     def test_more_groups_than_members_collapses(self):
         groups = round_robin_groups([1, 2], 5)
         assert len(groups) == 2
-
-    def test_hash_groups_cover_all_members(self):
-        members = list(range(1, 25))
-        groups = hash_groups(members, 4)
-        assert sorted(n for g in groups for n in g) == members
-        assert len(groups) == 4
 
     def test_region_groups_follow_regions(self):
         region_of = {1: "east", 2: "east", 3: "west", 4: "west", 5: "central"}

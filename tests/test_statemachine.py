@@ -1,4 +1,4 @@
-"""Unit tests for commands, the KV store, the replicated log and snapshots."""
+"""Unit tests for commands, the KV store, the replicated log and sessions."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.protocol.ballot import Ballot
 from repro.statemachine.command import Command, NoOp, OpType
 from repro.statemachine.kvstore import KVStore
 from repro.statemachine.log import ReplicatedLog
-from repro.statemachine.snapshot import Snapshot
 
 
 def put(key: str = "k", size: int = 8, uid_hint: int = 0) -> Command:
@@ -80,14 +79,6 @@ class TestKVStore:
         store.apply(NoOp())
         store.apply(Command(op=OpType.PUT, key="a", value="1"))
         assert store.applied_count == 2
-
-    def test_restore_replaces_contents(self):
-        store = KVStore()
-        store.apply(Command(op=OpType.PUT, key="a", value="1"))
-        store.restore({"b": "2"}, applied_count=5)
-        assert store.get("a") is None
-        assert store.get("b") == "2"
-        assert store.applied_count == 5
 
 
 class TestReplicatedLog:
@@ -166,25 +157,6 @@ class TestReplicatedLog:
         log.commit(1, ballot, a)
         log.commit(3, ballot, c)
         assert log.committed_prefix_uids() == [a.uid]
-
-
-class TestSnapshot:
-    def test_capture_and_restore(self):
-        store = KVStore()
-        store.apply(Command(op=OpType.PUT, key="a", value="1"))
-        snapshot = Snapshot.capture(store, last_executed_slot=7)
-        fresh = KVStore()
-        snapshot.restore_into(fresh)
-        assert fresh.get("a") == "1"
-        assert snapshot.last_executed_slot == 7
-        assert snapshot.size_bytes == 2
-
-    def test_snapshot_is_isolated_from_store_mutation(self):
-        store = KVStore()
-        store.apply(Command(op=OpType.PUT, key="a", value="1"))
-        snapshot = Snapshot.capture(store, last_executed_slot=1)
-        store.apply(Command(op=OpType.PUT, key="a", value="2"))
-        assert snapshot.data["a"] == "1"
 
 
 class TestClientSessionCache:
