@@ -6,8 +6,10 @@ asserts the planner invariants the PigPaxos overlay depends on):
 
 * every follower lands in exactly one group,
 * the group count honours the configuration,
-* region grouping respects the ``region_of`` map, and
-* per-round relay trees cover each group member exactly once.
+* contiguous groups are ordered slices and round-robin deals by position,
+* region grouping respects the ``region_of`` map,
+* per-round relay trees cover each group member exactly once, and
+* excluded (suspected) nodes stay off a group's tree unless all are excluded.
 """
 
 from __future__ import annotations
@@ -74,6 +76,26 @@ class TestPartitioners:
             sizes = [len(group) for group in partitioner(members, num_groups)]
             assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_contiguous_groups_are_ordered_slices(self, seed):
+        # Multi-level trees split a group's remainder with this partitioner,
+        # so each sub-relay must own one run of the input, larger runs first.
+        rng = random.Random(seed)
+        members = random_members(rng)
+        groups = contiguous_groups(members, rng.randint(1, 8))
+        assert [member for group in groups for member in group] == members
+        sizes = [len(group) for group in groups]
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_round_robin_deals_by_position(self, seed):
+        rng = random.Random(seed)
+        members = random_members(rng)
+        num_groups = rng.randint(1, 8)
+        groups = round_robin_groups(members, num_groups)
+        stride = min(num_groups, len(members))
+        assert groups == [members[index::stride] for index in range(stride)]
+
 
 class TestRegionGroups:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -119,6 +141,20 @@ class TestRelayTrees:
         reshuffled = plan.reshuffle(rng)
         assert sorted(reshuffled.members) == sorted(members)
         assert [len(g) for g in reshuffled.groups] == [len(g) for g in plan.groups]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_exclude_keeps_suspects_off_the_tree(self, seed):
+        # The retry path excludes timed-out nodes; a group whose members are
+        # all suspected falls back to the whole group rather than vanishing.
+        rng = random.Random(seed)
+        members = random_members(rng)
+        plan = RelayGroupPlan(groups=round_robin_groups(members, rng.randint(1, 6)))
+        exclude = {member for member in members if rng.random() < 0.3}
+        trees = plan.build_trees(rng, levels=rng.randint(1, 3), exclude=exclude)
+        assert len(trees) == plan.num_groups
+        for tree, group in zip(trees, plan.groups):
+            live = [member for member in group if member not in exclude]
+            assert sorted(tree.all_nodes()) == sorted(live or group)
 
     def test_duplicate_membership_rejected(self):
         with pytest.raises(ConfigurationError):
