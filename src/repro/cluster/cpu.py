@@ -50,9 +50,6 @@ class NodeCPUModel:
                 raise ConfigurationError(f"{name} must be non-negative")
 
     # ------------------------------------------------------------------ costs
-    def execution_cost(self, commands: int) -> float:
-        return self.execute_per_command * commands
-
     def graph_cost(self, vertices: int) -> float:
         return self.graph_per_vertex * vertices
 

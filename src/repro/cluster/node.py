@@ -57,15 +57,17 @@ class SimNode:
         self._crashed = False
         self._sluggish_factor = 1.0
         self._busy_time_total = 0.0
-        # CPU-model constants bound once for the inlined send/receive paths
-        # (the model object is immutable; sluggish faults only scale
-        # ``_sluggish_factor``).
+        # CPU-model and size-model constants bound once for the inlined
+        # send/receive paths and the execution charge (both models are
+        # immutable; sluggish faults only scale ``_sluggish_factor``).
         self._recv_per_message = self._cpu.recv_per_message
         self._send_per_message = self._cpu.send_per_message
         self._per_byte = self._cpu.per_byte
         self._client_request_extra = self._cpu.client_request_extra
+        self._execute_per_command = self._cpu.execute_per_command
         self._network_send = network.send
         self._size_of = network.size_model.size_of
+        self._header_bytes = network.size_model.header_bytes
         self._delivered = network.delivered
         self._undeliverable = network.undeliverable
         self._messages_in = sim.metrics.counter(f"node.{node_id}.messages_in")
@@ -135,11 +137,21 @@ class SimNode:
 
         The one charged-send body: ``endpoint_id`` is who the message
         travels as (this node, or a co-hosted shard instance).  The wire
-        size is computed once here and passed through to the network.
+        size is computed once here and passed through to the network:
+        ``SizeModel.size_of`` inlined for a wire type, which only has to
+        read its ``payload_bytes``; anything without one goes through the
+        model itself (header-only for a non-wire object, an error for a
+        ``Message``).
         """
         if self._crashed:
             return
-        size = self._size_of(message)
+        try:
+            payload = message.payload_bytes
+        except AttributeError:
+            size = self._size_of(message)
+        else:
+            # A negative payload never shrinks a message below its header.
+            size = self._header_bytes + payload if payload > 0 else self._header_bytes
         # Same reservation arithmetic as _reserve, inlined -- keep the
         # operation order identical so times stay bit-for-bit reproducible.
         cost = (self._send_per_message + self._per_byte * size) * self._sluggish_factor
@@ -168,7 +180,7 @@ class SimNode:
         callback(*args)
 
     def charge_execution(self, commands: int = 1) -> None:
-        self._reserve(self._cpu.execution_cost(commands))
+        self._reserve(self._execute_per_command * commands)
 
     def charge_graph_work(self, vertices: int) -> None:
         if vertices > 0:

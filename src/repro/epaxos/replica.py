@@ -67,7 +67,6 @@ from repro.epaxos.messages import (
     InstanceId,
     initial_ballot,
 )
-from repro.net.message import Message
 from repro.overlay.base import FanoutOverlay
 from repro.protocol.base import Replica
 from repro.protocol.batching import Batcher
@@ -265,26 +264,16 @@ class EPaxosReplica(Replica):
             EPrepareReply: self._on_prepare_reply,
         }
 
-    # ------------------------------------------------------------------ overlay host hooks
-    def process_for_overlay(self, src: int, inner: Message) -> Optional[Message]:
-        """Apply a relayed inner message locally; return the vote (if any).
-
-        Called by the relay overlay on relays and leaf followers so the
-        PreAccept/Accept vote can be aggregated up the tree instead of sent
-        straight back to the command leader.
-        """
-        kind = type(inner)
-        if kind is EPreAccept:
-            return self._handle_preaccept(inner)
-        if kind is EAccept:
-            return self._handle_accept(inner)
-        if kind is EPrepare:
-            return self._handle_prepare(inner)
-        if kind is ECommit:
-            self._on_commit(src, inner)
-            return None
-        self.on_message(src, inner)
-        return None
+    def _relayed_handlers(self) -> Dict[type, Any]:
+        # Relays and leaf followers return the PreAccept/Accept/Prepare vote
+        # so it aggregates up the tree instead of going straight back to the
+        # command leader; a relayed commit carries no vote.
+        return {
+            EPreAccept: self._handle_preaccept,
+            EAccept: self._handle_accept,
+            EPrepare: self._handle_prepare,
+            ECommit: self._on_commit,
+        }
 
     # ------------------------------------------------------------------ conflict tracking
     def _conflicts_for(self, command: Command, exclude: Optional[InstanceId] = None) -> Tuple[int, FrozenSet[InstanceId]]:
@@ -548,7 +537,7 @@ class EPaxosReplica(Replica):
         self._try_execute()
 
     # ------------------------------------------------------------------ acceptor path
-    def _handle_preaccept(self, msg: EPreAccept) -> EPreAcceptReply:
+    def _handle_preaccept(self, src: int, msg: EPreAccept) -> EPreAcceptReply:
         """Acceptor logic for a PreAccept; returns the vote without sending it."""
         existing = self.instances.get(msg.instance)
         if existing is not None and msg.ballot < existing.ballot:
@@ -612,9 +601,9 @@ class EPaxosReplica(Replica):
         )
 
     def _on_preaccept(self, src: int, msg: EPreAccept) -> None:
-        self.send(src, self._handle_preaccept(msg))
+        self.send(src, self._handle_preaccept(src, msg))
 
-    def _handle_accept(self, msg: EAccept) -> EAcceptReply:
+    def _handle_accept(self, src: int, msg: EAccept) -> EAcceptReply:
         """Acceptor logic for a slow-path Accept; returns the vote without sending it."""
         instance = self.instances.get(msg.instance)
         if instance is None:
@@ -642,7 +631,7 @@ class EPaxosReplica(Replica):
         )
 
     def _on_accept(self, src: int, msg: EAccept) -> None:
-        self.send(src, self._handle_accept(msg))
+        self.send(src, self._handle_accept(src, msg))
 
     def _on_commit(self, src: int, msg: ECommit) -> None:
         instance = self.instances.get(msg.instance)
@@ -785,7 +774,7 @@ class EPaxosReplica(Replica):
         self.count("recoveries_started")
         prepare = EPrepare(instance=instance_id, ballot=ballot)
         # Record the coordinator's own state first (it is one of the quorum).
-        self._record_prepare_reply(recovery, self._handle_prepare(prepare))
+        self._record_prepare_reply(recovery, self._handle_prepare(self.node_id, prepare))
         if self._recoveries.get(instance_id) is not recovery or recovery.phase != "prepare":
             # Our own reply alone already decided the round (tiny clusters).
             return
@@ -832,7 +821,7 @@ class EPaxosReplica(Replica):
             self._cancel_recovery_rounds(self._recoveries.pop(instance_id))
 
     # ---------------------------------------------------- recovery: acceptor side
-    def _handle_prepare(self, msg: EPrepare) -> EPrepareReply:
+    def _handle_prepare(self, src: int, msg: EPrepare) -> EPrepareReply:
         """Promise ``msg.ballot`` and report this replica's instance state."""
         instance = self.instances.get(msg.instance)
         if instance is None:
@@ -864,7 +853,7 @@ class EPaxosReplica(Replica):
         )
 
     def _on_prepare(self, src: int, msg: EPrepare) -> None:
-        self.send(src, self._handle_prepare(msg))
+        self.send(src, self._handle_prepare(src, msg))
 
     # ------------------------------------------------- recovery: coordinator side
     def _on_prepare_reply(self, src: int, msg: EPrepareReply) -> None:
@@ -1026,7 +1015,7 @@ class EPaxosReplica(Replica):
         )
         # Local state first: the coordinator is one of the quorum and its
         # conflict index must contribute (and promise the attrs).
-        own = self._handle_preaccept(preaccept)
+        own = self._handle_preaccept(self.node_id, preaccept)
         if not own.ok:
             # Our own acceptor already promised a higher ballot: this round
             # is dead on arrival.  Counting ourselves anyway would be a
@@ -1077,7 +1066,7 @@ class EPaxosReplica(Replica):
         # recovery started; the implicit self-vote in the quorum count
         # below would then be phantom, so abort and let the retry timer
         # re-run at a higher ballot.
-        own = self._handle_accept(accept)
+        own = self._handle_accept(self.node_id, accept)
         if not own.ok:
             self._note_preempted(recovery, own.ballot)
             return

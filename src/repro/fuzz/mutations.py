@@ -39,6 +39,16 @@ Two more break the batched reply path every protocol shares; each must trip
   by one.  One patch point breaking both protocols proves it is the only
   reply path.
 
+Two break the Paxos family's quorum arithmetic, the safety core of the
+paper's own protocol; each must trip the log checkers on a leader-minority
+partition (``tests/test_scenarios.py`` pins both on
+``pig-partition-leader-minority``):
+
+* ``vote-count-early`` -- ``VoteTracker.ack`` reports the quorum one vote
+  early, so phase 1 and phase 2 both complete a vote short.
+* ``phase2-quorum-one`` -- ``MajorityQuorum.phase2_size`` is 1: a leader
+  commits on its own vote alone.
+
 Usage::
 
     from repro.fuzz.mutations import apply_mutation
@@ -82,6 +92,14 @@ def _noop_every_recovery(self, recovery, msg):
     recovery.replies[msg.voter] = msg
     if len(recovery.replies) >= self.quorum.phase1_size:
         self._recovery_accept(recovery, NoOp(), 1, frozenset(), noop=True)
+
+
+def _make_early_ack(original):
+    def ack_one_vote_early(self, voter):
+        original(self, voter)
+        return len(self._acks) >= self.required - 1
+
+    return ack_one_vote_early
 
 
 def _make_broken_execution_order(original):
@@ -172,10 +190,26 @@ def _reply_misroute() -> Iterator[None]:
         yield
 
 
+@contextmanager
+def _vote_count_early() -> Iterator[None]:
+    from repro.quorum.tracker import VoteTracker
+
+    with _patched(VoteTracker, "ack", _make_early_ack):
+        yield
+
+
+@contextmanager
+def _phase2_quorum_one() -> Iterator[None]:
+    from repro.quorum.systems import MajorityQuorum
+
+    with _patched(MajorityQuorum, "phase2_size", lambda _orig: property(lambda self: 1)):
+        yield
+
+
 #: Mutation name -> context manager factory.  The first four live in the
 #: EPaxos stack, so mutation-fuzz runs of those should use an epaxos-only
-#: profile (``recovery-noop`` bites only where recovery runs); the last two
-#: only bite on runs that batch.
+#: profile (``recovery-noop`` bites only where recovery runs); the next two
+#: only bite on runs that batch; the last two only on the Paxos family.
 MUTATIONS: Dict[str, object] = {
     "vote-dedup": _vote_dedup,
     "key-index": _key_index,
@@ -183,6 +217,8 @@ MUTATIONS: Dict[str, object] = {
     "recovery-noop": _recovery_noop,
     "batch-unpack-reversed": _batch_unpack_reversed,
     "reply-misroute": _reply_misroute,
+    "vote-count-early": _vote_count_early,
+    "phase2-quorum-one": _phase2_quorum_one,
 }
 
 

@@ -10,10 +10,10 @@ communication-cost comparison a pluggable axis instead of a Multi-Paxos
 special case.
 
 The overlay talks back to its hosting replica through the narrow
-:class:`OverlayHost` surface: sending, scheduling, processing a wrapped
-inner message as a follower (returning the response instead of sending it),
-and the host's dispatch table, through which unwrapped responses re-enter
-ordinary message handling.
+:class:`OverlayHost` surface: sending, scheduling, the host's relayed-message
+table (a wrapped inner message applied as a follower, the response returned
+instead of sent), and the host's dispatch table, through which unwrapped
+responses re-enter ordinary message handling.
 
 Example (unit-style, with the test FakeContext stand-in)::
 
@@ -51,16 +51,18 @@ class OverlayHost(Protocol):
     """What a fan-out overlay may ask of the replica hosting it.
 
     Implemented by :class:`repro.protocol.base.Replica`: ``ctx`` exposes the
-    node context (send/schedule/rng/metrics), ``process_for_overlay`` applies
-    a relayed inner message locally and *returns* the response so a relay
-    can aggregate it, and ``handlers[type(response)](src, response)`` feeds
-    an unwrapped response into the replica's ordinary dispatch.
+    node context (send/schedule/rng/metrics),
+    ``relayed[type(inner)](src, inner)`` applies a relayed inner message
+    locally and *returns* the response (or None) so a relay can aggregate
+    it, and ``handlers[type(response)](src, response)`` feeds an unwrapped
+    response into the replica's ordinary dispatch.
     """
 
     protocol_name: str
     ctx: "NodeContext"
     node_id: int
     handlers: Mapping[type, Callable[[int, Any], None]]
+    relayed: Mapping[type, Callable[[int, Message], Optional[Message]]]
 
     @property
     def peers(self) -> List[int]: ...
@@ -68,8 +70,6 @@ class OverlayHost(Protocol):
     def send(self, dst: int, message: Any) -> None: ...
 
     def count(self, name: str, amount: float = 1.0) -> None: ...
-
-    def process_for_overlay(self, src: int, inner: Message) -> Optional[Message]: ...
 
 
 class FanoutOverlay(ABC):

@@ -258,7 +258,7 @@ class RelayFanout(FanoutOverlay):
             return
         inner = msg.inner
         agg_id = msg.agg_id
-        own_response = host.process_for_overlay(src, inner)
+        own_response = host.relayed[type(inner)](src, inner)
         # Every child gets the same (decayed) aggregation timeout, one level down.
         child_timeout = max(msg.timeout * self.timeout_decay, 0.001) if msg.children else None
         child_depth = msg.depth + 1

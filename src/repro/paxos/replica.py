@@ -158,21 +158,14 @@ class MultiPaxosReplica(Replica):
             FillReply: self._on_fill_reply,
         }
 
-    # ------------------------------------------------------------------ overlay host hooks
-    def process_for_overlay(self, src: int, inner: Any) -> Optional[Any]:
-        """Apply a relayed inner message as a follower; return the vote (if any)."""
-        kind = type(inner)
-        if kind is P2a:
-            return self._process_p2a(inner)
-        if kind is P1a:
-            return self._process_p1a(inner)
-        if kind is Heartbeat:
-            self._on_heartbeat(src, inner)
-            return None
-        # Fall back to ordinary handling for anything else wrapped by the
-        # overlay (e.g. explicit Commit messages).
-        self.on_message(src, inner)
-        return None
+    def _relayed_handlers(self) -> Dict[type, Any]:
+        # A relayed heartbeat carries no vote (its handler returns None);
+        # anything else relayed (an explicit Commit) takes ordinary dispatch.
+        return {
+            P2a: self._process_p2a,
+            P1a: self._process_p1a,
+            Heartbeat: self._on_heartbeat,
+        }
 
     # ------------------------------------------------------------------ phase 1
     def _start_phase1(self) -> None:
@@ -215,7 +208,7 @@ class MultiPaxosReplica(Replica):
                 entries[entry.slot] = (entry.ballot, entry.command)
         return entries
 
-    def _process_p1a(self, msg: P1a) -> P1b:
+    def _process_p1a(self, src: int, msg: P1a) -> P1b:
         """Acceptor logic for a phase-1a; returns the promise without sending it."""
         if msg.ballot >= self.promised:
             self.promised = msg.ballot
@@ -225,7 +218,7 @@ class MultiPaxosReplica(Replica):
         return P1b(ballot=self.promised, voter=self.node_id, ok=False)
 
     def _on_p1a(self, src: int, msg: P1a) -> None:
-        self.send(src, self._process_p1a(msg))
+        self.send(src, self._process_p1a(src, msg))
 
     def _on_p1b(self, src: int, msg: P1b) -> None:
         if self.is_leader or self._phase1_tracker is None:
@@ -406,18 +399,29 @@ class MultiPaxosReplica(Replica):
         self._fanout_phase2(p2a, proposal)
 
     # ------------------------------------------------------------------ acceptor path
-    def _process_p2a(self, msg: P2a) -> P2b:
-        """Acceptor logic for a phase-2a; returns the vote without sending it."""
-        if msg.ballot >= self.promised:
-            self.promised = msg.ballot
-            self._observe_leader(msg.ballot)
-            self.log.accept(msg.slot, msg.ballot, msg.command)
-            self._apply_commit_frontier(msg.commit_upto, msg.ballot)
-            return P2b(ballot=msg.ballot, slot=msg.slot, voter=self.node_id, ok=True)
+    def _process_p2a(self, src: int, msg: P2a) -> P2b:
+        """Acceptor logic for a phase-2a; returns the vote without sending it.
+
+        Every follower runs this once per round, so it is one frame:
+        :meth:`_observe_leader` is inlined, and the commit-frontier scan is
+        entered only when the announced frontier is ahead of ours.
+        """
+        ballot = msg.ballot
+        if ballot >= self.promised:
+            self.promised = ballot
+            self._last_leader_contact = self.ctx.now
+            if ballot.node_id != self.node_id:
+                self.leader_id = ballot.node_id
+                if self.is_leader and ballot > self.ballot:
+                    self._step_down(ballot)
+            self.log.accept(msg.slot, ballot, msg.command)
+            if msg.commit_upto > self.commit_upto:
+                self._apply_commit_frontier(msg.commit_upto, ballot)
+            return P2b(ballot=ballot, slot=msg.slot, voter=self.node_id, ok=True)
         return P2b(ballot=self.promised, slot=msg.slot, voter=self.node_id, ok=False)
 
     def _on_p2a(self, src: int, msg: P2a) -> None:
-        self.send(src, self._process_p2a(msg))
+        self.send(src, self._process_p2a(src, msg))
 
     def _on_p2b(self, src: int, msg: P2b) -> None:
         if not self.is_leader:
@@ -606,8 +610,7 @@ class MultiPaxosReplica(Replica):
             entry.committed = True
         if commit_upto > self._frontier_scanned_upto:
             self._frontier_scanned_upto = commit_upto
-        self._advance_commit_frontier()
-        self.commit_upto = max(self.commit_upto, 0)
+        self.commit_upto = log.committed_through(self.commit_upto)
         self._execute_ready()
         while heap and heap[0] not in gaps:
             heappop(heap)

@@ -9,7 +9,8 @@ groups, by :class:`repro.cluster.node.ShardReplicaHost`.
 Every replica also owns a :class:`~repro.overlay.base.FanoutOverlay` through
 which it routes wide-cast (one-to-many) messages; the base class provides
 the :class:`~repro.overlay.base.OverlayHost` surface the overlay calls back
-into (``process_for_overlay``, ``handlers``).
+into: the ``relayed`` table for a message a relay tree delivered, the
+``handlers`` table for a vote it unwrapped.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class NodeContext(Protocol):
 #: A message handler: ``handler(src, message)``.
 Handler = Callable[[int, Any], None]
 
+#: A relayed-message handler: ``handler(src, inner)`` applies a message a
+#: relay tree delivered and *returns* the vote (or None) instead of sending it.
+RelayedHandler = Callable[[int, Any], Optional[Any]]
+
 
 class HandlerTable(dict):
     """``type(message) -> handler``; an unlisted type resolves to ``unknown``.
@@ -78,7 +83,8 @@ class HandlerTable(dict):
     ``table[type(message)](src, message)`` is the whole of message dispatch,
     whoever performs it: the host node for a delivered envelope, the relay
     overlay for an unwrapped vote, :meth:`Replica.on_message` for everything
-    else.  Exact types only -- a wire type is never subclassed.
+    else -- and, on :attr:`Replica.relayed`, the relay overlay for a message
+    it delivered.  Exact types only -- a wire type is never subclassed.
     """
 
     __slots__ = ("_unknown",)
@@ -111,6 +117,9 @@ class Replica(ABC):
         self.ctx: Optional[NodeContext] = None
         #: The dispatch table (:class:`HandlerTable`), built by :meth:`bind`.
         self.handlers: Optional[HandlerTable] = None
+        #: The relayed-message table (:meth:`_relayed_handlers`), built by
+        #: :meth:`bind` next to ``handlers``.
+        self.relayed: Optional[HandlerTable] = None
         self._overlay: FanoutOverlay = overlay or DirectFanout()
         self._overlay.bind(self)
         # Per-replica counter cache: ``count()`` fires on most protocol
@@ -133,6 +142,10 @@ class Replica(ABC):
         self.handlers = HandlerTable(
             {**self._handlers(), **self._overlay.handlers()}, self._on_unknown_message
         )
+        # A relayed type with no vote to capture goes through ordinary
+        # dispatch, and on_message returns None: the relay has nothing to
+        # aggregate for it.
+        self.relayed = HandlerTable(self._relayed_handlers(), self.on_message)
 
     @property
     def overlay(self) -> FanoutOverlay:
@@ -156,6 +169,17 @@ class Replica(ABC):
     def _handlers(self) -> Dict[type, Handler]:
         """This protocol's wire types and the bound methods that handle them."""
 
+    def _relayed_handlers(self) -> Dict[type, RelayedHandler]:
+        """The wire types whose relayed copy must *return* its response.
+
+        The relay overlay needs a follower's vote returned rather than sent,
+        so it can aggregate it with its subtree's.  Protocols whose voting
+        rounds travel through relay trees list those types here; every
+        other relayed type is fed through ordinary dispatch (correct for
+        fire-and-forget traffic) and yields no response.
+        """
+        return {}
+
     def on_message(self, src: int, message: Any) -> None:
         """Handle a message delivered off the wire from endpoint ``src``."""
         self.handlers[type(message)](src, message)
@@ -170,20 +194,6 @@ class Replica(ABC):
 
     def on_recover(self) -> None:
         """Called when the host node recovers from a crash."""
-
-    # ----------------------------------------------------------------- overlay host hooks
-    def process_for_overlay(self, src: int, inner: Any) -> Optional[Any]:
-        """Apply a relayed inner message locally; return the response (if any).
-
-        The relay overlay needs the response *returned* rather than sent so
-        it can aggregate it with its subtree's responses.  The default just
-        feeds the message through ordinary dispatch (correct for protocols
-        that only ever see fire-and-forget traffic relayed); protocols whose
-        voting rounds travel through relay trees override this to capture
-        the vote.
-        """
-        self.on_message(src, inner)
-        return None
 
     # ----------------------------------------------------------------- helpers
     def send(self, dst: int, message: Any) -> None:

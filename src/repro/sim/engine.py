@@ -3,9 +3,10 @@
 :class:`Simulator` owns the virtual clock, the event queue, the random
 streams and the metrics registry.  Components schedule work with
 :meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.schedule_at`
-(absolute time) and may cancel it via the returned :class:`TimerHandle`.
+(absolute time) and may cancel it via the returned :class:`~repro.sim.events.Event`
+(its ``time``/``cancelled``/``cancel()`` are the whole timer interface).
 Fire-and-forget hot paths (the network fabric, the node CPU queue) use
-:meth:`Simulator.post_at`, which skips the handle allocation.
+:meth:`Simulator.post_at`, which skips the Event allocation.
 
 The engine is single-threaded and runs events strictly in
 ``(time, priority, insertion order)`` order, which makes every run with the
@@ -27,28 +28,6 @@ from repro.errors import SimulationError
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
-
-
-class TimerHandle:
-    """A cancellable handle for a scheduled callback."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Virtual time at which the callback is due to fire."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    def cancel(self) -> None:
-        """Cancel the callback if it has not fired yet."""
-        self._event.cancel()
 
 
 class Simulator:
@@ -87,17 +66,28 @@ class Simulator:
         return self._metrics
 
     # ------------------------------------------------------------------ scheduling
+    # schedule / schedule_at (and call_soon through schedule) return the
+    # queued Event itself: it carries ``time`` and ``cancelled`` and its
+    # ``cancel()`` keeps ``pending_events`` exact.  Both inline
+    # EventQueue.push (the canonical entry layout lives there).
     def schedule(
         self,
         delay: float,
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> TimerHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        return TimerHandle(self._queue.push(self._now + delay, callback, args, priority))
+        time = self._now + delay
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        event = Event(time, priority, seq, callback, args, queue)
+        heappush(queue._heap, (time, priority, seq, event, None))
+        queue._live += 1
+        return event
 
     def schedule_at(
         self,
@@ -105,16 +95,22 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> TimerHandle:
+    ) -> Event:
         """Schedule ``callback(*args)`` at an absolute virtual ``time``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, which is in the past (now={self._now!r})"
             )
-        return TimerHandle(self._queue.push(time, callback, args, priority))
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + 1
+        event = Event(time, priority, seq, callback, args, queue)
+        heappush(queue._heap, (time, priority, seq, event, None))
+        queue._live += 1
+        return event
 
     def post_at(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> None:
-        """Hot-path scheduling: no TimerHandle, no Event, no validation.
+        """Hot-path scheduling: no Event, no validation.
 
         For engine-internal fire-and-forget work (message delivery, CPU-queue
         completions) whose times are derived from ``now`` plus a non-negative
@@ -129,7 +125,7 @@ class Simulator:
         heappush(queue._heap, (time, 0, seq, callback, args))
         queue._live += 1
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any) -> TimerHandle:
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback`` at the current time (after already-queued events)."""
         return self.schedule(0.0, callback, *args)
 

@@ -14,10 +14,11 @@ every message send, delivery, CPU reservation and timer goes through it):
   hot fire-and-forget work is stored as a bare callback, skipping the Event
   allocation entirely (see :class:`EventQueue`).
 * Cancellation is unified: :meth:`Event.cancel` is the *only* cancel path
-  and keeps the queue's live-event count exact.  ``queue.cancel(event)`` and
-  ``TimerHandle.cancel()`` both delegate to it, so calling any of the three
-  is equivalent (this used to be a bookkeeping footgun where a direct
-  ``Event.cancel()`` silently skipped the ``_live`` decrement).
+  and keeps the queue's live-event count exact.  The engine's ``schedule``
+  returns the Event itself as the timer, and ``queue.cancel(event)``
+  delegates to it, so both are equivalent (this used to be a bookkeeping
+  footgun where a direct ``Event.cancel()`` silently skipped the ``_live``
+  decrement).
 * Time validation happens once at the engine boundary
   (:meth:`repro.sim.engine.Simulator.schedule` / ``schedule_at``), not per
   push: the queue trusts its callers and stays branch-lean.
@@ -101,8 +102,10 @@ class EventQueue:
     CANONICAL ENTRY LAYOUT: the call-entry push here is also hand-inlined
     at the three hottest scheduling sites -- ``Simulator.post_at``,
     ``SimNode._send_as``/``SimNode._arrive_for`` (cluster/node.py) and
-    ``SimNetwork.send`` (net/network.py).  Changing the entry shape means
-    updating every one of them; grep for "push_call" to find the list.
+    ``SimNetwork.send`` (net/network.py) -- and the event push at the
+    engine's timer entry points, ``Simulator.schedule``/``schedule_at``.
+    Changing the entry shape means updating every one of them; grep for
+    "push_call" and "EventQueue.push" to find the list.
     """
 
     __slots__ = ("_heap", "_seq", "_live")

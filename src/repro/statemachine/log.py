@@ -87,20 +87,24 @@ class ReplicatedLog:
         """
         if slot < 1:
             raise StateMachineError(f"slots are 1-based, got {slot}")
-        existing = self._entries.get(slot)
-        if existing is not None:
-            if existing.committed and existing.command is not command:
+        entries = self._entries
+        committed = False
+        # A membership test, not ``.get``: nearly every accept is of a fresh
+        # slot, so the common case costs no call.
+        if slot in entries:
+            existing = entries[slot]
+            committed = existing.committed
+            if committed and existing.command is not command:
                 same_uid = getattr(existing.command, "uid", None) == getattr(command, "uid", object())
                 if not same_uid:
                     raise StateMachineError(
                         f"attempt to overwrite committed slot {slot} with a different command"
                     )
-            if ballot < existing.ballot and not existing.committed:
+            if ballot < existing.ballot and not committed:
                 # Stale accept from an older ballot: keep the newer entry.
                 return existing
-        entry = LogEntry(slot=slot, ballot=ballot, command=command,
-                         committed=existing.committed if existing else False)
-        self._entries[slot] = entry
+        entry = LogEntry(slot=slot, ballot=ballot, command=command, committed=committed)
+        entries[slot] = entry
         self.dirty_slots.add(slot)
         if slot > self._max_slot:
             self._max_slot = slot

@@ -90,10 +90,10 @@ class TestBallots:
     def test_preaccept_below_promised_ballot_is_nacked(self):
         replica, ctx = _replica(node_id=1)
         instance = (4, 1)
-        promise = replica._handle_prepare(EPrepare(instance=instance, ballot=(3, 2)))
+        promise = replica._handle_prepare(2, EPrepare(instance=instance, ballot=(3, 2)))
         assert promise.ok and promise.status == "unknown"
         reply = replica._handle_preaccept(
-            EPreAccept(instance=instance, command=_put(), seq=1, deps=frozenset())
+            4, EPreAccept(instance=instance, command=_put(), seq=1, deps=frozenset())
         )
         assert not reply.ok
         assert reply.ballot == (3, 2)
@@ -101,17 +101,17 @@ class TestBallots:
     def test_accept_below_promised_ballot_is_nacked(self):
         replica, ctx = _replica(node_id=1)
         instance = (4, 1)
-        replica._handle_prepare(EPrepare(instance=instance, ballot=(3, 2)))
+        replica._handle_prepare(2, EPrepare(instance=instance, ballot=(3, 2)))
         reply = replica._handle_accept(
-            EAccept(instance=instance, command=_put(), seq=1, deps=frozenset())
+            4, EAccept(instance=instance, command=_put(), seq=1, deps=frozenset())
         )
         assert not reply.ok and reply.ballot == (3, 2)
 
     def test_stale_prepare_is_nacked_with_current_ballot(self):
         replica, ctx = _replica(node_id=1)
         instance = (4, 1)
-        replica._handle_prepare(EPrepare(instance=instance, ballot=(5, 3)))
-        reply = replica._handle_prepare(EPrepare(instance=instance, ballot=(2, 2)))
+        replica._handle_prepare(3, EPrepare(instance=instance, ballot=(5, 3)))
+        reply = replica._handle_prepare(2, EPrepare(instance=instance, ballot=(2, 2)))
         assert not reply.ok and reply.ballot == (5, 3)
 
     def test_conflicting_second_commit_is_refused_first_wins(self):
@@ -142,9 +142,9 @@ class TestBallots:
         replica._on_commit(2, ECommit(instance=(2, 1), command=other, seq=1, deps=frozenset()))
         instance = (4, 1)
         replica._handle_preaccept(
-            EPreAccept(instance=instance, command=_put("k"), seq=1, deps=frozenset())
+            4, EPreAccept(instance=instance, command=_put("k"), seq=1, deps=frozenset())
         )
-        reply = replica._handle_prepare(EPrepare(instance=instance, ballot=(1, 0)))
+        reply = replica._handle_prepare(0, EPrepare(instance=instance, ballot=(1, 0)))
         assert reply.ok and reply.status == "preaccepted"
         assert reply.changed  # the local conflict updated the attributes
         assert (2, 1) in reply.deps
@@ -372,7 +372,7 @@ class TestDecisionTable:
         recovery_pre = EPreAccept(
             instance=instance_id, command=command, seq=1, deps=frozenset(), ballot=(1, 2)
         )
-        reply = replica._handle_preaccept(recovery_pre)
+        reply = replica._handle_preaccept(2, recovery_pre)
         assert reply.ok
         instance = replica.instances[instance_id]
         assert instance.leader_here and instance.clients == ((1007, 1),)

@@ -117,6 +117,8 @@ class TestMutations:
         from repro.epaxos.replica import EPaxosReplica
         from repro.paxos.replica import MultiPaxosReplica
         from repro.protocol.base import Replica
+        from repro.quorum.systems import MajorityQuorum
+        from repro.quorum.tracker import VoteTracker
 
         def patch_points():
             return (
@@ -127,6 +129,8 @@ class TestMutations:
                 EPaxosReplica.__dict__["_apply_command"],
                 MultiPaxosReplica.__dict__["_apply_command"],
                 Replica.__dict__["_reply_to_clients"],
+                VoteTracker.__dict__["ack"],
+                MajorityQuorum.__dict__["phase2_size"],
             )
 
         before = patch_points()

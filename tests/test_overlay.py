@@ -16,7 +16,15 @@ import pytest
 
 from helpers import FakeContext, library_run
 from repro.cluster.builder import build_cluster
-from repro.epaxos.messages import ECommit, EPreAccept, EPreAcceptReply
+from repro.epaxos.messages import (
+    EAccept,
+    EAcceptReply,
+    ECommit,
+    EPreAccept,
+    EPreAcceptReply,
+    EPrepare,
+    EPrepareReply,
+)
 from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
 from repro.overlay import (
@@ -137,6 +145,28 @@ class TestEPaxosRelayFanout:
         assert dst == 0 and aggregate.complete
         assert len(aggregate.responses) == 3
         assert {r.voter for r in aggregate.responses} == {1, 2, 3}
+
+    def test_relayed_table_returns_the_votes_and_applies_commits(self):
+        relay, ctx = epaxos_replica(overlay=RelayFanout(), node_id=1)
+        assert set(relay.relayed) == {EPreAccept, EAccept, EPrepare, ECommit}
+        command = request().command
+        vote = relay.relayed[EPreAccept](
+            0, EPreAccept(instance=(0, 1), command=command, seq=1, deps=frozenset())
+        )
+        assert isinstance(vote, EPreAcceptReply) and vote.ok and vote.voter == 1
+        accepted = relay.relayed[EAccept](
+            0, EAccept(instance=(0, 1), command=command, seq=1, deps=frozenset())
+        )
+        assert isinstance(accepted, EAcceptReply) and accepted.ok
+        promise = relay.relayed[EPrepare](2, EPrepare(instance=(0, 1), ballot=(1, 2)))
+        assert isinstance(promise, EPrepareReply) and promise.ok
+        commit = ECommit(instance=(0, 1), command=command, seq=1, deps=frozenset())
+        assert relay.relayed[ECommit](0, commit) is None
+        assert relay.instances[(0, 1)].status in ("committed", "executed")
+        # A type the table does not list goes through ordinary dispatch.
+        assert relay.relayed[ClientRequest](1000, request(request_id=2)) is None
+        led = [msg.inner for _, msg in ctx.sent_of_type(RelayRequest)]
+        assert led and all(type(inner) is EPreAccept for inner in led)  # led as usual
 
     def test_relay_timeout_flushes_partial_then_forwards_late_votes(self):
         # A child crashes (never replies): the relay flushes a partial

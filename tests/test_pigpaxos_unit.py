@@ -7,7 +7,16 @@ from helpers import FakeContext
 from repro.overlay.messages import RelayAggregate, RelayRequest, RelaySubtree
 from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol.ballot import Ballot
-from repro.protocol.messages import ClientReply, ClientRequest, Heartbeat, P1a, P1b, P2a, P2b
+from repro.protocol.messages import (
+    ClientReply,
+    ClientRequest,
+    Commit,
+    Heartbeat,
+    P1a,
+    P1b,
+    P2a,
+    P2b,
+)
 from repro.protocol.resolver import build_replica, resolve_config
 from repro.statemachine.command import Command, OpType
 
@@ -203,6 +212,28 @@ class TestRelayRole:
         replica, ctx = make_replica(node_id=4)
         replica.on_message(1, self._relay_request(replica, children=(), slot=3))
         assert replica.log.get(3) is not None
+
+    def test_relayed_table_lists_exactly_the_voting_types(self):
+        replica, _ = make_replica(node_id=4)
+        assert set(replica.relayed) == {P2a, P1a, Heartbeat}
+        vote = replica.relayed[P2a](1, self._relay_request(replica, children=(), slot=2).inner)
+        assert isinstance(vote, P2b) and vote.ok and vote.voter == 4
+        promise = replica.relayed[P1a](1, P1a(ballot=Ballot(2, 0)))
+        assert isinstance(promise, P1b) and promise.ok
+        assert replica.relayed[Heartbeat](1, Heartbeat(ballot=Ballot(2, 0))) is None
+
+    def test_unlisted_relayed_type_takes_ordinary_dispatch_and_yields_nothing(self):
+        replica, ctx = make_replica(node_id=3)
+        command = Command(op=OpType.PUT, key="x", payload_size=8)
+        commit = Commit(ballot=Ballot(1, 0), slot=1, command=command, commit_upto=1)
+        assert replica.relayed[Commit](1, commit) is None
+        assert replica.log.is_committed(1)  # handled by _on_commit
+        # Through the relay path: a leaf answers with an empty aggregate.
+        commit = Commit(ballot=Ballot(1, 0), slot=2, command=command, commit_upto=2)
+        replica.on_message(1, RelayRequest(inner=commit, children=(), agg_id=8, timeout=0.05))
+        [(dst, aggregate)] = ctx.sent_of_type(RelayAggregate)
+        assert dst == 1 and aggregate.responses == ()
+        assert replica.log.is_committed(2)
 
     def test_heartbeat_relay_forwards_without_aggregation(self):
         replica, ctx = make_replica(node_id=1)

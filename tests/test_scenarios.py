@@ -18,7 +18,6 @@ from repro.checkers.history import HistoryRecorder
 from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
 from repro.fuzz.mutations import apply_mutation
-from repro.quorum.systems import MajorityQuorum
 from repro.scenarios import (
     Scenario,
     ScenarioEvent,
@@ -178,26 +177,34 @@ class TestEPaxosRecoveryScenarios:
 class TestMutationsAreCaught:
     def test_broken_quorum_is_caught_by_checkers(self, monkeypatch):
         """Quorum off by a lot: a leader that commits with phase2 quorum of 1
-        splits the cluster's logs under a partition; the checkers must see it."""
-        monkeypatch.setattr(MajorityQuorum, "phase2_size", property(lambda self: 1))
-        result = run_scenario(get_scenario("pig-partition-leader-minority"))
+        splits the cluster's logs under a partition; the log checkers, the
+        quorum sanity check and linearizability must all see it."""
+        result = _run_mutated(
+            monkeypatch, "phase2-quorum-one", get_scenario("pig-partition-leader-minority")
+        )
         assert not result.ok
-        checkers = {violation.checker for violation in result.violations}
-        assert checkers  # at least one checker fired
+        assert _verdicts(result) == {
+            "linearizability": (14, _PINS["partition/quorum-one/linearizability"]),
+            "prefix_agreement": (6, _PINS["partition/quorum-one/prefix_agreement"]),
+            "quorum_sanity": (5, _PINS["partition/quorum-one/quorum_sanity"]),
+            "slot_agreement": (22157, _PINS["partition/quorum-one/slot_agreement"]),
+        }
 
     def test_vote_counting_mutation_is_caught(self, monkeypatch):
-        """A tracker that is satisfied one vote early must trip a checker."""
-        from repro.quorum import tracker as tracker_module
-
-        original = tracker_module.VoteTracker.satisfied.fget
-        monkeypatch.setattr(
-            tracker_module.VoteTracker,
-            "satisfied",
-            property(lambda self: len(self._acks) >= self.required - 1),
+        """A tracker that reports the quorum one vote early commits two
+        values in one slot across the partition: the log checkers see the
+        divergence, a follower refuses to overwrite its committed slot (the
+        run aborts) and the liveness floor is missed."""
+        result = _run_mutated(
+            monkeypatch, "vote-count-early", get_scenario("pig-partition-leader-minority")
         )
-        assert original is not None
-        result = run_scenario(get_scenario("pig-partition-leader-minority"))
         assert not result.ok
+        assert _verdicts(result) == {
+            "prefix_agreement": (2, _PINS["partition/count-early/prefix_agreement"]),
+            "progress": (1, _PINS["partition/count-early/progress"]),
+            "runtime": (1, _PINS["partition/count-early/runtime"]),
+            "slot_agreement": (1, _PINS["partition/count-early/slot_agreement"]),
+        }
 
     def test_epaxos_vote_dedup_mutation_is_caught(self, monkeypatch):
         """Re-seed the pre-fix bug: every delivered PreAccept/Accept reply
@@ -206,7 +213,7 @@ class TestMutationsAreCaught:
         must see it under the duplicate-delivery storm."""
         result = _run_mutated(monkeypatch, "vote-dedup", get_scenario("epaxos-duplicate-torture"))
         assert not result.ok
-        assert _epaxos_verdicts(result) == {
+        assert _verdicts(result, "epaxos_") == {
             "epaxos_conflict_ordering": (5, _PINS["torture/conflict_ordering"]),
             "epaxos_execution_consistency": (15, _PINS["torture/consistency"]),
         }
@@ -218,7 +225,7 @@ class TestMutationsAreCaught:
         in different orders."""
         result = _run_mutated(monkeypatch, "key-index", get_scenario("epaxos-hot-key-storm"))
         assert not result.ok
-        assert _epaxos_verdicts(result) == {
+        assert _verdicts(result, "epaxos_") == {
             "epaxos_conflict_ordering": (15824, _PINS["hot-key/key-index/conflict_ordering"]),
             "epaxos_execution_consistency": (30, _PINS["hot-key/key-index/consistency"]),
         }
@@ -248,7 +255,7 @@ class TestMutationsAreCaught:
         )
         result = _run_mutated(monkeypatch, "recovery-noop", scenario)
         assert not result.ok
-        assert _epaxos_verdicts(result) == {
+        assert _verdicts(result, "epaxos_") == {
             "epaxos_instance_agreement": (12, _PINS["noop/instance_agreement"]),
             "epaxos_execution_consistency": (28, _PINS["noop/consistency"]),
             "epaxos_conflict_ordering": (16, _PINS["noop/conflict_ordering"]),
@@ -260,15 +267,16 @@ class TestMutationsAreCaught:
         the execution-order checker must flag it."""
         result = _run_mutated(monkeypatch, "planner-order", get_scenario("epaxos-hot-key-storm"))
         assert not result.ok
-        assert _epaxos_verdicts(result) == {
+        assert _verdicts(result, "epaxos_") == {
             "epaxos_execution_order": (316, _PINS["hot-key/planner-order/execution_order"]),
             "epaxos_execution_consistency": (30, _PINS["hot-key/planner-order/consistency"]),
         }
 
 
-#: sha256 of each EPaxos check's violation messages joined by newlines,
-#: recorded before the checkers were rewritten for fewer calls: the rewrite
-#: must report the same violations, word for word and in the same order.
+#: sha256 of each check's violation messages joined by newlines.  The EPaxos
+#: pins were recorded before the checkers were rewritten for fewer calls: the
+#: rewrite must report the same violations, word for word and in the same
+#: order.  The ``partition/`` pins are the Paxos-family mutations.
 _PINS = {
     "torture/conflict_ordering":
         "8768c35de2f884988e0efd4477a79e1998520259dea9dd3ab554e6b2399d8101",
@@ -288,6 +296,22 @@ _PINS = {
         "1b690ca4b4f852988c2588e86ed1ca29f414d8d64bb68be539f300cc0474c28f",
     "noop/conflict_ordering":
         "76400190b39900ccf2d14bfb0deda6288a52e38d7b4c24537afd9486ad29f853",
+    "partition/quorum-one/linearizability":
+        "4ebf2eb75d6b2fcac96e9b0a2751b9995ab09e224763cf620641d353e44d51e6",
+    "partition/quorum-one/prefix_agreement":
+        "7cc5486ce242ba20cc32b3becf5fb215b76d8fea84eb5af7617d9258def9621f",
+    "partition/quorum-one/quorum_sanity":
+        "e1414d4452f66a5ff4fee6e97f4c94e7ecb57a352685bb1aa9e5311b31782970",
+    "partition/quorum-one/slot_agreement":
+        "c39f288416efcc7de9049b1facb84f5e2c9492ceaeecdb0c85167397e2623d37",
+    "partition/count-early/prefix_agreement":
+        "a3d906a75cd70928e963b5f38194dc04d8588aa13197600556e6c01347378afe",
+    "partition/count-early/progress":
+        "cbf7cfc1872762ad1a274924e401c16e7f5d1c38b7d3f4629450dcbf3e483998",
+    "partition/count-early/runtime":
+        "f1fe2e32069e1c57c3bcfd2dda8bcccfd976770bd5b1cb8d8145e9d3a9cf2fa4",
+    "partition/count-early/slot_agreement":
+        "a4e18afa54d7d75fc2a556c23a1ab167774347d16c9fec1d794b33b134d68288",
 }
 
 
@@ -303,11 +327,14 @@ def _run_mutated(monkeypatch, mutation, scenario):
         return run_scenario(scenario)
 
 
-def _epaxos_verdicts(result):
-    """EPaxos check -> (violation count, sha256 of its messages joined by newlines)."""
+def _verdicts(result, prefix=""):
+    """Check -> (violation count, sha256 of its messages joined by newlines).
+
+    Only the checks whose id starts with ``prefix`` are reported.
+    """
     messages = {}
     for violation in result.violations:
-        if violation.checker.startswith("epaxos_"):
+        if violation.checker.startswith(prefix):
             messages.setdefault(violation.checker, []).append(violation.message)
     return {
         checker: (len(found), hashlib.sha256("\n".join(found).encode("utf-8")).hexdigest())

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 
 
 class TestEventQueue:
@@ -96,6 +96,24 @@ class TestEventQueue:
         assert sim.pending_events == 1
         handle.cancel()
         assert sim.pending_events == 1
+
+    def test_scheduled_event_is_the_timer(self):
+        sim = Simulator()
+        sim.schedule(0.5, lambda: None)
+        sim.run()
+        relative = sim.schedule(0.25, lambda: None)
+        absolute = sim.schedule_at(2.0, lambda: None)
+        soon = sim.call_soon(lambda: None)
+        assert (relative.time, absolute.time, soon.time) == (0.75, 2.0, 0.5)
+        assert isinstance(relative, Event) and not relative.cancelled
+        assert sim.pending_events == 3
+        absolute.cancel()
+        assert absolute.cancelled and sim.pending_events == 2
+        absolute.cancel()  # idempotent
+        assert sim.pending_events == 2
+        sim.run()
+        relative.cancel()  # already fired: nothing left to decrement
+        assert sim.pending_events == 0
 
     def test_peek_time_skips_cancelled(self):
         queue = EventQueue()

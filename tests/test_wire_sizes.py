@@ -5,6 +5,10 @@ the already-known size of what they wrap).  The reference walker below
 recomputes the same figure the slow way -- recursively, from the fields, the
 way the per-send ``payload_bytes()`` methods used to -- and must agree to the
 byte for every type in the four wire modules, nested wrappers included.
+
+The node's charged send reads that figure itself instead of calling
+``SizeModel.size_of``; the parity tests at the end hold it to the model's
+answer for every sample and for the objects only the model's fallback sizes.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import inspect
 
 import pytest
 
+from helpers import SizedProbe
+from repro.cluster.node import SimNode
+from repro.cluster.topologies import lan_topology
 from repro.epaxos import messages as epaxos_messages
 from repro.epaxos.messages import (
     EAccept,
@@ -24,6 +31,7 @@ from repro.epaxos.messages import (
     EPrepareReply,
 )
 from repro.net.message import Message
+from repro.net.network import SimNetwork
 from repro.net.sizes import SizeModel
 from repro.overlay import messages as overlay_messages
 from repro.overlay.messages import RelayAggregate, RelayRequest, RelaySubtree
@@ -41,6 +49,7 @@ from repro.protocol.messages import (
     P2a,
     P2b,
 )
+from repro.sim.engine import Simulator
 from repro.statemachine.command import Command, CommandBatch, CommandResult, NoOp, OpType
 
 METADATA_ONLY = (P1a, P2b, FillRequest, Heartbeat, EAcceptReply, EPrepare)
@@ -156,3 +165,39 @@ def test_sizes_the_test_depends_on_are_not_trivially_zero():
     assert reference_payload(EMPTY_PUT) == 1
     assert reference_payload(RELAYED_BATCH) == reference_payload(BATCH) + 4 * 5
     assert reference_payload(LEAF_AGGREGATES[1]) == 8 + (12 * 3 + 8)
+
+
+# ------------------------------------------------------- the charged send's size
+class _Unfilled(Message):
+    """A wire type whose ``payload_bytes`` slot its constructor forgot to fill."""
+
+    __slots__ = ("payload_bytes",)
+
+
+def _bytes_out_after_one_send(message, header_bytes: int) -> int:
+    """``node.0.bytes_out`` after node 0 sends ``message`` once."""
+    sim = Simulator(seed=0)
+    network = SimNetwork(sim, lan_topology(2), size_model=SizeModel(header_bytes=header_bytes))
+    SimNode(0, sim, network).send(1, message)
+    return sim.metrics.counter("node.0.bytes_out").value
+
+
+#: The samples (metadata-only types among them, sized by the ``Message``
+#: default of 0) plus a bare object carrying a negative payload (never below
+#: the header), one carrying a positive payload, and one that carries none.
+PARITY_SAMPLES = [*SAMPLES, SizedProbe(-5), SizedProbe(40), object()]
+
+
+@pytest.mark.parametrize("header_bytes", [64, 0])
+@pytest.mark.parametrize("sample", PARITY_SAMPLES, ids=lambda sample: type(sample).__name__)
+def test_charged_send_sizes_like_the_size_model(sample, header_bytes):
+    """``SimNode._send_as`` reads the size inline; it must agree with ``SizeModel``."""
+    expected = SizeModel(header_bytes=header_bytes).size_of(sample)
+    assert _bytes_out_after_one_send(sample, header_bytes) == expected
+
+
+def test_charged_send_of_an_unfilled_message_raises():
+    with pytest.raises(AttributeError):
+        SizeModel().size_of(_Unfilled())
+    with pytest.raises(AttributeError):
+        _bytes_out_after_one_send(_Unfilled(), 64)
