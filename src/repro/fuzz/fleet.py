@@ -154,7 +154,8 @@ def run_fleet(
     (mutation-calibration runs only need the first).  Shrinking happens in
     the parent process, under the same mutation patch the fleet ran with,
     so the shrunk repro is validated against the same (buggy) code that
-    produced the violation.
+    produced the violation.  A seed whose run raised is a finding with its
+    ``crash`` violation and no shrunk repro.
     """
     started = time.monotonic()  # lint: ok(no-wall-clock) fleet time budget is real elapsed time; sim results unaffected
     deadline = None if time_budget is None else started + time_budget
@@ -178,7 +179,9 @@ def run_fleet(
     for seed, outcome in sorted(raw_findings):
         scenario = generate_scenario(seed, profile)
         shrunk: Optional[ShrinkResult] = None
-        if shrink_findings:
+        # A run that crashed is reported as it is: the shrinker tolerates
+        # only ReproError, so re-running the raise would abort the fleet.
+        if shrink_findings and not outcome.crashed:
             with apply_mutation(mutation):
                 target = frozenset(outcome.checkers_violated)
                 shrunk = shrink(scenario, target=target, max_runs=max_shrink_runs)

@@ -2,7 +2,7 @@
 
 ``counter-name-registry`` checks every *string-literal* metric name passed
 to the metric helpers (``MetricsRegistry.counter/gauge/histogram/timeseries``
-and ``Replica.count``) against this registry.  A typo'd counter silently
+and ``Replica.count/counter``) against this registry.  A typo'd counter silently
 records to a fresh, never-read name -- the regression it causes (a benchmark
 column flatlining at zero, a test asserting on nothing) is invisible at run
 time, which is exactly why the check is static.

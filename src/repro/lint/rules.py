@@ -795,27 +795,29 @@ class CounterNameRegistry(Rule):
         if not node.args or not _is_str_constant(node.args[0]):
             return
         name = node.args[0].value
-        if func.attr in self._REGISTRY_HELPERS:
+        receiver = func.value
+        # A replica (``self`` in protocol code, an overlay's ``host``) takes
+        # the short name for both ``count`` and ``counter``.
+        is_replica_call = (
+            isinstance(receiver, ast.Name) and receiver.id in ("self", "host")
+        ) or (isinstance(receiver, ast.Attribute) and receiver.attr == "host")
+        if func.attr in ("count", "counter") and is_replica_call:
+            if not is_known_replica_counter(name):
+                ctx.report(
+                    self,
+                    node,
+                    f"replica counter {name!r} is not in the documented namespace",
+                )
+        elif func.attr in self._REGISTRY_HELPERS:
             # Only metric-registry receivers (a name/attribute chain), not
             # arbitrary expressions, to dodge unrelated APIs.
-            if not isinstance(func.value, (ast.Name, ast.Attribute)):
+            if not isinstance(receiver, (ast.Name, ast.Attribute)):
                 return
             if not is_known_metric(name):
                 ctx.report(
                     self,
                     node,
                     f"metric name {name!r} is not in the documented namespace",
-                )
-        elif func.attr == "count":
-            receiver = func.value
-            is_replica_call = (
-                isinstance(receiver, ast.Name) and receiver.id == "self"
-            ) or (isinstance(receiver, ast.Attribute) and receiver.attr == "host")
-            if is_replica_call and not is_known_replica_counter(name):
-                ctx.report(
-                    self,
-                    node,
-                    f"replica counter {name!r} is not in the documented namespace",
                 )
 
 

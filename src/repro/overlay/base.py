@@ -71,6 +71,8 @@ class OverlayHost(Protocol):
 
     def count(self, name: str, amount: float = 1.0) -> None: ...
 
+    def counter(self, name: str) -> Any: ...
+
 
 class FanoutOverlay(ABC):
     """Strategy object replicas use for wide-cast (one-to-many) messaging.

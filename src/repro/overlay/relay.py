@@ -55,19 +55,20 @@ from repro.overlay.groups import (
 from repro.overlay.messages import RelayAggregate, RelayRequest, RelaySubtree
 
 
-@dataclass(slots=True)
 class _AggregationSession:
-    """State a relay keeps while gathering responses for one round."""
+    """State a relay keeps while gathering responses for one round.
 
-    agg_id: int
-    parent: int
-    expected_children: int
-    responses: List[Message] = field(default_factory=list)
-    children_heard: int = 0
-    children_seen: set = field(default_factory=set)
-    threshold: Optional[int] = None
-    timer: Optional[object] = None
-    flushed: bool = False
+    One is opened per relay per round, so it is a plain slotted object with
+    no ``__init__`` that the relay fills in directly: opening one costs no
+    call.  ``seen`` maps each child heard from to None (a dict, because an
+    empty one is a literal), ``heard`` counts those distinct children, and
+    ``responses`` is the tuple to send up: the relay's own vote, then its
+    children's in arrival order.  A session is in the relay's table until
+    it is flushed.
+    """
+
+    __slots__ = ("agg_id", "parent", "expected", "heard", "seen", "responses", "threshold",
+                 "timer")
 
 
 @dataclass(slots=True)
@@ -149,9 +150,16 @@ class RelayFanout(FanoutOverlay):
         self._agg_counter = 0
         # Parents of recently flushed sessions, so late child responses can
         # still be forwarded towards the fan-out root instead of being lost.
+        # Every flush adds a new key and only eviction removes one, so
+        # ``_flushed_count`` tracks its size without a len() per flush.
         self._flushed_parents: Dict[int, int] = {}
+        self._flushed_count = 0
         # Root-side commit-durability rounds awaiting relay acks.
         self._pending_commits: Dict[int, _CommitRound] = {}
+        # The host's counters for the two per-round events, bound the first
+        # time each is counted (so neither appears before it happens).
+        self._fanouts_counter = None
+        self._rounds_counter = None
 
     # ------------------------------------------------------------------ groups
     def plan(self) -> RelayGroupPlan:
@@ -220,7 +228,10 @@ class RelayFanout(FanoutOverlay):
             self._open_commit_round(
                 agg_id, message, {tree.node_id: tree for tree in trees}, depth=0
             )
-        self.host.count("relay_fanouts")
+        counter = self._fanouts_counter
+        if counter is None:
+            counter = self._fanouts_counter = self.host.counter("relay_fanouts")
+        counter.value += 1.0
         return relays
 
     def _open_commit_round(
@@ -259,8 +270,12 @@ class RelayFanout(FanoutOverlay):
         inner = msg.inner
         agg_id = msg.agg_id
         own_response = host.relayed[type(inner)](src, inner)
-        # Every child gets the same (decayed) aggregation timeout, one level down.
-        child_timeout = max(msg.timeout * self.timeout_decay, 0.001) if msg.children else None
+        child_timeout = None
+        if msg.children:
+            # Every child gets the same (decayed) aggregation timeout, one level down.
+            child_timeout = msg.timeout * self.timeout_decay
+            if child_timeout < 0.001:
+                child_timeout = 0.001
         child_depth = msg.depth + 1
 
         if not msg.expects_response:
@@ -314,16 +329,15 @@ class RelayFanout(FanoutOverlay):
             return
 
         # Relay role: open an aggregation session, forward to the subtree.
-        session = _AggregationSession(
-            agg_id=agg_id,
-            parent=src,
-            expected_children=len(msg.children),
-            threshold=self._threshold_for(len(msg.children)),
-        )
-        if own_response is not None:
-            session.responses.append(own_response)
+        session = _AggregationSession()
+        session.agg_id = agg_id
+        session.parent = src
+        session.heard = 0
+        session.seen = {}
+        session.responses = () if own_response is None else (own_response,)
         self._sessions[agg_id] = session
         session.timer = host.ctx.schedule(msg.timeout, self._session_timeout, agg_id)
+        expected = 0
         for child in msg.children:
             host.send(
                 child.node_id,
@@ -335,12 +349,14 @@ class RelayFanout(FanoutOverlay):
                     depth=child_depth,
                 ),
             )
-        host.count("relay_rounds")
-
-    def _threshold_for(self, num_children: int) -> Optional[int]:
-        if self.response_threshold is None:
-            return None
-        return max(1, math.ceil(self.response_threshold * num_children))
+            expected += 1
+        session.expected = expected
+        threshold = self.response_threshold
+        session.threshold = None if threshold is None else max(1, math.ceil(threshold * expected))
+        counter = self._rounds_counter
+        if counter is None:
+            counter = self._rounds_counter = host.counter("relay_rounds")
+        counter.value += 1.0
 
     def _on_aggregate(self, src: int, msg: RelayAggregate) -> None:
         agg_id = msg.agg_id
@@ -358,18 +374,21 @@ class RelayFanout(FanoutOverlay):
                 del self._pending_commits[agg_id]
             return
         sessions = self._sessions
-        if agg_id in sessions and not sessions[agg_id].flushed:
+        if agg_id in sessions:
             session = sessions[agg_id]
             # Count distinct children only: a child relay that flushed early
             # may send a second aggregate when its own stragglers arrive, and
             # double-counting it would flush this session "complete" while a
             # different child never reported.
-            if msg.origin not in session.children_seen:
-                session.children_seen.add(msg.origin)
-                session.children_heard += 1
-            session.responses.extend(msg.responses)
-            done = session.children_heard >= session.expected_children
-            early = session.threshold is not None and session.children_heard >= session.threshold
+            seen = session.seen
+            origin = msg.origin
+            if origin not in seen:
+                seen[origin] = None
+                session.heard += 1
+            session.responses += msg.responses
+            heard = session.heard
+            done = heard >= session.expected
+            early = session.threshold is not None and heard >= session.threshold
             if done or early:
                 self._flush_session(session, complete=done)
             return
@@ -433,22 +452,25 @@ class RelayFanout(FanoutOverlay):
 
     def _session_timeout(self, agg_id: int) -> None:
         session = self._sessions.get(agg_id)
-        if session is None or session.flushed:
+        if session is None:
             return
         self.host.count("relay_timeouts")
         self._flush_session(session, complete=False)
 
     def _flush_session(self, session: _AggregationSession, complete: bool) -> None:
-        session.flushed = True
+        agg_id = session.agg_id
         if session.timer is not None:
             session.timer.cancel()
-        self._sessions.pop(session.agg_id, None)
-        self._flushed_parents[session.agg_id] = session.parent
-        while len(self._flushed_parents) > self._FLUSHED_SESSION_MEMORY:
-            self._flushed_parents.pop(next(iter(self._flushed_parents)))
+        del self._sessions[agg_id]
+        flushed = self._flushed_parents
+        flushed[agg_id] = session.parent
+        self._flushed_count += 1
+        if self._flushed_count > self._FLUSHED_SESSION_MEMORY:
+            del flushed[next(iter(flushed))]
+            self._flushed_count -= 1
         aggregate = RelayAggregate(
-            agg_id=session.agg_id,
-            responses=tuple(session.responses),
+            agg_id=agg_id,
+            responses=session.responses,
             origin=self.host.node_id,
             complete=complete,
         )
@@ -462,6 +484,7 @@ class RelayFanout(FanoutOverlay):
                 session.timer.cancel()
         self._sessions.clear()
         self._flushed_parents.clear()
+        self._flushed_count = 0
         # lint: ok(no-unordered-iteration) timer cancellation is order-insensitive; nothing is scheduled here
         for commit_round in self._pending_commits.values():
             if commit_round.timer is not None:

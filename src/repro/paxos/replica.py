@@ -115,12 +115,13 @@ class MultiPaxosReplica(Replica):
         self._fill_pending = False
 
         # Incremental commit-frontier scan state (see _apply_commit_frontier):
-        # slots examined once and found uncommitted; a lazy min-heap mirror
-        # of that set for the "anything missing at or below the announced
-        # frontier?" verdict; gap slots not yet re-judged against the current
-        # announcing ballot; the highest slot ever scanned; and the ballot
-        # of the most recent scan.
-        self._frontier_gaps: set = set()
+        # slots examined once and found uncommitted (the log's own gap set,
+        # so its writes can record dirt for exactly these); a lazy min-heap
+        # mirror of that set for the "anything missing at or below the
+        # announced frontier?" verdict; gap slots not yet re-judged against
+        # the current announcing ballot; the highest slot ever scanned; and
+        # the ballot of the most recent scan.
+        self._frontier_gaps: set = self.log.gap_slots
         self._frontier_gap_heap: List[int] = []
         self._frontier_stale: set = set()
         self._frontier_scanned_upto = 0
@@ -432,11 +433,16 @@ class MultiPaxosReplica(Replica):
             return
         if msg.ballot != self.ballot:
             return
-        proposal = self._proposals.get(msg.slot)
-        if proposal is None or proposal.committed:
+        slot = msg.slot
+        proposals = self._proposals
+        # Membership, not ``.get``: the leader takes one of these per vote.
+        if slot not in proposals:
+            return
+        proposal = proposals[slot]
+        if proposal.committed:
             return
         if proposal.tracker.ack(msg.voter):
-            self._commit_slot(msg.slot)
+            self._commit_slot(slot)
 
     # ------------------------------------------------------------------ commit & execute
     def _commit_slot(self, slot: int) -> None:
@@ -503,14 +509,16 @@ class MultiPaxosReplica(Replica):
         return result
 
     def _execute_ready(self) -> None:
-        executed = self.log.execute_ready(self._apply_command)
+        proposals = self._proposals
+        # A follower has no proposals: nobody here is waiting for results.
+        results = [] if proposals else None
+        executed = self.log.execute_ready(self._apply_command, results)
         if not executed:
             return
-        self.ctx.charge_execution(len(executed))
-        proposals = self._proposals
-        if not proposals:
-            return  # a follower: nobody here is waiting for these results
-        for entry, result in executed:
+        self.ctx.charge_execution(executed)
+        if results is None:
+            return
+        for entry, result in results:
             proposal = proposals.pop(entry.slot, None)
             if proposal is None or not proposal.clients:
                 continue
@@ -594,20 +602,22 @@ class MultiPaxosReplica(Replica):
             else:
                 dirty.clear()
         heap = self._frontier_gap_heap
+        entries = log.by_slot
         start = self._frontier_scanned_upto + 1
         low = self.commit_upto + 1
         if start < low:
             start = low
         for slot in range(start, commit_upto + 1):
-            entry = log.get(slot)
-            if entry is None or (entry.ballot != ballot and not entry.committed):
-                gaps.add(slot)
-                heappush(heap, slot)
-                continue
-            # Commit the entry in hand.  Nothing is recorded in dirty_slots:
-            # dirt is only ever read back for gap slots, and a slot committed
-            # here (or re-judged above) is not, or no longer, one.
-            entry.committed = True
+            if slot in entries:
+                entry = entries[slot]
+                if entry.ballot == ballot or entry.committed:
+                    # Commit the entry in hand.  Nothing is recorded in
+                    # dirty_slots: dirt is only ever read back for gap
+                    # slots, and a slot committed here is not one.
+                    entry.committed = True
+                    continue
+            gaps.add(slot)
+            heappush(heap, slot)
         if commit_upto > self._frontier_scanned_upto:
             self._frontier_scanned_upto = commit_upto
         self.commit_upto = log.committed_through(self.commit_upto)

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequ
 from repro.overlay.base import FanoutOverlay
 from repro.overlay.direct import DirectFanout
 from repro.protocol.messages import ClientReply
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.metrics import Counter, MetricsRegistry
 from repro.statemachine.command import CommandBatch
 
 
@@ -244,3 +244,16 @@ class Replica(ABC):
             counter = self.ctx.metrics.counter(f"{self.protocol_name}.{name}")
             self._counter_cache[name] = counter
         counter.value += amount
+
+    def counter(self, name: str) -> Counter:
+        """The counter :meth:`count` increments for ``name``, created if new.
+
+        For code that counts on every round: holding the counter makes each
+        increment one ``+=``.  Ask for it only when about to increment, so a
+        counter still appears only once something has counted on it.
+        """
+        counter = self._counter_cache.get(name)
+        if counter is None:
+            counter = self.ctx.metrics.counter(f"{self.protocol_name}.{name}")
+            self._counter_cache[name] = counter
+        return counter

@@ -36,6 +36,9 @@ from typing import Iterable, List, Optional, Tuple
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import Scenario
 
+#: The checker name of the one violation a run that raised is reported with.
+CRASH = "crash"
+
 
 @dataclass(frozen=True)
 class SweepOutcome:
@@ -60,8 +63,16 @@ class SweepOutcome:
         """Sorted, de-duplicated checker names that reported violations."""
         return tuple(sorted({checker for checker, _ in self.violations}))
 
+    @property
+    def crashed(self) -> bool:
+        """The run raised instead of finishing (see :func:`run_outcome`)."""
+        return any(checker == CRASH for checker, _ in self.violations)
+
     def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
+        if self.crashed:
+            status = "CRASHED"
+        else:
+            status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
         return (
             f"{self.name}: {status}, "
             f"{self.completed_requests} ops completed, "
@@ -71,8 +82,26 @@ class SweepOutcome:
 
 
 def run_outcome(scenario: Scenario) -> SweepOutcome:
-    """Run one scenario and summarise it (the worker-process entry point)."""
-    result = ScenarioRunner(scenario).run()
+    """Run one scenario and summarise it (the worker-process entry point).
+
+    A run that raises -- a broken handler, a build the scenario's config
+    cannot satisfy -- yields a failed outcome with one ``crash`` violation
+    naming the scenario, its seed and the exception, instead of escaping
+    and taking every other outcome of the sweep with it.
+    """
+    try:
+        result = ScenarioRunner(scenario).run()
+    except Exception as exc:
+        return SweepOutcome(
+            name=scenario.name,
+            ok=False,
+            fingerprint="",
+            completed_requests=0,
+            events_processed=0,
+            virtual_duration=0.0,
+            violations=((CRASH, f"{scenario.name} seed {scenario.seed}: "
+                                f"{type(exc).__name__}: {exc}"),),
+        )
     return SweepOutcome(
         name=scenario.name,
         ok=result.ok,

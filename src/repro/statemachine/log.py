@@ -34,30 +34,34 @@ class LogEntry:
 class ReplicatedLog:
     """Slot-indexed log with gap-aware in-order execution.
 
-    ``dirty_slots`` records every slot whose entry was created, replaced or
-    committed through :meth:`accept`/:meth:`commit` since a consumer last
-    cleared it.  The Paxos commit-frontier scan uses it to re-examine only
-    slots that could have become committable instead of rescanning its whole
-    announced window per message (which was quadratic across a recovery
-    gap); the commits that scan makes itself, on entries it already holds,
-    are the one change it does not need to be told about.
+    ``gap_slots`` and ``dirty_slots`` serve the Paxos commit-frontier scan,
+    which re-examines only slots that could have become committable instead
+    of rescanning its whole announced window per message (which was
+    quadratic across a recovery gap).  The scan owns ``gap_slots``: the
+    slots it examined and found it could not commit.  ``dirty_slots``
+    records each of those whose entry :meth:`accept`/:meth:`commit` then
+    created, replaced or committed, since the scan last consumed it.  Dirt
+    is read back only for gap slots, so it is recorded only for them: the
+    common accept, of a slot no scan has reached, costs a membership test.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, LogEntry] = {}
-        #: ``get(slot)`` -> the slot's :class:`LogEntry` or None.  The dict's
-        #: own bound method: the frontier scans probe once per slot.
-        self.get = self._entries.get
+        #: ``slot -> LogEntry``.  Read-only outside this class; the frontier
+        #: scan probes it by membership instead of a call per slot.
+        self.by_slot: Dict[int, LogEntry] = {}
+        #: ``get(slot)`` -> the slot's :class:`LogEntry` or None.
+        self.get = self.by_slot.get
         self._next_execute = 1
         self._max_slot = 0
+        self.gap_slots: set = set()
         self.dirty_slots: set = set()
 
     # ----------------------------------------------------------------- access
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.by_slot)
 
     def __contains__(self, slot: int) -> bool:
-        return slot in self._entries
+        return slot in self.by_slot
 
     @property
     def max_slot(self) -> int:
@@ -74,8 +78,8 @@ class ReplicatedLog:
         return self._next_execute - 1
 
     def entries(self) -> Iterator[LogEntry]:
-        for slot in sorted(self._entries):
-            yield self._entries[slot]
+        for slot in sorted(self.by_slot):
+            yield self.by_slot[slot]
 
     # ----------------------------------------------------------------- writes
     def accept(self, slot: int, ballot: Tuple[int, int], command: object) -> LogEntry:
@@ -87,7 +91,7 @@ class ReplicatedLog:
         """
         if slot < 1:
             raise StateMachineError(f"slots are 1-based, got {slot}")
-        entries = self._entries
+        entries = self.by_slot
         committed = False
         # A membership test, not ``.get``: nearly every accept is of a fresh
         # slot, so the common case costs no call.
@@ -105,14 +109,15 @@ class ReplicatedLog:
                 return existing
         entry = LogEntry(slot=slot, ballot=ballot, command=command, committed=committed)
         entries[slot] = entry
-        self.dirty_slots.add(slot)
+        if slot in self.gap_slots:
+            self.dirty_slots.add(slot)
         if slot > self._max_slot:
             self._max_slot = slot
         return entry
 
     def commit(self, slot: int, ballot: Tuple[int, int], command: object) -> LogEntry:
         """Mark ``slot`` committed with ``command`` (idempotent)."""
-        entry = self._entries.get(slot)
+        entry = self.by_slot.get(slot)
         if entry is None:
             entry = self.accept(slot, ballot, command)
         elif not entry.committed:
@@ -121,11 +126,12 @@ class ReplicatedLog:
         elif getattr(entry.command, "uid", None) != getattr(command, "uid", None):
             raise StateMachineError(f"conflicting commit for slot {slot}")
         entry.committed = True
-        self.dirty_slots.add(slot)
+        if slot in self.gap_slots:
+            self.dirty_slots.add(slot)
         return entry
 
     def is_committed(self, slot: int) -> bool:
-        entry = self._entries.get(slot)
+        entry = self.by_slot.get(slot)
         return entry is not None and entry.committed
 
     def committed_through(self, frontier: int) -> int:
@@ -134,50 +140,57 @@ class ReplicatedLog:
         The commit-frontier advance as one call, instead of an
         :meth:`is_committed` call per slot.
         """
-        entries = self._entries
+        entries = self.by_slot
         slot = frontier + 1
         while slot in entries and entries[slot].committed:
             slot += 1
         return slot - 1
 
     # ----------------------------------------------------------------- execute
-    def execute_ready(self, apply_fn: Callable[[object], object]) -> List[Tuple[LogEntry, object]]:
+    def execute_ready(
+        self,
+        apply_fn: Callable[[object], object],
+        results: Optional[List[Tuple[LogEntry, object]]] = None,
+    ) -> int:
         """Execute every ready entry through ``apply_fn`` and advance the frontier.
 
-        Runs after every commit-frontier advance, and most of those find
-        nothing new to execute: the loop probes the dict directly.
+        Returns how many entries ran.  Each ``(entry, result)`` pair is
+        appended to ``results`` when a list is given: only a replica with
+        clients to answer needs them, so a follower passes none.  Runs after
+        every commit-frontier advance, and most of those find nothing new
+        to execute: the loop probes the dict directly.
         """
-        entries = self._entries
-        executed: List[Tuple[LogEntry, object]] = []
-        slot = self._next_execute
+        entries = self.by_slot
+        start = slot = self._next_execute
         while slot in entries:
             entry = entries[slot]
             if not entry.committed:
                 break
             result = apply_fn(entry.command)
             entry.executed = True
-            executed.append((entry, result))
+            if results is not None:
+                results.append((entry, result))
             slot += 1
             self._next_execute = slot
-        return executed
+        return slot - start
 
     # ----------------------------------------------------------------- queries
     def first_gap(self) -> int:
         """Lowest slot >= 1 that holds no entry."""
         slot = 1
-        while slot in self._entries:
+        while slot in self.by_slot:
             slot += 1
         return slot
 
     def uncommitted_slots(self) -> List[int]:
-        return [slot for slot, entry in sorted(self._entries.items()) if not entry.committed]
+        return [slot for slot, entry in sorted(self.by_slot.items()) if not entry.committed]
 
     def committed_uids(self) -> Dict[int, Optional[int]]:
         """``slot -> command uid`` of every committed slot (for agreement checks)."""
         # lint: ok(no-unordered-iteration) a mapping to compare by item, not to walk; callers sort what they iterate
-        return {slot: entry.command.uid for slot, entry in self._entries.items() if entry.committed}
+        return {slot: entry.command.uid for slot, entry in self.by_slot.items() if entry.committed}
 
     def committed_prefix_uids(self) -> List[Optional[int]]:
         """uids of the gap-free committed prefix, used to compare replicas."""
-        entries = self._entries
+        entries = self.by_slot
         return [entries[slot].command.uid for slot in range(1, self.committed_through(0) + 1)]

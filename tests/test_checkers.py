@@ -358,13 +358,13 @@ _REFERENCES = (
 def _conflicting_commit(cluster, rng):
     """One replica holds a different command in a slot everyone committed."""
     log = cluster.nodes[rng.randrange(1, 5)].replica.log
-    log._entries[rng.randrange(2, log.committed_through(0))].command = _put("rogue")
+    log.by_slot[rng.randrange(2, log.committed_through(0))].command = _put("rogue")
 
 
 def _uncommitted_below_commit_upto(cluster, rng):
     """A slot under the advertised (and executed) frontier lost its commit bit."""
     log = cluster.nodes[rng.randrange(5)].replica.log
-    log._entries[rng.randrange(2, log.committed_through(0))].committed = False
+    log.by_slot[rng.randrange(2, log.committed_through(0))].committed = False
 
 
 def _executed_past_commit(cluster, rng):
@@ -380,11 +380,11 @@ def _shorter_and_diverging_prefix(cluster, rng):
     short, diverging, holed = rng.sample(range(5), 3)
     log = cluster.nodes[short].replica.log
     for slot in range(log.committed_through(0) // 2, log.max_slot + 1):
-        log._entries.pop(slot, None)
+        log.by_slot.pop(slot, None)
     log = cluster.nodes[diverging].replica.log
-    log._entries[rng.randrange(2, log.committed_through(0) // 2)].command = _put("rogue")
+    log.by_slot[rng.randrange(2, log.committed_through(0) // 2)].command = _put("rogue")
     log = cluster.nodes[holed].replica.log
-    del log._entries[rng.randrange(2, log.committed_through(0))]
+    del log.by_slot[rng.randrange(2, log.committed_through(0))]
 
 
 class TestLogChecksMatchThePerSlotReference:

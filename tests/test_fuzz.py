@@ -18,6 +18,7 @@ the same per-scenario fingerprints as the serial path, in the same order.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import replace
 
 import pytest
@@ -252,3 +253,45 @@ class TestParallelSweep:
         clone = pickle.loads(pickle.dumps(outcome))
         assert clone == outcome
         assert isinstance(clone, SweepOutcome)
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_a_crashing_run_fails_only_its_own_outcome(self, monkeypatch, parallel):
+        from repro.paxos.replica import MultiPaxosReplica
+
+        if parallel and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("a class patch reaches pool workers only through fork")
+
+        def broken_on_p2b(self, src, msg):
+            raise AttributeError("mutated handler")
+
+        # Patched on the class before the clusters are built; only the paxos
+        # run reaches it, the EPaxos one never builds a MultiPaxosReplica.
+        monkeypatch.setattr(MultiPaxosReplica, "_on_p2b", broken_on_p2b)
+        passing = Scenario(name="sweep-passes", protocol="epaxos", num_nodes=3,
+                           num_clients=2, duration=0.3, seed=4)
+        crashing = Scenario(name="sweep-crashes", protocol="paxos", num_nodes=3,
+                            num_clients=2, duration=0.3, seed=5)
+        outcomes = sweep([passing, crashing], parallel=parallel)
+        assert [o.name for o in outcomes] == ["sweep-passes", "sweep-crashes"]
+        assert outcomes[0].ok and not outcomes[0].crashed
+        assert outcomes[0].fingerprint == run_outcome(passing).fingerprint
+        crashed = outcomes[1]
+        assert not crashed.ok and crashed.crashed and crashed.fingerprint == ""
+        assert crashed.violations == (
+            ("crash", "sweep-crashes seed 5: AttributeError: mutated handler"),
+        )
+        assert crashed.summary().startswith("sweep-crashes: CRASHED")
+
+    def test_fleet_reports_a_crashing_seed_without_shrinking_it(self, monkeypatch):
+        from repro.paxos.replica import MultiPaxosReplica
+
+        def broken_on_p2b(self, src, msg):
+            raise AttributeError("mutated handler")
+
+        monkeypatch.setattr(MultiPaxosReplica, "_on_p2b", broken_on_p2b)
+        paxos_only = replace(DEFAULT_PROFILE, protocols=("paxos",))
+        report = run_fleet(start_seed=0, count=1, profile=paxos_only)
+        [finding] = report.findings
+        assert finding.checkers == ("crash",)
+        assert finding.violations[0][1].startswith("fuzz-0 seed 0: AttributeError")
+        assert finding.shrunk is None and finding.shrink_runs == 0

@@ -588,6 +588,19 @@ class TestCounterNameRegistry:
         )
         assert ctx.findings == []
 
+    def test_a_bound_replica_counter_is_checked_by_its_short_name(self):
+        ctx = lint_snippet(
+            """
+            def fan_out(self, host):
+                self.host.counter("relay_fanouts").value += 1.0
+                host.counter("relay_rounds").value += 1.0
+                host.counter("relay_rundos").value += 1.0
+            """,
+            relpath="overlay/example.py",
+        )
+        assert [finding.line for finding in ctx.findings] == [5]
+        assert rule_ids(ctx) == ["counter-name-registry"]
+
     def test_fires_on_unknown_metric_name(self):
         ctx = lint_snippet(
             """

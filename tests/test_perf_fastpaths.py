@@ -264,3 +264,97 @@ class TestIncrementalCommitFrontier:
         # matching ballot commit (2 and 3 did); slot 1 stays the gap.
         assert committed_high
         assert 1 in replica._frontier_gaps
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_steps_match_a_full_rescan(self, seed):
+        from helpers import FakeContext
+        from repro.paxos.replica import MultiPaxosReplica
+        from repro.protocol.ballot import Ballot
+        from repro.protocol.config import ProtocolConfig
+        from repro.protocol.messages import FillReply
+        from repro.statemachine.command import Command, OpType
+
+        rng = random.Random(seed)
+        ctx = FakeContext(node_id=1, all_nodes=[0, 1, 2])
+        replica = MultiPaxosReplica(config=ProtocolConfig(initial_leader=0))
+        replica.bind(ctx)
+        replica.leader_id = 0  # fill requests are only scheduled with a known leader
+        reference = _FullRescanFollower()
+        ballots = (Ballot(1, 0), Ballot(2, 2))
+        # One command per slot, so a late accept or a fill never contradicts
+        # a committed slot.
+        commands = {
+            slot: Command(op=OpType.PUT, key="k", value=str(slot), client_id=7, request_id=slot)
+            for slot in range(1, 41)
+        }
+        for step in range(150):
+            kind = rng.random()
+            ballot = rng.choice(ballots)
+            if kind < 0.45:
+                # Fresh accepts land ahead of the frontier; late ones into the
+                # window the announcements have already covered.
+                high = max(reference.commit_upto, 1) + (8 if rng.random() < 0.6 else 1)
+                slot = rng.randint(1, min(high, 40))
+                replica.log.accept(slot, ballot, commands[slot])
+                reference.accept(slot, ballot)
+                missing = expected_missing = None
+            elif kind < 0.6:
+                slot = rng.randint(1, 40)
+                replica._on_fill_reply(0, FillReply(entries=((slot, ballot, commands[slot]),)))
+                reference.fill(slot, ballot)
+                missing = expected_missing = None
+            else:
+                # Announcements jump around, lower ones included.
+                upto = rng.randint(1, 42)
+                replica._fill_pending = False
+                fills_before = sum(1 for t in ctx.timers if t.callback == replica._request_fill)
+                replica._apply_commit_frontier(upto, ballot)
+                fills_after = sum(1 for t in ctx.timers if t.callback == replica._request_fill)
+                missing = fills_after > fills_before
+                expected_missing = reference.announce(upto, ballot)
+            where = f"seed {seed} step {step}"
+            assert missing == expected_missing, where
+            assert replica.commit_upto == reference.commit_upto, where
+            assert {
+                slot: replica.log.get(slot).committed for slot in reference.entries
+            } == {slot: entry[1] for slot, entry in reference.entries.items()}, where
+            assert len(replica.log) == len(reference.entries), where
+
+
+class _FullRescanFollower:
+    """The commit-frontier rule applied the naive way: every announcement
+    rescans its whole window ``(commit_upto, announced]``."""
+
+    def __init__(self):
+        self.entries = {}  # slot -> [ballot, committed]
+        self.commit_upto = 0
+
+    def accept(self, slot, ballot):
+        entry = self.entries.get(slot)
+        if entry is not None and not entry[1] and ballot < entry[0]:
+            return  # a stale accept never replaces a newer entry
+        self.entries[slot] = [ballot, entry is not None and entry[1]]
+
+    def fill(self, slot, ballot):
+        entry = self.entries.get(slot)
+        if entry is None or not entry[1]:
+            self.entries[slot] = [ballot, True]
+        self._advance()
+
+    def announce(self, upto, ballot):
+        """Commit what the window's ballot vouches for; report whether a slot is missing."""
+        if upto <= self.commit_upto:
+            return False
+        missing = False
+        for slot in range(self.commit_upto + 1, upto + 1):
+            entry = self.entries.get(slot)
+            if entry is None or (entry[0] != ballot and not entry[1]):
+                missing = True
+            else:
+                entry[1] = True
+        self._advance()
+        return missing
+
+    def _advance(self):
+        while self.commit_upto + 1 in self.entries and self.entries[self.commit_upto + 1][1]:
+            self.commit_upto += 1

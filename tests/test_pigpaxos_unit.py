@@ -387,6 +387,29 @@ class TestRelayFailureRecovery:
         forwarded = ctx.sent_of_type(RelayAggregate)
         assert forwarded and forwarded[0][0] == 0
 
+    def test_a_child_that_flushes_twice_cannot_complete_the_session(self):
+        # Relay 1 has two child relays: A = 2 (over leaf 4), B = 3 (over leaf 5).
+        replica, ctx = make_replica(node_id=1)
+        children = (RelaySubtree(2, (RelaySubtree(4),)), RelaySubtree(3, (RelaySubtree(5),)))
+        ballot = Ballot(1, 0)
+        inner = P2a(ballot=ballot, slot=1, command=Command(op=OpType.PUT, key="x"), commit_upto=0)
+        replica.on_message(0, RelayRequest(inner=inner, children=children, agg_id=55, timeout=0.05))
+        votes = {voter: P2b(ballot=ballot, slot=1, voter=voter, ok=True) for voter in (2, 3, 4, 5)}
+        # A flushes its own vote early, then forwards its leaf's late one:
+        # two aggregates from the same origin.
+        replica.on_message(2, RelayAggregate(agg_id=55, responses=(votes[2],), origin=2,
+                                             complete=False))
+        replica.on_message(2, RelayAggregate(agg_id=55, responses=(votes[4],), origin=2,
+                                             complete=False))
+        assert ctx.sent_of_type(RelayAggregate) == []  # B is still silent
+        replica.on_message(3, RelayAggregate(agg_id=55, responses=(votes[3], votes[5]), origin=3))
+        [(dst, aggregate)] = ctx.sent_of_type(RelayAggregate)
+        assert dst == 0 and aggregate.complete
+        own, *heard = aggregate.responses
+        assert isinstance(own, P2b) and own.voter == 1 and own.ok
+        assert heard == [votes[2], votes[4], votes[3], votes[5]]  # arrival order
+        assert ctx.metrics.counter("pigpaxos.relay_rounds").value == 1
+
     def test_flushed_session_memory_is_bounded(self):
         replica, ctx = make_replica(node_id=1)
         ballot = Ballot(1, 0)

@@ -52,14 +52,15 @@ def test_log_executes_exactly_the_gap_free_committed_prefix(slots):
     ballot = Ballot(1, 0)
     for slot in slots:
         log.commit(slot, ballot, Command(op=OpType.PUT, key=f"k{slot}", payload_size=1))
-    executed = log.execute_ready(lambda c: None)
+    executed = []
+    count = log.execute_ready(lambda c: None, executed)
     expected_prefix_length = 0
     slot = 1
     committed = set(slots)
     while slot in committed:
         expected_prefix_length += 1
         slot += 1
-    assert len(executed) == expected_prefix_length
+    assert count == len(executed) == expected_prefix_length
     assert [entry.slot for entry, _ in executed] == list(range(1, expected_prefix_length + 1))
 
 

@@ -90,7 +90,8 @@ class TestReplicatedLog:
             log.accept(slot, ballot, command)
             log.commit(slot, ballot, command)
         store = KVStore()
-        executed = log.execute_ready(store.apply)
+        executed = []
+        assert log.execute_ready(store.apply, executed) == 3
         assert [entry.slot for entry, _ in executed] == [1, 2, 3]
         assert log.next_execute_slot == 4
 
@@ -99,12 +100,14 @@ class TestReplicatedLog:
         ballot = Ballot(1, 0)
         log.commit(1, ballot, put("a"))
         log.commit(3, ballot, put("c"))
-        executed = log.execute_ready(lambda c: None)
+        executed = []
+        assert log.execute_ready(lambda c: None, executed) == 1
         assert [entry.slot for entry, _ in executed] == [1]
-        # Filling the gap unblocks the rest.
+        # Filling the gap unblocks the rest; without a list only the count
+        # comes back.
         log.commit(2, ballot, put("b"))
-        executed = log.execute_ready(lambda c: None)
-        assert [entry.slot for entry, _ in executed] == [2, 3]
+        assert log.execute_ready(lambda c: None) == 2
+        assert log.next_execute_slot == 4
 
     def test_commit_is_idempotent(self):
         log = ReplicatedLog()
