@@ -1,38 +1,28 @@
-"""Adversarial scenario sweep + protocol x overlay communication-cost table.
+"""Scenario-shaped benchmark tables: five declared sections, one runner, one writer.
 
-Two benchmark-shaped views of the scenario/checker stack:
-
-* ``test_scenario_library_safety_sweep`` runs the whole canned scenario
-  library from ``repro.scenarios`` -- leader crashes, partitions, drop
-  storms, relay churn, overlay faults -- and reports, per scenario, client
-  throughput, a *post-crash-recovery* throughput column (ops/s over the
-  window after the scenario's last crash event; the number the EPaxos
-  explicit-prepare recovery path exists to keep from collapsing), fault
-  counters and the checkers' verdict.  Any future scale/speed PR can
-  eyeball this table to see whether an optimization traded away
-  correctness under adversity.
-
-* ``test_communication_cost_matrix`` reproduces the paper's headline
-  comparison on a fault-free 9-node WAN deployment, extended to the
-  leaderless protocol: for each protocol x fan-out overlay cell it measures
-  messages and bytes at the *bottleneck node* (the busiest node -- the
-  leader for the Paxos family, the busiest opportunistic leader for EPaxos)
-  and asserts that relay and thrifty EPaxos beat direct all-to-all
-  broadcast, with every safety checker still green.
-
-Both tests merge their results into ``benchmarks/results/BENCH_scenarios.json``
-(per-scenario throughput plus message/byte accounting) so the performance
-trajectory is machine-trackable across PRs.
+The sections: the canned library under its checkers, the paper's
+communication cost at the bottleneck node (9-node WAN, protocol x overlay),
+shard scaling, the batching frontier and leader load vs cluster size.  Each
+is a :class:`Section`; :func:`run_section` turns its cells into records (its
+own fields plus throughput, bottleneck-node accounting and the checkers'
+verdict) and :func:`write_section` writes the table under
+``benchmarks/results/`` and merges the records into ``BENCH_scenarios.json``.
+The runner reads the full ``ScenarioResult``, not the picklable run record:
+the post-crash and frontier columns need windowed ``stats()``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
 from _common import RESULTS_DIR, comparison_table, report
-from repro.scenarios import all_scenarios, run_scenario
+from repro.scenarios import ScenarioResult, all_scenarios, run_scenario
 from repro.scenarios.library import EPAXOS_CHECK_NAMES
 from repro.scenarios.spec import Scenario
 from repro.sim.metrics import bottleneck_node, sent_by_kind, shard_summary
@@ -40,37 +30,32 @@ from repro.workload.spec import WorkloadSpec
 
 BENCH_JSON = RESULTS_DIR / "BENCH_scenarios.json"
 
-#: The protocol x overlay cells of the communication-cost comparison.
-#: PigPaxos *is* paxos + relay, so it fills that cell of the matrix.
-COMM_MATRIX = (
-    ("paxos", "direct"),
-    ("pigpaxos", "relay"),
-    ("epaxos", "direct"),
-    ("epaxos", "relay"),
-    ("epaxos", "thrifty"),
-)
+
+@dataclass(frozen=True)
+class Section:
+    """One declared table."""
+
+    json_key: str
+    report_name: str
+    title: str
+    #: ``(keys, scenario)`` per row, in row order.
+    cells: Tuple[Tuple[Dict[str, object], Scenario], ...]
+    #: ``(result, counters) -> {field: value}`` beyond the shared fields.
+    fields: Callable[[ScenarioResult, Dict[str, float]], dict]
+    #: ``(header, record key or function of the record)``; the table formats a raw value.
+    columns: Tuple[Tuple[str, object], ...]
+    #: Fields derived from the whole record list (e.g. a speed-up column).
+    finish: Optional[Callable[[List[dict]], None]] = None
 
 
-def _merge_into_json(section: str, payload) -> None:
-    """Merge one section into BENCH_scenarios.json (tests run in any order)."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _record(result, **cell) -> dict:
-    """One table row: the cell's own keys plus the measurements every table shares."""
+def _record(keys: dict, result: ScenarioResult, fields) -> dict:
+    """One row: the cell's keys, the section's fields and the fields every table shares."""
     counters = result.counters()
     node, hot = bottleneck_node(counters)
     completed = max(result.completed_requests, 1)
     return {
-        **cell,
+        **keys,
+        **fields(result, counters),
         "completed": result.completed_requests,
         "ops_per_sec": round(result.stats().throughput, 1),
         "bottleneck_node": node,
@@ -84,79 +69,92 @@ def _record(result, **cell) -> dict:
     }
 
 
+def run_section(section: Section) -> List[dict]:
+    """Run every cell of a section, in order, into its records."""
+    records = [_record(keys, run_scenario(scenario), section.fields) for keys, scenario in section.cells]
+    if section.finish is not None:
+        section.finish(records)
+    return records
+
+
+def table(section: Section, records: Sequence[dict]) -> List[str]:
+    rows = [tuple(show(r) if callable(show) else r[show] for _, show in section.columns) for r in records]
+    return comparison_table([header for header, _ in section.columns], rows)
+
+
+def write_section(section: Section, records: List[dict]) -> None:
+    """Write the report table and merge the records into BENCH_scenarios.json."""
+    report(section.report_name, section.title, table(section, records))
+    try:
+        data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
+    except (FileNotFoundError, json.JSONDecodeError):  # first run, or a torn earlier write
+        data = {}
+    data[section.json_key] = records  # tests run in any order: merge, never overwrite
+    BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _bench(benchmark, section: Section) -> List[dict]:
+    records = benchmark.pedantic(run_section, args=(section,), rounds=1, iterations=1)
+    write_section(section, records)
+    return records
+
+
+OPS = ("ops/s", lambda r: f"{r['ops_per_sec']:.0f}")
+HOT_NODE = ("hot node", "bottleneck_node")
+HOT_MSGS = ("hot msgs/op", "bottleneck_msgs_per_op")
+HOT_BYTES = ("hot bytes/op", "bottleneck_bytes_per_op")
+CHECKERS = ("checkers", lambda r: "OK" if r["ok"] else f"{r['violations']} VIOLATIONS")
+
+
 # ---------------------------------------------------------------------------
 # Library safety sweep
 
 
 def _post_crash_ops_per_sec(result):
-    """Throughput over the window after the scenario's last crash event.
+    """Throughput after the scenario's last crash event (``None`` when fault-free).
 
-    The post-crash-recovery column of the sweep: before explicit-prepare
-    recovery (PR 5) the EPaxos crash scenarios collapsed here even though
-    their full-run averages looked healthy, because the pre-crash half of
-    the run hid the stall.  ``None`` for fault-free scenarios.
+    Before explicit-prepare recovery (PR 5) the EPaxos crash scenarios
+    collapsed here while their full-run averages, padded by the pre-crash
+    half, looked healthy.
     """
-    crash_times = [
-        event.at
-        for event in result.scenario.events
-        if event.action in ("crash", "crash_leader")
-    ]
+    crash_times = [event.at for event in result.scenario.events
+                   if event.action in ("crash", "crash_leader")]
     if not crash_times or max(crash_times) >= result.scenario.duration:
         return None
     return round(result.stats(start=max(crash_times)).throughput, 1)
 
 
-def _run_library():
-    records = []
-    for name in sorted(all_scenarios()):
-        result = run_scenario(all_scenarios()[name])
-        counters = result.counters()
-        records.append(
-            _record(
-                result,
-                scenario=name,
-                protocol=result.scenario.protocol,
-                nodes=result.scenario.num_nodes,
-                post_crash_ops_per_sec=_post_crash_ops_per_sec(result),
-                messages_sent=int(counters.get("net.messages_sent", 0)),
-                bytes_sent=int(counters.get("net.bytes_sent", 0)),
-                crashes=int(counters.get("faults.crashes", 0)),
-                drops=int(counters.get("net.messages_dropped", 0)),
-                dups=int(counters.get("net.messages_duplicated", 0)),
-                relay_timeouts=int(
-                    counters.get("pigpaxos.relay_timeouts", 0)
-                    + counters.get("epaxos.relay_timeouts", 0)
-                ),
-            )
-        )
-    return records
+SAFETY_SWEEP = Section(
+    json_key="scenario_sweep",
+    report_name="scenario_safety_sweep",
+    title="Adversarial scenario sweep (safety checkers enabled)",
+    cells=tuple(
+        ({"scenario": name, "protocol": scenario.protocol, "nodes": scenario.num_nodes}, scenario)
+        for name, scenario in sorted(all_scenarios().items())
+    ),
+    fields=lambda result, counters: {
+        "post_crash_ops_per_sec": _post_crash_ops_per_sec(result),
+        "messages_sent": int(counters.get("net.messages_sent", 0)),
+        "bytes_sent": int(counters.get("net.bytes_sent", 0)),
+        "crashes": int(counters.get("faults.crashes", 0)),
+        "drops": int(counters.get("net.messages_dropped", 0)),
+        "dups": int(counters.get("net.messages_duplicated", 0)),
+        "relay_timeouts": int(counters.get("pigpaxos.relay_timeouts", 0)
+                              + counters.get("epaxos.relay_timeouts", 0)),
+    },
+    columns=(
+        ("scenario", "scenario"), ("protocol", "protocol"), ("nodes", "nodes"), OPS,
+        ("post-crash ops/s",
+         lambda r: "-" if r["post_crash_ops_per_sec"] is None else f"{r['post_crash_ops_per_sec']:.0f}"),
+        ("crashes", "crashes"), ("drops", "drops"), ("dups", "dups"),
+        ("relay t/o", "relay_timeouts"), CHECKERS,
+    ),
+)
 
 
 @pytest.mark.benchmark(group="scenarios")
 def test_scenario_library_safety_sweep(benchmark):
-    records = benchmark.pedantic(_run_library, rounds=1, iterations=1)
-
-    rows = [
-        (
-            r["scenario"],
-            r["protocol"],
-            r["nodes"],
-            f"{r['ops_per_sec']:.0f}",
-            "-" if r["post_crash_ops_per_sec"] is None else f"{r['post_crash_ops_per_sec']:.0f}",
-            r["crashes"],
-            r["drops"],
-            r["dups"],
-            r["relay_timeouts"],
-            "OK" if r["ok"] else f"{r['violations']} VIOLATIONS",
-        )
-        for r in records
-    ]
-    lines = comparison_table(
-        ["scenario", "protocol", "nodes", "ops/s", "post-crash ops/s", "crashes", "drops", "dups", "relay t/o", "checkers"],
-        rows,
-    )
-    report("scenario_safety_sweep", "Adversarial scenario sweep (safety checkers enabled)", lines)
-    _merge_into_json("scenario_sweep", records)
+    records = _bench(benchmark, SAFETY_SWEEP)
 
     verdicts = [(r["scenario"], r["ok"]) for r in records]
     assert all(ok for _, ok in verdicts), verdicts
@@ -165,95 +163,52 @@ def test_scenario_library_safety_sweep(benchmark):
 # ---------------------------------------------------------------------------
 # Communication-cost matrix (9-node WAN, protocol x overlay)
 
+#: The protocol x overlay cells of the communication-cost comparison.
+#: PigPaxos *is* paxos + relay, so it fills that cell of the matrix.
+COMM_MATRIX = (("paxos", "direct"), ("pigpaxos", "relay"),
+               ("epaxos", "direct"), ("epaxos", "relay"), ("epaxos", "thrifty"))
+
+#: ``config_overrides`` per overlay of the non-PigPaxos cells.
+COMM_OVERLAYS = {
+    "direct": None,
+    "relay": {"overlay": {"kind": "relay", "use_region_groups": True}},
+    "thrifty": {"overlay": {"kind": "thrifty", "thrifty_fallback_timeout": 0.3}},
+}
+
 
 def _comm_scenario(protocol: str, overlay: str) -> Scenario:
     """One fault-free 9-node WAN cell of the communication-cost matrix."""
-    common = dict(
-        num_nodes=9,
-        wan=True,
-        num_clients=6,
-        duration=2.0,
-        seed=5,
-        client_timeout=1.0,
-    )
+    shape = dict(name=f"comm-{protocol}-{overlay}", protocol=protocol, num_nodes=9, wan=True,
+                 num_clients=6, duration=2.0, seed=5, client_timeout=1.0,
+                 description="communication-cost cell")
     if protocol == "pigpaxos":
-        return Scenario(
-            name=f"comm-{protocol}-{overlay}",
-            protocol="pigpaxos",
-            use_region_groups=True,
-            description="communication-cost cell",
-            **common,
-        )
+        return Scenario(use_region_groups=True, **shape)
     checks = EPAXOS_CHECK_NAMES if protocol == "epaxos" else ("linearizability", "log_invariants")
-    overrides = None
-    if overlay == "relay":
-        overrides = {"overlay": {"kind": "relay", "use_region_groups": True}}
-    elif overlay == "thrifty":
-        overrides = {"overlay": {"kind": "thrifty", "thrifty_fallback_timeout": 0.3}}
-    return Scenario(
-        name=f"comm-{protocol}-{overlay}",
-        protocol=protocol,
-        checks=checks,
-        config_overrides=overrides,
-        description="communication-cost cell",
-        **common,
-    )
+    return Scenario(checks=checks, config_overrides=COMM_OVERLAYS[overlay], **shape)
 
 
-def _run_matrix():
-    records = []
-    for protocol, overlay in COMM_MATRIX:
-        result = run_scenario(_comm_scenario(protocol, overlay))
-        counters = result.counters()
-        records.append(
-            _record(
-                result,
-                protocol=protocol,
-                overlay=overlay,
-                total_bytes=int(counters.get("net.bytes_sent", 0)),
-                sent_by_kind={
-                    kind: {"count": int(stats["count"]), "bytes": int(stats["bytes"])}
-                    for kind, stats in sorted(sent_by_kind(counters).items())
-                },
-            )
-        )
-    return records
+COMMUNICATION_COST = Section(
+    json_key="communication_cost",
+    report_name="communication_cost_matrix",
+    title="Communication cost at the bottleneck node -- 9-node WAN, protocol x overlay",
+    cells=tuple(({"protocol": p, "overlay": o}, _comm_scenario(p, o)) for p, o in COMM_MATRIX),
+    fields=lambda result, counters: {
+        "total_bytes": int(counters.get("net.bytes_sent", 0)),
+        "sent_by_kind": {
+            kind: {"count": int(stats["count"]), "bytes": int(stats["bytes"])}
+            for kind, stats in sorted(sent_by_kind(counters).items())
+        },
+    },
+    columns=(
+        ("protocol+overlay", lambda r: f"{r['protocol']}+{r['overlay']}"),
+        OPS, HOT_NODE, HOT_MSGS, HOT_BYTES, ("total msgs", "total_messages"), CHECKERS,
+    ),
+)
 
 
 @pytest.mark.benchmark(group="scenarios")
 def test_communication_cost_matrix(benchmark):
-    records = benchmark.pedantic(_run_matrix, rounds=1, iterations=1)
-
-    rows = [
-        (
-            f"{r['protocol']}+{r['overlay']}",
-            f"{r['ops_per_sec']:.0f}",
-            r["bottleneck_node"],
-            r["bottleneck_msgs_per_op"],
-            r["bottleneck_bytes_per_op"],
-            r["total_messages"],
-            "OK" if r["ok"] else f"{r['violations']} VIOLATIONS",
-        )
-        for r in records
-    ]
-    lines = comparison_table(
-        [
-            "protocol+overlay",
-            "ops/s",
-            "hot node",
-            "hot msgs/op",
-            "hot bytes/op",
-            "total msgs",
-            "checkers",
-        ],
-        rows,
-    )
-    report(
-        "communication_cost_matrix",
-        "Communication cost at the bottleneck node -- 9-node WAN, protocol x overlay",
-        lines,
-    )
-    _merge_into_json("communication_cost", records)
+    records = _bench(benchmark, COMMUNICATION_COST)
 
     by_cell = {(r["protocol"], r["overlay"]): r for r in records}
     assert all(r["ok"] for r in records), [
@@ -284,67 +239,44 @@ SHARD_SCALING_CELLS = (1, 4, 16, 64)
 
 
 def _scaling_scenario(shards: int) -> Scenario:
-    """One cell of the scaling curve: only ``shards`` varies.
+    """One cell of the scaling curve: only ``shards`` varies on one 9-node set.
 
-    A single 9-node machine set throughout -- sharding adds consensus
-    groups, never hardware -- with enough closed-loop clients (32) that the
-    single-group cell is leader-CPU-bound and the sharded cells have load
-    left over to spread.
+    Sharding adds groups, never hardware; 32 closed-loop clients make the
+    single-group cell leader-CPU-bound and leave load for the sharded cells.
     """
-    return Scenario(
-        name=f"shard-scaling-{shards}",
-        protocol="paxos",
-        num_nodes=9,
-        num_clients=32,
-        duration=1.0,
-        seed=2,
-        shards=shards,
-        workload=WorkloadSpec.checking_default(num_keys=256),
-        checks=("linearizability", "log_invariants"),
-        description="shard scaling cell",
-    )
+    return Scenario(name=f"shard-scaling-{shards}", protocol="paxos", num_nodes=9,
+                    num_clients=32, duration=1.0, seed=2, shards=shards,
+                    workload=WorkloadSpec.checking_default(num_keys=256),
+                    description="shard scaling cell")
 
 
-def _run_scaling():
-    records = []
-    for shards in SHARD_SCALING_CELLS:
-        result = run_scenario(_scaling_scenario(shards))
-        summary = shard_summary(result.counters())
-        records.append(
-            _record(result, shards=shards, hottest_share=round(summary.get("hottest_share", 1.0), 3))
-        )
+def _add_speedup(records: List[dict]) -> None:
+    """Each cell's throughput relative to the single-group cell (the first)."""
     base = records[0]["ops_per_sec"] or 1.0
     for record in records:
         record["speedup"] = round(record["ops_per_sec"] / base, 2)
-    return records
+
+
+SHARD_SCALING = Section(
+    json_key="shard_scaling",
+    report_name="shard_scaling_curve",
+    title="Sharded consensus scaling -- N groups sharing one 9-node set (paxos)",
+    cells=tuple(({"shards": shards}, _scaling_scenario(shards)) for shards in SHARD_SCALING_CELLS),
+    fields=lambda result, counters: {
+        "hottest_share": round(shard_summary(counters).get("hottest_share", 1.0), 3),
+    },
+    columns=(
+        ("groups", "shards"), OPS, ("speedup", lambda r: f"{r['speedup']:.2f}x"),
+        ("hottest share", lambda r: f"{r['hottest_share']:.2f}"),
+        HOT_NODE, ("hot msgs", "bottleneck_messages"), CHECKERS,
+    ),
+    finish=_add_speedup,
+)
 
 
 @pytest.mark.benchmark(group="scenarios")
 def test_shard_scaling_curve(benchmark):
-    records = benchmark.pedantic(_run_scaling, rounds=1, iterations=1)
-
-    rows = [
-        (
-            r["shards"],
-            f"{r['ops_per_sec']:.0f}",
-            f"{r['speedup']:.2f}x",
-            f"{r['hottest_share']:.2f}",
-            r["bottleneck_node"],
-            r["bottleneck_messages"],
-            "OK" if r["ok"] else f"{r['violations']} VIOLATIONS",
-        )
-        for r in records
-    ]
-    lines = comparison_table(
-        ["groups", "ops/s", "speedup", "hottest share", "hot node", "hot msgs", "checkers"],
-        rows,
-    )
-    report(
-        "shard_scaling_curve",
-        "Sharded consensus scaling -- N groups sharing one 9-node set (paxos)",
-        lines,
-    )
-    _merge_into_json("shard_scaling", records)
+    records = _bench(benchmark, SHARD_SCALING)
 
     by_shards = {r["shards"]: r for r in records}
     assert all(r["ok"] for r in records), [(r["shards"], r["violations"]) for r in records]
@@ -370,99 +302,53 @@ FRONTIER_BATCH_CELLS = (1, 4, 8, 16)
 #: 48 drives the 25-node leader well past saturation (throughput end).
 FRONTIER_CLIENT_CELLS = (6, 24, 48)
 
-#: The reduced frontier CI's perf job runs (report-only quick tier): the
-#: unbatched control and one batched column, at both ends of the load axis.
-FRONTIER_QUICK_CELLS = tuple(
-    (batch, clients) for batch in (1, 8) for clients in (6, 48)
-)
+#: The reduced frontier CI's perf job runs (the quick tier): the unbatched
+#: control and one batched column, at both ends of the load axis.
+FRONTIER_QUICK_CELLS = tuple((batch, clients) for batch in (1, 8) for clients in (6, 48))
 
 
-def _frontier_scenario(batch: int, clients: int) -> Scenario:
-    """One frontier cell: paxos-throughput-25's cluster, varying load/batch.
+def _frontier_cells(cells) -> tuple:
+    """One frontier cell per ``(batch, clients)`` on paxos-throughput-25's cluster.
 
-    ``pipeline_depth=2`` for the batched cells: batching on this path
-    emerges from pipeline back-pressure (commands buffer while two slots
-    are in flight and flush as a batch when one commits), so an unbounded
-    pipeline would degenerate to one command per slot at any load.
+    ``pipeline_depth=2`` for the batched cells: batching here emerges from
+    pipeline back-pressure (commands buffer while two slots are in flight and
+    flush as a batch when one commits); unbounded, it is one command per slot.
     """
-    overrides = None
-    if batch > 1:
-        overrides = {"batch_max_commands": batch, "pipeline_depth": 2}
-    return Scenario(
-        name=f"frontier-b{batch}-c{clients}",
-        protocol="paxos",
-        num_nodes=25,
-        num_clients=clients,
-        duration=1.0,
-        seed=7,
-        checks=("linearizability", "log_invariants"),
-        config_overrides=overrides,
-        description="batching frontier cell",
-    )
+    return tuple(({"batch_max_commands": b, "clients": c}, Scenario(
+        name=f"frontier-b{b}-c{c}", protocol="paxos", num_nodes=25, num_clients=c, duration=1.0,
+        seed=7, description="batching frontier cell",
+        config_overrides={"batch_max_commands": b, "pipeline_depth": 2} if b > 1 else None,
+    )) for b, c in cells)
 
 
-def _run_frontier(cells) -> list:
-    records = []
-    for batch, clients in cells:
-        result = run_scenario(_frontier_scenario(batch, clients))
-        counters = result.counters()
-        stats = result.stats()
-        records.append(
-            _record(
-                result,
-                batch_max_commands=batch,
-                clients=clients,
-                latency_p50_ms=round(stats.latency_p50 * 1e3, 2),
-                latency_p99_ms=round(stats.latency_p99 * 1e3, 2),
-                batch_flushes=int(
-                    sum(v for k, v in counters.items() if k.startswith("batch.flush."))
-                ),
-                commands_batched=int(counters.get("batch.commands_batched", 0)),
-            )
-        )
-    return records
+def _frontier_fields(result, counters) -> dict:
+    stats = result.stats()
+    return {
+        "latency_p50_ms": round(stats.latency_p50 * 1e3, 2),
+        "latency_p99_ms": round(stats.latency_p99 * 1e3, 2),
+        "batch_flushes": int(sum(v for k, v in counters.items() if k.startswith("batch.flush."))),
+        "commands_batched": int(counters.get("batch.commands_batched", 0)),
+    }
 
 
-def frontier_table(records) -> list:
-    rows = [
-        (
-            r["batch_max_commands"],
-            r["clients"],
-            f"{r['ops_per_sec']:.0f}",
-            f"{r['latency_p50_ms']:.1f}",
-            f"{r['latency_p99_ms']:.1f}",
-            r["bottleneck_msgs_per_op"],
-            r["bottleneck_bytes_per_op"],
-            "OK" if r["ok"] else f"{r['violations']} VIOLATIONS",
-        )
-        for r in records
-    ]
-    return comparison_table(
-        [
-            "batch",
-            "clients",
-            "ops/s",
-            "p50 ms",
-            "p99 ms",
-            "hot msgs/op",
-            "hot bytes/op",
-            "checkers",
-        ],
-        rows,
-    )
+BATCHING_FRONTIER = Section(
+    json_key="batching_frontier",
+    report_name="batching_frontier",
+    title="Latency-vs-throughput frontier -- batch size x offered load, 25-node Multi-Paxos",
+    cells=_frontier_cells((b, c) for b in FRONTIER_BATCH_CELLS for c in FRONTIER_CLIENT_CELLS),
+    fields=_frontier_fields,
+    columns=(
+        ("batch", "batch_max_commands"), ("clients", "clients"), OPS,
+        ("p50 ms", lambda r: f"{r['latency_p50_ms']:.1f}"),
+        ("p99 ms", lambda r: f"{r['latency_p99_ms']:.1f}"),
+        HOT_MSGS, HOT_BYTES, CHECKERS,
+    ),
+)
 
 
 @pytest.mark.benchmark(group="scenarios")
 def test_batching_frontier_sweep(benchmark):
-    cells = [(b, c) for b in FRONTIER_BATCH_CELLS for c in FRONTIER_CLIENT_CELLS]
-    records = benchmark.pedantic(_run_frontier, args=(cells,), rounds=1, iterations=1)
-
-    report(
-        "batching_frontier",
-        "Latency-vs-throughput frontier -- batch size x offered load, 25-node Multi-Paxos",
-        frontier_table(records),
-    )
-    _merge_into_json("batching_frontier", records)
+    records = _bench(benchmark, BATCHING_FRONTIER)
 
     by_cell = {(r["batch_max_commands"], r["clients"]): r for r in records}
     assert all(r["ok"] for r in records), [
@@ -502,78 +388,41 @@ BOTTLENECK_CURVE_VARIANTS = ("direct", "relay-1", "relay-2")
 
 
 def _bottleneck_scenario(variant: str, num_nodes: int) -> Scenario:
-    """One fault-free cell: the same planet deployment, varying fan-out.
+    """One fault-free cell on the 3-region x 3-zone planet; only the fan-out varies.
 
-    Every cell runs on the 3-region x 3-zone planet topology so the relay
-    variants get real hierarchy to align with and the direct control pays
-    the same WAN latencies; only the fan-out strategy varies.
+    Relay variants get real hierarchy to align with, and the direct control
+    pays the same WAN latencies.
     """
-    common = dict(
-        num_nodes=num_nodes,
-        hierarchy=(3, 3),
-        num_clients=8,
-        duration=1.5,
-        seed=11,
-        client_timeout=1.0,
-        checks=("linearizability", "log_invariants"),
-        description="bottleneck curve cell",
-    )
+    shape = dict(name=f"bottleneck-{variant}-{num_nodes}", num_nodes=num_nodes, hierarchy=(3, 3),
+                 num_clients=8, duration=1.5, seed=11, client_timeout=1.0,
+                 description="bottleneck curve cell")
     if variant == "direct":
-        return Scenario(name=f"bottleneck-direct-{num_nodes}", protocol="paxos", **common)
+        return Scenario(protocol="paxos", **shape)
     levels = int(variant.rsplit("-", 1)[1])
-    return Scenario(
-        name=f"bottleneck-{variant}-{num_nodes}",
-        protocol="pigpaxos",
-        use_region_groups=True,
-        config_overrides={"relay_levels": levels},
-        **common,
-    )
+    return Scenario(protocol="pigpaxos", use_region_groups=True,
+                    config_overrides={"relay_levels": levels}, **shape)
 
 
-def _run_bottleneck_curve():
-    records = []
-    for variant in BOTTLENECK_CURVE_VARIANTS:
-        for num_nodes in BOTTLENECK_CURVE_SIZES:
-            result = run_scenario(_bottleneck_scenario(variant, num_nodes))
-            counters = result.counters()
-            records.append(
-                _record(
-                    result,
-                    variant=variant,
-                    nodes=num_nodes,
-                    region_cross_messages=int(counters.get("region.cross_messages", 0)),
-                    zone_cross_messages=int(counters.get("zone.cross_messages", 0)),
-                )
-            )
-    return records
+BOTTLENECK_VS_N = Section(
+    json_key="bottleneck_vs_n",
+    report_name="bottleneck_vs_n",
+    title="Bottleneck-node messages vs cluster size -- planet hierarchy, direct vs relay trees",
+    cells=tuple(
+        ({"variant": variant, "nodes": num_nodes}, _bottleneck_scenario(variant, num_nodes))
+        for variant in BOTTLENECK_CURVE_VARIANTS
+        for num_nodes in BOTTLENECK_CURVE_SIZES
+    ),
+    fields=lambda result, counters: {
+        "region_cross_messages": int(counters.get("region.cross_messages", 0)),
+        "zone_cross_messages": int(counters.get("zone.cross_messages", 0)),
+    },
+    columns=(("fan-out", "variant"), ("nodes", "nodes"), OPS, HOT_NODE, HOT_MSGS, HOT_BYTES, CHECKERS),
+)
 
 
 @pytest.mark.benchmark(group="scenarios")
 def test_bottleneck_vs_cluster_size_curve(benchmark):
-    records = benchmark.pedantic(_run_bottleneck_curve, rounds=1, iterations=1)
-
-    rows = [
-        (
-            r["variant"],
-            r["nodes"],
-            f"{r['ops_per_sec']:.0f}",
-            r["bottleneck_node"],
-            r["bottleneck_msgs_per_op"],
-            r["bottleneck_bytes_per_op"],
-            "OK" if r["ok"] else f"{r['violations']} VIOLATIONS",
-        )
-        for r in records
-    ]
-    lines = comparison_table(
-        ["fan-out", "nodes", "ops/s", "hot node", "hot msgs/op", "hot bytes/op", "checkers"],
-        rows,
-    )
-    report(
-        "bottleneck_vs_n",
-        "Bottleneck-node messages vs cluster size -- planet hierarchy, direct vs relay trees",
-        lines,
-    )
-    _merge_into_json("bottleneck_vs_n", records)
+    records = _bench(benchmark, BOTTLENECK_VS_N)
 
     by_cell = {(r["variant"], r["nodes"]): r for r in records}
     assert all(r["ok"] for r in records), [
@@ -604,23 +453,17 @@ def test_bottleneck_vs_cluster_size_curve(benchmark):
 
 
 def main(argv=None) -> int:
-    """Report-only quick frontier tier for CI's perf job.
+    """Quick frontier tier: the reduced cells, records to ``--json``; exit 1 on a violation.
 
-    Runs the reduced cell set and writes the records to ``--json`` (the CI
-    artifact); exits non-zero only on a checker violation, never on a
-    number -- shared-runner speed is noise, simulated semantics are not.
+    CI's perf job compares the records with the tracked frontier rows.
     """
-    import argparse
-
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--json", default=None, help="write frontier records to this path")
     args = parser.parse_args(argv)
-    records = _run_frontier(FRONTIER_QUICK_CELLS)
-    for line in frontier_table(records):
+    records = run_section(replace(BATCHING_FRONTIER, cells=_frontier_cells(FRONTIER_QUICK_CELLS)))
+    for line in table(BATCHING_FRONTIER, records):
         print(line)
     if args.json:
-        from pathlib import Path
-
         Path(args.json).write_text(
             json.dumps({"batching_frontier_quick": records}, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

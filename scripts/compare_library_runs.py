@@ -2,7 +2,8 @@
 
 Two kinds of row:
 
-* ``<scenario>|library`` -- each library scenario run as declared: its
+* ``<scenario>|library`` -- each library scenario run as declared, read
+  from its run record (``repro.scenarios.sweep.run_outcome``): its
   fingerprint, ``events_processed``, the full sorted counter map and each
   checker's violation messages in the order the checker reported them;
 * ``<scenario>|<mutation>`` -- each EPaxos library scenario with only the
@@ -39,18 +40,19 @@ from dataclasses import replace
 MUTATIONS = (None, "vote-dedup", "key-index", "planner-order")
 
 
-def _run(scenario):
-    from repro.scenarios import ScenarioRunner
+def _fresh(run, scenario):
+    """``run(scenario)`` with command uids reset, so messages are row-local."""
     from repro.statemachine import command
 
     command._command_uids = itertools.count(1)
-    return ScenarioRunner(scenario).run()
+    return run(scenario)
 
 
-def _violations_by_check(result) -> dict:
+def _by_check(violations) -> dict:
+    """``(checker, message)`` pairs -> each checker's messages in order."""
     by_check: dict = {}
-    for violation in result.violations:
-        by_check.setdefault(violation.checker, []).append(violation.message)
+    for checker, message in violations:
+        by_check.setdefault(checker, []).append(message)
     return by_check
 
 
@@ -63,26 +65,27 @@ def _executed_digest(cluster) -> str:
 
 def dump() -> dict:
     from repro.fuzz.mutations import apply_mutation
-    from repro.scenarios import all_scenarios, scenarios_for_protocol
+    from repro.scenarios import all_scenarios, run_scenario, scenarios_for_protocol
+    from repro.scenarios.sweep import run_outcome
 
     record = {}
     for name, scenario in sorted(all_scenarios().items()):
-        result = _run(scenario)
+        outcome = _fresh(run_outcome, scenario)
         record[f"{name}|library"] = {
-            "fingerprint": result.fingerprint(),
-            "events_processed": result.events_processed,
-            "counters": result.counters(),
-            "violations": _violations_by_check(result),
+            "fingerprint": outcome.fingerprint,
+            "events_processed": outcome.events_processed,
+            "counters": outcome.counters,
+            "violations": _by_check(outcome.violations),
         }
-        print(f"{name:40s} library        {result.events_processed} events", flush=True)
+        print(f"{name:40s} library        {outcome.events_processed} events", flush=True)
     for name, scenario in sorted(scenarios_for_protocol("epaxos").items()):
         # Only the EPaxos family is compared: linearizability is unchanged
         # and the slowest check under a mutation.
         scenario = replace(scenario, checks=("epaxos_invariants",))
         for mutation in MUTATIONS:
             with apply_mutation(mutation):
-                result = _run(scenario)
-            by_check = _violations_by_check(result)
+                result = _fresh(run_scenario, scenario)
+            by_check = _by_check((v.checker, v.message) for v in result.violations)
             record[f"{name}|{mutation}"] = {
                 "fingerprint": result.fingerprint(),
                 "executed_order": _executed_digest(result.cluster),

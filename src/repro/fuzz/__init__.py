@@ -26,12 +26,7 @@ from repro.fuzz.grammar import (
     generate_scenario,
 )
 from repro.fuzz.mutations import MUTATIONS, apply_mutation
-from repro.fuzz.shrink import (
-    ShrinkResult,
-    scenario_literal,
-    shrink,
-    violating_checkers,
-)
+from repro.fuzz.shrink import ShrinkResult, scenario_literal, shrink
 
 __all__ = [
     "CLUSTER_SHAPES",
@@ -46,5 +41,4 @@ __all__ = [
     "run_fleet",
     "scenario_literal",
     "shrink",
-    "violating_checkers",
 ]

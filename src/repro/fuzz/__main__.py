@@ -26,7 +26,7 @@ from repro.fuzz.fleet import FleetReport, run_fleet
 from repro.fuzz.grammar import DEFAULT_PROFILE, generate_scenario
 from repro.fuzz.mutations import MUTATIONS, apply_mutation
 from repro.fuzz.shrink import scenario_literal, shrink
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.sweep import default_workers, run_outcome
 
 
 def _run_single(args, profile) -> int:
@@ -35,19 +35,12 @@ def _run_single(args, profile) -> int:
         print(scenario_literal(scenario))
         return 0
     with apply_mutation(args.mutation):
-        result = run_scenario(scenario)
-        status = "ok" if result.ok else "VIOLATIONS"
-        print(
-            f"fuzz seed {args.seed}: {scenario.protocol} x{scenario.num_nodes} "
-            f"-- {status}, {result.completed_requests} ops, "
-            f"{result.events_processed} events"
-        )
-        for violation in result.violations:
-            print(f"  [{violation.checker}] {violation.message}")
+        outcome = run_outcome(scenario)
+        print(outcome.report())
         print()
         print(scenario_literal(scenario))
-        if result.ok or not args.shrink:
-            return 0 if result.ok else 1
+        if outcome.ok or not args.shrink:
+            return 0 if outcome.ok else 1
         shrunk = shrink(scenario, max_runs=args.max_shrink_runs)
     print()
     print(
@@ -156,7 +149,6 @@ def main(argv=None) -> int:
             profile, hierarchy_probability=args.hierarchy_probability
         )
     if args.parallel == 0:
-        from repro.scenarios.sweep import default_workers
         args.parallel = default_workers()
 
     if args.seed is not None:

@@ -49,8 +49,8 @@ class FleetFinding:
             f"fuzz seed {self.seed}: {len(self.violations)} violation(s) "
             f"from {', '.join(self.checkers)}",
         ]
-        for _, message in self.violations[:5]:
-            lines.append(f"  {message}")
+        for checker, message in self.violations[:5]:
+            lines.append(f"  [{checker}] {message}")
         if len(self.violations) > 5:
             lines.append(f"  ... and {len(self.violations) - 5} more")
         lines.append("")
@@ -179,8 +179,8 @@ def run_fleet(
     for seed, outcome in sorted(raw_findings):
         scenario = generate_scenario(seed, profile)
         shrunk: Optional[ShrinkResult] = None
-        # A run that crashed is reported as it is: the shrinker tolerates
-        # only ReproError, so re-running the raise would abort the fleet.
+        # A run that crashed is reported as it is: every exception is the
+        # same ``crash`` checker, so a shrink could drift to another bug.
         if shrink_findings and not outcome.crashed:
             with apply_mutation(mutation):
                 target = frozenset(outcome.checkers_violated)

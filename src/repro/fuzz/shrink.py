@@ -30,15 +30,9 @@ from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import Scenario, ScenarioEvent
+from repro.scenarios.sweep import run_outcome
 from repro.workload.spec import WorkloadSpec
-
-
-def violating_checkers(scenario: Scenario) -> FrozenSet[str]:
-    """Checker names that fire on this scenario (empty = passes)."""
-    result = run_scenario(scenario)
-    return frozenset(v.checker for v in result.violations)
 
 
 @dataclass(frozen=True)
@@ -142,19 +136,16 @@ def shrink(
     candidate edits are tried in a fixed order and every run is itself
     deterministic, so the same input always shrinks to the same output.
 
+    A candidate is judged by its :func:`~repro.scenarios.sweep.run_outcome`
+    record, so one that raises is a rejected edit (its only checker is
+    ``crash``) rather than the end of the shrink.
+
     Raises ``ValueError`` when the input scenario does not violate any
     target checker in the first place.
     """
     runs = 0
-
-    def violated(candidate: Scenario) -> FrozenSet[str]:
-        nonlocal runs
-        runs += 1
-        result = run_scenario(candidate)
-        return frozenset(v.checker for v in result.violations)
-
     if target is None:
-        target = violating_checkers(scenario)
+        target = frozenset(run_outcome(scenario).checkers_violated)
         runs += 1
     if not target:
         raise ValueError(
@@ -171,13 +162,8 @@ def shrink(
                 break
             if _cost(candidate) >= _cost(current):
                 continue
-            try:
-                still = violated(candidate)
-            except ReproError:
-                # The edit produced an unbuildable scenario (e.g. a config
-                # constraint); skip it, don't abort the shrink.
-                continue
-            if still & target:
+            runs += 1
+            if target.intersection(run_outcome(candidate).checkers_violated):
                 current = candidate
                 steps.append(label)
                 improved = True

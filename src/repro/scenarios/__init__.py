@@ -14,10 +14,14 @@ assert on exact fingerprints.
 Quick start::
 
     from repro.scenarios import get_scenario, run_scenario
+    from repro.scenarios.sweep import run_outcome
 
     result = run_scenario(get_scenario("pig-crash-leader-during-round"))
     result.raise_on_violations()
-    print(result.summary())
+    print(result.stats().row())
+
+    # The picklable run record the CLI prints (no cluster, no history):
+    print(run_outcome(get_scenario("pig-baseline-5")).report())
 
 Or from the command line::
 

@@ -14,8 +14,11 @@ multi-group scenarios (with ``--smoke``, the sharded smoke subset --
 CI's cross-shard correctness step).  ``--parallel N`` fans a sweep out to
 ``N`` worker processes (``--parallel 0`` = one per core); runs stay
 single-core deterministic, so results and fingerprints are identical to the
-serial sweep -- only wall-clock changes.  Exit status is non-zero when any
-checker reports a violation.
+serial sweep -- only wall-clock changes.  ``--run`` is a one-scenario
+sweep: every selection prints each run's record the same way
+(:meth:`~repro.scenarios.sweep.SweepOutcome.report`).  Exit status is 1
+when any checker reports a violation or a run raises (``CRASHED``), 2 for
+an unknown scenario or an empty selection.
 """
 
 from __future__ import annotations
@@ -32,19 +35,7 @@ from repro.scenarios.library import (
     get_scenario,
     scenarios_for_protocol,
 )
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.sweep import sweep
-
-
-def _run_one(scenario, verbose: bool = True) -> bool:
-    result = run_scenario(scenario)
-    print(result.summary())
-    if verbose and result.events_fired:
-        for line in result.events_fired:
-            print(f"    fault: {line}")
-    for violation in result.violations:
-        print(f"    {violation}")
-    return result.ok
 
 
 def main(argv=None) -> int:
@@ -100,32 +91,27 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
-        return 0 if _run_one(scenario) else 1
-
-    if args.smoke:
-        names = SHARDED_SMOKE_SCENARIOS if args.sharded else SMOKE_SCENARIOS
+        scenarios = [scenario]
     else:
-        names = sorted(selected)
-    names = [name for name in names if name in selected]
-    if not names:
-        subset = "smoke scenarios" if args.smoke else "scenarios"
-        qualifier = " (sharded)" if args.sharded else ""
-        print(
-            f"error: no {subset}{qualifier} for protocol {args.protocol!r}",
-            file=sys.stderr,
-        )
-        return 2
-    scenarios = [get_scenario(name) for name in names]
+        if args.smoke:
+            names = SHARDED_SMOKE_SCENARIOS if args.sharded else SMOKE_SCENARIOS
+        else:
+            names = sorted(selected)
+        names = [name for name in names if name in selected]
+        if not names:
+            subset = "smoke scenarios" if args.smoke else "scenarios"
+            qualifier = " (sharded)" if args.sharded else ""
+            print(
+                f"error: no {subset}{qualifier} for protocol {args.protocol!r}",
+                file=sys.stderr,
+            )
+            return 2
+        scenarios = [get_scenario(name) for name in names]
     if args.seed is not None:
         scenarios = [replace(s, seed=args.seed) for s in scenarios]
-    outcomes = sweep(scenarios, parallel=args.parallel)
     ok = True
-    for outcome in outcomes:
-        print(outcome.summary())
-        for _, message in outcome.violations:
-            print(f"    {message}")
+    for outcome in sweep(scenarios, parallel=args.parallel):
+        print(outcome.report())
         ok = ok and outcome.ok
     print("ALL OK" if ok else "VIOLATIONS FOUND")
     return 0 if ok else 1

@@ -16,7 +16,6 @@ Example::
     runner = ScenarioRunner(get_scenario("epaxos-relay-wan-9"))
     result = runner.run()
     assert result.ok, result.violations
-    print(result.summary())
     print(result.counters()["net.messages_sent"])
     print(result.stats(start=0.2).row())        # measure past a 0.2 s warm-up
     # Same spec + seed => identical fingerprint, every time:
@@ -127,16 +126,6 @@ class ScenarioResult:
                 f"scenario {self.scenario.name!r} violated "
                 f"{len(self.violations)} invariant(s):\n{details}"
             )
-
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
-        return (
-            f"{self.scenario.name}: {status}, "
-            f"{self.completed_requests} ops completed, "
-            f"{len(self.history)} recorded, "
-            f"{self.events_processed} sim events, "
-            f"{len(self.events_fired)} faults fired"
-        )
 
 
 class ScenarioRunner:

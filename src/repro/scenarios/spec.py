@@ -41,7 +41,7 @@ Example -- a complete scenario, runnable as-is::
     )
     result = run_scenario(scenario)
     result.raise_on_violations()      # linearizability + log invariants
-    print(result.summary())
+    print(result.stats().row())
 """
 
 from __future__ import annotations

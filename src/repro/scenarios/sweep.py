@@ -1,4 +1,14 @@
-"""Parallel scenario sweeps.
+"""The run record, and parallel scenario sweeps.
+
+:class:`SweepOutcome` is the one digest of a scenario run: the scenario
+CLI, the fuzz fleet and the shrinker, the test suite's memoised library
+runs and ``scripts/compare_library_runs.py`` all read it, and
+:func:`run_outcome` is the only function that builds one.  It is small and
+picklable -- clusters, simulators and histories hold closures and megabytes
+of state -- so it is also the unit a sweep ships back from its worker
+processes.  Anything that needs the full result (replica poking, history
+analysis, windowed latency stats) should run the scenario in-process via
+:class:`~repro.scenarios.runner.ScenarioRunner` instead.
 
 Scenario runs are single-process deterministic and fully independent of
 one another (each builds its own simulator from its own seed), which makes
@@ -6,19 +16,14 @@ a sweep embarrassingly parallel: farming scenarios out to worker processes
 changes *wall-clock only* -- every per-scenario fingerprint is identical to
 the serial runner's, and ``tests/test_fuzz.py`` pins that equivalence.
 
-The unit that crosses process boundaries is :class:`SweepOutcome`, a small
-picklable digest of a :class:`~repro.scenarios.runner.ScenarioResult`:
-clusters, simulators and histories hold closures and megabytes of state, so
-workers summarise before returning.  Anything that needs the full result
-(replica poking, history analysis) should run the scenario in-process via
-:class:`~repro.scenarios.runner.ScenarioRunner` instead.
-
 Example::
 
     from repro.scenarios import all_scenarios
     from repro.scenarios.sweep import sweep
 
     outcomes = sweep(all_scenarios().values(), parallel=8)
+    for outcome in outcomes:
+        print(outcome.report())
     assert all(o.ok for o in outcomes)
 
 The CLI exposes the same thing as ``python -m repro.scenarios --all
@@ -30,8 +35,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import Scenario
@@ -42,21 +47,27 @@ CRASH = "crash"
 
 @dataclass(frozen=True)
 class SweepOutcome:
-    """Picklable summary of one scenario run.
+    """Picklable record of one scenario run (built only by :func:`run_outcome`).
 
-    ``violations`` keeps (checker, message) pairs so callers -- the CLI,
-    the fuzz fleet, tests -- can both print the evidence and reason about
-    *which* checker family fired without re-running the scenario.
+    ``violations`` keeps raw ``(checker, message)`` pairs so callers can
+    both print the evidence and reason about *which* checker family fired
+    without re-running the scenario.  A run that raised has every count at
+    zero, no counters and one ``crash`` violation.
     """
 
     name: str
-    ok: bool
-    fingerprint: str
-    completed_requests: int
-    events_processed: int
-    virtual_duration: float
+    fingerprint: str = ""
+    completed_requests: int = 0
+    recorded_operations: int = 0
+    events_processed: int = 0
     violations: Tuple[Tuple[str, str], ...] = ()
     events_fired: Tuple[str, ...] = ()
+    counters: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        """True when every enabled checker passed and the run did not raise."""
+        return not self.violations
 
     @property
     def checkers_violated(self) -> Tuple[str, ...]:
@@ -68,21 +79,26 @@ class SweepOutcome:
         """The run raised instead of finishing (see :func:`run_outcome`)."""
         return any(checker == CRASH for checker, _ in self.violations)
 
-    def summary(self) -> str:
+    def report(self) -> str:
+        """The summary line, one line per fault fired and per violation."""
         if self.crashed:
             status = "CRASHED"
         else:
             status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
-        return (
+        lines = [
             f"{self.name}: {status}, "
             f"{self.completed_requests} ops completed, "
+            f"{self.recorded_operations} recorded, "
             f"{self.events_processed} sim events, "
             f"{len(self.events_fired)} faults fired"
-        )
+        ]
+        lines += [f"    fault: {line}" for line in self.events_fired]
+        lines += [f"    [{checker}] {message}" for checker, message in self.violations]
+        return "\n".join(lines)
 
 
 def run_outcome(scenario: Scenario) -> SweepOutcome:
-    """Run one scenario and summarise it (the worker-process entry point).
+    """Run one scenario and record it (also the worker-process entry point).
 
     A run that raises -- a broken handler, a build the scenario's config
     cannot satisfy -- yields a failed outcome with one ``crash`` violation
@@ -94,23 +110,18 @@ def run_outcome(scenario: Scenario) -> SweepOutcome:
     except Exception as exc:
         return SweepOutcome(
             name=scenario.name,
-            ok=False,
-            fingerprint="",
-            completed_requests=0,
-            events_processed=0,
-            virtual_duration=0.0,
             violations=((CRASH, f"{scenario.name} seed {scenario.seed}: "
                                 f"{type(exc).__name__}: {exc}"),),
         )
     return SweepOutcome(
         name=scenario.name,
-        ok=result.ok,
         fingerprint=result.fingerprint(),
         completed_requests=result.completed_requests,
+        recorded_operations=len(result.history),
         events_processed=result.events_processed,
-        virtual_duration=result.virtual_duration,
-        violations=tuple((v.checker, str(v)) for v in result.violations),
+        violations=tuple((v.checker, v.message) for v in result.violations),
         events_fired=tuple(result.events_fired),
+        counters=result.counters(),
     )
 
 

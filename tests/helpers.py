@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.sim.metrics import MetricsRegistry
 
@@ -173,46 +172,18 @@ def drive_against_per_send_reference(
 
 
 # --------------------------------------------------------------------- scenarios
-@dataclass(frozen=True)
-class LibraryRun:
-    """What the tests read from a run of an unmodified library scenario.
-
-    Only the summary is kept -- the cluster and the history are dropped with
-    the run -- so memoising every library scenario costs kilobytes.
-    """
-
-    fingerprint: str
-    violations: Tuple[Any, ...]
-    counters: Dict[str, float]
-    completed_requests: int
-    recorded_operations: int
-    events_processed: int
-    events_fired: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 @functools.lru_cache(maxsize=None)
-def library_run(name: str) -> LibraryRun:
-    """Run library scenario ``name`` once per test session.
+def library_run(name: str):
+    """The run record of library scenario ``name``, run once per test session.
 
     The canned sweep, the golden pins and the per-scenario assertion tests
-    all look at the same (scenario, seed) run; this is that run.  Never call
-    it with a mutation or monkeypatch applied -- the broken run would be
-    what every later test sees -- and use ``run_scenario`` directly for
-    anything that needs the cluster or the history.
+    all look at the same (scenario, seed) run; this is its
+    ``SweepOutcome``, so memoising every library scenario costs kilobytes.
+    Never call it with a mutation or monkeypatch applied -- the broken run
+    would be what every later test sees -- and use ``run_scenario``
+    directly for anything that needs the cluster or the history.
     """
-    from repro.scenarios import get_scenario, run_scenario
+    from repro.scenarios import get_scenario
+    from repro.scenarios.sweep import run_outcome
 
-    result = run_scenario(get_scenario(name))
-    return LibraryRun(
-        fingerprint=result.fingerprint(),
-        violations=tuple(result.violations),
-        counters=result.counters(),
-        completed_requests=result.completed_requests,
-        recorded_operations=len(result.history),
-        events_processed=result.events_processed,
-        events_fired=tuple(result.events_fired),
-    )
+    return run_outcome(get_scenario(name))

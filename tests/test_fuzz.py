@@ -183,6 +183,26 @@ class TestShrinker:
         assert a.shrunk == b.shrunk
         assert a.steps == b.steps
 
+    def test_a_crashing_candidate_is_a_rejected_edit(self, monkeypatch):
+        from repro.paxos.replica import MultiPaxosReplica
+
+        real_start = MultiPaxosReplica.start
+
+        def crashes_below_five_nodes(self):
+            if self.cluster_size < 5:
+                raise AttributeError("mutated start")
+            real_start(self)
+
+        # Every 3- or 4-node candidate raises (at any duration); the 5-node
+        # scenario only misses its liveness floor.
+        monkeypatch.setattr(MultiPaxosReplica, "start", crashes_below_five_nodes)
+        scenario = Scenario(name="shrink-crash", protocol="paxos", num_nodes=5,
+                            num_clients=4, duration=0.3, seed=3,
+                            checks=("progress",), min_completed=10**6)
+        result = shrink(scenario, target={"progress"}, max_runs=40)
+        assert result.shrunk.num_nodes == 5
+        assert run_outcome(result.shrunk).checkers_violated == ("progress",)
+
 
 # ---------------------------------------------------------------- literal
 class TestScenarioLiteral:
@@ -280,7 +300,7 @@ class TestParallelSweep:
         assert crashed.violations == (
             ("crash", "sweep-crashes seed 5: AttributeError: mutated handler"),
         )
-        assert crashed.summary().startswith("sweep-crashes: CRASHED")
+        assert crashed.report().startswith("sweep-crashes: CRASHED")
 
     def test_fleet_reports_a_crashing_seed_without_shrinking_it(self, monkeypatch):
         from repro.paxos.replica import MultiPaxosReplica

@@ -28,6 +28,8 @@ from repro.scenarios import (
     run_scenario,
     scenarios_for_protocol,
 )
+from repro.scenarios import __main__ as cli
+from repro.scenarios.sweep import run_outcome
 from repro.sim.engine import Simulator
 from repro.statemachine import command as command_module
 from repro.workload.spec import WorkloadSpec
@@ -110,11 +112,9 @@ class TestEPaxosScenarios:
         ["epaxos-hot-key-storm", "epaxos-duplicate-torture", "epaxos-recovery-crash"],
     )
     def test_epaxos_scenarios_are_deterministic(self, name):
-        first = library_run(name)
-        second = run_scenario(get_scenario(name))  # a fresh run, same seed
-        assert first.fingerprint == second.fingerprint()
-        assert first.counters == second.counters()
-        assert first.events_processed == second.events_processed
+        # The memo is the record: a fresh run, same seed, equals it whole --
+        # fingerprint, counters, violations, events and recorded operations.
+        assert library_run(name) == run_outcome(get_scenario(name))
 
 
 class TestEPaxosRecoveryScenarios:
@@ -551,3 +551,60 @@ class TestScenarioCompilation:
             virtual_duration=cluster.sim.now,
         )
         assert direct.fingerprint() == via_runner.fingerprint()
+
+
+#: The cheapest library scenario (4 nodes, one client, well under a second).
+CHEAPEST = "epaxos-even-cluster-retry"
+
+
+@pytest.fixture
+def broken_epaxos(monkeypatch):
+    """Patched on the class, so every EPaxos cluster built afterwards raises."""
+    from repro.epaxos.replica import EPaxosReplica
+
+    def broken(self, src, msg):
+        raise AttributeError("mutated handler")
+
+    monkeypatch.setattr(EPaxosReplica, "_on_preaccept_reply", broken)
+
+
+class TestScenarioCli:
+    def test_list_exits_zero(self, capsys):
+        assert cli.main(["--list"]) == 0
+        assert CHEAPEST in capsys.readouterr().out
+
+    def test_run_of_a_passing_scenario_exits_zero(self, capsys):
+        assert cli.main(["--run", CHEAPEST]) == 0
+        assert capsys.readouterr().out.startswith(f"{CHEAPEST}: OK, ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--run", "no-such-scenario"],
+        ["--run", CHEAPEST, "--protocol", "paxos"],
+    ])
+    def test_unknown_or_mismatched_scenario_exits_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_empty_selection_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SHARDED_SMOKE_SCENARIOS", ("epaxos-sharded-4",))
+        assert cli.main(["--sharded", "--smoke", "--protocol", "paxos"]) == 2
+        assert "no smoke scenarios (sharded) for protocol 'paxos'" in capsys.readouterr().err
+
+    def test_run_prints_what_a_sweep_over_the_one_scenario_prints(self, monkeypatch, capsys):
+        assert cli.main(["--run", CHEAPEST]) == 0
+        run = capsys.readouterr().out
+        monkeypatch.setattr(cli, "SMOKE_SCENARIOS", (CHEAPEST,))
+        assert cli.main(["--smoke"]) == 0
+        assert capsys.readouterr().out == run
+
+    def test_a_crashing_run_prints_crashed_and_exits_one(self, broken_epaxos, capsys):
+        assert cli.main(["--run", CHEAPEST]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"{CHEAPEST}: CRASHED, ")
+        assert f"    [crash] {CHEAPEST} seed 42: AttributeError: mutated handler\n" in out
+
+    def test_a_crashing_fuzz_seed_prints_crashed_and_exits_one(self, broken_epaxos, capsys):
+        from repro.fuzz.__main__ import main as fuzz_main
+
+        assert fuzz_main(["--seed", "2", "--protocols", "epaxos"]) == 1
+        assert capsys.readouterr().out.startswith("fuzz-2: CRASHED, ")
