@@ -73,9 +73,8 @@ from repro.protocol.batching import Batcher
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import ClientRequest
 from repro.quorum.systems import FastQuorum
-from repro.statemachine.command import Command, CommandBatch, CommandResult, NoOp
+from repro.statemachine.command import Command, CommandBatch, NoOp
 from repro.statemachine.kvstore import KVStore
-from repro.statemachine.sessions import ClientSessionCache
 
 _PREACCEPTED = "preaccepted"
 _ACCEPTED = "accepted"
@@ -169,7 +168,11 @@ class EPaxosReplica(Replica):
         super().__init__(overlay=overlay)
         self.config = config or ProtocolConfig()
         self._quorum = quorum
-        self.store = KVStore()
+        # One session table per key: EPaxos orders only conflicting
+        # commands (see KVStore.apply).
+        self.store = KVStore(
+            window=self.config.session_window, max_clients=self.MAX_CLIENTS_PER_KEY, per_key=True
+        )
         self.instances: Dict[InstanceId, _Instance] = {}
         self.graph = DependencyGraph()
         self._next_instance = 0
@@ -182,22 +185,6 @@ class EPaxosReplica(Replica):
         # :meth:`_record_key`).
         self._key_index: Dict[str, Dict[int, int]] = {}
         self._pending_execution: Set[InstanceId] = set()
-        # Client sessions make execution at-most-once: a client retry that
-        # lands on a different opportunistic leader creates a *second*
-        # instance carrying the same command, and both instances commit and
-        # execute everywhere.  The two instances carry the same key, so they
-        # conflict and execute in the same relative order on every replica --
-        # filtering the duplicate at apply time therefore keeps all state
-        # machines identical.  Unlike Multi-Paxos (total order), EPaxos only
-        # orders *conflicting* commands, so every eviction decision must
-        # depend solely on same-key events or it diverges across replicas
-        # (cross-key interleaving legally differs).  Hence one
-        # ClientSessionCache *per key*: both its inner request window and
-        # its outer client LRU are driven only by that key's applies, which
-        # are identically ordered everywhere.  Memory stays proportional to
-        # the store itself: keys x bounded sessions x bounded window.
-        self._session_window = self.config.session_window
-        self._client_sessions: Dict[str, ClientSessionCache] = {}
         # Execution order as applied locally, for the cross-replica
         # execution-consistency checker (repro.checkers.invariants).
         self.executed_order: List[InstanceId] = []
@@ -1105,50 +1092,15 @@ class EPaxosReplica(Replica):
         if noop:
             self.count("recovery_noop_commits")
 
-    def _apply_command(self, command) -> CommandResult:
-        """Apply ``command`` with at-most-once client-session filtering.
-
-        The same client command can be committed in *two instances*: the
-        client retries a timed-out request against a different replica,
-        which becomes a second opportunistic leader for it.  Both instances
-        commit and execute on every replica, but applying the command twice
-        would clobber writes ordered between them.  Duplicate instances
-        carry the same key, so they conflict and execute in the same
-        relative order everywhere -- filtering here keeps all state machines
-        identical, and the cached result lets the duplicate's leader still
-        answer its client correctly.
-        """
-        if type(command) is CommandBatch:
-            # Unpack in batch order on every replica, each sub-command
-            # through its own key's session cache below, so dedup decisions
-            # depend only on same-key conflict-ordered events exactly as for
-            # unbatched commands.  The result tuple feeds the per-command
-            # replies at the batch's leader.
-            return tuple(self._apply_command(sub) for sub in command.commands)
-        try:
-            client_id = command.client_id
-            request_id = command.request_id
-        except AttributeError:
-            return self.store.apply(command)
-        if client_id is None or client_id < 0 or request_id <= 0:
-            return self.store.apply(command)
-        # Per-key cache: see __init__ for why eviction must be driven by
-        # same-key events only under EPaxos' partial order.
-        sessions = self._client_sessions.get(command.key)
-        if sessions is None:
-            sessions = self._client_sessions[command.key] = ClientSessionCache(
-                window=self._session_window, max_clients=self.MAX_CLIENTS_PER_KEY
-            )
-        result, duplicate = sessions.apply_once(client_id, request_id, self.store.apply, command)
-        if duplicate:
-            self.count("duplicate_commands_skipped")
-        return result
-
     def _execute_instance(self, instance_id: InstanceId) -> None:
         instance = self.instances.get(instance_id)
         if instance is None or instance.status == _EXECUTED:
             return
-        result = self._apply_command(instance.command)
+        store = self.store
+        duplicates = store.duplicates
+        result = store.apply(instance.command)
+        if store.duplicates != duplicates:
+            self.count("duplicate_commands_skipped", store.duplicates - duplicates)
         self.ctx.charge_execution(
             len(instance.command) if type(instance.command) is CommandBatch else 1
         )
@@ -1190,5 +1142,9 @@ class EPaxosReplica(Replica):
             "pending_execution": len(self._pending_execution),
             "recoveries_in_flight": len(self._recoveries),
             "kv_size": len(self.store),
-            "sessions": sum(len(cache) for cache in self._client_sessions.values()),
+            "sessions": sum(
+                len(session)
+                for sessions in self.store.sessions.values()
+                for session in sessions.values()
+            ),
         }

@@ -32,9 +32,10 @@ Two more break the batched reply path every protocol shares; each must trip
 ``linearizability`` on a batched Paxos and a batched EPaxos run
 (``tests/test_batching.py``):
 
-* ``batch-unpack-reversed`` -- replicas apply a batch in reverse order while
-  the reply fan-out still zips results positionally with the recorded
-  clients, so clients are handed each other's results.
+* ``batch-unpack-reversed`` -- ``KVStore.apply``, the one execute point of
+  both protocols, applies a batch in reverse order while the reply fan-out
+  still zips results positionally with the recorded clients, so clients are
+  handed each other's results.
 * ``reply-misroute`` -- the shared reply helper rotates the recorded clients
   by one.  One patch point breaking both protocols proves it is the only
   reply path.
@@ -48,6 +49,15 @@ partition (``tests/test_scenarios.py`` pins both on
   early, so phase 1 and phase 2 both complete a vote short.
 * ``phase2-quorum-one`` -- ``MajorityQuorum.phase2_size`` is 1: a leader
   commits on its own vote alone.
+
+One switches off at-most-once execution:
+
+* ``session-dedup-off`` -- the store's session table never finds a member,
+  so every duplicate commit of a retried command is applied again and
+  ``duplicate_commands_skipped`` never counts.  No library run is known to
+  trip a checker under it; ``tests/test_paxos_unit.py`` and
+  ``tests/test_epaxos_unit.py`` pin the double apply on each protocol's
+  replica-level duplicate case.
 
 Usage::
 
@@ -119,6 +129,21 @@ def _make_reversed_batch_apply(original):
     return apply_reversed
 
 
+class _NoSessions(dict):
+    """A session table that never finds a member: every command looks new."""
+
+    def __contains__(self, key) -> bool:
+        return False
+
+
+def _make_sessionless_store(original):
+    def init_without_sessions(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        self.sessions = _NoSessions()
+
+    return init_without_sessions
+
+
 def _make_misrouted_replies(original):
     def reply_misrouted(self, clients, command, result, leader_hint=None):
         original(self, clients[1:] + clients[:1], command, result, leader_hint)
@@ -174,11 +199,17 @@ def _recovery_noop() -> Iterator[None]:
 
 @contextmanager
 def _batch_unpack_reversed() -> Iterator[None]:
-    from repro.epaxos.replica import EPaxosReplica
-    from repro.paxos.replica import MultiPaxosReplica
+    from repro.statemachine.kvstore import KVStore
 
-    with _patched(MultiPaxosReplica, "_apply_command", _make_reversed_batch_apply), \
-         _patched(EPaxosReplica, "_apply_command", _make_reversed_batch_apply):
+    with _patched(KVStore, "apply", _make_reversed_batch_apply):
+        yield
+
+
+@contextmanager
+def _session_dedup_off() -> Iterator[None]:
+    from repro.statemachine.kvstore import KVStore
+
+    with _patched(KVStore, "__init__", _make_sessionless_store):
         yield
 
 
@@ -209,7 +240,8 @@ def _phase2_quorum_one() -> Iterator[None]:
 #: Mutation name -> context manager factory.  The first four live in the
 #: EPaxos stack, so mutation-fuzz runs of those should use an epaxos-only
 #: profile (``recovery-noop`` bites only where recovery runs); the next two
-#: only bite on runs that batch; the last two only on the Paxos family.
+#: only bite on runs that batch; the next two only on the Paxos family; the
+#: last only where a retried command commits twice.
 MUTATIONS: Dict[str, object] = {
     "vote-dedup": _vote_dedup,
     "key-index": _key_index,
@@ -219,6 +251,7 @@ MUTATIONS: Dict[str, object] = {
     "reply-misroute": _reply_misroute,
     "vote-count-early": _vote_count_early,
     "phase2-quorum-one": _phase2_quorum_one,
+    "session-dedup-off": _session_dedup_off,
 }
 
 

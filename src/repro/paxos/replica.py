@@ -36,10 +36,9 @@ from repro.protocol.messages import (
 )
 from repro.quorum.systems import MajorityQuorum, QuorumSystem
 from repro.quorum.tracker import BallotVoteTracker, VoteTracker
-from repro.statemachine.command import CommandBatch, NoOp
+from repro.statemachine.command import NoOp
 from repro.statemachine.kvstore import KVStore
 from repro.statemachine.log import ReplicatedLog
-from repro.statemachine.sessions import ClientSessionCache
 
 
 @dataclass
@@ -78,11 +77,9 @@ class MultiPaxosReplica(Replica):
         # Acceptor state (conceptually on stable storage).
         self.promised: Ballot = Ballot.zero()
         self.log = ReplicatedLog()
-        self.store = KVStore()
-        # Client sessions: a bounded LRU of applied request ids (with
-        # results) per client, used to make command execution at-most-once
-        # (see :meth:`_apply_command`).  Survives crashes alongside log/store.
-        self._client_sessions = ClientSessionCache(window=self.config.session_window)
+        # One session table for every key: the log is a total order (see
+        # KVStore.apply).  Sessions survive crashes alongside log and store.
+        self.store = KVStore(window=self.config.session_window)
 
         # Proposer / leader state.
         self.ballot: Ballot = Ballot.zero()
@@ -465,56 +462,17 @@ class MultiPaxosReplica(Replica):
     def _advance_commit_frontier(self) -> None:
         self.commit_upto = self.log.committed_through(self.commit_upto)
 
-    def _apply_command(self, command) -> object:
-        """Apply ``command`` with at-most-once client-session filtering.
-
-        The same client command can legitimately be *committed in two
-        different slots*: a client retries a timed-out request against a new
-        leader while the old leader's proposal survives in some follower's
-        log and is re-proposed during recovery.  Both slots must commit (a
-        committed slot can never change), but applying the command twice
-        would let the second application clobber writes ordered between the
-        two slots -- a linearizability violation the scenario checkers catch.
-        Every replica executes the same committed prefix, so filtering
-        duplicates here keeps all state machines identical.
-
-        Applied ids are tracked per client (not as a high-water mark):
-        open-loop clients keep several requests in flight, so a client's
-        commands may commit out of request-id order and a mark would drop
-        legitimate first executions.  The cache is a bounded LRU window
-        (:class:`~repro.statemachine.sessions.ClientSessionCache`): retries
-        only ever target requests still inside the window, so eviction never
-        breaks the at-most-once guarantee in practice.
-        """
-        if type(command) is CommandBatch:
-            # Unpack in batch order on every replica -- leader or follower --
-            # applying each sub-command through this very method, so the
-            # per-client dedup behaves exactly as if the commands had
-            # occupied consecutive slots and all state machines stay
-            # identical.  The tuple of per-command results is what the
-            # leader's reply path fans back out.
-            return tuple(self._apply_command(sub) for sub in command.commands)
-        try:
-            client_id = command.client_id
-            request_id = command.request_id
-        except AttributeError:
-            return self.store.apply(command)
-        if client_id is None or client_id < 0 or request_id <= 0:
-            return self.store.apply(command)
-        result, duplicate = self._client_sessions.apply_once(
-            client_id, request_id, self.store.apply, command
-        )
-        if duplicate:
-            self.count("duplicate_commands_skipped")
-        return result
-
     def _execute_ready(self) -> None:
         proposals = self._proposals
         # A follower has no proposals: nobody here is waiting for results.
         results = [] if proposals else None
-        executed = self.log.execute_ready(self._apply_command, results)
+        store = self.store
+        duplicates = store.duplicates
+        executed = self.log.execute_ready(store.apply, results)
         if not executed:
             return
+        if store.duplicates != duplicates:
+            self.count("duplicate_commands_skipped", store.duplicates - duplicates)
         self.ctx.charge_execution(executed)
         if results is None:
             return

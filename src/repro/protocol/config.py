@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.overlay.config import OverlayConfig
-from repro.statemachine.sessions import DEFAULT_SESSION_WINDOW
+from repro.statemachine.kvstore import DEFAULT_SESSION_WINDOW
 
 #: Default EPaxos explicit-prepare deadline (seconds of virtual time).
 #: Recovery has been on by default since the fuzzing PR: the fuzz fleet
@@ -43,7 +43,7 @@ class ProtocolConfig:
             (``None`` disables bootstrap and leaves election to timeouts).
         session_window: Per-client at-most-once dedup window -- how many of
             a client's most recently applied request results each replica
-            retains (see :mod:`repro.statemachine.sessions`).
+            retains (see :class:`repro.statemachine.kvstore.KVStore`).
         recovery_timeout: EPaxos explicit-prepare deadline -- how long a
             replica's execution may stay blocked on an uncommitted
             dependency before it opens a recovery round for that instance

@@ -140,17 +140,16 @@ class CommandBatch:
     ``P2a``/``EPreAccept``/``RelayRequest`` ships the whole batch, so the
     per-message wire header (``SizeModel.header_bytes``) and the per-message
     CPU charge are amortised over every command inside.  Execution unpacks
-    the batch in order on every replica, applying each sub-command through
-    the normal per-client session dedup, so at-most-once semantics and the
-    linearizability checker see exactly the per-command histories they
-    always did.
+    the batch in order on every replica, inside one
+    :meth:`~repro.statemachine.kvstore.KVStore.apply` call, applying each
+    sub-command through the normal per-client session dedup, so
+    at-most-once semantics and the linearizability checker see exactly the
+    per-command histories they always did.
 
     Deliberately has **no** ``client_id`` / ``request_id`` / ``key``
-    attributes: the per-command bookkeeping paths in the replicas detect
-    plain commands via those attributes (``try/except AttributeError`` and
-    ``getattr(..., None)``) and take the explicit batch-unpacking branch
-    for this type instead.  Like :class:`Command`, a batch is immutable by
-    convention and compared by ``uid``.
+    attributes: code that needs them tests ``type(command) is
+    CommandBatch`` and walks ``commands``.  Like :class:`Command`, a batch
+    is immutable by convention and compared by ``uid``.
 
     Attributes:
         commands: The batched commands, in client-arrival order.

@@ -56,7 +56,9 @@ BUDGETS = [
             min_completed=20,
             seed=5,
         ),
-        # measured 1986.9; 1997.8 (budget 2200) before the client stopped
+        # measured 1873.1; 1986.9 (budget 2185) before the store applied
+        # each executed entry, batch and session dedup included, in one
+        # call, 1997.8 (budget 2200) before the client stopped
         # writing each completion into registry metrics nothing read,
         # 2317.8 (budget 2560) before the relay session and
         # the follower's vote path stopped paying a builtin call per child,
@@ -65,7 +67,7 @@ BUDGETS = [
         # (budget 3700) before the apply path, the log checks and dispatch
         # were cut to one probe each, 5059 before the per-link/per-message
         # rework
-        2185,
+        2060,
     ),
     (
         Scenario(
@@ -79,9 +81,10 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 372.3; 383.3 (budget 425), 406.5 (budget 450), 440.3
-        # (budget 485), 547 (budget 600) and 792 before, as above
-        410,
+        # measured 350.5; 372.3 (budget 410), 383.3 (budget 425), 406.5
+        # (budget 450), 440.3 (budget 485), 547 (budget 600) and 792 before,
+        # as above
+        385,
     ),
     (
         Scenario(
@@ -95,12 +98,14 @@ BUDGETS = [
             min_completed=1000,
             seed=5,
         ),
-        # measured 279.8 over 1480 ops; 291.8 (budget 325) before the
+        # measured 248.0 over 1480 ops; 279.8 (budget 310) before the
+        # one-call apply above (every replica unpacked every batch through
+        # a call per sub-command), 291.8 (budget 325) before the
         # completion writes above, 312.2 (budget 345) before the vote
         # path cuts above, 337.5 (budget 370) before the frame cuts, 341.1
         # with the two per-protocol batchers this cell was pinned against,
         # so sharing one cost nothing
-        310,
+        275,
     ),
     (
         Scenario(
@@ -114,12 +119,13 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 765.4 over 379 ops; 776.4 (budget 855) before the
+        # measured 741.9 over 379 ops; 765.4 (budget 845) before the
+        # one-call apply above, 776.4 (budget 855) before the
         # completion writes above (the vote path cuts above share no code
         # with it), 800.6 (budget 885) before the frame cuts, 1217.2
         # while the conflict index, the planner and the EPaxos invariants
         # paid calls per dependency
-        845,
+        815,
     ),
 ]
 

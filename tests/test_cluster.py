@@ -333,13 +333,13 @@ class TestSessionWindowWiring:
 
         config = ProtocolConfig(session_window=4)
         paxos = build_cluster(protocol="paxos", num_nodes=3, num_clients=1, protocol_config=config)
-        assert paxos.nodes[0].replica._client_sessions.window == 4
+        assert paxos.nodes[0].replica.store.window == 4
         epaxos = build_cluster(protocol="epaxos", num_nodes=3, num_clients=1, protocol_config=config)
-        assert epaxos.nodes[0].replica._session_window == 4
+        assert epaxos.nodes[0].replica.store.window == 4
 
     def test_epaxos_without_config_uses_default_window(self):
-        from repro.statemachine.sessions import DEFAULT_SESSION_WINDOW
+        from repro.statemachine.kvstore import DEFAULT_SESSION_WINDOW
 
         cluster = build_cluster(protocol="epaxos", num_nodes=3, num_clients=1)
-        assert cluster.nodes[0].replica._session_window == DEFAULT_SESSION_WINDOW
+        assert cluster.nodes[0].replica.store.window == DEFAULT_SESSION_WINDOW
 

@@ -67,6 +67,23 @@ def test_host_cost_may_move_when_the_control_columns_do_not(tmp_path, capsys):
     assert "control columns identical" in out
 
 
+def test_bounded_end_to_end_metrics_are_reported_against_the_contract(tmp_path, capsys):
+    """setup_s, host_us_per_op and peak_rss_mb print with their BENCHMARK.json
+    bound; one worse by more than it is marked, and the exit code ignores it."""
+    change = copy.deepcopy(_WORKLOAD)
+    change["end_to_end"]["setup_s"] = 0.15  # +15 %: inside its 25 % bound
+    change["end_to_end"]["host_us_per_op"] = 2500.0  # +27 %: over its 25 % bound
+    change["end_to_end"]["peak_rss_mb"] = 30.0  # better
+    assert _run(tmp_path, _report(planet81_pig=_WORKLOAD), _report(planet81_pig=change)) == 0
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  ")}
+    assert "+15.38%" in lines["setup_s"] and "bound 25%" in lines["setup_s"]
+    assert "OVER BOUND" not in lines["setup_s"]
+    assert "+27.47%" in lines["host_us_per_op"] and lines["host_us_per_op"].endswith("OVER BOUND")
+    assert "-15.25%" in lines["peak_rss_mb"] and "bound 5%" in lines["peak_rss_mb"]
+    assert "OVER BOUND" not in lines["peak_rss_mb"]
+
+
 @pytest.mark.parametrize(
     "section, column, value",
     [

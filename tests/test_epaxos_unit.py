@@ -12,13 +12,15 @@ from repro.epaxos.messages import (
     EPreAcceptReply,
 )
 from repro.epaxos.replica import EPaxosReplica
+from repro.fuzz.mutations import apply_mutation
+from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import ClientReply, ClientRequest
 from repro.statemachine.command import Command, OpType
 
 
-def make_replica(node_id=0, cluster=5):
+def make_replica(node_id=0, cluster=5, config=None):
     ctx = FakeContext(node_id=node_id, all_nodes=list(range(cluster)))
-    replica = EPaxosReplica()
+    replica = EPaxosReplica(config=config)
     replica.bind(ctx)
     replica.start()
     return replica, ctx
@@ -313,10 +315,10 @@ class TestAtMostOnceExecution:
                 instance=instance_msg.instance, voter=voter, ok=True,
                 seq=instance_msg.seq, deps=instance_msg.deps, changed=False))
 
-    def test_retried_command_in_second_instance_applies_once(self):
-        """A client retry that spawns a second instance must not re-apply,
-        and its leader must still answer with the cached result."""
-        replica, ctx = make_replica()
+    def _write_overwrite_and_retry(self, replica, ctx):
+        """Lead and commit client 1000's write, client 1001's overwrite of
+        the same key, then client 1000's retry of its write in a third
+        instance; return the reply to the first write."""
         first = Command(op=OpType.PUT, key="k", value="mine", payload_size=4,
                         client_id=1000, request_id=7)
         replica.on_message(1000, ClientRequest(command=first))
@@ -335,16 +337,34 @@ class TestAtMostOnceExecution:
         assert replica.store.get("k") == "theirs"
 
         # The first client retries (reply lost): a *third* instance carries
-        # the same command.  It commits and executes but must not clobber.
+        # the same command, and it commits and executes.
         ctx.clear_sent()
         replica.on_message(1000, ClientRequest(command=first))
         msg3 = ctx.sent_of_type(EPreAccept)[0][1]
         self._commit_fast(replica, ctx, msg3)
+        return first_reply
+
+    def test_retried_command_in_second_instance_applies_once(self):
+        """A client retry that spawns a second instance must not re-apply,
+        and its leader must still answer with the cached result."""
+        replica, ctx = make_replica()
+        first_reply = self._write_overwrite_and_retry(replica, ctx)
+        # The retry's instance must not clobber the overwrite.
         assert replica.store.get("k") == "theirs"
         assert ctx.metrics.counter("epaxos.duplicate_commands_skipped").value == 1
         retry_replies = [m for dst, m in ctx.sent_of_type(ClientReply) if dst == 1000]
         assert len(retry_replies) == 1  # the retry is still answered...
         assert retry_replies[0].result == first_reply.result  # ...with the cached result
+
+    def test_session_dedup_off_mutation_reapplies_the_duplicate(self):
+        """``session-dedup-off`` must really switch dedup off: the retry's
+        instance clobbers the overwrite and nothing counts a skip."""
+        with apply_mutation("session-dedup-off"):
+            replica, ctx = make_replica()
+            self._write_overwrite_and_retry(replica, ctx)
+        assert replica.store.get("k") == "mine"
+        assert replica.store.applied_count == 3
+        assert "epaxos.duplicate_commands_skipped" not in ctx.metrics.counters()
 
     def test_duplicate_execution_suppressed_on_followers_too(self):
         replica, ctx = make_replica(node_id=3)
@@ -362,8 +382,7 @@ class TestAtMostOnceExecution:
         """A tiny window must not let traffic on *other* keys evict a
         session entry: EPaxos only orders conflicting commands, so evictions
         are replica-deterministic only within a (client, key) session."""
-        replica, ctx = make_replica(node_id=3)
-        replica._session_window = 1
+        replica, ctx = make_replica(node_id=3, config=ProtocolConfig(session_window=1))
         r1 = Command(op=OpType.PUT, key="a", value="1", payload_size=1,
                      client_id=1000, request_id=1)
         r2 = Command(op=OpType.PUT, key="b", value="2", payload_size=1,

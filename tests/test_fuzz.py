@@ -116,10 +116,10 @@ class TestMutations:
     def test_mutations_are_reversible(self, name):
         from repro.epaxos.graph import DependencyGraph
         from repro.epaxos.replica import EPaxosReplica
-        from repro.paxos.replica import MultiPaxosReplica
         from repro.protocol.base import Replica
         from repro.quorum.systems import MajorityQuorum
         from repro.quorum.tracker import VoteTracker
+        from repro.statemachine.kvstore import KVStore
 
         def patch_points():
             return (
@@ -127,8 +127,8 @@ class TestMutations:
                 EPaxosReplica.__dict__["_record_key"],
                 EPaxosReplica.__dict__["_record_prepare_reply"],
                 DependencyGraph.__dict__["execution_order"],
-                EPaxosReplica.__dict__["_apply_command"],
-                MultiPaxosReplica.__dict__["_apply_command"],
+                KVStore.__dict__["apply"],
+                KVStore.__dict__["__init__"],
                 Replica.__dict__["_reply_to_clients"],
                 VoteTracker.__dict__["ack"],
                 MajorityQuorum.__dict__["phase2_size"],

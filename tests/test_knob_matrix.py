@@ -51,9 +51,10 @@ COMPANIONS = {
 }
 #: Where a replica keeps what it consumed from its config, as an attribute
 #: path: EPaxos copies its own knobs at construction, and every protocol
-#: hands the batching knobs to its batcher.
+#: hands the session window to its store and the batching knobs to its
+#: batcher.
 CONSUMED = {
-    ("epaxos", "session_window"): "_session_window",
+    **{(protocol, "session_window"): "store.window" for protocol in PROTOCOLS},
     ("epaxos", "recovery_timeout"): "_recovery_timeout",
     ("epaxos", "leader_retry_timeout"): "_leader_retry_timeout",
     **{(protocol, "batch_max_commands"): "_batcher.max_commands" for protocol in PROTOCOLS},

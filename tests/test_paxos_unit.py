@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from helpers import FakeContext
+from repro.fuzz.mutations import apply_mutation
 from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol.ballot import Ballot
 from repro.protocol.config import ProtocolConfig
@@ -270,8 +271,10 @@ class TestFailover:
 class TestAtMostOnceExecution:
     """Client-session dedup: a command committed in two slots applies once."""
 
-    def test_duplicate_command_in_two_slots_applies_once(self):
-        replica, ctx = make_replica()
+    @staticmethod
+    def _commit_write_overwrite_and_retry(replica, ctx):
+        """Commit client 1000's write, client 1001's overwrite of the same
+        key, then client 1000's retry of its first request in a third slot."""
         elect(replica, ctx)
         ballot = replica.ballot
         first = Command(op=OpType.PUT, key="k", value="first", client_id=1000, request_id=1)
@@ -288,17 +291,31 @@ class TestAtMostOnceExecution:
         assert replica.store.get("k") == "second"
 
         # Client 1000 retries its first request (e.g. its reply was lost) and
-        # the command is legitimately committed again in a third slot.  The
-        # second application must be suppressed or it would clobber "second".
+        # the command is legitimately committed again in a third slot.
         replica.on_message(1000, ClientRequest(command=first))
         for voter in (1, 2):
             replica.on_message(voter, P2b(ballot=ballot, slot=3, voter=voter, ok=True))
         assert replica.log.is_committed(3)
+
+    def test_duplicate_command_in_two_slots_applies_once(self):
+        replica, ctx = make_replica()
+        self._commit_write_overwrite_and_retry(replica, ctx)
+        # The second application must be suppressed or it would clobber "second".
         assert replica.store.get("k") == "second"
         assert ctx.metrics.counter("paxos.duplicate_commands_skipped").value == 1
         # The retrying client still gets an answer (from the cached result).
         replies = [msg for dst, msg in ctx.sent_of_type(ClientReply) if dst == 1000]
         assert len(replies) == 2
+
+    def test_session_dedup_off_mutation_reapplies_the_duplicate(self):
+        """``session-dedup-off`` must really switch dedup off: the retry
+        clobbers the overwrite and nothing counts a skip."""
+        with apply_mutation("session-dedup-off"):
+            replica, ctx = make_replica()
+            self._commit_write_overwrite_and_retry(replica, ctx)
+        assert replica.store.get("k") == "first"
+        assert replica.store.applied_count == 3
+        assert "paxos.duplicate_commands_skipped" not in ctx.metrics.counters()
 
     def test_commands_without_session_info_always_apply(self):
         replica, ctx = make_replica()
@@ -329,9 +346,9 @@ class TestAtMostOnceExecution:
             for voter in (1, 2):
                 replica.on_message(voter, P2b(ballot=ballot, slot=slot, voter=voter, ok=True))
         # Window is 2: request 1 was evicted, requests 2 and 3 remain.
-        assert replica._client_sessions.session_size(1000) == 2
-        assert replica._client_sessions.evictions == 1
-        assert replica._client_sessions.get(1000, 1) is None
+        assert len(replica.store.sessions[1000]) == 2
+        assert replica.store.evictions == 1
+        assert 1 not in replica.store.sessions[1000]
 
         # An in-window retry (request 3) recommits but must not re-apply.
         replica.on_message(1000, ClientRequest(command=commands[2]))

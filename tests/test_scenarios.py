@@ -102,8 +102,11 @@ class TestEPaxosScenarios:
         assert run.ok
 
     def test_retries_are_deduplicated_not_reapplied(self):
-        """Client retries under drops land in fresh instances; the session
-        filter must be what keeps the run linearizable."""
+        """Client retries under drops land in fresh instances, and the
+        session filter skips them.  It is not what keeps this run
+        linearizable: with ``session-dedup-off`` the duplicates re-apply and
+        every checker still passes, so the replica-level cases in
+        test_paxos_unit.py and test_epaxos_unit.py are what guard dedup."""
         counters = library_run("epaxos-drop-storm").counters
         assert counters.get("epaxos.duplicate_commands_skipped", 0) >= 1
 
@@ -447,7 +450,7 @@ class TestScenarioSpecValidation:
                         checks=("linearizability",),
                         config_overrides={"session_window": 8})
         cluster = ScenarioRunner(good).build()
-        assert cluster.nodes[0].replica._session_window == 8
+        assert cluster.nodes[0].replica.store.window == 8
 
         bad = Scenario(name="bad", protocol="epaxos", duration=0.2,
                        checks=("linearizability",),

@@ -1,12 +1,14 @@
-"""Unit tests for commands, the KV store, the replicated log and sessions."""
+"""Unit tests for commands, the KV store and its client sessions, and the replicated log."""
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import pytest
 
 from repro.errors import StateMachineError
 from repro.protocol.ballot import Ballot
-from repro.statemachine.command import Command, NoOp, OpType
+from repro.statemachine.command import Command, CommandBatch, NoOp, OpType
 from repro.statemachine.kvstore import KVStore
 from repro.statemachine.log import ReplicatedLog
 
@@ -162,110 +164,210 @@ class TestReplicatedLog:
         assert log.committed_prefix_uids() == [a.uid]
 
 
-class TestClientSessionCache:
-    def test_put_then_get_roundtrips(self):
-        from repro.statemachine.sessions import ClientSessionCache
+def request(client: int, request_id: int, key: str = "k", op: OpType = OpType.PUT) -> Command:
+    """A command with a session identity; the value names its origin."""
+    value = f"{client}.{request_id}" if op is OpType.PUT else None
+    return Command(op=op, key=key, value=value, client_id=client, request_id=request_id)
 
-        cache = ClientSessionCache(window=4)
-        cache.put(1000, 1, "r1")
-        assert cache.get(1000, 1) == "r1"
-        assert cache.get(1000, 2) is None
-        assert cache.get(1001, 1) is None
+
+def cached(store: KVStore, client: int, request_id: int, key: str = "k"):
+    """The session result of ``(client, request_id)``, touching no LRU; None if absent."""
+    sessions = store.sessions.get(key, {}) if store.per_key else store.sessions
+    return sessions.get(client, {}).get(request_id)
+
+
+class ReferenceSessions:
+    """The doubly bounded LRU the store's sessions must match, as plain get/put.
+
+    ``get`` touches the session and the entry it finds; ``put`` records a
+    result, evicting the least recently used request beyond ``window`` or
+    session beyond ``max_clients``.
+    """
+
+    def __init__(self, window: int, max_clients: int) -> None:
+        self.window = window
+        self.max_clients = max_clients
+        self.sessions = OrderedDict()
+        self.evictions = 0
+        self.session_evictions = 0
+
+    def get(self, client, request_id):
+        session = self.sessions.get(client)
+        if session is None:
+            return None
+        self.sessions.move_to_end(client)
+        result = session.get(request_id)
+        if result is not None:
+            session.move_to_end(request_id)
+        return result
+
+    def put(self, client, request_id, result) -> None:
+        session = self.sessions.get(client)
+        if session is None:
+            self.sessions[client] = OrderedDict({request_id: result})
+            while len(self.sessions) > self.max_clients:
+                self.sessions.popitem(last=False)
+                self.session_evictions += 1
+            return
+        self.sessions.move_to_end(client)
+        session[request_id] = result
+        while len(session) > self.window:
+            session.popitem(last=False)
+            self.evictions += 1
+
+
+class TestClientSessionCache:
+    """At-most-once client sessions, owned and applied by ``KVStore.apply``."""
+
+    def test_put_then_get_roundtrips(self):
+        store = KVStore(window=4)
+        first = store.apply(request(1000, 1))
+        assert cached(store, 1000, 1) is first
+        assert cached(store, 1000, 2) is None
+        assert cached(store, 1001, 1) is None
+        # Applying the same request again answers from the session.
+        assert store.apply(request(1000, 1)) is first
+        assert (store.applied_count, store.duplicates) == (1, 1)
 
     def test_window_evicts_oldest_entry(self):
-        from repro.statemachine.sessions import ClientSessionCache
-
-        cache = ClientSessionCache(window=3)
-        for request_id in (1, 2, 3, 4):
-            cache.put(1000, request_id, f"r{request_id}")
-        assert cache.get(1000, 1) is None  # evicted
-        assert cache.get(1000, 2) == "r2"
-        assert cache.get(1000, 4) == "r4"
-        assert cache.evictions == 1
-        assert cache.session_size(1000) == 3
+        store = KVStore(window=3)
+        results = {rid: store.apply(request(1000, rid)) for rid in (1, 2, 3, 4)}
+        assert cached(store, 1000, 1) is None  # evicted
+        assert cached(store, 1000, 2) is results[2]
+        assert cached(store, 1000, 4) is results[4]
+        assert store.evictions == 1
+        assert len(store.sessions[1000]) == 3
 
     def test_get_refreshes_lru_position(self):
-        from repro.statemachine.sessions import ClientSessionCache
-
-        cache = ClientSessionCache(window=2)
-        cache.put(1000, 1, "r1")
-        cache.put(1000, 2, "r2")
-        assert cache.get(1000, 1) == "r1"  # touch 1 so 2 becomes oldest
-        cache.put(1000, 3, "r3")
-        assert cache.get(1000, 2) is None
-        assert cache.get(1000, 1) == "r1"
+        store = KVStore(window=2)
+        first = store.apply(request(1000, 1))
+        store.apply(request(1000, 2))
+        assert store.apply(request(1000, 1)) is first  # touch 1 so 2 becomes oldest
+        store.apply(request(1000, 3))
+        assert cached(store, 1000, 2) is None
+        assert cached(store, 1000, 1) is first
 
     def test_windows_are_per_client(self):
-        from repro.statemachine.sessions import ClientSessionCache
-
-        cache = ClientSessionCache(window=2)
+        store = KVStore(window=2)
+        results = {}
         for client in (1000, 1001):
             for request_id in (1, 2):
-                cache.put(client, request_id, f"{client}.{request_id}")
-        assert len(cache) == 4
-        assert cache.client_count() == 2
-        assert cache.get(1001, 1) == "1001.1"
+                results[client, request_id] = store.apply(request(client, request_id))
+        assert sum(len(session) for session in store.sessions.values()) == 4
+        assert len(store.sessions) == 2
+        assert cached(store, 1001, 1) is results[1001, 1]
 
     def test_rejects_non_positive_window(self):
-        from repro.statemachine.sessions import ClientSessionCache
-
         with pytest.raises(ValueError):
-            ClientSessionCache(window=0)
+            KVStore(window=0)
         with pytest.raises(ValueError):
-            ClientSessionCache(max_clients=0)
+            KVStore(max_clients=0)
 
     def test_apply_once_is_get_then_put_on_a_miss(self):
-        """The fused filter the replicas call against the plain get/put pair,
+        """The store's inline filter against the plain get/put reference,
         under a seeded stream small enough that both the per-client window
         and the client bound evict: same results, same duplicate verdicts,
-        same eviction counts, same LRU order inside and across sessions."""
+        same eviction counts, same LRU order inside and across sessions --
+        in both scopes: one table (Paxos) and one table per key (EPaxos)."""
+        for per_key in (False, True):
+            self._check_against_reference(per_key)
+
+    @staticmethod
+    def _check_against_reference(per_key: bool) -> None:
         import random
 
-        from repro.statemachine.sessions import ClientSessionCache
-
-        def lru_order(cache):
-            return [(sid, list(session)) for sid, session in cache._sessions.items()]
+        def lru_order(tables):
+            return [(client, list(session)) for client, session in tables.items()]
 
         rng = random.Random(22)
-        fused = ClientSessionCache(window=3, max_clients=4)
-        reference = ClientSessionCache(window=3, max_clients=4)
-        applied = []
+        store = KVStore(window=3, max_clients=4, per_key=per_key)
+        references = {}
         duplicates = 0
 
-        def apply(command):
-            applied.append(command)
-            return f"result-{command}"
-
         for step in range(3000):
-            client, request = rng.randrange(7), rng.randrange(1, 9)
-            applied_before = len(applied)
-            result, duplicate = fused.apply_once(client, request, apply, step)
+            client, request_id = rng.randrange(7), rng.randrange(1, 9)
+            key = rng.choice("abc") if per_key else "k"
+            command = request(client, request_id, key=key)
+            applied_before, duplicates_before = store.applied_count, store.duplicates
+            result = store.apply(command)
+            duplicate = store.duplicates - duplicates_before
 
-            expected = reference.get(client, request)
-            expected_duplicate = expected is not None
+            reference = references.get(key)
+            if reference is None:
+                reference = references[key] = ReferenceSessions(window=3, max_clients=4)
+            expected = reference.get(client, request_id)
             if expected is None:
-                expected = f"result-{step}"
-                reference.put(client, request, expected)
-
-            assert (result, duplicate) == (expected, expected_duplicate)
-            assert duplicate == (len(applied) == applied_before)  # applied iff not a duplicate
-            assert lru_order(fused) == lru_order(reference)
+                assert result.command_uid == command.uid
+                reference.put(client, request_id, result)
+            else:
+                assert result is expected
+            assert duplicate == (expected is not None)
+            # Applied iff not a duplicate.
+            assert store.applied_count - applied_before == 1 - duplicate
+            if per_key:
+                assert [(k, lru_order(tables)) for k, tables in store.sessions.items()] == [
+                    (k, lru_order(ref.sessions)) for k, ref in references.items()
+                ]
+            else:
+                assert lru_order(store.sessions) == lru_order(reference.sessions)
             duplicates += duplicate
-        assert (fused.evictions, fused.session_evictions) == (
-            reference.evictions, reference.session_evictions)
+        assert store.duplicates == duplicates
+        assert (store.evictions, store.session_evictions) == (
+            sum(ref.evictions for ref in references.values()),
+            sum(ref.session_evictions for ref in references.values()),
+        )
         # The stream really exercised all three outcomes.
-        assert duplicates > 100 and fused.evictions > 100 and fused.session_evictions > 100
+        assert duplicates > 100 and store.evictions > 100 and store.session_evictions > 100
 
     def test_client_churn_evicts_idle_sessions(self):
-        from repro.statemachine.sessions import ClientSessionCache
+        store = KVStore(window=8, max_clients=2)
+        a = store.apply(request(1000, 1))
+        store.apply(request(1001, 1))
+        assert store.apply(request(1000, 1)) is a  # touch 1000 so 1001 is idle
+        c = store.apply(request(1002, 1))          # third client: evict 1001 wholesale
+        assert len(store.sessions) == 2
+        assert store.session_evictions == 1
+        assert cached(store, 1001, 1) is None
+        assert cached(store, 1000, 1) is a
+        assert cached(store, 1002, 1) is c
 
-        cache = ClientSessionCache(window=8, max_clients=2)
-        cache.put(1000, 1, "a")
-        cache.put(1001, 1, "b")
-        assert cache.get(1000, 1) == "a"  # touch 1000 so 1001 is idle
-        cache.put(1002, 1, "c")           # third client: evict 1001 wholesale
-        assert cache.client_count() == 2
-        assert cache.session_evictions == 1
-        assert cache.get(1001, 1) is None
-        assert cache.get(1000, 1) == "a"
-        assert cache.get(1002, 1) == "c"
+    def test_batch_with_a_duplicate_sub_command_applies_the_rest(self):
+        store = KVStore()
+        first = store.apply(request(1000, 1))
+        retry = request(1002, 1)
+        batch = CommandBatch([request(1001, 1), request(1000, 1), retry, retry,
+                              request(1003, 1, op=OpType.GET)])
+        results = store.apply(batch)
+        assert isinstance(results, tuple) and len(results) == 5
+        assert results[0].command_uid == batch.commands[0].uid
+        assert results[1] is first  # answered from the session, not re-applied
+        assert results[2].command_uid == retry.uid and results[3] is results[2]
+        assert results[4].value == "1002.1"  # the batch applied in order
+        assert store.get("k") == "1002.1"
+        assert (store.applied_count, store.duplicates) == (4, 2)
+
+    def test_noop_applies_without_a_session(self):
+        store = KVStore()
+        noop = NoOp()
+        result = store.apply(noop)
+        assert result.success and result.command_uid == noop.uid and result.value is None
+        assert (store.applied_count, store.duplicates, store.sessions) == (1, 0, {})
+
+    @pytest.mark.parametrize("client, request_id", [(-1, 1), (1000, 0)])
+    def test_anonymous_commands_always_apply(self, client, request_id):
+        store = KVStore()
+        for value in ("first", "second"):
+            store.apply(Command(op=OpType.PUT, key="k", value=value,
+                                client_id=client, request_id=request_id))
+        assert store.get("k") == "second"
+        assert (store.applied_count, store.duplicates, store.sessions) == (2, 0, {})
+
+    def test_per_key_batch_files_each_sub_command_under_its_own_key(self):
+        """EPaxos scope: a batch mixing keys keeps one table per key, and a
+        window of one on key ``b`` leaves key ``a``'s entry in place."""
+        store = KVStore(window=1, per_key=True)
+        batch = CommandBatch([request(1000, 1, key="a"), request(1000, 2, key="b")])
+        results = store.apply(batch)
+        assert store.sessions == {"a": {1000: {1: results[0]}}, "b": {1000: {2: results[1]}}}
+        assert store.apply(request(1000, 1, key="a")) is results[0]
+        assert (store.applied_count, store.duplicates, store.evictions) == (2, 1, 0)
