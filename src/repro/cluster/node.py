@@ -24,7 +24,6 @@ from heapq import heappush
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
-from repro.net.message import Envelope
 from repro.net.network import SimNetwork
 from repro.protocol.base import HandlerTable, Replica, TimerLike
 from repro.protocol.messages import ClientRequest
@@ -80,7 +79,8 @@ class SimNode:
 
         #: ``send(dst, message)``: the replica-facing NodeContext send.
         self.send = partial(self._send_as, node_id)
-        #: ``arrive(envelope)``: the network-facing Endpoint arrival entry.
+        #: ``arrive(src, message, size)``: the network-facing Endpoint
+        #: arrival entry.
         self.arrive = partial(self._arrive_for, self._handle)
         network.register(self)
 
@@ -209,21 +209,23 @@ class SimNode:
         self._busy_time_total += cost
 
     # ------------------------------------------------------------------ Endpoint API
-    def _arrive_for(self, handler: Callable[[Envelope], None], envelope: Envelope) -> None:
-        """An envelope lands on this machine: count it, charge CPU, queue ``handler``.
+    def _arrive_for(
+        self, handler: Callable[[int, Any], None], src: int, message: Any, size: int
+    ) -> None:
+        """A message lands on this machine: count it, charge CPU, queue ``handler``.
 
         The one charged-receive body, called directly by the network's
-        delivery event.  Reachability is judged here, at arrival time: a
-        machine that crashed after the send black-holes the envelope.
+        delivery event; the completion event is ``handler(src, message)``.
+        Reachability is judged here, at arrival time: a machine that crashed
+        after the send black-holes the message.
         """
         if self._crashed:
             self._undeliverable.value += 1
             return
         self._delivered.value += 1
-        size = envelope.size_bytes
         # Same reservation arithmetic as _reserve, inlined (see _send_as).
         cost = self._recv_per_message + self._per_byte * size
-        if type(envelope.message) is ClientRequest:
+        if type(message) is ClientRequest:
             cost += self._client_request_extra
         cost *= self._sluggish_factor
         sim = self._sim
@@ -238,15 +240,14 @@ class SimNode:
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, (ready_at, 0, seq, handler, (envelope,)))
+        heappush(queue._heap, (ready_at, 0, seq, handler, (src, message)))
         queue._live += 1
 
-    def _handle(self, envelope: Envelope) -> None:
-        """Dispatch a received envelope: one probe of the replica's handler table."""
+    def _handle(self, src: int, message: Any) -> None:
+        """Dispatch a received message: one probe of the replica's handler table."""
         if self._crashed or self._handlers is None:
             return
-        message = envelope.message
-        self._handlers[type(message)](envelope.src, message)
+        self._handlers[type(message)](src, message)
 
     # ------------------------------------------------------------------ faults
     @property
@@ -254,7 +255,14 @@ class SimNode:
         return self._crashed
 
     def crash(self) -> None:
-        """Silently stop processing and emitting messages (paper's crash model).
+        """Silently stop processing messages and queueing sends.
+
+        Arrivals from now on are black-holed, queued handlers and replica
+        timers are dropped, and ``_send_as`` queues nothing new.  A send
+        already charged before the crash still leaves at its CPU
+        completion, though: ``_send_as`` judges the crash when it queues the
+        send, not when the send departs, so this is not yet the paper's
+        crash model (where nothing leaves a crashed node).
 
         A machine crash takes down *every* replica instance it hosts: the
         shard siblings share this node's ``_crashed`` flag (their reachability
@@ -382,11 +390,10 @@ class ShardReplicaHost:
         callback(*args)
 
     # ------------------------------------------------------------------ Endpoint API
-    def _handle(self, envelope: Envelope) -> None:
+    def _handle(self, src: int, message: Any) -> None:
         if self._host._crashed or self._handlers is None:
             return
-        message = envelope.message
-        self._handlers[type(message)](envelope.src, message)
+        self._handlers[type(message)](src, message)
 
     # ------------------------------------------------------------------ faults
     @property

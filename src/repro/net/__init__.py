@@ -9,7 +9,7 @@ directly: replicas send through their :class:`~repro.protocol.base.NodeContext`
 :class:`~repro.cluster.node.ShardReplicaHost`).
 """
 
-from repro.net.message import Envelope, Message
+from repro.net.message import Message
 from repro.net.sizes import SizeModel
 from repro.net.latency import (
     LatencyModel,
@@ -22,7 +22,6 @@ from repro.net.faults import NetworkFaults
 from repro.net.network import SimNetwork
 
 __all__ = [
-    "Envelope",
     "Message",
     "SizeModel",
     "LatencyModel",

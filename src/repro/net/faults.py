@@ -111,7 +111,7 @@ class NetworkFaults:
         """Decide whether a delivered message is also delivered a second time.
 
         Models retransmission storms: the duplicate is an extra copy of the
-        same envelope, scheduled with its own latency draw.  Only consulted
+        same message, scheduled with its own latency draw.  Only consulted
         (and only consuming randomness) when a duplicate storm is active, so
         runs without duplication keep byte-identical RNG streams.
         """

@@ -12,14 +12,25 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from math import cos, log, pi, sin, sqrt
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-#: ``(base, low, width)``: every draw on the link is
-#: ``base * (low + width * rng.random())``, or exactly ``base`` with no draw
-#: when ``low`` is None.
-LinkDelay = Tuple[float, Optional[float], Optional[float]]
+
+class LinkDelay(NamedTuple):
+    """The static part of one link's delay, in one of three shapes.
+
+    * constant: exactly ``base``, no draw (``low`` and ``stddev`` None);
+    * uniform jitter: ``base * (low + width * rng.random())``;
+    * truncated normal: ``base + z * stddev`` for a polar-method gauss
+      ``z``, or ``floor`` when that is not above it.
+    """
+
+    base: float
+    low: Optional[float] = None
+    width: Optional[float] = None
+    stddev: Optional[float] = None
+    floor: Optional[float] = None
 
 
 class LatencyModel(ABC):
@@ -29,16 +40,14 @@ class LatencyModel(ABC):
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         """Return the one-way delay in seconds for a message from src to dst."""
 
-    def link(self, src: int, dst: int) -> Optional[LinkDelay]:
-        """The static part of the ``src -> dst`` delay, or None if there is none.
+    @abstractmethod
+    def link(self, src: int, dst: int) -> LinkDelay:
+        """The static part of the ``src -> dst`` delay.
 
-        The network resolves this once per link and applies the per-send
-        jitter draw itself, with the arithmetic of :meth:`delay` (which
-        stays the per-send definition and the reference the tests compare
-        against).  Models whose every draw depends on the RNG alone return
-        None and have :meth:`delay` called per send.
+        The network resolves this once per link and makes the per-send draw
+        itself, with the arithmetic of :meth:`delay` (which stays the
+        per-send definition and the reference the tests compare against).
         """
-        return None
 
     def describe(self) -> str:
         return type(self).__name__
@@ -56,7 +65,7 @@ class ConstantLatency(LatencyModel):
         return self.one_way
 
     def link(self, src: int, dst: int) -> LinkDelay:
-        return (0.0 if src == dst else self.one_way, None, None)
+        return LinkDelay(0.0 if src == dst else self.one_way)
 
 
 @dataclass(frozen=True)
@@ -70,16 +79,11 @@ class NormalLatency(LatencyModel):
     def delay(self, src: int, dst: int, rng: random.Random) -> float:
         if src == dst:
             return 0.0
-        # Inlined random.Random.gauss (same polar-method algorithm and spare
-        # -value caching, so the draw sequence is bit-identical) -- this is
-        # one call per message send, and the stdlib implementation is a
-        # Python-level function.  Falls back for Random subclasses without
-        # the ``gauss_next`` spare slot.
-        try:
-            z = rng.gauss_next
-            rng.gauss_next = None
-        except AttributeError:
-            return max(self.floor, rng.gauss(self.mean, self.stddev))
+        # random.Random.gauss inlined (same polar-method algorithm and
+        # spare-value caching, so the draw sequence is bit-identical);
+        # SimNetwork.send repeats it from the link record.
+        z = rng.gauss_next
+        rng.gauss_next = None
         if z is None:
             uniform = rng.random
             x2pi = uniform() * (2.0 * pi)
@@ -89,6 +93,11 @@ class NormalLatency(LatencyModel):
         value = self.mean + z * self.stddev
         floor = self.floor
         return value if value > floor else floor
+
+    def link(self, src: int, dst: int) -> LinkDelay:
+        if src == dst:
+            return LinkDelay(0.0)
+        return LinkDelay(self.mean, stddev=self.stddev, floor=self.floor)
 
 
 # Approximate one-way inter-region latencies (seconds) between the AWS regions
@@ -179,7 +188,7 @@ class WANMatrixLatency(LatencyModel):
     def link(self, src: int, dst: int) -> LinkDelay:
         base = self.base_delay(src, dst)
         if base == 0.0 or self.jitter <= 0.0:
-            return (base, None, None)
+            return LinkDelay(base)
         # rng.uniform(a, b) is exactly a + (b - a) * rng.random().
         low = 1.0 - self.jitter
-        return (base, low, (1.0 + self.jitter) - low)
+        return LinkDelay(base, low, (1.0 + self.jitter) - low)

@@ -1,14 +1,13 @@
-"""Message and envelope types exchanged between nodes.
+"""The base type of every message exchanged between nodes.
 
 A :class:`Message` is any protocol-level payload (Phase-1a, Phase-2b, a relay
-aggregate, a client request...).  The network wraps it in an
-:class:`Envelope` carrying addressing and accounting information: sender,
-destination, wire size in bytes and send time.
+aggregate, a client request...).  The network carries the object itself:
+its delivery event calls ``arrive(src, message, size)`` on the destination
+(:class:`~repro.net.network.Endpoint`), so sender and wire size travel
+beside the message and nothing wraps it.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 
 class Message:
@@ -34,40 +33,3 @@ class Message:
     @property
     def kind(self) -> str:
         return type(self).__name__
-
-
-class Envelope:
-    """A message in flight between two endpoints.
-
-    A plain ``__slots__`` class (not a dataclass): one is allocated per
-    attempted send, so construction must stay cheap.
-    """
-
-    __slots__ = ("src", "dst", "message", "size_bytes", "send_time")
-
-    def __init__(
-        self,
-        src: int,
-        dst: int,
-        message: Any,
-        size_bytes: int = 0,
-        send_time: float = 0.0,
-    ) -> None:
-        self.src = src
-        self.dst = dst
-        self.message = message
-        self.size_bytes = size_bytes
-        self.send_time = send_time
-
-    @property
-    def kind(self) -> str:
-        message_kind = getattr(self.message, "kind", None)
-        if message_kind is not None:
-            return message_kind
-        return type(self.message).__name__
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Envelope({self.kind} {self.src}->{self.dst} "
-            f"{self.size_bytes}B @{self.send_time:.6f})"
-        )

@@ -8,12 +8,15 @@ message:
    the link's first send,
 2. counts the attempt (globally, per message type, per locality level),
 3. consults :class:`~repro.net.faults.NetworkFaults` (drops, partitions),
-4. computes delivery time = one-way latency + transmission time, and
-5. schedules the destination endpoint's arrival entry at that time.
+4. computes delivery time = one-way latency (the record's draw) +
+   transmission time, and
+5. schedules ``arrive(src, message, size)`` on the destination at that time.
 
+There is no envelope: the message object itself travels, shared by
+reference, and the sender and wire size ride in the delivery event's args.
 Per-link state is resolved once; fault state never is: drops and partitions
 are judged on every send, and whether the destination is up is judged by its
-arrival entry when the envelope lands.
+arrival entry when the message lands.
 
 CPU cost of sending/receiving is *not* modelled here; it is charged by the
 node model (:mod:`repro.cluster.node`), because that per-message processing
@@ -31,33 +34,36 @@ tables emitted by ``benchmarks/bench_scenarios.py``.
 from __future__ import annotations
 
 from heapq import heappush
+from math import cos, log, pi, sin, sqrt
 from typing import Any, Dict, Optional, Protocol
 
 from repro.errors import NetworkError
 from repro.net.faults import NetworkFaults
-from repro.net.message import Envelope
 from repro.net.sizes import SizeModel
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 
+_TWO_PI = 2.0 * pi
+
 
 class Endpoint(Protocol):
-    """Anything that can receive envelopes from the network."""
+    """Anything that can receive messages from the network."""
 
     endpoint_id: int
 
-    def arrive(self, envelope: Envelope) -> None:
-        """Accept an envelope at its delivery time.
+    def arrive(self, src: int, message: Any, size: int) -> None:
+        """Accept ``message`` from endpoint ``src`` at its delivery time.
 
-        The delivery event calls this directly, so the endpoint judges its
-        own reachability *now*: a crashed endpoint counts the envelope on
+        ``size`` is its wire size in bytes.  The delivery event calls this
+        directly, so the endpoint judges its own reachability *now*: a
+        crashed endpoint counts the message on
         :attr:`SimNetwork.undeliverable` and black-holes it, a live one
         counts it on :attr:`SimNetwork.delivered` and processes it.
         """
 
 
 class SimNetwork:
-    """Delivers envelopes between registered endpoints with latency and faults."""
+    """Delivers messages between registered endpoints with latency and faults."""
 
     def __init__(
         self,
@@ -95,10 +101,10 @@ class SimNetwork:
         self._kind_counters: Dict[type, tuple] = {}
         self._region_map = topology.region_map()
         self._zone_map = topology.zone_map()
-        # (src, dst) -> (arrive, locality counters, base, low, width): what is
+        # (src, dst) -> (arrive, locality counters, *LinkDelay): what is
         # fixed per link for the run, so every send after the link's first is
-        # one probe.  ``base``/``low``/``width`` are the latency model's
-        # static part (LatencyModel.link); all None when it has none.
+        # one probe.  The LinkDelay fields are the latency model's static
+        # part (LatencyModel.link).
         self._links: Dict[tuple, tuple] = {}
 
     # ----------------------------------------------------------------- wiring
@@ -130,30 +136,30 @@ class SimNetwork:
         return dict(self._endpoints)
 
     # ----------------------------------------------------------------- sending
-    def send(self, src: int, dst: int, message: Any, size: Optional[int] = None) -> Envelope:
-        """Send ``message`` from ``src`` to ``dst``; returns the envelope.
+    def send(self, src: int, dst: int, message: Any, size: Optional[int] = None) -> None:
+        """Send ``message`` from ``src`` to ``dst``.
 
-        The envelope is returned even when the message is dropped so callers
-        (and tests) can account for attempted sends.  ``size`` lets a caller
-        that already computed the wire size (the node CPU model charges for
-        it before the message reaches the fabric) pass it through instead of
-        re-deriving it.
+        ``size`` lets a caller that already computed the wire size (the node
+        CPU model charges for it before the message reaches the fabric) pass
+        it through instead of re-deriving it.  A dropped message is counted
+        as attempted and never arrives.
         """
         try:
-            arrive, locality, base, low, width = self._links[(src, dst)]
+            arrive, locality, base, low, width, stddev, floor = self._links[(src, dst)]
         except KeyError:
-            arrive, locality, base, low, width = self._resolve_link(src, dst)
+            arrive, locality, base, low, width, stddev, floor = self._resolve_link(src, dst)
         sim = self._sim
         now = sim._now
         if size is None:
             size = self._size_model.size_of(message)
-        envelope = Envelope(src, dst, message, size, now)
         self._sent_counter.value += 1
         self._bytes_counter.value += size
         try:
             counters = self._kind_counters[type(message)]
         except KeyError:
-            kind = envelope.kind
+            kind = getattr(message, "kind", None)
+            if kind is None:
+                kind = type(message).__name__
             counters = self._kind_counters[type(message)] = (
                 self._metrics.counter(f"net.sent.{kind}"),
                 self._metrics.counter(f"net.sent_bytes.{kind}"),
@@ -166,12 +172,24 @@ class SimNetwork:
         faults = self._faults
         if faults.lossy and faults.should_drop(src, dst, self._rng):
             self._dropped_counter.value += 1
-            return envelope
+            return
 
-        # The jitter draw stays per send, on the "network" stream; only the
-        # link's static part comes from the record.
-        if base is None:
-            delay = self._latency.delay(src, dst, self._rng)
+        # The draw stays per send, on the "network" stream, with the
+        # arithmetic of the model's delay(); only the link's static part
+        # comes from the record.
+        if stddev is not None:
+            # random.Random.gauss inlined, as NormalLatency.delay does.
+            rng = self._rng
+            z = rng.gauss_next
+            rng.gauss_next = None
+            if z is None:
+                uniform = self._random
+                x2pi = uniform() * _TWO_PI
+                g2rad = sqrt(-2.0 * log(1.0 - uniform()))
+                z = cos(x2pi) * g2rad
+                rng.gauss_next = sin(x2pi) * g2rad
+            value = base + z * stddev
+            delay = value if value > floor else floor
         elif low is None:
             delay = base
         else:
@@ -182,21 +200,21 @@ class SimNetwork:
         # Inlined EventQueue.push_call (canonical entry layout lives there):
         # delivery is the hottest scheduling site of all.  The rare duplicate
         # copy below goes through sim.post_at instead.
+        args = (src, message, size)
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, (now + delay, 0, seq, arrive, (envelope,)))
+        heappush(queue._heap, (now + delay, 0, seq, arrive, args))
         queue._live += 1
         if faults.duplicate_probability and faults.should_duplicate(src, dst, self._rng):
-            # A retransmitted copy of the same envelope with its own latency
+            # A retransmitted copy of the same message with its own latency
             # draw; protocols must tolerate it (at-most-once execution,
             # per-voter reply dedup).
             self._duplicated_counter.value += 1
             delay = self._latency.delay(src, dst, self._rng)
             if bandwidth:
                 delay += size / bandwidth
-            sim.post_at(now + delay, arrive, (envelope,))
-        return envelope
+            sim.post_at(now + delay, arrive, args)
 
     def _resolve_link(self, src: int, dst: int) -> tuple:
         """Build the ``(src, dst)`` link record on the link's first send.
@@ -207,8 +225,7 @@ class SimNetwork:
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
             raise NetworkError(f"cannot send to unknown endpoint {dst}")
-        static = self._latency.link(src, dst) or (None, None, None)
-        link = (endpoint.arrive, self._classify_locality(src, dst), *static)
+        link = (endpoint.arrive, self._classify_locality(src, dst), *self._latency.link(src, dst))
         self._links[(src, dst)] = link
         return link
 

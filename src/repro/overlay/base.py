@@ -34,11 +34,11 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    List,
     Mapping,
     Optional,
     Protocol,
     Sequence,
+    Tuple,
 )
 
 from repro.net.message import Message
@@ -63,9 +63,7 @@ class OverlayHost(Protocol):
     node_id: int
     handlers: Mapping[type, Callable[[int, Any], None]]
     relayed: Mapping[type, Callable[[int, Message], Optional[Message]]]
-
-    @property
-    def peers(self) -> List[int]: ...
+    peers: Tuple[int, ...]
 
     def send(self, dst: int, message: Any) -> None: ...
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Protocol, Sequence, Tuple
 
 from repro.overlay.base import FanoutOverlay
 from repro.overlay.direct import DirectFanout
@@ -81,7 +81,7 @@ class HandlerTable(dict):
     """``type(message) -> handler``; an unlisted type resolves to ``unknown``.
 
     ``table[type(message)](src, message)`` is the whole of message dispatch,
-    whoever performs it: the host node for a delivered envelope, the relay
+    whoever performs it: the host node for a delivered message, the relay
     overlay for an unwrapped vote, :meth:`Replica.on_message` for everything
     else -- and, on :attr:`Replica.relayed`, the relay overlay for a message
     it delivered.  Exact types only -- a wire type is never subclassed.
@@ -111,6 +111,10 @@ class Replica(ABC):
     #: reads it on nearly every message.  -1 until :meth:`bind` runs.
     node_id: int = -1
 
+    #: Every consensus node except this one, filled in once by :meth:`bind`
+    #: (the node set never changes during a run); unset until then.
+    peers: Tuple[int, ...]
+
     def __init__(self, overlay: Optional[FanoutOverlay] = None) -> None:
         #: The host node's context; a plain attribute like ``node_id``.  None
         #: until :meth:`bind`, so unbound use fails with an AttributeError.
@@ -136,7 +140,9 @@ class Replica(ABC):
         # replica sends are the hottest protocol->node edge, and the instance
         # attribute skips two call hops (Replica.send and the ctx property).
         self.send = ctx.send
-        self.node_id = ctx.node_id
+        self.node_id = node_id = ctx.node_id
+        # A list, not a generator: the profiler counts each resumption.
+        self.peers = tuple([n for n in ctx.all_nodes if n != node_id])
         # The protocol's own wire types plus the bound overlay's, which are
         # dispatched straight to the overlay's handlers.
         self.handlers = HandlerTable(
@@ -151,11 +157,6 @@ class Replica(ABC):
     def overlay(self) -> FanoutOverlay:
         """The fan-out overlay this replica's wide-casts route through."""
         return self._overlay
-
-    @property
-    def peers(self) -> List[int]:
-        """Every consensus node except this one."""
-        return [n for n in self.ctx.all_nodes if n != self.ctx.node_id]
 
     @property
     def cluster_size(self) -> int:

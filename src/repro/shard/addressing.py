@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.latency import LatencyModel, LinkDelay
 
@@ -63,7 +62,7 @@ class ShardAwareLatency(LatencyModel):
             src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE, rng
         )
 
-    def link(self, src: int, dst: int) -> Optional[LinkDelay]:
+    def link(self, src: int, dst: int) -> LinkDelay:
         return self.base.link(src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE)
 
     def describe(self) -> str:

@@ -148,7 +148,7 @@ class Simulator:
         self._running = True
         queue = self._queue
         heap = queue._heap
-        # The hot loop allocates heavily (envelopes, heap entries, messages)
+        # The hot loop allocates heavily (heap entries, event args, messages)
         # but almost entirely acyclically, so reference counting reclaims it;
         # the cyclic collector only adds generation-scan pauses.  Suspend it
         # for the duration of the run and restore the caller's setting after.

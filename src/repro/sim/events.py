@@ -105,7 +105,11 @@ class EventQueue:
     ``SimNetwork.send`` (net/network.py) -- and the event push at the
     engine's timer entry points, ``Simulator.schedule``/``schedule_at``.
     Changing the entry shape means updating every one of them; grep for
-    "push_call" and "EventQueue.push" to find the list.
+    "push_call" and "EventQueue.push" to find the list.  The message path's
+    args are ``(src, dst, message, size)`` for ``SimNetwork.send``,
+    ``(src, message, size)`` for the delivery entry (the destination's
+    ``arrive``) and ``(src, message)`` for the handler a node queues behind
+    its receive cost; no envelope wraps the message.
     """
 
     __slots__ = ("_heap", "_seq", "_live")

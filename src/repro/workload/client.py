@@ -15,10 +15,9 @@ client machines so they are never the bottleneck.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.net.message import Envelope
 from repro.net.network import SimNetwork
 from repro.protocol.messages import ClientReply, ClientRequest
 from repro.shard.addressing import shard_of_endpoint
@@ -98,10 +97,9 @@ class ClosedLoopClient:
         network.register(self)
 
     # --------------------------------------------------------------- endpoint
-    def arrive(self, envelope: Envelope) -> None:
-        """Clients never crash: every arriving envelope counts as delivered."""
+    def arrive(self, src: int, message: Any, size: int) -> None:
+        """Clients never crash: every arriving message counts as delivered."""
         self._delivered.value += 1
-        message = envelope.message
         if isinstance(message, ClientReply):
             self._on_reply(message)
 

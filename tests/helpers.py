@@ -104,19 +104,19 @@ class FakeContext:
 
 # --------------------------------------------------------------------- network
 class ArrivalSink:
-    """A network endpoint that records ``(arrival time, envelope)`` pairs."""
+    """A network endpoint that records ``(arrival time, src, message, size)``."""
 
     def __init__(self, endpoint_id: int, sim) -> None:
         self.endpoint_id = endpoint_id
         self._sim = sim
-        self.arrivals: List[Tuple[float, Any]] = []
+        self.arrivals: List[Tuple[float, int, Any, int]] = []
 
-    def arrive(self, envelope) -> None:
-        self.arrivals.append((self._sim.now, envelope))
+    def arrive(self, src: int, message: Any, size: int) -> None:
+        self.arrivals.append((self._sim.now, src, message, size))
 
     @property
     def received(self) -> List[Any]:
-        return [envelope for _, envelope in self.arrivals]
+        return [message for _, _, message, _ in self.arrivals]
 
 
 class SizedProbe:
@@ -127,45 +127,73 @@ class SizedProbe:
 
 
 def drive_against_per_send_reference(
-    topology, endpoint_ids: Sequence[int], latency_model=None, seed: int = 11, sends: int = 400
+    topology,
+    endpoint_ids: Sequence[int],
+    latency_model=None,
+    faults=None,
+    seed: int = 11,
+    sends: int = 400,
 ):
     """Random sends through a ``SimNetwork`` vs. ``latency.delay`` per send.
 
     The reference draws from a twin of the ``"network"`` RNG stream in send
-    order, exactly as the network did before it resolved links once.
-    Returns ``(records, counters)``: one ``(src, dst, actual, expected)``
-    record per send -- the two arrival times must be bit-equal -- and the
-    run's counter snapshot.
+    order, exactly as the network did before it resolved links once: the
+    drop verdict (when ``faults`` is lossy), the delay, the duplicate
+    verdict, and a second delay for a duplicated copy.  Returns
+    ``(records, counters)``: one ``(src, dst, actual, expected)`` record per
+    send, where ``actual`` and ``expected`` are the sorted
+    ``(arrival time, src, dst, size)`` of each copy (none for a dropped
+    send, two for a duplicated one) and must be bit-equal -- and the run's
+    counter snapshot.
     """
+    from repro.net.faults import NetworkFaults
     from repro.net.network import SimNetwork
     from repro.sim.engine import Simulator
 
     sim = Simulator(seed=seed)
     twin = Simulator(seed=seed).random.stream("network")
-    network = SimNetwork(sim, topology, latency_model=latency_model)
+    faults = faults or NetworkFaults()
+    network = SimNetwork(sim, topology, faults=faults, latency_model=latency_model)
     model = latency_model if latency_model is not None else topology.latency
     bandwidth = topology.bandwidth_bytes_per_sec
     sinks = {endpoint_id: ArrivalSink(endpoint_id, sim) for endpoint_id in endpoint_ids}
     for sink in sinks.values():
         network.register(sink)
+    # id(probe) -> (probe, src, dst, expected copies); holding the probe
+    # keeps a dropped one's id from being reused by a later send.
     expected = {}
     picker = random.Random(seed)
 
     def send_one() -> None:
         src, dst = picker.choice(endpoint_ids), picker.choice(endpoint_ids)
-        envelope = network.send(src, dst, SizedProbe(picker.randrange(0, 2000)))
-        delay = model.delay(src, dst, twin)
-        if bandwidth:
-            delay += envelope.size_bytes / bandwidth
-        expected[id(envelope)] = (src, dst, sim.now + delay)
+        probe = SizedProbe(picker.randrange(0, 2000))
+        network.send(src, dst, probe)
+        size = network.size_model.size_of(probe)
+        copies = []
+        expected[id(probe)] = (probe, src, dst, copies)
+
+        def copy_arrives() -> None:
+            delay = model.delay(src, dst, twin)
+            if bandwidth:
+                delay += size / bandwidth
+            copies.append((sim.now + delay, src, dst, size))
+
+        if faults.lossy and faults.should_drop(src, dst, twin):
+            return
+        copy_arrives()
+        if faults.duplicate_probability and faults.should_duplicate(src, dst, twin):
+            copy_arrives()
 
     for index in range(sends):
         sim.schedule(index * 0.0003, send_one)
     sim.run()
+    actual = {key: [] for key in expected}
+    for dst, sink in sinks.items():
+        for arrived_at, src, message, size in sink.arrivals:
+            actual[id(message)].append((arrived_at, src, dst, size))
     records = [
-        (*expected[id(envelope)][:2], arrived_at, expected[id(envelope)][2])
-        for sink in sinks.values()
-        for arrived_at, envelope in sink.arrivals
+        (src, dst, sorted(actual[key]), sorted(copies))
+        for key, (_, src, dst, copies) in expected.items()
     ]
     assert len(records) == sends
     return records, sim.metrics.counters()

@@ -4,11 +4,13 @@ Timers cannot gate on a shared runner; call counts can.  ``cProfile`` counts
 every Python and C function call, the count repeats exactly for a given
 scenario and seed, and it tracks the simulator's per-message host cost (the
 perf ledger's ``host_calls_per_op``, see ``benchmarks/ledger/README.md``).
-Four small fixed scenarios -- one relay-tree run on a planet topology, one
+Five small fixed scenarios -- one relay-tree run on a planet topology, one
 sharded run through ``ShardReplicaHost``, one batched and pipelined run
 through the shared ``Batcher`` and the per-client reply fan-out, one
-leaderless EPaxos run on zipfian keys with the EPaxos invariants checked --
-must stay within a pinned budget.
+leaderless EPaxos run on zipfian keys with the EPaxos invariants checked,
+one unbatched Multi-Paxos run with direct fan-out on a LAN, where the
+send -> deliver -> handle path dominates -- must stay within a pinned
+budget.
 
 The budgets carry about 10 % headroom over the measured count.  Exceeding
 one means the send -> deliver -> handle path grew per-message work: find it
@@ -29,6 +31,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.net.latency import LatencyModel
 from repro.scenarios import Scenario, ScenarioRunner
 from repro.workload.spec import WorkloadSpec
 
@@ -56,7 +59,10 @@ BUDGETS = [
             min_completed=20,
             seed=5,
         ),
-        # measured 1873.1; 1986.9 (budget 2185) before the store applied
+        # measured 1816.0; 1873.1 (budget 2060) before messages travelled
+        # without an envelope and replicas read their peers from a tuple
+        # bound once (the planet's WAN links already drew from their link
+        # record), 1986.9 (budget 2185) before the store applied
         # each executed entry, batch and session dedup included, in one
         # call, 1997.8 (budget 2200) before the client stopped
         # writing each completion into registry metrics nothing read,
@@ -67,7 +73,7 @@ BUDGETS = [
         # (budget 3700) before the apply path, the log checks and dispatch
         # were cut to one probe each, 5059 before the per-link/per-message
         # rework
-        2060,
+        1995,
     ),
     (
         Scenario(
@@ -81,10 +87,13 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 350.5; 372.3 (budget 410), 383.3 (budget 425), 406.5
+        # measured 311.8; 350.5 (budget 385) before every link drew its
+        # delay from its record (a NormalLatency.delay call per send, and
+        # a ShardAwareLatency.delay around it) and the envelope cut above,
+        # 372.3 (budget 410), 383.3 (budget 425), 406.5
         # (budget 450), 440.3 (budget 485), 547 (budget 600) and 792 before,
         # as above
-        385,
+        345,
     ),
     (
         Scenario(
@@ -98,14 +107,15 @@ BUDGETS = [
             min_completed=1000,
             seed=5,
         ),
-        # measured 248.0 over 1480 ops; 279.8 (budget 310) before the
-        # one-call apply above (every replica unpacked every batch through
-        # a call per sub-command), 291.8 (budget 325) before the
+        # measured 236.0 over 1480 ops; 248.0 (budget 275) before the
+        # link-record draw and envelope cuts above, 279.8 (budget 310)
+        # before the one-call apply above (every replica unpacked every
+        # batch through a call per sub-command), 291.8 (budget 325) before the
         # completion writes above, 312.2 (budget 345) before the vote
         # path cuts above, 337.5 (budget 370) before the frame cuts, 341.1
         # with the two per-protocol batchers this cell was pinned against,
         # so sharing one cost nothing
-        275,
+        260,
     ),
     (
         Scenario(
@@ -119,15 +129,41 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 741.9 over 379 ops; 765.4 (budget 845) before the
-        # one-call apply above, 776.4 (budget 855) before the
+        # measured 681.9 over 379 ops; 741.9 (budget 815) before the
+        # link-record draw and envelope cuts above, 765.4 (budget 845)
+        # before the one-call apply above, 776.4 (budget 855) before the
         # completion writes above (the vote path cuts above share no code
         # with it), 800.6 (budget 885) before the frame cuts, 1217.2
         # while the conflict index, the planner and the EPaxos invariants
         # paid calls per dependency
-        815,
+        750,
+    ),
+    (
+        Scenario(
+            name="budget-lan9-paxos",
+            protocol="paxos",
+            num_nodes=9,
+            num_clients=8,
+            duration=0.3,
+            checks=CHECKS,
+            min_completed=1000,
+            seed=5,
+        ),
+        # measured 427.6 over 1360 ops; 475.8 before the link-record draw
+        # and envelope cuts above, when this cell was added
+        470,
     ),
 ]
+
+
+def _latency_delay_qualnames() -> set:
+    """``<Model>.delay`` for every loaded :class:`LatencyModel` subclass."""
+    names, pending = set(), [LatencyModel]
+    while pending:
+        model = pending.pop()
+        pending.extend(model.__subclasses__())
+        names.add(f"{model.__qualname__}.delay")
+    return names
 
 
 @pytest.mark.parametrize("scenario, budget", BUDGETS, ids=lambda value: getattr(value, "name", None))
@@ -152,3 +188,12 @@ def test_calls_per_op_within_budget(scenario, budget):
         if getattr(entry.code, "co_qualname", None) == "SimNetwork.send"
     )
     assert send_calls == result.counters()["net.messages_sent"]
+    # Every send draws its delay from the link record; only a duplicated
+    # copy asks the latency model per send (none here: no faults).
+    delay_names = _latency_delay_qualnames()
+    delay_calls = sum(
+        entry.callcount
+        for entry in stats
+        if getattr(entry.code, "co_qualname", None) in delay_names
+    )
+    assert delay_calls == result.counters()["net.messages_duplicated"] == 0

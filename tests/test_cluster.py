@@ -12,7 +12,6 @@ from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topolo
 from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency, WANMatrixLatency
-from repro.net.message import Envelope
 from repro.net.network import SimNetwork
 from repro.net.topology import Topology
 from repro.overlay import RelayFanout
@@ -52,7 +51,7 @@ class TestNodeCPUModel:
         sim = Simulator(seed=0)
         network = SimNetwork(sim, lan_topology(1))
         node = SimNode(0, sim, network, cpu=cpu)
-        node.arrive(Envelope(1, 0, message, network.size_model.size_of(message)))
+        node.arrive(1, message, network.size_model.size_of(message))
         return node.busy_time_total
 
     def test_costs_scale_with_size(self):
@@ -136,7 +135,7 @@ class TestSimNode:
         return sim, nodes
 
     def test_crash_between_send_and_arrival_is_undeliverable(self):
-        # Reachability is judged when the envelope lands, not when it left.
+        # Reachability is judged when the message lands, not when it left.
         sim, nodes = self._slow_link_setup()
         nodes[0].replica.send(1, "in flight")
         sim.schedule(0.0005, nodes[1].crash)
@@ -145,6 +144,23 @@ class TestSimNode:
         assert sim.metrics.counter("net.messages_sent").value == 1
         assert sim.metrics.counter("net.messages_undeliverable").value == 1
         assert sim.metrics.counter("net.messages_delivered").value == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a send charged before its node crashed still departs at its CPU "
+        "completion; fixing it moves the crash scenarios' fingerprints",
+    )
+    def test_crashed_sender_emits_nothing(self):
+        # The paper's crash model: nothing leaves a crashed node, including a
+        # send it had already charged to its CPU.  Node 0's send departs at
+        # 10 ms; node 0 crashes at 5 ms.
+        cpu = NodeCPUModel(recv_per_message=0.0, send_per_message=0.01, per_byte=0.0)
+        sim, network, nodes = self._setup(cpu=cpu)
+        nodes[0].replica.send(1, "ping")
+        sim.schedule(0.005, nodes[0].crash)
+        sim.run()
+        assert nodes[1].replica.received == []
+        assert sim.metrics.counter("net.messages_sent").value == 0
 
     def test_recovery_between_send_and_arrival_is_delivered(self):
         sim, nodes = self._slow_link_setup()
@@ -208,7 +224,7 @@ class TestSimNode:
 
 
 class TestDispatch:
-    """A delivered envelope is one probe of the hosted replica's handler table."""
+    """A delivered message is one probe of the hosted replica's handler table."""
 
     @staticmethod
     def _node(replica_class, overlay=None, as_shard=False):
@@ -226,7 +242,7 @@ class TestDispatch:
 
     @staticmethod
     def _deliver(host, message):
-        host.arrive(Envelope(1, host.endpoint_id, message, 64))
+        host.arrive(1, message, 64)
 
     @pytest.mark.parametrize("as_shard", [False, True], ids=["node", "shard-host"])
     @pytest.mark.parametrize("replica_class", [MultiPaxosReplica, EPaxosReplica])
@@ -242,7 +258,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("as_shard", [False, True], ids=["node", "shard-host"])
     def test_crashed_host_handles_nothing(self, as_shard):
-        # The crash lands after the envelope was accepted and charged but
+        # The crash lands after the message was accepted and charged but
         # before its handler ran: the queued dispatch must drop it.
         sim, machine, host = self._node(MultiPaxosReplica, as_shard=as_shard)
         self._deliver(host, "not a wire type")

@@ -16,10 +16,11 @@ from repro.net.latency import (
     NormalLatency,
     WANMatrixLatency,
 )
-from repro.net.message import Envelope, Message
+from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.sizes import SizeModel
 from repro.net.topology import Region, Topology
+from repro.shard.addressing import ShardAwareLatency, shard_endpoint
 from repro.sim.engine import Simulator
 
 
@@ -39,8 +40,8 @@ class _Sink:
         self.endpoint_id = endpoint_id
         self.received = []
 
-    def arrive(self, envelope: Envelope) -> None:
-        self.received.append(envelope)
+    def arrive(self, src: int, message: Message, size: int) -> None:
+        self.received.append((src, message, size))
 
 
 class TestLatencyModels:
@@ -256,8 +257,37 @@ class TestLinkRecord:
         for name, count in reference.items():
             assert counters[f"{name}_messages"] == count
 
-    def test_models_without_a_static_part_draw_per_send(self):
-        for latency in (NormalLatency(), ConstantLatency(0.001)):
-            topology = Topology(node_ids=[0, 1, 2], latency=latency)
-            records, _ = drive_against_per_send_reference(topology, [0, 1, 2], sends=100)
-            assert all(actual == expected for _, _, actual, expected in records)
+    @pytest.mark.parametrize(
+        "latency",
+        [
+            NormalLatency(),
+            NormalLatency(mean=0.0002, stddev=0.0002, floor=0.0001),  # floor binds ~30 %
+            ConstantLatency(0.001),
+            ShardAwareLatency(NormalLatency()),
+        ],
+        ids=["normal", "normal-floored", "constant", "shard-aware-normal"],
+    )
+    def test_lan_models_draw_from_their_link_record(self, latency):
+        topology = Topology(node_ids=[0, 1, 2], latency=latency, bandwidth_bytes_per_sec=1e6)
+        endpoints = [0, 1, 2, shard_endpoint(1, 2)]
+        records, counters = drive_against_per_send_reference(topology, endpoints, sends=100)
+        assert all(actual == expected for _, _, actual, expected in records)
+        assert all(len(actual) == 1 for _, _, actual, _ in records)
+        assert counters["net.messages_sent"] == 100
+
+    def test_drops_and_duplicates_keep_the_gauss_sequence(self):
+        # Drops and duplicate verdicts draw from the same "network" stream
+        # as the inline gauss, and a duplicate copy calls delay() on the
+        # shared spare; every arrival must still be bit-equal.
+        latency = NormalLatency(mean=0.0002, stddev=0.0002, floor=0.0001)
+        topology = Topology(node_ids=[0, 1, 2, 3], latency=latency)
+        faults = NetworkFaults(drop_probability=0.2, duplicate_probability=0.3)
+        records, counters = drive_against_per_send_reference(
+            topology, [0, 1, 2, 3], faults=faults, sends=300
+        )
+        assert all(actual == expected for _, _, actual, expected in records)
+        dropped = sum(1 for _, _, actual, _ in records if not actual)
+        duplicated = sum(1 for _, _, actual, _ in records if len(actual) == 2)
+        assert dropped == counters["net.messages_dropped"] > 0
+        assert duplicated == counters["net.messages_duplicated"] > 0
+        assert all(len(actual) <= 2 for _, _, actual, _ in records)
