@@ -18,7 +18,12 @@ names in ``repro.lint.counters`` -- in both directions too.
 
 Every ``import repro...`` / ``from repro... import ...`` inside a fenced
 ``python`` block must resolve -- module importable, names present -- so a
-document that teaches a deleted class fails the docs job.
+document that teaches a deleted class fails the docs job.  So must every
+backticked class name in the markdown -- ``ClassName`` or
+``ClassName.attr`` in backticks, or either one opening a call or subscript
+there: the class must be defined under ``src/repro`` or ``tests/`` and
+carry the attribute (its own or an in-repo base's), unless the name is one
+of the few builtin/stdlib names in ``STDLIB_NAMES``.
 
 Finally, the docstrings and comments of the ``.py`` files are held to the
 same standard: a cited ``*.md`` must name a file in the repo (matched as a
@@ -122,6 +127,78 @@ def unresolved_imports(text: str) -> list[str]:
                 problems.append(f"`import {module_name}` fails: no such module")
             elif name is not None and not resolves(f"{module_name}.{name}"):
                 problems.append(f"`from {module_name} import {name}`: no such name")
+    return problems
+
+
+#: A backticked CamelCase class name with at most one attribute, closed by
+#: the backtick or opening a call or subscript: `Cluster`,
+#: `SimNetwork.send(...)`.  All-caps tokens (`CRASHED`, `BENCHMARK.json`)
+#: are not class names.
+CLASS_NAME_RE = re.compile(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.([A-Za-z_]\w*))?(?=[`(\[])")
+#: The builtin and stdlib names the markdown may cite.
+STDLIB_NAMES = frozenset({"AttributeError", "None", "OrderedDict", "Counter.update"})
+#: Where the classes the markdown may name are defined.
+CLASS_ROOTS = ("src/repro", "tests")
+
+
+def defined_classes() -> dict[str, tuple[set[str], set[str]]]:
+    """``name -> (attributes, base names)`` of every class under ``CLASS_ROOTS``.
+
+    Attributes are the class's methods, class-level assignments and every
+    ``self.<attr> = ...`` in its methods; same-named classes are merged.
+    """
+    classes: dict[str, tuple[set[str], set[str]]] = {}
+    for root in CLASS_ROOTS:
+        for source in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                attributes, bases = classes.setdefault(node.name, (set(), set()))
+                bases.update(base.id for base in node.bases if isinstance(base, ast.Name))
+                for item in node.body:
+                    if isinstance(item, ast.Assign):
+                        attributes.update(t.id for t in item.targets if isinstance(t, ast.Name))
+                    elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        attributes.add(item.target.id)
+                for item in ast.walk(node):
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        attributes.add(item.name)
+                    elif (
+                        isinstance(item, ast.Attribute)
+                        and isinstance(item.ctx, ast.Store)
+                        and isinstance(item.value, ast.Name)
+                        and item.value.id == "self"
+                    ):
+                        attributes.add(item.attr)
+    return classes
+
+
+def _has_attribute(classes, name: str, attribute: str) -> bool:
+    """Whether class ``name`` or one of its in-repo bases defines ``attribute``."""
+    pending, seen = [name], set()
+    while pending:
+        current = pending.pop()
+        if current in seen or current not in classes:
+            continue
+        seen.add(current)
+        attributes, bases = classes[current]
+        if attribute in attributes:
+            return True
+        pending.extend(bases)
+    return False
+
+
+def unknown_class_names(text: str, classes) -> list[str]:
+    """Backticked class names in ``text`` that no in-repo class (or attribute) backs."""
+    problems = []
+    for name, attribute in sorted(set(CLASS_NAME_RE.findall(text))):
+        cited = f"{name}.{attribute}" if attribute else name
+        if cited in STDLIB_NAMES:
+            continue
+        if name not in classes:
+            problems.append(f"names `{cited}`, but no class {name} is defined under src/repro or tests")
+        elif attribute and not _has_attribute(classes, name, attribute):
+            problems.append(f"names `{cited}`, but class {name} has no attribute {attribute}")
     return problems
 
 
@@ -359,6 +436,12 @@ def main(arguments: list[str]) -> int:
         f"{markdown.relative_to(REPO_ROOT)}: {problem}"
         for markdown in files
         for problem in unresolved_imports(markdown.read_text(encoding="utf-8"))
+    )
+    classes = defined_classes()
+    problems.extend(
+        f"{markdown.relative_to(REPO_ROOT)}: {problem}"
+        for markdown in files
+        for problem in unknown_class_names(markdown.read_text(encoding="utf-8"), classes)
     )
     cited = repo_markdown()
     problems.extend(

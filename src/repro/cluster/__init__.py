@@ -1,7 +1,8 @@
 """Cluster substrate: simulated nodes, topology presets, builder.
 
-A :class:`~repro.cluster.node.SimNode` hosts a protocol replica and models the
-node's CPU as a single-server queue: every received and sent message (and
+A :class:`~repro.cluster.node.SimNode` hosts one protocol replica per
+consensus group (each in a :class:`~repro.cluster.node.ShardReplicaHost`) and
+models the node's CPU as a single-server queue: every received and sent message (and
 every command execution) costs processing time, so a node that must handle
 many messages per consensus round -- the Paxos leader -- saturates first.
 This is the same bottleneck structure the paper measures on EC2 and models

@@ -20,12 +20,7 @@ from repro.net.network import SimNetwork
 from repro.net.topology import Topology
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.resolver import ConfigLike, build_replica, resolve_config
-from repro.shard.addressing import (
-    SHARD_ENDPOINT_STRIDE,
-    ShardAwareLatency,
-    physical_node,
-    shard_endpoint,
-)
+from repro.shard.addressing import SHARD_ENDPOINT_STRIDE, shard_endpoint
 from repro.shard.router import ShardMap, ShardRouter, round_robin_leaders
 from repro.sim.engine import Simulator
 from repro.workload.client import ClosedLoopClient
@@ -42,19 +37,8 @@ CLIENT_START_TIME = 0.05
 NODE_CPU = NodeCPUModel()
 
 
-def _committed_prefixes(nodes: Dict[int, object]) -> Dict[int, List[Optional[int]]]:
-    """Gap-free committed command uids per log-bearing replica of ``nodes``."""
-    prefixes: Dict[int, List[Optional[int]]] = {}
-    # lint: ok(no-unordered-iteration) nodes insertion order is ascending endpoint id (built from sorted topology.node_ids)
-    for node_id, node in nodes.items():
-        log = getattr(node.replica, "log", None)
-        if log is not None:
-            prefixes[node_id] = log.committed_prefix_uids()
-    return prefixes
-
-
 class ShardGroupView:
-    """One shard's consensus group, viewed as a mini-cluster for the checkers.
+    """One consensus group, viewed as a mini-cluster for the checkers.
 
     Exposes exactly the surface the invariant checkers consume from
     :class:`Cluster`: a ``nodes`` mapping (insertion-ordered by ascending
@@ -64,12 +48,19 @@ class ShardGroupView:
     checker's job, which needs no adapter because keys never span shards.
     """
 
-    def __init__(self, shard: int, nodes: Dict[int, object]) -> None:
+    def __init__(self, shard: int, nodes: Dict[int, ShardReplicaHost]) -> None:
         self.shard = shard
         self.nodes = nodes
 
     def committed_prefixes(self) -> Dict[int, List[Optional[int]]]:
-        return _committed_prefixes(self.nodes)
+        """Gap-free committed command uids per log-bearing replica."""
+        prefixes: Dict[int, List[Optional[int]]] = {}
+        # lint: ok(no-unordered-iteration) nodes insertion order is ascending endpoint id (built from sorted topology.node_ids)
+        for node_id, node in self.nodes.items():
+            log = getattr(node.replica, "log", None)
+            if log is not None:
+                prefixes[node_id] = log.committed_prefix_uids()
+        return prefixes
 
     def leader_id(self) -> Optional[int]:
         """Endpoint id of this group's current leader (Paxos family)."""
@@ -81,7 +72,13 @@ class ShardGroupView:
 
 
 class Cluster:
-    """A fully wired simulated deployment ready to run."""
+    """A fully wired simulated deployment ready to run.
+
+    ``nodes`` are the machines; each hosts one replica per consensus group.
+    The group table (:meth:`shard_views`) is derived from them once, and
+    every replica-level query reads it: an unsharded cluster is its
+    one-group case, whose endpoint ids are the node ids.
+    """
 
     def __init__(
         self,
@@ -91,10 +88,6 @@ class Cluster:
         topology: Topology,
         nodes: Dict[int, SimNode],
         clients: List[ClosedLoopClient],
-        history_recorder=None,
-        num_shards: int = 1,
-        shard_instances: Optional[List[ShardReplicaHost]] = None,
-        router: Optional[ShardRouter] = None,
     ) -> None:
         self.protocol = protocol
         self.sim = sim
@@ -102,13 +95,15 @@ class Cluster:
         self.topology = topology
         self.nodes = nodes
         self.clients = clients
-        self.history_recorder = history_recorder
-        self.num_shards = num_shards
-        #: Shard >= 1 replica instances, ordered shard-major then by host
-        #: node id.  Empty for unsharded clusters (shard 0 lives on the
-        #: SimNodes themselves).
-        self.shard_instances: List[ShardReplicaHost] = shard_instances or []
-        self.router = router
+        # lint: ok(no-unordered-iteration) nodes insertion order is ascending node id (built from sorted topology.node_ids)
+        machines = list(nodes.values())
+        self.num_shards = len(machines[0].hosts)
+        self._groups = [
+            ShardGroupView(
+                shard, {node.hosts[shard].endpoint_id: node.hosts[shard] for node in machines}
+            )
+            for shard in range(self.num_shards)
+        ]
         self._started = False
 
     # ------------------------------------------------------------------ running
@@ -117,11 +112,8 @@ class Cluster:
         if self._started:
             return
         self._started = True
-        # lint: ok(no-unordered-iteration) nodes is built iterating topology.node_ids (sorted); insertion order IS ascending node-id start order
-        for node in self.nodes.values():
-            node.start()
-        for instance in self.shard_instances:
-            instance.start()
+        for host in self.all_replica_hosts():
+            host.replica.start()
         for client in self.clients:
             client.start()
 
@@ -138,28 +130,16 @@ class Cluster:
     def leader_id(self) -> Optional[int]:
         """The id of the node currently acting as leader (Paxos/PigPaxos).
 
-        In a sharded cluster this is shard 0's leader -- the group hosted
-        directly on the physical nodes; use :meth:`shard_views` (or
-        :meth:`shard_leader_endpoint`) for the other groups.
+        In a sharded cluster this is shard 0's leader; use
+        :meth:`shard_views` (or :meth:`shard_leader_endpoint`) for the other
+        groups.
         """
-        # lint: ok(no-unordered-iteration) first match must be the lowest node id; insertion order is ascending node id
-        for node_id, node in self.nodes.items():
-            if getattr(node.replica, "is_leader", False) and not node.crashed:
-                return node_id
-        return None
+        return self._groups[0].leader_id()
 
     # ------------------------------------------------------------------ shards
     def shard_views(self) -> List[ShardGroupView]:
         """One checker-facing :class:`ShardGroupView` per consensus group."""
-        views = [ShardGroupView(0, dict(self.nodes))]
-        for shard in range(1, self.num_shards):
-            members = {
-                instance.endpoint_id: instance
-                for instance in self.shard_instances
-                if instance.shard == shard
-            }
-            views.append(ShardGroupView(shard, members))
-        return views
+        return list(self._groups)
 
     def shard_leader_endpoint(self, shard: int) -> Optional[int]:
         """The endpoint id of ``shard``'s current leader (Paxos family)."""
@@ -167,23 +147,16 @@ class Cluster:
             raise ConfigurationError(
                 f"shard must be in [0, {self.num_shards}), got {shard}"
             )
-        return self.shard_views()[shard].leader_id()
+        return self._groups[shard].leader_id()
 
-    def all_replica_hosts(self) -> List[object]:
-        """Every replica-hosting endpoint, shard 0 (physical nodes) first.
-
-        Order is deterministic: ascending node id, then shard instances
-        shard-major by host node id.  Identical to ``nodes.values()`` for
-        unsharded clusters.
-        """
-        # lint: ok(no-unordered-iteration) nodes insertion order is ascending node id (built from sorted topology.node_ids)
-        hosts: List[object] = list(self.nodes.values())
-        hosts.extend(self.shard_instances)
-        return hosts
+    def all_replica_hosts(self) -> List[ShardReplicaHost]:
+        """Every replica host, shard-major, then by ascending node id."""
+        # lint: ok(no-unordered-iteration) each group's insertion order is ascending node id
+        return [host for group in self._groups for host in group.nodes.values()]
 
     def committed_prefixes(self) -> Dict[int, List[Optional[int]]]:
-        """Gap-free committed command uids per replica (agreement checks)."""
-        return _committed_prefixes(self.nodes)
+        """Gap-free committed command uids per shard-0 replica (agreement checks)."""
+        return self._groups[0].committed_prefixes()
 
     def logs_agree(self) -> bool:
         """True when every pair of replicas agrees on the common committed prefix."""
@@ -237,69 +210,41 @@ def build_cluster(
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     topology = topology or lan_topology(num_nodes)
+    node_ids = list(topology.node_ids)
+    # The fabric folds every endpoint id onto its machine modulo the
+    # stride, so every node id -- sharded or not -- must sit below it.
+    if min(node_ids) < 0 or max(node_ids) >= SHARD_ENDPOINT_STRIDE:
+        raise ConfigurationError(
+            f"node ids must be in [0, {SHARD_ENDPOINT_STRIDE}); "
+            f"got range [{min(node_ids)}, {max(node_ids)}]"
+        )
     workload = workload or WorkloadSpec.paper_default()
     config = resolve_config(
         protocol, protocol_config,
         relay_groups=relay_groups, use_region_groups=use_region_groups,
     )
     if shards > 1:
-        _validate_sharding(topology, config, workload, shards, relay_groups)
+        _validate_sharding(node_ids, config, workload, shards, relay_groups)
     sim = Simulator(seed=seed)
-    faults = NetworkFaults(drop_probability=drop_probability)
-    latency_override = None
-    if shards > 1:
-        # Faults and latency are properties of the physical fabric:
-        # fold every shard endpoint onto its host node before link,
-        # partition and delay decisions.
-        faults.endpoint_key = physical_node
-        latency_override = ShardAwareLatency(topology.latency)
-    network = SimNetwork(sim, topology, faults=faults, latency_model=latency_override)
+    network = SimNetwork(sim, topology, faults=NetworkFaults(drop_probability=drop_probability))
 
-    node_ids = list(topology.node_ids)
-    leaders = round_robin_leaders(shards, node_ids) if shards > 1 else None
-    shard0_leader = None if leaders is None else leaders[0]
+    # An unsharded cluster keeps the configured initial leader.
+    leaders = round_robin_leaders(shards, node_ids) if shards > 1 else [None]
     region_map = topology.region_map()
     zone_map = topology.zone_map()
-    nodes: Dict[int, SimNode] = {}
-    for node_id in node_ids:
-        node = SimNode(
-            node_id=node_id,
-            sim=sim,
-            network=network,
-            cpu=NODE_CPU,
-            all_nodes=topology.node_ids,
-        )
-        node.host(build_replica(protocol, config, region_map, zone_map, shard0_leader))
-        nodes[node_id] = node
-
-    shard_instances: List[ShardReplicaHost] = []
-    router: Optional[ShardRouter] = None
-    if shards > 1:
-        groups: List[Sequence[int]] = [tuple(node_ids)]
-        for shard in range(1, shards):
-            members = tuple(shard_endpoint(shard, n) for n in node_ids)
-            shard_regions = {
-                shard_endpoint(shard, n): region_map[n]
-                for n in node_ids
-                if n in region_map
-            }
-            shard_zones = {
-                shard_endpoint(shard, n): zone_map[n]
-                for n in node_ids
-                if n in zone_map
-            }
-            for node_id in node_ids:
-                instance = ShardReplicaHost(
-                    host=nodes[node_id], shard=shard, all_nodes=members
-                )
-                replica = build_replica(
-                    protocol, config, shard_regions, shard_zones, leaders[shard]
-                )
-                instance.host_replica(replica)
-                nodes[node_id].add_shard_sibling(instance)
-                shard_instances.append(instance)
-            groups.append(members)
-        router = ShardRouter(ShardMap(shards, workload.num_keys), groups, leaders)
+    nodes = {node_id: SimNode(node_id, sim, network, cpu=NODE_CPU) for node_id in node_ids}
+    groups: List[Sequence[int]] = []
+    for shard in range(shards):
+        members = tuple(shard_endpoint(shard, n) for n in node_ids)
+        regions = {shard_endpoint(shard, n): region_map[n] for n in node_ids if n in region_map}
+        zones = {shard_endpoint(shard, n): zone_map[n] for n in node_ids if n in zone_map}
+        for node_id in node_ids:
+            replica = build_replica(protocol, config, regions, zones, leaders[shard])
+            nodes[node_id].host(replica, members, shard)
+        groups.append(members)
+    router = (
+        ShardRouter(ShardMap(shards, workload.num_keys), groups, leaders) if shards > 1 else None
+    )
 
     target_policy = "random" if protocol == "epaxos" else "leader"
     clients: List[ClosedLoopClient] = []
@@ -325,15 +270,11 @@ def build_cluster(
         topology=topology,
         nodes=nodes,
         clients=clients,
-        history_recorder=history_recorder,
-        num_shards=shards,
-        shard_instances=shard_instances,
-        router=router,
     )
 
 
 def _validate_sharding(
-    topology: Topology,
+    node_ids: List[int],
     config: ProtocolConfig,
     workload: WorkloadSpec,
     shards: int,
@@ -344,8 +285,6 @@ def _validate_sharding(
     The compatibility contract for ``shards > 1``:
 
     * Key-range routing needs at least one key per shard.
-    * Shard endpoint ids are ``shard * SHARD_ENDPOINT_STRIDE + node``,
-      so node ids must sit below the stride.
     * Leader placement is per-group round-robin, so an explicit
       ``initial_leader`` override is contradictory and refused.
     * Relay overlays (PigPaxos and the relay/thrifty overlay configs)
@@ -354,16 +293,10 @@ def _validate_sharding(
       ``relay_groups`` may not exceed ``num_nodes - 1``, since every
       group needs at least one follower.
     """
-    node_ids = list(topology.node_ids)
     if shards > workload.num_keys:
         raise ConfigurationError(
             f"cannot split {workload.num_keys} keys across "
             f"{shards} shards; shards must be <= workload num_keys"
-        )
-    if min(node_ids) < 0 or max(node_ids) >= SHARD_ENDPOINT_STRIDE:
-        raise ConfigurationError(
-            f"sharding requires node ids in [0, {SHARD_ENDPOINT_STRIDE}); "
-            f"got range [{min(node_ids)}, {max(node_ids)}]"
         )
     if config.initial_leader not in (None, 0):
         raise ConfigurationError(

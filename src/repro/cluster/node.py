@@ -1,18 +1,22 @@
-"""The simulated consensus node.
+"""The simulated machine and the replicas it hosts.
 
-``SimNode`` is both a network :class:`~repro.net.network.Endpoint` and the
-:class:`~repro.protocol.base.NodeContext` its replica runs against.  Its CPU
-is a single-server queue implemented with a ``busy_until`` reservation: every
-received message, sent message, executed command and unit of protocol
-bookkeeping reserves service time, so a node that must touch many messages
-per round saturates and its queueing delay shows up in client latency --
-exactly the leader bottleneck the paper studies.
+``SimNode`` is a physical machine.  Its CPU is a single-server queue
+implemented with a ``busy_until`` reservation: every received message, sent
+message, executed command and unit of protocol bookkeeping reserves service
+time, so a node that must touch many messages per round saturates and its
+queueing delay shows up in client latency -- exactly the leader bottleneck
+the paper studies.
+
+Every replica runs in a :class:`ShardReplicaHost`, one per consensus group
+the machine is a member of: the network :class:`~repro.net.network.Endpoint`
+and the :class:`~repro.protocol.base.NodeContext` of that one replica.  An
+unsharded cluster is the one-group case: each machine hosts shard 0, whose
+endpoint id is the node id itself.
 
 There is one charged send and one charged receive (``SimNode._send_as`` /
 ``SimNode._arrive_for``), parameterised by the endpoint id the traffic
-travels under and the handler it is dispatched to.  A node binds them to its
-own id; every :class:`ShardReplicaHost` co-hosted on it binds the same
-bodies to its shard endpoint, so all instances queue on the machine's CPU
+travels under and the handler it is dispatched to.  Every host binds the same
+bodies to its own endpoint, so all of a machine's replicas queue on its CPU
 through identical arithmetic.
 """
 
@@ -25,15 +29,15 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
 from repro.net.network import SimNetwork
-from repro.protocol.base import HandlerTable, Replica, TimerLike
+from repro.protocol.base import Replica, TimerLike
 from repro.protocol.messages import ClientRequest
-from repro.shard.addressing import SHARD_ENDPOINT_STRIDE
+from repro.shard.addressing import shard_endpoint
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
 
 
 class SimNode:
-    """A consensus node: CPU queue + hosted replica."""
+    """A machine: one CPU queue shared by the replicas it hosts."""
 
     def __init__(
         self,
@@ -41,16 +45,13 @@ class SimNode:
         sim: Simulator,
         network: SimNetwork,
         cpu: Optional[NodeCPUModel] = None,
-        all_nodes: Optional[Sequence[int]] = None,
     ) -> None:
-        self.endpoint_id = node_id
+        self.node_id = node_id
         self._sim = sim
         self._network = network
         self._cpu = cpu or NodeCPUModel()
-        self._all_nodes: List[int] = list(all_nodes or [])
-        self._replica: Optional[Replica] = None
-        self._handlers: Optional[HandlerTable] = None
-        self._rng = sim.random.stream(f"node-{node_id}")
+        #: One replica host per consensus group, in shard order.
+        self.hosts: List[ShardReplicaHost] = []
 
         self._busy_until = 0.0
         self._crashed = False
@@ -73,68 +74,33 @@ class SimNode:
         self._messages_out = sim.metrics.counter(f"node.{node_id}.messages_out")
         self._bytes_in = sim.metrics.counter(f"node.{node_id}.bytes_in")
         self._bytes_out = sim.metrics.counter(f"node.{node_id}.bytes_out")
-        # Replica instances for shards >= 1 co-hosted on this machine
-        # (sharded deployments only; empty and untouched otherwise).
-        self._shard_siblings: List["ShardReplicaHost"] = []
-
-        #: ``send(dst, message)``: the replica-facing NodeContext send.
-        self.send = partial(self._send_as, node_id)
-        #: ``arrive(src, message, size)``: the network-facing Endpoint
-        #: arrival entry.
-        self.arrive = partial(self._arrive_for, self._handle)
-        network.register(self)
 
     # ------------------------------------------------------------------ wiring
-    def host(self, replica: Replica) -> None:
-        """Attach a protocol replica to this node."""
-        self._replica = replica
-        replica.bind(self)
-        self._handlers = replica.handlers
+    def host(self, replica: Replica, members: Sequence[int], shard: int) -> "ShardReplicaHost":
+        """Run ``replica`` as this machine's member of ``shard``'s group.
+
+        ``members`` are the group's endpoint ids; hosts are added in shard
+        order, so ``hosts[s]`` is shard ``s``'s.
+        """
+        host = ShardReplicaHost(self, replica, members, shard)
+        self.hosts.append(host)
+        return host
 
     @property
     def replica(self) -> Replica:
-        if self._replica is None:
-            raise RuntimeError(f"node {self.endpoint_id} has no replica attached")
-        return self._replica
+        """Shard 0's replica: the only one on an unsharded cluster."""
+        return self.hosts[0].replica
 
-    def add_shard_sibling(self, sibling: "ShardReplicaHost") -> None:
-        """Track a co-hosted shard instance so faults propagate to it."""
-        self._shard_siblings.append(sibling)
-
-    def start(self) -> None:
-        self.replica.start()
-
-    # ------------------------------------------------------------------ NodeContext API
-    @property
-    def node_id(self) -> int:
-        return self.endpoint_id
-
-    @property
-    def all_nodes(self) -> Sequence[int]:
-        return self._all_nodes
-
-    @property
-    def now(self) -> float:
-        return self._sim._now
-
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._sim.metrics
-
+    # ------------------------------------------------------------------ CPU model
     def _send_as(self, endpoint_id: int, dst: int, message: Any) -> None:
         """Charge this machine's CPU for a send, then hand it to the network.
 
-        The one charged-send body: ``endpoint_id`` is who the message
-        travels as (this node, or a co-hosted shard instance).  The wire
-        size is computed once here and passed through to the network:
-        ``SizeModel.size_of`` inlined for a wire type, which only has to
-        read its ``payload_bytes``; anything without one goes through the
-        model itself (header-only for a non-wire object, an error for a
-        ``Message``).
+        The one charged-send body: ``endpoint_id`` is the hosted replica the
+        message travels as.  The wire size is computed once here and passed
+        through to the network: ``SizeModel.size_of`` inlined for a wire
+        type, which only has to read its ``payload_bytes``; anything without
+        one goes through the model itself (header-only for a non-wire
+        object, an error for a ``Message``).
         """
         if self._crashed:
             return
@@ -163,52 +129,6 @@ class SimNode:
         heappush(queue._heap, (ready_at, 0, seq, self._network_send, (endpoint_id, dst, message, size)))
         queue._live += 1
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> TimerLike:
-        return self._sim.schedule(delay, self._guarded, callback, args)
-
-    def _guarded(self, callback: Callable[..., Any], args: tuple) -> None:
-        """Timer callbacks registered by the replica are dropped while crashed."""
-        if self._crashed:
-            return
-        callback(*args)
-
-    def charge_execution(self, commands: int = 1) -> None:
-        self._reserve(self._execute_per_command * commands)
-
-    def charge_graph_work(self, vertices: int) -> None:
-        if vertices > 0:
-            self._reserve(self._cpu.graph_cost(vertices))
-
-    def charge_overhead(self, units: float = 1.0) -> None:
-        """Charge protocol bookkeeping (used by EPaxos per handled instance)."""
-        self._reserve(self._cpu.epaxos_bookkeeping_cost * units)
-
-    def charge_seconds(self, seconds: float) -> None:
-        self._reserve(seconds)
-
-    # ------------------------------------------------------------------ CPU model
-    @property
-    def cpu(self) -> NodeCPUModel:
-        return self._cpu
-
-    @property
-    def busy_until(self) -> float:
-        return self._busy_until
-
-    @property
-    def busy_time_total(self) -> float:
-        """Cumulative CPU-seconds consumed; busy_time_total / elapsed = utilization."""
-        return self._busy_time_total
-
-    def _reserve(self, cost: float) -> None:
-        """Reserve ``cost`` seconds on the node's CPU (single-server queue)."""
-        cost *= self._sluggish_factor
-        now = self._sim._now
-        busy = self._busy_until
-        self._busy_until = (now if now > busy else busy) + cost
-        self._busy_time_total += cost
-
-    # ------------------------------------------------------------------ Endpoint API
     def _arrive_for(
         self, handler: Callable[[int, Any], None], src: int, message: Any, size: int
     ) -> None:
@@ -243,11 +163,33 @@ class SimNode:
         heappush(queue._heap, (ready_at, 0, seq, handler, (src, message)))
         queue._live += 1
 
-    def _handle(self, src: int, message: Any) -> None:
-        """Dispatch a received message: one probe of the replica's handler table."""
-        if self._crashed or self._handlers is None:
-            return
-        self._handlers[type(message)](src, message)
+    def charge_execution(self, commands: int = 1) -> None:
+        self._reserve(self._execute_per_command * commands)
+
+    def charge_graph_work(self, vertices: int) -> None:
+        if vertices > 0:
+            self._reserve(self._cpu.graph_cost(vertices))
+
+    def charge_overhead(self, units: float = 1.0) -> None:
+        """Charge protocol bookkeeping (used by EPaxos per handled instance)."""
+        self._reserve(self._cpu.epaxos_bookkeeping_cost * units)
+
+    @property
+    def busy_until(self) -> float:
+        return self._busy_until
+
+    @property
+    def busy_time_total(self) -> float:
+        """Cumulative CPU-seconds consumed; busy_time_total / elapsed = utilization."""
+        return self._busy_time_total
+
+    def _reserve(self, cost: float) -> None:
+        """Reserve ``cost`` seconds on the node's CPU (single-server queue)."""
+        cost *= self._sluggish_factor
+        now = self._sim._now
+        busy = self._busy_until
+        self._busy_until = (now if now > busy else busy) + cost
+        self._busy_time_total += cost
 
     # ------------------------------------------------------------------ faults
     @property
@@ -264,101 +206,81 @@ class SimNode:
         send, not when the send departs, so this is not yet the paper's
         crash model (where nothing leaves a crashed node).
 
-        A machine crash takes down *every* replica instance it hosts: the
-        shard siblings share this node's ``_crashed`` flag (their reachability
-        and guards read it), so only their replica-level crash hooks need
-        explicit propagation.
+        A machine crash takes down *every* replica it hosts: the hosts read
+        this node's ``_crashed`` flag, so only their replicas' crash hooks
+        need calling.
         """
         if self._crashed:
             return
         self._crashed = True
-        self.metrics.counter("faults.crashes").increment()
-        if self._replica is not None:
-            self._replica.on_crash()
-        for sibling in self._shard_siblings:
-            sibling.replica.on_crash()
+        self._sim.metrics.counter("faults.crashes").increment()
+        for host in self.hosts:
+            host.replica.on_crash()
 
     def recover(self) -> None:
         if not self._crashed:
             return
         self._crashed = False
         self._busy_until = self._sim.now
-        self.metrics.counter("faults.recoveries").increment()
-        if self._replica is not None:
-            self._replica.on_recover()
-        for sibling in self._shard_siblings:
-            sibling.replica.on_recover()
+        self._sim.metrics.counter("faults.recoveries").increment()
+        for host in self.hosts:
+            host.replica.on_recover()
 
     def set_sluggish(self, factor: float) -> None:
         """Make the node's CPU ``factor`` times slower (1.0 restores normal speed)."""
         if factor <= 0:
             raise ValueError("sluggish factor must be positive")
         self._sluggish_factor = factor
-        self.metrics.counter("faults.sluggish_changes").increment()
+        self._sim.metrics.counter("faults.sluggish_changes").increment()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else "up"
-        return f"SimNode({self.endpoint_id}, {state})"
+        return f"SimNode({self.node_id}, {state})"
 
 
 class ShardReplicaHost:
-    """One shard's replica instance co-hosted on an existing :class:`SimNode`.
+    """One consensus group's replica, hosted on a :class:`SimNode`.
 
-    In a sharded deployment every physical node runs one replica *per
-    consensus group*.  Shard 0's replica is hosted directly by the
-    ``SimNode`` (that path is literally the unsharded deployment); shards
-    >= 1 get one of these per node.  The host is a full network
+    Every physical node runs one replica *per consensus group*, each in one
+    of these.  The host is a full network
     :class:`~repro.net.network.Endpoint` and
     :class:`~repro.protocol.base.NodeContext` registered under the shard's
-    endpoint id (``shard * SHARD_ENDPOINT_STRIDE + node_id``), but it owns
-    **no CPU of its own**: every receive/send/execute reserves time on the
-    *physical* node's single-server queue, so co-hosted groups contend for
-    the machine exactly like co-located processes would -- the contention
-    the multi-group scaling curve has to respect to be honest.
+    endpoint id (``shard * SHARD_ENDPOINT_STRIDE + node_id``; the node id
+    itself for shard 0), but it owns **no CPU of its own**: every
+    receive/send/execute reserves time on the machine's single-server
+    queue, so co-hosted groups contend for the machine exactly like
+    co-located processes would -- the contention the multi-group scaling
+    curve has to respect to be honest.
 
     Fault coupling follows from the same principle: crashed/sluggish state
-    lives on the host node (a machine crash takes down all its groups), and
+    lives on the machine (a machine crash takes down all its groups), and
     the per-node traffic counters (``node.<id>.messages_*``) aggregate
-    every hosted instance so ``bottleneck_node`` stays a statement about
+    every hosted replica so ``bottleneck_node`` stays a statement about
     physical machines.  Only the RNG stream (``node-<endpoint_id>``) and
     the replica's protocol state are per-shard.
     """
 
-    def __init__(self, host: SimNode, shard: int, all_nodes: Sequence[int]) -> None:
+    def __init__(
+        self, machine: SimNode, replica: Replica, members: Sequence[int], shard: int
+    ) -> None:
         self.shard = shard
-        self.endpoint_id = shard * SHARD_ENDPOINT_STRIDE + host.endpoint_id
-        self._host = host
-        self._sim = host._sim
-        self._network = host._network
-        self._all_nodes: List[int] = list(all_nodes)
-        self._replica: Optional[Replica] = None
-        self._handlers: Optional[HandlerTable] = None
+        self.endpoint_id = shard_endpoint(shard, machine.node_id)
+        self._machine = machine
+        self._sim = machine._sim
+        self._all_nodes: List[int] = list(members)
         self._rng = self._sim.random.stream(f"node-{self.endpoint_id}")
-        # The host machine's charged send/receive, under this shard's
-        # endpoint id and dispatching to this shard's replica; every other
-        # CPU charge is the host's own method.
-        self.send = partial(host._send_as, self.endpoint_id)
-        self.arrive = partial(host._arrive_for, self._handle)
-        self.charge_execution = host.charge_execution
-        self.charge_graph_work = host.charge_graph_work
-        self.charge_overhead = host.charge_overhead
-        self.charge_seconds = host.charge_seconds
-        self._network.register(self)
-
-    # ------------------------------------------------------------------ wiring
-    def host_replica(self, replica: Replica) -> None:
-        self._replica = replica
+        # The machine's charged send/receive, under this shard's endpoint id
+        # and dispatching to this shard's replica; every other CPU charge is
+        # the machine's own method.
+        self.send = partial(machine._send_as, self.endpoint_id)
+        self.arrive = partial(machine._arrive_for, self._handle)
+        self.charge_execution = machine.charge_execution
+        self.charge_graph_work = machine.charge_graph_work
+        self.charge_overhead = machine.charge_overhead
+        self.replica = replica
         replica.bind(self)
         self._handlers = replica.handlers
-
-    @property
-    def replica(self) -> Replica:
-        if self._replica is None:
-            raise RuntimeError(f"shard host {self.endpoint_id} has no replica attached")
-        return self._replica
-
-    def start(self) -> None:
-        self.replica.start()
+        machine._network.register(self)
 
     # ------------------------------------------------------------------ NodeContext API
     @property
@@ -385,21 +307,23 @@ class ShardReplicaHost:
         return self._sim.schedule(delay, self._guarded, callback, args)
 
     def _guarded(self, callback: Callable[..., Any], args: tuple) -> None:
-        if self._host._crashed:
+        """Timer callbacks registered by the replica are dropped while crashed."""
+        if self._machine._crashed:
             return
         callback(*args)
 
     # ------------------------------------------------------------------ Endpoint API
     def _handle(self, src: int, message: Any) -> None:
-        if self._host._crashed or self._handlers is None:
+        """Dispatch a received message: one probe of the replica's handler table."""
+        if self._machine._crashed:
             return
         self._handlers[type(message)](src, message)
 
     # ------------------------------------------------------------------ faults
     @property
     def crashed(self) -> bool:
-        return self._host._crashed
+        return self._machine._crashed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "crashed" if self._host._crashed else "up"
-        return f"ShardReplicaHost(shard={self.shard}, node={self._host.endpoint_id}, {state})"
+        state = "crashed" if self._machine._crashed else "up"
+        return f"ShardReplicaHost(shard={self.shard}, node={self._machine.node_id}, {state})"

@@ -4,9 +4,8 @@ Models what the Paxi testbed's real network provided: point-to-point message
 delivery with per-link latency, per-byte transmission cost, message drops,
 partitions and crashed endpoints.  Protocol code never talks to the network
 directly: replicas send through their :class:`~repro.protocol.base.NodeContext`
-(:class:`~repro.cluster.node.SimNode`, which charges CPU and then calls
-:meth:`SimNetwork.send`, or a sharded node's
-:class:`~repro.cluster.node.ShardReplicaHost`).
+(:class:`~repro.cluster.node.ShardReplicaHost`, which charges its machine's
+CPU and then calls :meth:`SimNetwork.send`).
 """
 
 from repro.net.message import Message

@@ -9,7 +9,9 @@ needed for the liveness/partition tests and the ablation benchmarks.
 from __future__ import annotations
 
 import random
-from typing import Callable, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Set, Tuple
+
+from repro.net.topology import SHARD_ENDPOINT_STRIDE
 
 
 class NetworkFaults:
@@ -31,15 +33,6 @@ class NetworkFaults:
         self._partitions: list[FrozenSet[int]] = []
         self.lossy = False
         self.drop_probability = drop_probability
-        #: Optional endpoint-id canonicalisation applied before link/partition
-        #: membership tests.  Sharded clusters set it to
-        #: ``repro.shard.addressing.physical_node`` so that severing or
-        #: partitioning a *machine* affects every shard instance it hosts
-        #: (faults are physical; endpoint namespaces are logical).  ``None``
-        #: (the default) keeps the historical raw-id behaviour, and the check
-        #: sits behind the ``lossy`` gate so the fault-free hot path never
-        #: pays for it.
-        self.endpoint_key: Optional[Callable[[int], int]] = None
 
     @property
     def drop_probability(self) -> float:
@@ -95,10 +88,14 @@ class NetworkFaults:
 
     # ------------------------------------------------------------- verdict
     def should_drop(self, src: int, dst: int, rng: random.Random) -> bool:
-        """Decide whether a message from src to dst is lost."""
-        key = self.endpoint_key
-        if key is not None:
-            src, dst = key(src), key(dst)
+        """Decide whether a message from src to dst is lost.
+
+        Links and partitions are between machines: both ends fold onto
+        their machine (modulo ``SHARD_ENDPOINT_STRIDE``) first, so severing
+        or partitioning a machine affects every shard replica it hosts.
+        """
+        src %= SHARD_ENDPOINT_STRIDE
+        dst %= SHARD_ENDPOINT_STRIDE
         if self.link_severed(src, dst):
             return True
         if self.partitioned(src, dst):

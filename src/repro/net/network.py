@@ -1,7 +1,10 @@
 """The simulated network fabric.
 
-``SimNetwork`` connects endpoints (consensus nodes and clients).  Sending a
-message:
+``SimNetwork`` connects endpoints (hosted replicas and clients).  Latency
+and faults are between *machines*: every endpoint id folds onto its machine
+modulo ``SHARD_ENDPOINT_STRIDE`` (:mod:`repro.net.topology`) before a link
+is priced or a drop judged, so a node id is its own machine and every
+shard's replica on it shares that machine's links.  Sending a message:
 
 1. fetches the ``(src, dst)`` link record -- the destination's arrival entry,
    the locality counters and the static part of the link delay, resolved on
@@ -40,7 +43,7 @@ from typing import Any, Dict, Optional, Protocol
 from repro.errors import NetworkError
 from repro.net.faults import NetworkFaults
 from repro.net.sizes import SizeModel
-from repro.net.topology import Topology
+from repro.net.topology import SHARD_ENDPOINT_STRIDE, Topology
 from repro.sim.engine import Simulator
 
 _TWO_PI = 2.0 * pi
@@ -71,20 +74,15 @@ class SimNetwork:
         topology: Topology,
         size_model: Optional[SizeModel] = None,
         faults: Optional[NetworkFaults] = None,
-        latency_model=None,
     ) -> None:
         self._sim = sim
-        self._topology = topology
         self._size_model = size_model or SizeModel()
         self._faults = faults or NetworkFaults()
         self._endpoints: Dict[int, Endpoint] = {}
         self._rng = sim.random.stream("network")
         self._random = self._rng.random
         self._metrics = sim.metrics
-        # ``latency_model`` overrides the topology's model without mutating
-        # the topology -- sharded clusters use it to fold shard endpoints
-        # onto physical nodes (see repro.shard.addressing).
-        self._latency = latency_model if latency_model is not None else topology.latency
+        self._latency = topology.latency
         # Kept as a division (not a cached reciprocal) so delivery times stay
         # bit-identical with the historical `size / bandwidth` computation.
         self._bandwidth = topology.bandwidth_bytes_per_sec or 0.0
@@ -109,10 +107,6 @@ class SimNetwork:
 
     # ----------------------------------------------------------------- wiring
     @property
-    def topology(self) -> Topology:
-        return self._topology
-
-    @property
     def faults(self) -> NetworkFaults:
         return self._faults
 
@@ -125,15 +119,6 @@ class SimNetwork:
         if endpoint_id in self._endpoints:
             raise NetworkError(f"endpoint {endpoint_id} is already registered")
         self._endpoints[endpoint_id] = endpoint
-
-    def endpoint(self, endpoint_id: int) -> Endpoint:
-        try:
-            return self._endpoints[endpoint_id]
-        except KeyError as exc:
-            raise NetworkError(f"unknown endpoint {endpoint_id}") from exc
-
-    def endpoints(self) -> Dict[int, Endpoint]:
-        return dict(self._endpoints)
 
     # ----------------------------------------------------------------- sending
     def send(self, src: int, dst: int, message: Any, size: Optional[int] = None) -> None:
@@ -211,7 +196,9 @@ class SimNetwork:
             # draw; protocols must tolerate it (at-most-once execution,
             # per-voter reply dedup).
             self._duplicated_counter.value += 1
-            delay = self._latency.delay(src, dst, self._rng)
+            delay = self._latency.delay(
+                src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE, self._rng
+            )
             if bandwidth:
                 delay += size / bandwidth
             sim.post_at(now + delay, arrive, args)
@@ -219,13 +206,21 @@ class SimNetwork:
     def _resolve_link(self, src: int, dst: int) -> tuple:
         """Build the ``(src, dst)`` link record on the link's first send.
 
+        The delay is the one between the two ends' machines: every endpoint
+        id folds onto its machine modulo ``SHARD_ENDPOINT_STRIDE``, so
+        co-hosted replicas of different shards are one ``localhost`` apart
+        and a WAN link is equally wide for every group that crosses it.
         An unknown ``dst`` raises and is not remembered, so a later
         ``register`` + send succeeds.
         """
         endpoint = self._endpoints.get(dst)
         if endpoint is None:
             raise NetworkError(f"cannot send to unknown endpoint {dst}")
-        link = (endpoint.arrive, self._classify_locality(src, dst), *self._latency.link(src, dst))
+        link = (
+            endpoint.arrive,
+            self._classify_locality(src, dst),
+            *self._latency.link(src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE),
+        )
         self._links[(src, dst)] = link
         return link
 

@@ -24,6 +24,14 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency, LatencyModel
 
+#: Endpoint ids fold onto machines modulo this stride: endpoint ``e`` runs
+#: on machine ``e % SHARD_ENDPOINT_STRIDE``, which is what the network
+#: prices links and judges faults between.  Shard ``s``'s replica on node
+#: ``n`` is endpoint ``s * SHARD_ENDPOINT_STRIDE + n``
+#: (:mod:`repro.shard.addressing`); node ids and client ids
+#: (``CLIENT_ID_BASE`` = 1000) both stay below it.
+SHARD_ENDPOINT_STRIDE = 1_000_000
+
 
 @dataclass(frozen=True)
 class Zone:

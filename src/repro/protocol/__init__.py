@@ -5,7 +5,7 @@ ballot numbers, the client-facing and Paxos wire messages, the replica base
 class, and the :class:`~repro.protocol.base.NodeContext` interface through
 which replicas reach the outside world (transport, timers, randomness,
 CPU-cost accounting).  The simulator hosts every replica behind this
-interface (:class:`~repro.cluster.node.SimNode`).
+interface (:class:`~repro.cluster.node.ShardReplicaHost`).
 """
 
 from repro.protocol.ballot import Ballot

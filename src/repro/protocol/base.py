@@ -3,8 +3,8 @@
 A replica is a pure protocol state machine: it reacts to incoming messages
 and timer callbacks, and it affects the world only through its
 :class:`NodeContext`.  The context is implemented by
-:class:`repro.cluster.node.SimNode` and, for a sharded node's extra consensus
-groups, by :class:`repro.cluster.node.ShardReplicaHost`.
+:class:`repro.cluster.node.ShardReplicaHost`, one per consensus group a
+machine (:class:`repro.cluster.node.SimNode`) hosts.
 
 Every replica also owns a :class:`~repro.overlay.base.FanoutOverlay` through
 which it routes wide-cast (one-to-many) messages; the base class provides

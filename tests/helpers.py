@@ -82,9 +82,6 @@ class FakeContext:
     def charge_overhead(self, units: float = 1.0) -> None:
         self.overhead_units += units
 
-    def charge_seconds(self, seconds: float) -> None:
-        pass
-
     # ----------------------------------------------------------------- test helpers
     def advance(self, seconds: float) -> None:
         self._now += seconds
@@ -129,7 +126,6 @@ class SizedProbe:
 def drive_against_per_send_reference(
     topology,
     endpoint_ids: Sequence[int],
-    latency_model=None,
     faults=None,
     seed: int = 11,
     sends: int = 400,
@@ -139,7 +135,9 @@ def drive_against_per_send_reference(
     The reference draws from a twin of the ``"network"`` RNG stream in send
     order, exactly as the network did before it resolved links once: the
     drop verdict (when ``faults`` is lossy), the delay, the duplicate
-    verdict, and a second delay for a duplicated copy.  Returns
+    verdict, and a second delay for a duplicated copy.  It prices each
+    delay between the two ends' machines, folding every endpoint id modulo
+    ``SHARD_ENDPOINT_STRIDE`` itself.  Returns
     ``(records, counters)``: one ``(src, dst, actual, expected)`` record per
     send, where ``actual`` and ``expected`` are the sorted
     ``(arrival time, src, dst, size)`` of each copy (none for a dropped
@@ -148,13 +146,14 @@ def drive_against_per_send_reference(
     """
     from repro.net.faults import NetworkFaults
     from repro.net.network import SimNetwork
+    from repro.shard.addressing import SHARD_ENDPOINT_STRIDE
     from repro.sim.engine import Simulator
 
     sim = Simulator(seed=seed)
     twin = Simulator(seed=seed).random.stream("network")
     faults = faults or NetworkFaults()
-    network = SimNetwork(sim, topology, faults=faults, latency_model=latency_model)
-    model = latency_model if latency_model is not None else topology.latency
+    network = SimNetwork(sim, topology, faults=faults)
+    model = topology.latency
     bandwidth = topology.bandwidth_bytes_per_sec
     sinks = {endpoint_id: ArrivalSink(endpoint_id, sim) for endpoint_id in endpoint_ids}
     for sink in sinks.values():
@@ -173,7 +172,7 @@ def drive_against_per_send_reference(
         expected[id(probe)] = (probe, src, dst, copies)
 
         def copy_arrives() -> None:
-            delay = model.delay(src, dst, twin)
+            delay = model.delay(src % SHARD_ENDPOINT_STRIDE, dst % SHARD_ENDPOINT_STRIDE, twin)
             if bandwidth:
                 delay += size / bandwidth
             copies.append((sim.now + delay, src, dst, size))

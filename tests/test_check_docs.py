@@ -35,6 +35,26 @@ def test_the_repo_docs_teach_only_importable_names():
         assert check_docs.unresolved_imports(markdown.read_text(encoding="utf-8")) == []
 
 
+def test_deleted_class_names_in_markdown_are_reported():
+    classes = check_docs.defined_classes()
+    text = (
+        "`Cluster`, `SimNetwork.send(src, dst, message, size)`, `ShardGroupView.leader_id`,\n"
+        "`MultiPaxosReplica.bind` (inherited), `TestMutationsAreCaught` (a test class),\n"
+        "`None`, `Counter.update`, `CRASHED`, `BENCHMARK.json`, `SHARD_ENDPOINT_STRIDE`,\n"
+        "and two deleted names: `ShardAwareLatency`, `SimNode._handle()`.\n"
+    )
+    problems = check_docs.unknown_class_names(text, classes)
+    assert len(problems) == 2
+    assert "`ShardAwareLatency`" in problems[0] and "no class ShardAwareLatency" in problems[0]
+    assert "`SimNode._handle`" in problems[1] and "no attribute _handle" in problems[1]
+
+
+def test_the_repo_docs_name_only_defined_classes():
+    classes = check_docs.defined_classes()
+    for markdown in check_docs.markdown_files([]):
+        assert check_docs.unknown_class_names(markdown.read_text(encoding="utf-8"), classes) == []
+
+
 _TRIGGER_TABLE = (
     "| trigger | named by | fires when |\n"
     "|---|---|---|\n"

@@ -1,13 +1,14 @@
-"""Unit tests for the node CPU model, SimNode, topologies and builder."""
+"""Unit tests for the node CPU model, SimNode and its replica hosts, topologies and builder."""
 
 from __future__ import annotations
 
 import pytest
 
 from helpers import SizedProbe
+from repro.checkers import run_log_checks
 from repro.cluster.builder import build_cluster
 from repro.cluster.cpu import NodeCPUModel
-from repro.cluster.node import ShardReplicaHost, SimNode
+from repro.cluster.node import SimNode
 from repro.cluster.topologies import lan_topology, paper_wan_regions, wan_topology
 from repro.epaxos.replica import EPaxosReplica
 from repro.errors import ConfigurationError
@@ -19,7 +20,7 @@ from repro.overlay.messages import RelayAggregate, RelayRequest
 from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol.base import Replica
 from repro.protocol.messages import ClientRequest
-from repro.shard import shard_endpoint
+from repro.shard import SHARD_ENDPOINT_STRIDE, shard_endpoint
 from repro.sim.engine import Simulator
 from repro.statemachine.command import Command, OpType
 
@@ -51,7 +52,8 @@ class TestNodeCPUModel:
         sim = Simulator(seed=0)
         network = SimNetwork(sim, lan_topology(1))
         node = SimNode(0, sim, network, cpu=cpu)
-        node.arrive(1, message, network.size_model.size_of(message))
+        host = node.host(_EchoReplica(), [0], 0)
+        host.arrive(1, message, network.size_model.size_of(message))
         return node.busy_time_total
 
     def test_costs_scale_with_size(self):
@@ -84,8 +86,8 @@ class TestSimNode:
         network = SimNetwork(sim, topology)
         nodes = {}
         for node_id in (0, 1):
-            node = SimNode(node_id, sim, network, cpu=cpu or NodeCPUModel(), all_nodes=[0, 1])
-            node.host(_EchoReplica())
+            node = SimNode(node_id, sim, network, cpu=cpu or NodeCPUModel())
+            node.host(_EchoReplica(), [0, 1], 0)
             nodes[node_id] = node
         return sim, network, nodes
 
@@ -130,8 +132,8 @@ class TestSimNode:
         network = SimNetwork(sim, Topology(node_ids=[0, 1], latency=ConstantLatency(0.001)))
         nodes = {}
         for node_id in (0, 1):
-            nodes[node_id] = SimNode(node_id, sim, network, all_nodes=[0, 1])
-            nodes[node_id].host(_EchoReplica())
+            nodes[node_id] = SimNode(node_id, sim, network)
+            nodes[node_id].host(_EchoReplica(), [0, 1], 0)
         return sim, nodes
 
     def test_crash_between_send_and_arrival_is_undeliverable(self):
@@ -172,24 +174,17 @@ class TestSimNode:
         assert sim.metrics.counter("net.messages_undeliverable").value == 0
 
     def test_shard_host_reserves_exactly_like_its_node(self):
-        # One charged send/receive body serves both: the same traffic must
-        # book the same CPU whether it runs as the node or as a shard
-        # instance co-hosted on it.
-        def run(as_shard: bool):
+        # One charged send/receive body serves every shard: the same traffic
+        # must book the same CPU whether it runs as shard 0 (the node ids
+        # themselves) or as shard 1 co-hosted on the same machines.
+        def run(shard: int):
             sim = Simulator(seed=3)
             network = SimNetwork(sim, lan_topology(2))
-            machines = {n: SimNode(n, sim, network, all_nodes=[0, 1]) for n in (0, 1)}
+            machines = {n: SimNode(n, sim, network) for n in (0, 1)}
             machines[1].set_sluggish(2.5)
-            if as_shard:
-                hosts = {n: ShardReplicaHost(machines[n], 1, [0, 1]) for n in (0, 1)}
-                for host in hosts.values():
-                    host.host_replica(_EchoReplica())
-                peer = shard_endpoint(1, 1)
-            else:
-                hosts = machines
-                for node in machines.values():
-                    node.host(_EchoReplica())
-                peer = 1
+            members = [shard_endpoint(shard, n) for n in (0, 1)]
+            hosts = {n: machines[n].host(_EchoReplica(), members, shard) for n in (0, 1)}
+            peer = members[1]
             request = ClientRequest(Command(OpType.PUT, "k", payload_size=300))
             for index, message in enumerate([SizedProbe(0), request, SizedProbe(1500), "bare"]):
                 sim.schedule(index * 1e-6, hosts[0].send, peer, message)
@@ -199,7 +194,7 @@ class TestSimNode:
                 (machines[n].busy_until, machines[n].busy_time_total) for n in (0, 1)
             ], sim.metrics.counters()["node.1.bytes_in"]
 
-        assert run(as_shard=True) == run(as_shard=False)
+        assert run(shard=1) == run(shard=0)
 
     def test_sluggish_factor_inflates_costs(self):
         cpu = NodeCPUModel(recv_per_message=0.001, send_per_message=0.001, per_byte=0.0)
@@ -227,27 +222,22 @@ class TestDispatch:
     """A delivered message is one probe of the hosted replica's handler table."""
 
     @staticmethod
-    def _node(replica_class, overlay=None, as_shard=False):
+    def _node(replica_class, overlay=None, shard=0):
         sim = Simulator(seed=0)
         network = SimNetwork(sim, lan_topology(3))
-        machine = SimNode(0, sim, network, all_nodes=[0, 1, 2])
-        replica = replica_class(overlay=overlay)
-        if as_shard:
-            host = ShardReplicaHost(machine, 1, [shard_endpoint(1, n) for n in (0, 1, 2)])
-            host.host_replica(replica)
-        else:
-            host = machine
-            machine.host(replica)
+        machine = SimNode(0, sim, network)
+        members = [shard_endpoint(shard, n) for n in (0, 1, 2)]
+        host = machine.host(replica_class(overlay=overlay), members, shard)
         return sim, machine, host
 
     @staticmethod
     def _deliver(host, message):
         host.arrive(1, message, 64)
 
-    @pytest.mark.parametrize("as_shard", [False, True], ids=["node", "shard-host"])
+    @pytest.mark.parametrize("shard", [0, 1], ids=["shard-0", "shard-1"])
     @pytest.mark.parametrize("replica_class", [MultiPaxosReplica, EPaxosReplica])
-    def test_unregistered_type_counts_unknown_message(self, replica_class, as_shard):
-        sim, machine, host = self._node(replica_class, as_shard=as_shard)
+    def test_unregistered_type_counts_unknown_message(self, replica_class, shard):
+        sim, machine, host = self._node(replica_class, shard=shard)
         self._deliver(host, "not a wire type")
         # A relay wire type is just as unknown to a replica without the relay overlay.
         self._deliver(host, RelayAggregate(agg_id=1, responses=()))
@@ -256,11 +246,11 @@ class TestDispatch:
         assert counters[f"{replica_class.protocol_name}.unknown_message"] == 2
         assert counters["node.0.messages_in"] == 2
 
-    @pytest.mark.parametrize("as_shard", [False, True], ids=["node", "shard-host"])
-    def test_crashed_host_handles_nothing(self, as_shard):
+    @pytest.mark.parametrize("shard", [0, 1], ids=["shard-0", "shard-1"])
+    def test_crashed_host_handles_nothing(self, shard):
         # The crash lands after the message was accepted and charged but
         # before its handler ran: the queued dispatch must drop it.
-        sim, machine, host = self._node(MultiPaxosReplica, as_shard=as_shard)
+        sim, machine, host = self._node(MultiPaxosReplica, shard=shard)
         self._deliver(host, "not a wire type")
         machine.crash()
         sim.run()
@@ -334,6 +324,29 @@ class TestBuilder:
     def test_paxos_clients_target_leader(self):
         cluster = build_cluster(protocol="paxos", num_nodes=3, num_clients=2, seed=1)
         assert all(client._target_policy == "leader" for client in cluster.clients)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("bad_id", [-1, SHARD_ENDPOINT_STRIDE])
+    def test_node_ids_must_sit_below_the_stride(self, shards, bad_id):
+        # The fabric folds every endpoint onto its machine modulo the stride,
+        # so an out-of-range id would silently alias another machine.
+        topology = Topology(node_ids=[0, 1, bad_id])
+        with pytest.raises(ConfigurationError, match="node ids must be in"):
+            build_cluster("paxos", topology=topology, shards=shards, num_clients=1)
+
+    def test_unsharded_cluster_is_the_one_group_case(self):
+        cluster = build_cluster(protocol="paxos", num_nodes=5, num_clients=3, seed=4)
+        cluster.run(0.5)
+        views = cluster.shard_views()
+        assert len(views) == 1 and views[0].shard == 0
+        assert list(views[0].nodes) == list(cluster.nodes) == [0, 1, 2, 3, 4]
+        assert run_log_checks(cluster) == run_log_checks(views[0])
+        assert cluster.committed_prefixes() == views[0].committed_prefixes()
+        assert any(cluster.committed_prefixes().values())
+        assert cluster.leader_id() == cluster.shard_leader_endpoint(0) is not None
+        hosts = cluster.all_replica_hosts()
+        assert [host.endpoint_id for host in hosts] == list(cluster.nodes)
+        assert [host.replica for host in hosts] == [node.replica for node in cluster.nodes.values()]
 
     def test_cluster_run_is_repeatable_for_same_seed(self):
         first = build_cluster(protocol="paxos", num_nodes=5, num_clients=5, seed=9)

@@ -20,7 +20,7 @@ from repro.net.message import Message
 from repro.net.network import SimNetwork
 from repro.net.sizes import SizeModel
 from repro.net.topology import Region, Topology
-from repro.shard.addressing import ShardAwareLatency, shard_endpoint
+from repro.shard.addressing import shard_endpoint
 from repro.sim.engine import Simulator
 
 
@@ -126,6 +126,18 @@ class TestNetworkFaults:
         assert not faults.should_drop(0, 4, rng)
         faults.heal_partition()
         assert not faults.should_drop(0, 2, rng)
+
+    def test_faults_are_between_machines(self):
+        # Shard endpoints fold onto their machine: severing machines 0 and 1
+        # cuts every group's replicas on them, and nothing else.
+        faults = NetworkFaults()
+        faults.sever_link(0, 1)
+        rng = random.Random(0)
+        assert faults.should_drop(shard_endpoint(3, 0), shard_endpoint(3, 1), rng)
+        assert faults.should_drop(shard_endpoint(3, 1), shard_endpoint(3, 0), rng)
+        assert faults.should_drop(shard_endpoint(3, 0), 1, rng)
+        assert not faults.should_drop(0, 2, rng)
+        assert not faults.should_drop(shard_endpoint(3, 0), shard_endpoint(3, 2), rng)
 
     def test_drop_probability_validated(self):
         with pytest.raises(ValueError):
@@ -258,18 +270,19 @@ class TestLinkRecord:
             assert counters[f"{name}_messages"] == count
 
     @pytest.mark.parametrize(
-        "latency",
+        "latency,endpoints",
         [
-            NormalLatency(),
-            NormalLatency(mean=0.0002, stddev=0.0002, floor=0.0001),  # floor binds ~30 %
-            ConstantLatency(0.001),
-            ShardAwareLatency(NormalLatency()),
+            (NormalLatency(), [0, 1, 2, shard_endpoint(1, 2)]),
+            # floor binds ~30 %
+            (NormalLatency(mean=0.0002, stddev=0.0002, floor=0.0001), [0, 1, 2, shard_endpoint(1, 2)]),
+            (ConstantLatency(0.001), [0, 1, 2, shard_endpoint(1, 2)]),
+            # Every machine hosts a second shard: links fold onto machine pairs.
+            (NormalLatency(), [0, 1, 2, *(shard_endpoint(1, n) for n in (0, 1, 2)), shard_endpoint(2, 1)]),
         ],
-        ids=["normal", "normal-floored", "constant", "shard-aware-normal"],
+        ids=["normal", "normal-floored", "constant", "normal-sharded"],
     )
-    def test_lan_models_draw_from_their_link_record(self, latency):
+    def test_lan_models_draw_from_their_link_record(self, latency, endpoints):
         topology = Topology(node_ids=[0, 1, 2], latency=latency, bandwidth_bytes_per_sec=1e6)
-        endpoints = [0, 1, 2, shard_endpoint(1, 2)]
         records, counters = drive_against_per_send_reference(topology, endpoints, sends=100)
         assert all(actual == expected for _, _, actual, expected in records)
         assert all(len(actual) == 1 for _, _, actual, _ in records)
@@ -278,12 +291,14 @@ class TestLinkRecord:
     def test_drops_and_duplicates_keep_the_gauss_sequence(self):
         # Drops and duplicate verdicts draw from the same "network" stream
         # as the inline gauss, and a duplicate copy calls delay() on the
-        # shared spare; every arrival must still be bit-equal.
+        # shared spare -- between the two machines, so the shard-1 replica
+        # on node 2 is node 2's localhost; every arrival must still be
+        # bit-equal.
         latency = NormalLatency(mean=0.0002, stddev=0.0002, floor=0.0001)
         topology = Topology(node_ids=[0, 1, 2, 3], latency=latency)
         faults = NetworkFaults(drop_probability=0.2, duplicate_probability=0.3)
         records, counters = drive_against_per_send_reference(
-            topology, [0, 1, 2, 3], faults=faults, sends=300
+            topology, [0, 1, 2, 3, shard_endpoint(1, 2)], faults=faults, sends=300
         )
         assert all(actual == expected for _, _, actual, expected in records)
         dropped = sum(1 for _, _, actual, _ in records if not actual)

@@ -15,13 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import drive_against_per_send_reference
+from helpers import ArrivalSink, SizedProbe, drive_against_per_send_reference
 from repro.cluster.topologies import lan_topology, wan_topology
 from repro.errors import ConfigurationError
 from repro.lint import LintEngine, default_rules
+from repro.net.latency import LatencyModel, LinkDelay
+from repro.net.network import SimNetwork
+from repro.net.topology import Topology
 from repro.shard import (
     SHARD_ENDPOINT_STRIDE,
-    ShardAwareLatency,
     ShardMap,
     ShardRouter,
     physical_node,
@@ -29,7 +31,7 @@ from repro.shard import (
     shard_endpoint,
     shard_of_endpoint,
 )
-from repro.sim.rng import RandomStreams
+from repro.sim.engine import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHARD_PACKAGE = REPO_ROOT / "src" / "repro" / "shard"
@@ -125,30 +127,38 @@ class TestAddressing:
         wrapped = round_robin_leaders(7, nodes)
         assert [physical_node(leader) for leader in wrapped] == [0, 1, 2, 3, 4, 0, 1]
 
-    def test_shard_aware_latency_folds_endpoints(self):
-        class FixedLatency:
+    def test_network_folds_shard_endpoints_onto_machines(self):
+        class FixedLatency(LatencyModel):
             def delay(self, src, dst, rng):
                 return 0.001 * (src * 100 + dst)
 
-            def describe(self):
-                return "Fixed"
+            def link(self, src, dst):
+                return LinkDelay(0.001 * (src * 100 + dst))
 
-        latency = ShardAwareLatency(FixedLatency())
-        rng = RandomStreams(1).stream("test")
-        raw = latency.delay(1, 2, rng)
-        assert latency.delay(shard_endpoint(3, 1), shard_endpoint(2, 2), rng) == raw
-        assert latency.delay(shard_endpoint(3, 1), 2, rng) == raw
-        assert "Fixed" in latency.describe()
+        sim = Simulator(seed=1)
+        topology = Topology(node_ids=[0, 1, 2], latency=FixedLatency(), bandwidth_bytes_per_sec=None)
+        network = SimNetwork(sim, topology)
+        sinks = {
+            endpoint: ArrivalSink(endpoint, sim)
+            for endpoint in (1, 2, shard_endpoint(3, 1), shard_endpoint(2, 2))
+        }
+        for sink in sinks.values():
+            network.register(sink)
+        raw = FixedLatency().delay(1, 2, None)
+        for src, dst in [(1, 2), (shard_endpoint(3, 1), shard_endpoint(2, 2)), (shard_endpoint(3, 1), 2)]:
+            network.send(src, dst, SizedProbe())
+        sim.run()
+        arrivals = sinks[2].arrivals + sinks[shard_endpoint(2, 2)].arrivals
+        assert [time for time, _, _, _ in arrivals] == [raw, raw, raw]
 
     @pytest.mark.parametrize("topology", [lan_topology(3), wan_topology(num_nodes=6)], ids=["lan", "wan"])
     def test_sharded_sends_match_per_send_latency_reference(self, topology):
-        # The network resolves each link's static delay once, through the
-        # folding model; deliveries must stay bit-equal to folding per send,
-        # and shard-group endpoints must still classify as no locality.
+        # The network resolves each link's static delay once, folding both
+        # ends onto their machines; deliveries must stay bit-equal to
+        # folding per send, and shard-group endpoints must still classify
+        # as no locality.
         endpoints = [shard_endpoint(s, n) for s in range(3) for n in topology.node_ids] + [1000]
-        records, counters = drive_against_per_send_reference(
-            topology, endpoints, latency_model=ShardAwareLatency(topology.latency)
-        )
+        records, counters = drive_against_per_send_reference(topology, endpoints)
         assert all(actual == expected for _, _, actual, expected in records)
         placed = topology.region_map()
         shard0_pairs = sum(1 for src, dst, _, _ in records if src in placed and dst in placed)

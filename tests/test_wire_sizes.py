@@ -35,6 +35,7 @@ from repro.net.network import SimNetwork
 from repro.net.sizes import SizeModel
 from repro.overlay import messages as overlay_messages
 from repro.overlay.messages import RelayAggregate, RelayRequest, RelaySubtree
+from repro.paxos.replica import MultiPaxosReplica
 from repro.protocol import messages as protocol_messages
 from repro.protocol.ballot import Ballot
 from repro.protocol.messages import (
@@ -175,10 +176,11 @@ class _Unfilled(Message):
 
 
 def _bytes_out_after_one_send(message, header_bytes: int) -> int:
-    """``node.0.bytes_out`` after node 0 sends ``message`` once."""
+    """``node.0.bytes_out`` after node 0's replica sends ``message`` once."""
     sim = Simulator(seed=0)
     network = SimNetwork(sim, lan_topology(2), size_model=SizeModel(header_bytes=header_bytes))
-    SimNode(0, sim, network).send(1, message)
+    host = SimNode(0, sim, network).host(MultiPaxosReplica(), [0, 1], 0)
+    host.send(1, message)
     return sim.metrics.counter("node.0.bytes_out").value
 
 
