@@ -8,7 +8,9 @@ skipped; a ``path#anchor`` link is checked for the path only.
 Additionally cross-checks the "Static analysis" section of
 ``docs/ARCHITECTURE.md`` against the live ``repro.lint`` rule registry,
 in both directions: every registered rule id must be documented, and
-every documented rule id must exist in the registry.  The knob x protocol
+every documented rule id must exist in the registry; the catalogue table
+lists the rules in registry order, each description opening with the
+rule's title.  The knob x protocol
 table of the same file is cross-checked the same way against
 ``repro.protocol.resolver.KNOB_TABLE``: same knobs, same protocol columns,
 and ``honoured``/``rejected`` in every cell exactly as the resolver has it.
@@ -284,14 +286,12 @@ def static_analysis_section(text: str) -> str | None:
     return text[body_start:] if end == -1 else text[body_start:end]
 
 
-def check_lint_rule_docs() -> list[str]:
-    """Cross-check documented rule ids against the live rule registry."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.lint.rules import RULES
-    finally:
-        sys.path.pop(0)
+#: A row of the rule-catalogue table: the backticked id, then its description.
+RULE_ROW_RE = re.compile(r"^\s*\| `([a-z][a-z0-9]*(?:-[a-z0-9]+)+)` \| (.*?) \|\s*$")
 
+
+def check_lint_rule_docs() -> list[str]:
+    """Cross-check the documented rule catalogue against the live rule registry."""
     if not ARCHITECTURE_MD.exists():
         return [f"{ARCHITECTURE_MD.relative_to(REPO_ROOT)}: file missing"]
     section = static_analysis_section(ARCHITECTURE_MD.read_text(encoding="utf-8"))
@@ -300,31 +300,51 @@ def check_lint_rule_docs() -> list[str]:
             f"{ARCHITECTURE_MD.relative_to(REPO_ROOT)}: "
             f'no "{STATIC_ANALYSIS_HEADING}" section (rule catalogue lives there)'
         ]
+    return rule_catalogue_problems(section)
+
+
+def rule_catalogue_problems(section: str) -> list[str]:
+    """Hold the Static analysis ``section`` to ``repro.lint.rules.RULES``.
+
+    Every registered rule id is documented and every id in the catalogue
+    table is registered; the table lists the rows in ``RULES`` order, and
+    each description opens with its row's ``title`` (backticks ignored).
+    """
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        from repro.lint.rules import RULES
+    finally:
+        sys.path.pop(0)
 
     documented = {token for token in RULE_ID_RE.findall(section) if token in RULES}
-    doc_only = {
-        token
-        for token in RULE_ID_RE.findall(section)
-        # Hyphenated backticked tokens in the rule-catalogue table column
-        # must be real rule ids; elsewhere in the section prose they may
-        # be ordinary hyphenated identifiers, so only the table is strict.
-        if token not in RULES
-        and any(
-            line.lstrip().startswith(f"| `{token}`")
-            for line in section.splitlines()
-        )
-    }
+    # Hyphenated backticked tokens in the rule-catalogue table column must be
+    # real rule ids; elsewhere in the section prose they may be ordinary
+    # hyphenated identifiers, so only the table is strict.
+    rows = [row.groups() for row in map(RULE_ROW_RE.match, section.splitlines()) if row]
     problems = []
     for rule_id in sorted(set(RULES) - documented):
         problems.append(
             f"docs/ARCHITECTURE.md: lint rule `{rule_id}` is registered in "
             "repro.lint.rules.RULES but missing from the Static analysis section"
         )
-    for token in sorted(doc_only):
+    for token in sorted({rule_id for rule_id, _ in rows} - set(RULES)):
         problems.append(
             f"docs/ARCHITECTURE.md: Static analysis section documents `{token}` "
             "but repro.lint.rules.RULES has no such rule"
         )
+    listed = [rule_id for rule_id, _ in rows if rule_id in RULES]
+    if listed != [rule_id for rule_id in RULES if rule_id in listed]:
+        problems.append(
+            f"docs/ARCHITECTURE.md: rule catalogue lists {', '.join(listed)}; "
+            f"repro.lint.rules.RULES orders them {', '.join(r for r in RULES if r in listed)}"
+        )
+    for rule_id, description in rows:
+        title = RULES[rule_id].title if rule_id in RULES else None
+        if title is not None and not description.replace("`", "").startswith(title):
+            problems.append(
+                f"docs/ARCHITECTURE.md: rule catalogue row `{rule_id}` does not open "
+                f"with its title {title!r}"
+            )
     return problems
 
 

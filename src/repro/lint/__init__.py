@@ -14,26 +14,25 @@ Usage::
 """
 
 from repro.lint.core import (
-    Finding,
     FileContext,
+    Finding,
     LintEngine,
     Rule,
     Suppression,
-    iter_python_files,
     parse_suppressions,
     repro_relpath,
 )
-from repro.lint.rules import RULES, default_rules
+from repro.lint.rules import RULES, SIM_SCOPE, default_rules
 
 __all__ = [
-    "Finding",
     "FileContext",
+    "Finding",
     "LintEngine",
-    "Rule",
     "RULES",
+    "Rule",
+    "SIM_SCOPE",
     "Suppression",
     "default_rules",
-    "iter_python_files",
     "parse_suppressions",
     "repro_relpath",
 ]

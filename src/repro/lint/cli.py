@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,13 +27,10 @@ def _format_table(findings: Sequence[Finding]) -> str:
         f"{loc:<{loc_width}}  {rule:<{rule_width}}  {message}"
         for loc, rule, message in rows
     ]
-    hints = {
-        finding.rule: finding.hint for finding in findings if finding.hint
-    }
+    hints = {finding.rule: finding.hint for finding in findings if finding.hint}
     if hints:
         lines.append("")
-        for rule_id in sorted(hints):
-            lines.append(f"  fix[{rule_id}]: {hints[rule_id]}")
+        lines.extend(f"  fix[{rule_id}]: {hints[rule_id]}" for rule_id in sorted(hints))
     return "\n".join(lines)
 
 
@@ -51,10 +49,7 @@ def _format_suppressions(suppressions: Sequence[Suppression]) -> str:
 
 def _list_rules() -> str:
     width = max(len(rule_id) for rule_id in RULES)
-    lines = []
-    for rule_id, rule_cls in RULES.items():
-        lines.append(f"{rule_id:<{width}}  {rule_cls.title}")
-    return "\n".join(lines)
+    return "\n".join(f"{rule.id:<{width}}  {rule.title}" for rule in RULES.values())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -65,9 +60,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "Semantic rules only; style belongs to ruff."
         ),
     )
-    parser.add_argument(
-        "paths", nargs="*", type=Path, help="files or directories to check"
-    )
+    parser.add_argument("paths", nargs="*", type=Path, help="files or directories to check")
     parser.add_argument(
         "--rule",
         action="append",
@@ -75,12 +68,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="RULE-ID",
         help="run only this rule (repeatable); default: all rules",
     )
-    parser.add_argument(
-        "--json", action="store_true", help="emit findings as a JSON array"
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
+    parser.add_argument("--json", action="store_true", help="emit findings as a JSON array")
+    parser.add_argument("--list-rules", action="store_true", help="print the rule catalogue")
     parser.add_argument(
         "--list-suppressions",
         action="store_true",
@@ -117,13 +106,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.json:
-        print(json.dumps([finding.to_dict() for finding in findings], indent=2))
+        print(json.dumps([asdict(finding) for finding in findings], indent=2))
     elif findings:
         print(_format_table(findings))
-        print(
-            f"\n{len(findings)} finding(s) in {engine.files_checked} file(s)",
-            file=sys.stderr,
-        )
+        print(f"\n{len(findings)} finding(s) in {engine.files_checked} file(s)", file=sys.stderr)
     else:
         used = sum(1 for s in suppressions if s.used)
         print(
@@ -132,6 +118,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     return 1 if findings else 0
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    raise SystemExit(main())

@@ -1,11 +1,11 @@
-"""The AST-walker framework behind ``repro.lint``.
+"""The engine behind ``repro.lint``: one parse per file, one table of rules.
 
-One parse per file: the engine reads a source file, parses it once, links
-parent pointers, and hands every node to each subscribed rule (a rule
-subscribes by defining ``visit_<NodeType>`` methods).  Rules report
-:class:`Finding`s through the :class:`FileContext`; the engine applies
-inline suppressions as findings are reported, so a rule never needs to
-know about them.
+A rule is a row (:class:`Rule`): its catalogue text, the files it scopes
+to, and a ``check(ctx)`` function that walks ``ctx.tree`` itself and
+reports :class:`Finding`s through :meth:`FileContext.report`.  The engine
+parses each file once, resolves its imports once (``ctx.imports``), runs
+every in-scope check, and applies inline suppressions as findings are
+reported, so a check never needs to know about them.
 
 Suppressions are inline and auditable::
 
@@ -30,8 +30,10 @@ import ast
 import io
 import re
 import tokenize
+from dataclasses import dataclass
+from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Inline suppression comments: ``# lint: ok(rule-id[, rule-id...]) reason``.
 SUPPRESSION_RE = re.compile(
@@ -39,67 +41,34 @@ SUPPRESSION_RE = re.compile(
 )
 
 
+@dataclass
 class Finding:
-    """One rule violation: where, what, and how to fix it."""
+    """One rule violation: where, what, and how to fix it.
 
-    __slots__ = ("rule", "path", "line", "col", "message", "hint")
+    The field order is the key order of ``--json`` output.
+    """
 
-    def __init__(
-        self,
-        rule: str,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        hint: str = "",
-    ) -> None:
-        self.rule = rule
-        self.path = path
-        self.line = line
-        self.col = col
-        self.message = message
-        self.hint = hint
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
+    hint: str = ""
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Finding({self.rule} {self.path}:{self.line} {self.message!r})"
-
-
+@dataclass
 class Suppression:
     """One parsed ``# lint: ok(...)`` comment."""
 
-    __slots__ = ("path", "line", "target_line", "rules", "reason", "used")
-
-    def __init__(
-        self, path: str, line: int, target_line: int, rules: Tuple[str, ...], reason: str
-    ) -> None:
-        self.path = path
-        self.line = line           # line the comment sits on
-        self.target_line = target_line  # line whose findings it suppresses
-        self.rules = rules
-        self.reason = reason
-        self.used = False
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rules": list(self.rules),
-            "reason": self.reason,
-            "used": self.used,
-        }
+    path: str
+    line: int  # line the comment sits on
+    target_line: int  # line whose findings it suppresses
+    rules: Tuple[str, ...]
+    reason: str
+    used: bool = False
 
 
 def parse_suppressions(path: str, source: str) -> List[Suppression]:
@@ -131,125 +100,97 @@ def parse_suppressions(path: str, source: str) -> List[Suppression]:
     return suppressions
 
 
-class Rule:
-    """Base class for lint rules.
+class Rule(NamedTuple):
+    """One row of the rule table.
 
-    Subclasses set the class attributes and define ``visit_<NodeType>``
-    methods; the engine calls each exactly once per matching node, in a
-    single walk of the file.  ``contract`` names the clause of the
-    determinism contract (``docs/ARCHITECTURE.md``) the rule encodes --
-    it is what the rule catalogue documents.
+    ``contract`` names the clause of the determinism contract
+    (``docs/ARCHITECTURE.md``) the rule encodes -- it is what the rule
+    catalogue documents.  ``scope`` holds ``fnmatch`` patterns over the
+    package-relative path; an empty scope means every file.  ``check`` is
+    None only for ``parse-error``, which the engine itself reports.
     """
 
-    id: str = ""
-    title: str = ""
-    contract: str = ""
-    hint: str = ""
+    id: str
+    title: str
+    contract: str
+    hint: str
+    scope: Tuple[str, ...] = ()
+    check: Optional[Callable[["FileContext"], None]] = None
 
-    def applies(self, relpath: str) -> bool:
-        """Whether this rule runs on the file at ``relpath`` at all."""
-        return True
 
-    def begin_file(self, ctx: "FileContext") -> None:
-        """Per-file setup (import maps, class tables); runs before the walk."""
+def import_table(tree: ast.AST) -> Dict[str, str]:
+    """Local name -> qualified name for every import in the file.
 
-    def end_file(self, ctx: "FileContext") -> None:
-        """Per-file teardown; runs after the walk."""
+    ``import time as clock`` binds ``clock -> time``; ``from time import
+    monotonic`` binds ``monotonic -> time.monotonic``; ``import a.b`` binds
+    ``a -> a``.  Relative imports keep their leading dots, so they never
+    alias a standard-library module.
+    """
+    table: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    table[alias.asname] = alias.name
+                else:
+                    root = alias.name.partition(".")[0]
+                    table[root] = root
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            for alias in node.names:
+                table[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return table
 
 
 class FileContext:
-    """Everything a rule may need while walking one file."""
-
-    __slots__ = (
-        "path",
-        "relpath",
-        "source",
-        "tree",
-        "findings",
-        "suppressions",
-        "active_rule_ids",
-        "all_rules_active",
-        "_suppressions_by_line",
-    )
+    """Everything a check may need while walking one file."""
 
     def __init__(
         self,
-        path: str,
         relpath: str,
         source: str,
         tree: ast.AST,
-        active_rule_ids: Tuple[str, ...],
-        all_rules_active: bool,
+        active_rule_ids: Tuple[str, ...] = (),
+        all_rules_active: bool = True,
     ) -> None:
-        self.path = path
         self.relpath = relpath
-        self.source = source
         self.tree = tree
+        self.imports = import_table(tree)
         self.findings: List[Finding] = []
         self.suppressions = parse_suppressions(relpath, source)
         self.active_rule_ids = active_rule_ids
         self.all_rules_active = all_rules_active
-        by_line: Dict[int, List[Suppression]] = {}
-        for suppression in self.suppressions:
-            by_line.setdefault(suppression.target_line, []).append(suppression)
-        self._suppressions_by_line = by_line
+        #: The row whose check is running; ``report`` files findings under it.
+        self.rule: Optional[Rule] = None
+        self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
-    # ------------------------------------------------------------- reporting
-    def report(
-        self, rule: Rule, node: ast.AST, message: str, hint: Optional[str] = None
-    ) -> None:
+    def report(self, node: ast.AST, message: str) -> None:
         """Report a finding at ``node``, honouring inline suppressions."""
         line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        for suppression in self._suppressions_by_line.get(line, ()):
-            if rule.id in suppression.rules:
+        for suppression in self.suppressions:
+            if suppression.target_line == line and self.rule.id in suppression.rules:
                 suppression.used = True
                 return
-        self.findings.append(
-            Finding(
-                rule=rule.id,
-                path=self.relpath,
-                line=line,
-                col=col,
-                message=message,
-                hint=rule.hint if hint is None else hint,
-            )
-        )
+        self.report_unsuppressable(line, message, getattr(node, "col_offset", 0))
 
-    def report_unsuppressable(
-        self, rule: Rule, line: int, message: str, hint: Optional[str] = None
-    ) -> None:
+    def report_unsuppressable(self, line: int, message: str, col: int = 0) -> None:
         """Report a finding that inline comments cannot silence.
 
         Used by ``suppression-hygiene``: a reason-less suppression must not
         be able to suppress the report about itself.
         """
         self.findings.append(
-            Finding(
-                rule=rule.id,
-                path=self.relpath,
-                line=line,
-                col=0,
-                message=message,
-                hint=rule.hint if hint is None else hint,
-            )
+            Finding(self.rule.id, self.relpath, line, col, message, self.rule.hint)
         )
 
-    # ------------------------------------------------------------ navigation
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return getattr(node, "_lint_parent", None)
-
-    def ancestors(self, node: ast.AST) -> Iterable[ast.AST]:
-        current = self.parent(node)
-        while current is not None:
-            yield current
-            current = self.parent(current)
-
-
-def _link_parents(tree: ast.AST) -> None:
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._lint_parent = node  # type: ignore[attr-defined]
+        if self._parents is None:
+            self._parents = {
+                child: parent
+                for parent in ast.walk(self.tree)
+                for child in ast.iter_child_nodes(parent)
+            }
+        return self._parents.get(node)
 
 
 def repro_relpath(path: Path) -> str:
@@ -267,25 +208,18 @@ def repro_relpath(path: Path) -> str:
 
 
 class LintEngine:
-    """Runs a set of rules over files, one parse and one walk per file."""
+    """Runs a set of rule rows over files, one parse per file."""
 
     def __init__(self, rules: Sequence[Rule], all_rules_active: bool = True) -> None:
         self.rules = list(rules)
         self.all_rules_active = all_rules_active
         self.files_checked = 0
 
-    # ----------------------------------------------------------- single file
-    def lint_source(
-        self, source: str, relpath: str, path: Optional[str] = None
-    ) -> FileContext:
-        active_ids = tuple(rule.id for rule in self.rules)
+    def lint_source(self, source: str, relpath: str) -> FileContext:
         try:
             tree = ast.parse(source, filename=relpath)
         except SyntaxError as error:
-            ctx = FileContext(
-                path or relpath, relpath, "", ast.Module(body=[], type_ignores=[]),
-                active_ids, self.all_rules_active,
-            )
+            ctx = FileContext(relpath, "", ast.Module(body=[], type_ignores=[]))
             ctx.findings.append(
                 Finding(
                     rule="parse-error",
@@ -297,56 +231,33 @@ class LintEngine:
                 )
             )
             return ctx
-        _link_parents(tree)
         ctx = FileContext(
-            path or relpath, relpath, source, tree, active_ids, self.all_rules_active
+            relpath, source, tree, tuple(rule.id for rule in self.rules), self.all_rules_active
         )
-        applicable = [rule for rule in self.rules if rule.applies(relpath)]
-        if not applicable:
-            return ctx
-        for rule in applicable:
-            rule.begin_file(ctx)
-        dispatch: Dict[str, List] = {}
-        for rule in applicable:
-            for name in dir(type(rule)):
-                if name.startswith("visit_"):
-                    dispatch.setdefault(name[len("visit_"):], []).append(
-                        getattr(rule, name)
-                    )
-        if dispatch:
-            for node in ast.walk(tree):
-                handlers = dispatch.get(type(node).__name__)
-                if handlers:
-                    for handler in handlers:
-                        handler(node, ctx)
-        for rule in applicable:
-            rule.end_file(ctx)
+        # Row order matters once: suppression-hygiene runs last, because it
+        # audits whether the other rules' suppressions were used.
+        for rule in self.rules:
+            if rule.check is None:
+                continue
+            if not rule.scope or any(fnmatchcase(relpath, glob) for glob in rule.scope):
+                ctx.rule = rule
+                rule.check(ctx)
         ctx.findings.sort(key=Finding.sort_key)
         return ctx
 
-    def lint_file(self, path: Path) -> FileContext:
-        source = Path(path).read_text(encoding="utf-8")
-        return self.lint_source(source, repro_relpath(Path(path)), str(path))
-
-    # ------------------------------------------------------------ many files
     def lint_paths(self, paths: Sequence[Path]) -> Tuple[List[Finding], List[Suppression]]:
+        files: List[Path] = []
+        for path in map(Path, paths):
+            if path.is_dir():
+                files += sorted(p for p in path.rglob("*.py") if "__pycache__" not in p.parts)
+            elif path.suffix == ".py":
+                files.append(path)
         findings: List[Finding] = []
         suppressions: List[Suppression] = []
-        for path in iter_python_files(paths):
-            ctx = self.lint_file(path)
+        for path in files:
+            ctx = self.lint_source(path.read_text(encoding="utf-8"), repro_relpath(path))
             self.files_checked += 1
             findings.extend(ctx.findings)
             suppressions.extend(ctx.suppressions)
         findings.sort(key=Finding.sort_key)
         return findings, suppressions
-
-
-def iter_python_files(paths: Sequence[Path]) -> Iterable[Path]:
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            yield from sorted(
-                p for p in path.rglob("*.py") if "__pycache__" not in p.parts
-            )
-        elif path.suffix == ".py":
-            yield path

@@ -128,3 +128,26 @@ def test_md_citations_match_repo_files_as_path_suffixes():
 def test_dotted_repro_references_must_resolve(dotted, ok):
     problems = check_docs.stale_citations(f"a docstring naming {dotted}.", set())
     assert problems == ([] if ok else [f"names {dotted}, which does not resolve"])
+
+
+def _catalogue(rows):
+    return "### Rule catalogue\n\n| Rule id | Contract clause |\n| --- | --- |\n" + "".join(
+        f"| `{rule_id}` | {description} |\n" for rule_id, description in rows
+    )
+
+
+def test_rule_catalogue_is_held_to_the_rule_table():
+    from repro.lint.rules import RULES
+
+    rows = [(rule.id, f"{rule.title}: more words") for rule in RULES.values()]
+    assert check_docs.rule_catalogue_problems(_catalogue(rows)) == []
+    architecture = check_docs.ARCHITECTURE_MD.read_text(encoding="utf-8")
+    assert check_docs.rule_catalogue_problems(
+        check_docs.static_analysis_section(architecture)
+    ) == []
+    reordered = [rows[1], rows[0], *rows[2:]]
+    (problem,) = check_docs.rule_catalogue_problems(_catalogue(reordered))
+    assert "orders them no-wall-clock, no-unseeded-random" in problem
+    drifted = [(rows[0][0], "no clock reads anywhere"), *rows[1:]]
+    (problem,) = check_docs.rule_catalogue_problems(_catalogue(drifted))
+    assert "`no-wall-clock` does not open with its title" in problem

@@ -60,6 +60,22 @@ class TestNoWallClock:
         )
         assert any(f.rule == "no-wall-clock" and f.line == 3 for f in ctx.findings)
 
+    @pytest.mark.parametrize(
+        "imported, called, qualified",
+        [
+            ("localtime", "localtime", "time.localtime"),
+            ("gmtime as g", "g", "time.gmtime"),
+            ("clock_gettime", "clock_gettime", "time.clock_gettime"),
+        ],
+    )
+    def test_fires_on_every_from_imported_clock(self, imported, called, qualified):
+        # One table of clock reads serves the module and the from-import
+        # forms, so no clock can be banned in one and missed in the other.
+        ctx = lint_snippet(f"from time import {imported}\nt = {called}(0)\n")
+        assert [(f.rule, f.line, f.message) for f in ctx.findings] == [
+            ("no-wall-clock", 2, f"wall-clock read {qualified}() (from-import)")
+        ]
+
     def test_fires_on_datetime_now(self):
         ctx = lint_snippet(
             """
@@ -648,6 +664,56 @@ class TestCounterNameRegistry:
             if not name.startswith(METRIC_NAME_PREFIXES)
         ]
         assert unwritten == []
+
+
+# ------------------------------------------------------- one example per rule
+#: A minimal bad snippet for every checking rule: each gives exactly one
+#: finding, of its own rule.  A new rule must add a row here.
+RULE_EXAMPLES = {
+    "no-wall-clock": ("sim/example.py", "import time\nt = time.time()\n"),
+    "no-unseeded-random": ("sim/example.py", "import random\nx = random.random()\n"),
+    "no-unordered-iteration": (
+        "overlay/example.py",
+        "def fan_out(self, peers):\n    for peer in peers.keys():\n        self.send(peer)\n",
+    ),
+    "no-hash-order": (
+        "overlay/example.py",
+        "def bucket(member, n):\n    return hash(member) % n\n",
+    ),
+    "wire-type-hygiene": (
+        "protocol/messages.py",
+        "class Ping:\n    def __init__(self, ballot):\n        self.ballot = ballot\n",
+    ),
+    "no-frozen-dataclass-hot-path": (
+        "sim/events.py",
+        "from dataclasses import dataclass\n\n@dataclass(frozen=True)\nclass Timer:\n"
+        "    at: float\n",
+    ),
+    "scenario-hygiene": (
+        "scenarios/library.py",
+        's = Scenario(name="bad", checks=("linearizability",), min_completed=10)\n',
+    ),
+    "counter-name-registry": (
+        "paxos/example.py",
+        'def commit(self):\n    self.count("slots_comitted")\n',
+    ),
+}
+
+
+def test_every_checking_rule_has_an_example():
+    assert set(RULE_EXAMPLES) == set(RULES) - {"parse-error", "suppression-hygiene"}
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULE_EXAMPLES))
+def test_example_fires_once_and_suppresses_cleanly(rule_id):
+    relpath, snippet = RULE_EXAMPLES[rule_id]
+    ctx = lint_snippet(snippet, relpath=relpath)
+    assert [finding.rule for finding in ctx.findings] == [rule_id]
+    lines = snippet.splitlines()
+    lines[ctx.findings[0].line - 1] += f"  # lint: ok({rule_id}) example of a reasoned suppression"
+    ctx = lint_snippet("\n".join(lines) + "\n", relpath=relpath)
+    assert ctx.findings == []
+    assert [suppression.used for suppression in ctx.suppressions] == [True]
 
 
 # -------------------------------------------------------- suppression handling
