@@ -116,6 +116,10 @@ class ProtocolConfig:
             raise ConfigurationError("heartbeat_interval must be positive")
         if self.session_window < 1:
             raise ConfigurationError("session_window must be >= 1")
+        # A zero timer re-arms at +0 forever: virtual time never advances.
+        for knob in ("phase1_timeout", "fill_gap_timeout"):
+            if getattr(self, knob) <= 0:
+                raise ConfigurationError(f"{knob} must be positive")
         if self.recovery_timeout is not None and self.recovery_timeout <= 0:
             raise ConfigurationError("recovery_timeout must be positive (or None to disable)")
         if self.leader_retry_timeout is not None and self.leader_retry_timeout <= 0:

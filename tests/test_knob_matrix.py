@@ -117,6 +117,15 @@ def test_every_cell_is_honoured_or_rejected(knob, protocol, as_mapping):
             assert attrgetter(CONSUMED[protocol, knob])(replica) == value
 
 
+@pytest.mark.parametrize("value", [0, -0.1])
+@pytest.mark.parametrize("knob", ["phase1_timeout", "fill_gap_timeout"])
+def test_non_positive_paxos_timeouts_are_rejected(knob, value):
+    # A zero timer re-arms itself at +0 before any reply can arrive, so the
+    # run spins at one virtual instant and completes nothing.
+    with pytest.raises(ConfigurationError, match=knob):
+        ProtocolConfig(**{knob: value})
+
+
 def test_overlay_table_covers_exactly_the_overlay_config_fields():
     assert set(FIELDS_READ) == set(OVERLAY_KINDS)
     assert set(OVERLAY_NON_DEFAULT) == {f.name for f in fields(OverlayConfig)} - {"kind"}
