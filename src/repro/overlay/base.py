@@ -4,8 +4,8 @@ A :class:`FanoutOverlay` decides *how* a replica's wide-cast messages reach
 the rest of the cluster: directly (one message per peer), through relay
 trees (PigPaxos-style, one message per relay group), or thriftily (only a
 quorum-sized subset, with a fallback re-send on timeout).  Replicas route
-every wide-cast through their overlay instead of calling
-``broadcast(peers, ...)`` themselves, which is what makes the paper's
+every wide-cast through their overlay instead of looping over their
+peers themselves, which is what makes the paper's
 communication-cost comparison a pluggable axis instead of a Multi-Paxos
 special case.
 
@@ -37,7 +37,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
 )
 
@@ -109,15 +108,14 @@ class FanoutOverlay(ABC):
         expects_response: bool = True,
         round_id: Optional[Hashable] = None,
         quorum_size: Optional[int] = None,
-        exclude: Optional[set] = None,
-    ) -> Sequence[int]:
-        """Disseminate ``message`` to the host's peers; returns first-hop targets.
+    ) -> None:
+        """Disseminate ``message`` to the host's peers.
 
         ``round_id``/``quorum_size`` describe the voting round the message
         opens (thrifty overlays use them to size the subset and arm the
         fallback); ``expects_response`` is False for fire-and-forget traffic
         (heartbeats, commit notifications) that every peer must still
-        receive; ``exclude`` names peers the host believes are down.
+        receive.
         """
 
     def complete_round(self, round_id: Hashable) -> None:

@@ -1,7 +1,7 @@
 """Direct (all-to-all) fan-out: the status-quo broadcast.
 
-``DirectFanout`` sends one copy of the message to every peer -- exactly what
-``Replica.broadcast`` did before the overlay layer existed.  It is the
+``DirectFanout`` sends one copy of the message to every peer, in peer
+order, with no overlay state and no RNG draw.  It is the
 default overlay for Multi-Paxos and EPaxos, and the baseline the paper's
 communication-cost tables compare relay and thrifty fan-out against: the
 fan-out root touches ``2(n-1)`` messages per round (sends plus replies),
@@ -17,7 +17,7 @@ Example::
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 from repro.net.message import Message
 from repro.overlay.base import FanoutOverlay
@@ -35,9 +35,6 @@ class DirectFanout(FanoutOverlay):
         expects_response: bool = True,
         round_id: Optional[Hashable] = None,
         quorum_size: Optional[int] = None,
-        exclude: Optional[set] = None,
-    ) -> List[int]:
-        targets = [peer for peer in self.host.peers if not exclude or peer not in exclude]
-        for peer in targets:
+    ) -> None:
+        for peer in self.host.peers:
             self.host.send(peer, message)
-        return targets

@@ -77,8 +77,9 @@ def region_groups(members: Sequence[int], region_of: Dict[int, str]) -> List[Lis
 class RelayGroupPlan:
     """The current partition of followers into relay groups, plus tree building.
 
-    The plan is recomputed whenever the leader (and therefore the follower
-    set) changes, and may be reshuffled on demand (Section 4.1).
+    A relay overlay builds its plan from its host's peers on first use;
+    after that the plan changes only when it is reshuffled (Section 4.1)
+    or replaced through ``set_plan`` -- never on a leader change.
     """
 
     groups: List[List[int]]
@@ -130,21 +131,11 @@ class RelayGroupPlan:
         rng: random.Random,
         levels: int = 1,
         fixed_relays: bool = False,
-        exclude: Optional[set] = None,
     ) -> List[RelaySubtree]:
-        """Build one relay tree per group for a single round.
-
-        ``exclude`` removes nodes the leader believes are down (used by the
-        retry path so a fresh round avoids the relays that just timed out).
-        """
-        trees: List[RelaySubtree] = []
-        for group in self.groups:
-            candidates = [n for n in group if not exclude or n not in exclude]
-            if not candidates:
-                candidates = list(group)
-            tree = self._build_group_tree(candidates, rng, levels, fixed_relays)
-            trees.append(tree)
-        return trees
+        """Build one relay tree per group for a single round."""
+        return [
+            self._build_group_tree(group, rng, levels, fixed_relays) for group in self.groups
+        ]
 
     def _build_group_tree(
         self,
@@ -243,25 +234,17 @@ class HierarchicalGroupPlan(RelayGroupPlan):
         rng: random.Random,
         levels: int = 1,
         fixed_relays: bool = False,
-        exclude: Optional[set] = None,
     ) -> List[RelaySubtree]:
         if levels <= 1:
             # One-level trees are zone-blind; the base builder draws the
             # same relays a plain region plan would.
-            return super().build_trees(rng, levels, fixed_relays, exclude)
+            return super().build_trees(rng, levels, fixed_relays)
         trees: List[RelaySubtree] = []
         for group, zone_partition in zip(self.groups, self.zones):
-            candidates = [n for n in group if not exclude or n not in exclude]
-            if not candidates:
-                candidates = list(group)
-            relay = candidates[0] if fixed_relays else rng.choice(candidates)
+            relay = group[0] if fixed_relays else rng.choice(group)
             children: List[RelaySubtree] = []
             for zone_members in zone_partition:
-                rest = [
-                    n
-                    for n in zone_members
-                    if n != relay and (not exclude or n not in exclude)
-                ]
+                rest = [n for n in zone_members if n != relay]
                 if not rest:
                     continue
                 children.append(

@@ -197,19 +197,14 @@ class RelayFanout(FanoutOverlay):
         expects_response: bool = True,
         round_id: Optional[Hashable] = None,
         quorum_size: Optional[int] = None,
-        exclude: Optional[set] = None,
-    ) -> List[int]:
+    ) -> None:
         """Send ``message`` down one freshly built relay tree per group."""
         trees = self.plan().build_trees(
-            rng=self.host.ctx.rng,
-            levels=self.levels,
-            fixed_relays=self.fixed_relays,
-            exclude=exclude,
+            rng=self.host.ctx.rng, levels=self.levels, fixed_relays=self.fixed_relays
         )
         self._agg_counter += 1
         agg_id = self.host.node_id * 1_000_000_000 + self._agg_counter
         want_ack = not expects_response and self.commit_fallback_timeout is not None
-        relays: List[int] = []
         for tree in trees:
             request = RelayRequest(
                 inner=message,
@@ -220,8 +215,7 @@ class RelayFanout(FanoutOverlay):
                 ack=want_ack,
             )
             self.host.send(tree.node_id, request)
-            relays.append(tree.node_id)
-        if want_ack and relays:
+        if want_ack and trees:
             self._open_commit_round(
                 agg_id, message, {tree.node_id: tree for tree in trees}, depth=0
             )
@@ -229,7 +223,6 @@ class RelayFanout(FanoutOverlay):
         if counter is None:
             counter = self._fanouts_counter = self.host.counter("relay_fanouts")
         counter.value += 1.0
-        return relays
 
     def _open_commit_round(
         self,

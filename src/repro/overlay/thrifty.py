@@ -27,7 +27,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 from repro.net.message import Message
 from repro.overlay.base import FanoutOverlay
@@ -35,10 +35,9 @@ from repro.overlay.base import FanoutOverlay
 
 @dataclass
 class _ThriftyRound:
-    """An in-flight thrifty round: what was sent, and to whom it was not."""
+    """An in-flight thrifty round: what was sent, and its fallback timer."""
 
     message: Message
-    untargeted: List[int]
     timer: Optional[object] = None
 
 
@@ -60,15 +59,14 @@ class ThriftyFanout(FanoutOverlay):
         expects_response: bool = True,
         round_id: Optional[Hashable] = None,
         quorum_size: Optional[int] = None,
-        exclude: Optional[set] = None,
-    ) -> List[int]:
-        peers = [peer for peer in self.host.peers if not exclude or peer not in exclude]
+    ) -> None:
+        peers = self.host.peers
         if not expects_response or round_id is None or quorum_size is None:
             # Not a voting round (or the caller gave us nothing to be
             # thrifty about): behave like a direct broadcast.
             for peer in peers:
                 self.host.send(peer, message)
-            return peers
+            return
 
         needed = max(quorum_size - 1, 0)  # the fan-out root votes for itself
         if needed >= len(peers):
@@ -78,17 +76,15 @@ class ThriftyFanout(FanoutOverlay):
         for target in targets:
             self.host.send(target, message)
 
-        untargeted = [peer for peer in peers if peer not in targets]
         previous = self._pending.pop(round_id, None)
         if previous is not None and previous.timer is not None:
             previous.timer.cancel()
-        round_state = _ThriftyRound(message=message, untargeted=untargeted)
+        round_state = _ThriftyRound(message=message)
         round_state.timer = self.host.ctx.schedule(
             self.fallback_timeout, self._fallback, round_id
         )
         self._pending[round_id] = round_state
         self.host.count("thrifty_rounds")
-        return targets
 
     def complete_round(self, round_id: Hashable) -> None:
         round_state = self._pending.pop(round_id, None)

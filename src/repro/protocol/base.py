@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Sequence, Tuple
 
 from repro.overlay.base import FanoutOverlay
 from repro.overlay.direct import DirectFanout
@@ -199,10 +199,6 @@ class Replica(ABC):
     # ----------------------------------------------------------------- helpers
     def send(self, dst: int, message: Any) -> None:
         self.ctx.send(dst, message)
-
-    def broadcast(self, dsts: Iterable[int], message: Any) -> None:
-        for dst in dsts:
-            self.ctx.send(dst, message)
 
     def _reply_to_clients(
         self,

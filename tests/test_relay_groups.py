@@ -93,11 +93,6 @@ class TestRelayGroupPlan:
         trees = plan.build_trees(rng=random.Random(0), fixed_relays=True)
         assert [tree.node_id for tree in trees] == [3, 6]
 
-    def test_exclude_avoids_suspected_relays(self):
-        plan = RelayGroupPlan(groups=[[1, 2, 3]])
-        trees = plan.build_trees(rng=random.Random(0), exclude={1})
-        assert trees[0].node_id in (2, 3)
-
     def test_multi_level_tree_nests(self):
         plan = RelayGroupPlan(groups=[list(range(1, 14))])
         tree = plan.build_trees(rng=random.Random(2), levels=2)[0]
