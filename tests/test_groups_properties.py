@@ -8,7 +8,8 @@ asserts the planner invariants the PigPaxos overlay depends on):
 * the group count honours the configuration,
 * contiguous groups are ordered slices and round-robin deals by position,
 * region grouping respects the ``region_of`` map,
-* per-round relay trees cover each group member exactly once, and
+* per-round relay trees cover each group member exactly once, each tree
+  spans only its own group and nests no deeper than ``levels``, and
 * reshuffling keeps the membership and the group sizes.
 """
 
@@ -133,6 +134,22 @@ class TestRelayTrees:
         assert sorted(covered) == sorted(members)
         assert len(covered) == len(set(covered))
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_tree_spans_its_own_group_within_the_level_bound(self, seed):
+        # wide_cast hands tree i to group i's relay, so a tree must hold
+        # exactly its own group, be rooted at one of its members and nest
+        # no deeper than ``levels`` hops.
+        rng = random.Random(seed)
+        members = random_members(rng)
+        plan = RelayGroupPlan(groups=round_robin_groups(members, rng.randint(1, 6)))
+        levels = rng.randint(1, 3)
+        trees = plan.build_trees(rng, levels=levels)
+        assert len(trees) == plan.num_groups
+        for tree, group in zip(trees, plan.groups):
+            assert sorted(tree.all_nodes()) == sorted(group)
+            assert tree.node_id in group
+            assert tree_depth(tree) <= levels
+
     @pytest.mark.parametrize("seed", SEEDS[:12])
     def test_reshuffle_preserves_membership_and_sizes(self, seed):
         rng = random.Random(seed)
@@ -154,6 +171,11 @@ class TestRelayTrees:
 def tree_shape(tree):
     """Structural view of a RelaySubtree (the class itself compares by id)."""
     return (tree.node_id, tuple(tree_shape(child) for child in tree.children))
+
+
+def tree_depth(tree) -> int:
+    """Hops from a RelaySubtree's root to its deepest leaf."""
+    return max((1 + tree_depth(child) for child in tree.children), default=0)
 
 
 def random_hierarchy(rng: random.Random):
