@@ -15,9 +15,12 @@ endpoint id is the node id itself.
 
 There is one charged send and one charged receive (``SimNode._send_as`` /
 ``SimNode._arrive_for``), parameterised by the endpoint id the traffic
-travels under and the handler it is dispatched to.  Every host binds the same
-bodies to its own endpoint, so all of a machine's replicas queue on its CPU
-through identical arithmetic.
+travels under and the handler table it is dispatched through.  Every host
+binds the same bodies to its own endpoint, so all of a machine's replicas
+queue on its CPU through identical arithmetic.  Dispatch happens at arrival:
+the replica's handler itself is queued behind the receive cost, and the crash
+guard lives in :meth:`SimNode.crash`, which re-routes the handlers still
+queued through a check made when they fire.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
 from repro.net.network import SimNetwork
-from repro.protocol.base import Replica, TimerLike
+from repro.protocol.base import HandlerTable, Replica, TimerLike
 from repro.protocol.messages import ClientRequest
 from repro.shard.addressing import shard_endpoint
 from repro.sim.engine import Simulator
@@ -129,15 +132,15 @@ class SimNode:
         heappush(queue._heap, (ready_at, 0, seq, self._network_send, (endpoint_id, dst, message, size)))
         queue._live += 1
 
-    def _arrive_for(
-        self, handler: Callable[[int, Any], None], src: int, message: Any, size: int
-    ) -> None:
-        """A message lands on this machine: count it, charge CPU, queue ``handler``.
+    def _arrive_for(self, handlers: HandlerTable, src: int, message: Any, size: int) -> None:
+        """A message lands on this machine: count it, charge CPU, queue its handler.
 
         The one charged-receive body, called directly by the network's
-        delivery event; the completion event is ``handler(src, message)``.
-        Reachability is judged here, at arrival time: a machine that crashed
-        after the send black-holes the message.
+        delivery event.  Dispatch happens here, at arrival: the completion
+        event is ``handlers[type(message)](src, message)`` itself, with no
+        frame in between.  Reachability is judged here too: a machine that
+        crashed after the send black-holes the message.  A crash that lands
+        while the handler is still queued is :meth:`crash`'s to catch.
         """
         if self._crashed:
             self._undeliverable.value += 1
@@ -160,7 +163,7 @@ class SimNode:
         queue = sim._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heappush(queue._heap, (ready_at, 0, seq, handler, (src, message)))
+        heappush(queue._heap, (ready_at, 0, seq, handlers[type(message)], (src, message)))
         queue._live += 1
 
     def charge_execution(self, commands: int = 1) -> None:
@@ -206,6 +209,14 @@ class SimNode:
         send, not when the send departs, so this is not yet the paper's
         crash model (where nothing leaves a crashed node).
 
+        The crash guard of delivered messages lives here, not on the
+        delivery path: ``_arrive_for`` queues a replica's handler directly,
+        so one pass over the event heap rewrites each still-queued call
+        entry whose callback is one of this machine's hosts' handlers into
+        ``_fire_if_up(handler, src, message)``.  The sort key is kept, so
+        the heap order and the event count do not change; the flag is read
+        when the entry fires, so a handler still queued at a recovery runs.
+
         A machine crash takes down *every* replica it hosts: the hosts read
         this node's ``_crashed`` flag, so only their replicas' crash hooks
         need calling.
@@ -214,8 +225,25 @@ class SimNode:
             return
         self._crashed = True
         self._sim.metrics.counter("faults.crashes").increment()
+        handlers = set()
+        for host in self.hosts:
+            table = host.replica.handlers
+            handlers.update(table.values())
+            handlers.add(table._unknown)
+        heap = self._sim._queue._heap
+        guard = self._fire_if_up
+        for index, entry in enumerate(heap):
+            args = entry[4]
+            if args is not None and entry[3] in handlers:
+                heap[index] = (entry[0], 0, entry[2], guard, (entry[3], *args))
         for host in self.hosts:
             host.replica.on_crash()
+
+    def _fire_if_up(self, handler: Callable[[int, Any], None], src: int, message: Any) -> None:
+        """A handler queued before a crash: dropped if the machine is still down."""
+        if self._crashed:
+            return
+        handler(src, message)
 
     def recover(self) -> None:
         if not self._crashed:
@@ -270,16 +298,15 @@ class ShardReplicaHost:
         self._all_nodes: List[int] = list(members)
         self._rng = self._sim.random.stream(f"node-{self.endpoint_id}")
         # The machine's charged send/receive, under this shard's endpoint id
-        # and dispatching to this shard's replica; every other CPU charge is
-        # the machine's own method.
+        # and dispatching through this shard's replica's handler table (built
+        # by bind); every other CPU charge is the machine's own method.
         self.send = partial(machine._send_as, self.endpoint_id)
-        self.arrive = partial(machine._arrive_for, self._handle)
         self.charge_execution = machine.charge_execution
         self.charge_graph_work = machine.charge_graph_work
         self.charge_overhead = machine.charge_overhead
         self.replica = replica
         replica.bind(self)
-        self._handlers = replica.handlers
+        self.arrive = partial(machine._arrive_for, replica.handlers)
         machine._network.register(self)
 
     # ------------------------------------------------------------------ NodeContext API
@@ -311,13 +338,6 @@ class ShardReplicaHost:
         if self._machine._crashed:
             return
         callback(*args)
-
-    # ------------------------------------------------------------------ Endpoint API
-    def _handle(self, src: int, message: Any) -> None:
-        """Dispatch a received message: one probe of the replica's handler table."""
-        if self._machine._crashed:
-            return
-        self._handlers[type(message)](src, message)
 
     # ------------------------------------------------------------------ faults
     @property

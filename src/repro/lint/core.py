@@ -118,6 +118,17 @@ class Rule(NamedTuple):
     check: Optional[Callable[["FileContext"], None]] = None
 
 
+#: The row of the one rule the engine reports itself, when ``ast.parse``
+#: fails; ``RULES`` lists this same row so the catalogue and ``--rule``
+#: filtering know the id, and every parse-error finding carries its hint.
+PARSE_ERROR = Rule(
+    id="parse-error",
+    title="file does not parse",
+    contract="Framework precondition: repro.lint needs a valid AST",
+    hint="fix the syntax error",
+)
+
+
 def import_table(tree: ast.AST) -> Dict[str, str]:
     """Local name -> qualified name for every import in the file.
 
@@ -222,12 +233,12 @@ class LintEngine:
             ctx = FileContext(relpath, "", ast.Module(body=[], type_ignores=[]))
             ctx.findings.append(
                 Finding(
-                    rule="parse-error",
+                    rule=PARSE_ERROR.id,
                     path=relpath,
                     line=error.lineno or 1,
                     col=error.offset or 0,
                     message=f"file does not parse: {error.msg}",
-                    hint="repro.lint needs a syntactically valid tree",
+                    hint=PARSE_ERROR.hint,
                 )
             )
             return ctx

@@ -18,7 +18,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.core import FileContext, Rule
+from repro.lint.core import PARSE_ERROR, FileContext, Rule
 from repro.lint.counters import is_known_metric, is_known_replica_counter
 
 # ---------------------------------------------------------------- helpers
@@ -701,12 +701,7 @@ RULES: Dict[str, Rule] = {
         ),
         # Reported by the engine itself when ast.parse fails; listed here so
         # the rule catalogue and --rule filtering know the id.
-        Rule(
-            id="parse-error",
-            title="file does not parse",
-            contract="Framework precondition: repro.lint needs a valid AST",
-            hint="fix the syntax error",
-        ),
+        PARSE_ERROR,
     )
 }
 

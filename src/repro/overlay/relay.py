@@ -281,9 +281,22 @@ class RelayFanout(FanoutOverlay):
                 and self.commit_fallback_timeout is not None
                 and agg_id not in self._pending_commits
             )
+            leaf_request = None
             for child in msg.children:
-                child_ack = bool(want_child_acks and child.children)
-                if child_ack:
+                if not child.children:
+                    # Every leaf is sent the one request built for them all.
+                    if leaf_request is None:
+                        leaf_request = RelayRequest(
+                            inner=inner,
+                            children=(),
+                            agg_id=agg_id,
+                            timeout=child_timeout,
+                            expects_response=False,
+                            depth=child_depth,
+                        )
+                    host.send(child.node_id, leaf_request)
+                    continue
+                if want_child_acks:
                     sub_relays[child.node_id] = child
                 host.send(
                     child.node_id,
@@ -293,7 +306,7 @@ class RelayFanout(FanoutOverlay):
                         agg_id=agg_id,
                         timeout=child_timeout,
                         expects_response=False,
-                        ack=child_ack,
+                        ack=want_child_acks,
                         depth=child_depth,
                     ),
                 )
@@ -327,7 +340,21 @@ class RelayFanout(FanoutOverlay):
         self._sessions[agg_id] = session
         session.timer = host.ctx.schedule(msg.timeout, self._session_timeout, agg_id)
         expected = 0
+        leaf_request = None
         for child in msg.children:
+            expected += 1
+            if not child.children:
+                # Every leaf is sent the one request built for them all.
+                if leaf_request is None:
+                    leaf_request = RelayRequest(
+                        inner=inner,
+                        children=(),
+                        agg_id=agg_id,
+                        timeout=child_timeout,
+                        depth=child_depth,
+                    )
+                host.send(child.node_id, leaf_request)
+                continue
             host.send(
                 child.node_id,
                 RelayRequest(
@@ -338,7 +365,6 @@ class RelayFanout(FanoutOverlay):
                     depth=child_depth,
                 ),
             )
-            expected += 1
         session.expected = expected
         threshold = self.response_threshold
         session.threshold = None if threshold is None else max(1, math.ceil(threshold * expected))

@@ -109,7 +109,14 @@ class EventQueue:
     args are ``(src, dst, message, size)`` for ``SimNetwork.send``,
     ``(src, message, size)`` for the delivery entry (the destination's
     ``arrive``) and ``(src, message)`` for the handler a node queues behind
-    its receive cost; no envelope wraps the message.
+    its receive cost (dispatch happens at arrival, so that entry's callback
+    is the replica's handler itself); no envelope wraps the message.
+
+    Entries are not immutable: ``SimNode.crash`` (cluster/node.py) replaces
+    each of its still-queued handler entries, in place, with one that keeps
+    ``(time, 0, seq)`` and calls ``_fire_if_up(handler, src, message)``.
+    Only the payload changes, never the sort key, so the heap invariant and
+    the pop order hold without a re-heapify.
     """
 
     __slots__ = ("_heap", "_seq", "_live")

@@ -14,21 +14,21 @@ linearizable total order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import StateMachineError
 
 
-@dataclass(slots=True)
 class LogEntry:
-    """State of a single consensus slot."""
+    """State of a single consensus slot.
 
-    slot: int
-    ballot: Tuple[int, int]
-    command: object
-    committed: bool = False
-    executed: bool = False
+    One is created per accepted slot on every replica, so it is a plain
+    slotted object with no ``__init__``: :meth:`ReplicatedLog.accept`, its
+    only constructor, fills in ``slot``, ``ballot``, ``command``,
+    ``committed`` and ``executed`` directly, and creating one costs no call.
+    """
+
+    __slots__ = ("slot", "ballot", "command", "committed", "executed")
 
 
 class ReplicatedLog:
@@ -107,7 +107,12 @@ class ReplicatedLog:
             if ballot < existing.ballot and not committed:
                 # Stale accept from an older ballot: keep the newer entry.
                 return existing
-        entry = LogEntry(slot=slot, ballot=ballot, command=command, committed=committed)
+        entry = LogEntry()
+        entry.slot = slot
+        entry.ballot = ballot
+        entry.command = command
+        entry.committed = committed
+        entry.executed = False
         entries[slot] = entry
         if slot in self.gap_slots:
             self.dirty_slots.add(slot)

@@ -59,7 +59,10 @@ BUDGETS = [
             min_completed=20,
             seed=5,
         ),
-        # measured 1816.0; 1873.1 (budget 2060) before messages travelled
+        # measured 1706.6; 1810.1 (pinned at 1816.0, budget 1995) before a
+        # delivered message was dispatched at arrival, a relay's leaves
+        # shared one request and a log entry was filled in without a
+        # constructor call, 1873.1 (budget 2060) before messages travelled
         # without an envelope and replicas read their peers from a tuple
         # bound once (the planet's WAN links already drew from their link
         # record), 1986.9 (budget 2185) before the store applied
@@ -73,7 +76,7 @@ BUDGETS = [
         # (budget 3700) before the apply path, the log checks and dispatch
         # were cut to one probe each, 5059 before the per-link/per-message
         # rework
-        1995,
+        1875,
     ),
     (
         Scenario(
@@ -87,13 +90,15 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 311.8; 350.5 (budget 385) before every link drew its
+        # measured 296.1; 310.4 (pinned at 311.8, budget 345) before the
+        # dispatch, relay-request and log-entry cuts above, 350.5 (budget
+        # 385) before every link drew its
         # delay from its record (a NormalLatency.delay call per send, and
         # a ShardAwareLatency.delay around it) and the envelope cut above,
         # 372.3 (budget 410), 383.3 (budget 425), 406.5
         # (budget 450), 440.3 (budget 485), 547 (budget 600) and 792 before,
         # as above
-        345,
+        325,
     ),
     (
         Scenario(
@@ -107,7 +112,9 @@ BUDGETS = [
             min_completed=1000,
             seed=5,
         ),
-        # measured 236.0 over 1480 ops; 248.0 (budget 275) before the
+        # measured 224.4 over 1480 ops; 232.0 (pinned at 236.0, budget 260)
+        # before the dispatch, relay-request and log-entry cuts above,
+        # 248.0 (budget 275) before the
         # link-record draw and envelope cuts above, 279.8 (budget 310)
         # before the one-call apply above (every replica unpacked every
         # batch through a call per sub-command), 291.8 (budget 325) before the
@@ -115,7 +122,7 @@ BUDGETS = [
         # path cuts above, 337.5 (budget 370) before the frame cuts, 341.1
         # with the two per-protocol batchers this cell was pinned against,
         # so sharing one cost nothing
-        260,
+        247,
     ),
     (
         Scenario(
@@ -129,14 +136,15 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 681.9 over 379 ops; 741.9 (budget 815) before the
+        # measured 663.8 over 379 ops; 679.6 (pinned at 681.9, budget 750)
+        # before the dispatch cut above, 741.9 (budget 815) before the
         # link-record draw and envelope cuts above, 765.4 (budget 845)
         # before the one-call apply above, 776.4 (budget 855) before the
         # completion writes above (the vote path cuts above share no code
         # with it), 800.6 (budget 885) before the frame cuts, 1217.2
         # while the conflict index, the planner and the EPaxos invariants
         # paid calls per dependency
-        750,
+        730,
     ),
     (
         Scenario(
@@ -149,9 +157,11 @@ BUDGETS = [
             min_completed=1000,
             seed=5,
         ),
-        # measured 427.6 over 1360 ops; 475.8 before the link-record draw
-        # and envelope cuts above, when this cell was added
-        470,
+        # measured 400.5 over 1360 ops; 426.6 (pinned at 427.6, budget
+        # 470) before the dispatch and log-entry cuts above, 475.8 before
+        # the link-record draw and envelope cuts above, when this cell was
+        # added
+        440,
     ),
 ]
 

@@ -795,6 +795,11 @@ class TestFramework:
         ctx = lint_snippet("def broken(:\n")
         assert rule_ids(ctx) == ["parse-error"]
 
+    def test_parse_error_hint_is_its_rows(self):
+        # One rule id, one hint: the engine reports the catalogue row's.
+        (finding,) = lint_snippet("def broken(:\n").findings
+        assert finding.hint == RULES["parse-error"].hint
+
     def test_repro_relpath(self):
         assert repro_relpath(Path("src/repro/sim/metrics.py")) == "sim/metrics.py"
         assert repro_relpath(Path("/a/b/repro/net/faults.py")) == "net/faults.py"

@@ -247,6 +247,46 @@ class TestEPaxosRelayFanout:
         assert aggregates[0][1].complete
         assert {r.voter for r in aggregates[0][1].responses} == {1, 2, 3}
 
+    @pytest.mark.parametrize("expects_response", [True, False], ids=["vote", "fire-and-forget"])
+    def test_leaves_share_one_request_and_sub_relays_get_their_own(self, expects_response):
+        # Node 2 is a sub-relay covering {2, 3}; nodes 4 and 5 are leaves.
+        relay, ctx = epaxos_replica(overlay=RelayFanout(), node_id=1, cluster=6)
+        inner = EPreAccept(instance=(0, 1), command=request().command, seq=1, deps=frozenset())
+        sub_relay = RelaySubtree(2, children=(RelaySubtree(3),))
+        relay.on_message(0, RelayRequest(
+            inner=inner, children=(sub_relay, RelaySubtree(4), RelaySubtree(5)), agg_id=17,
+            timeout=0.05, expects_response=expects_response,
+        ))
+        sent = ctx.sent_of_type(RelayRequest)
+        assert [dst for dst, _ in sent] == [2, 4, 5]
+        forwarded = dict(sent)
+        leaf_request = forwarded[4]
+        assert forwarded[5] is leaf_request
+        assert leaf_request.children == () and not leaf_request.ack
+        assert forwarded[2] is not leaf_request
+        assert forwarded[2].children is sub_relay.children
+        for message in forwarded.values():
+            assert message.inner is inner and message.agg_id == 17
+            assert message.timeout == 0.025 and message.depth == 2
+            assert message.expects_response == expects_response
+        # The shared object prices exactly like a request built per leaf.
+        assert leaf_request.payload_bytes == inner.payload_bytes
+
+    def test_duplicate_request_to_a_leaf_is_answered_again(self):
+        # A leaf keeps no session, so a re-delivered request (the same
+        # shared object) is answered again; the relay dedups by origin.
+        leaf, ctx = epaxos_replica(overlay=RelayFanout(), node_id=4)
+        inner = EPreAccept(instance=(0, 1), command=request().command, seq=1, deps=frozenset())
+        shared = RelayRequest(inner=inner, children=(), agg_id=19, timeout=0.025, depth=2)
+        leaf.on_message(1, shared)
+        leaf.on_message(1, shared)
+        replies = ctx.sent_of_type(RelayAggregate)
+        assert [dst for dst, _ in replies] == [1, 1]
+        for _, reply in replies:
+            assert reply.agg_id == 19 and reply.origin == 4
+            assert [vote.voter for vote in reply.responses] == [4]
+        assert ctx.metrics.counter("epaxos.duplicate_relay_requests_ignored").value == 0
+
     def test_crash_clears_relay_sessions(self):
         relay, ctx = epaxos_replica(overlay=RelayFanout(), node_id=1)
         inner = EPreAccept(instance=(0, 1), command=request().command, seq=1, deps=frozenset())
@@ -290,13 +330,13 @@ class TestDeepRelayResilience:
         return epaxos_replica(overlay=overlay, node_id=1, cluster=9)
 
     @staticmethod
-    def deep_request(ack=True, depth=1, agg_id=7):
+    def deep_request(ack=True, depth=1, agg_id=7, leaves=(5,)):
         # Node 2 is a sub-relay covering {2, 3, 4}; node 5 is a plain leaf.
         return RelayRequest(
             inner=commit_notification(),
             children=(
                 RelaySubtree(2, children=(RelaySubtree(3), RelaySubtree(4))),
-                RelaySubtree(5),
+                *(RelaySubtree(leaf) for leaf in leaves),
             ),
             agg_id=agg_id,
             timeout=0.05,
@@ -323,6 +363,17 @@ class TestDeepRelayResilience:
                   if t.callback == relay.overlay._commit_fallback]
         assert len(timers) == 1 and timers[0].delay == 0.25
         assert ctx.metrics.counter("epaxos.relay.depth.1.ack_rounds").value == 1
+
+    def test_shared_leaf_request_demands_no_ack(self):
+        # With commit fallback on, only the sub-relay owes an ack: the
+        # leaves' one shared request carries ack=False.
+        relay, ctx = self.interior_relay()
+        relay.on_message(0, self.deep_request(leaves=(5, 6)))
+        forwarded = dict(ctx.sent_of_type(RelayRequest))
+        assert set(forwarded) == {2, 5, 6}
+        assert forwarded[5] is forwarded[6]
+        assert not forwarded[5].ack and forwarded[5].children == ()
+        assert forwarded[2].ack and forwarded[2] is not forwarded[5]
 
     def test_sub_relay_ack_disarms_the_fallback(self):
         relay, ctx = self.interior_relay()
