@@ -36,7 +36,7 @@ resolve.
 Usage::
 
     python scripts/check_docs.py [file_or_dir ...]
-    # defaults to README.md docs/ for markdown, src benchmarks scripts examples for .py
+    # defaults to README.md docs/ for markdown, src benchmarks scripts examples tests for .py
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def markdown_files(arguments: list[str]) -> list[Path]:
 
 
 def python_files(arguments: list[str]) -> list[Path]:
-    return _files(arguments or ["src", "benchmarks", "scripts", "examples"], ".py")
+    return _files(arguments or ["src", "benchmarks", "scripts", "examples", "tests"], ".py")
 
 
 def check_file(markdown: Path) -> list[str]:

@@ -46,7 +46,7 @@ class NodeCPUModel:
             "client_request_extra",
             "epaxos_bookkeeping_cost",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN fails every comparison
                 raise ConfigurationError(f"{name} must be non-negative")
 
     # ------------------------------------------------------------------ costs
@@ -55,7 +55,7 @@ class NodeCPUModel:
 
     def scaled(self, factor: float) -> "NodeCPUModel":
         """A uniformly slower/faster copy of this model (sluggish-node faults)."""
-        if factor <= 0:
+        if not factor > 0:
             raise ConfigurationError("scale factor must be positive")
         return NodeCPUModel(
             recv_per_message=self.recv_per_message * factor,

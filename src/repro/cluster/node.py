@@ -125,12 +125,10 @@ class SimNode:
         self._busy_time_total += cost
         self._messages_out.value += 1
         self._bytes_out.value += size
-        # Inlined EventQueue.push_call -- canonical entry layout lives there.
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, (ready_at, 0, seq, self._network_send, (endpoint_id, dst, message, size)))
-        queue._live += 1
+        # Inlined Simulator.post_at -- canonical entry layout lives there.
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (ready_at, seq, self._network_send, (endpoint_id, dst, message, size)))
 
     def _arrive_for(self, handlers: HandlerTable, src: int, message: Any, size: int) -> None:
         """A message lands on this machine: count it, charge CPU, queue its handler.
@@ -159,12 +157,10 @@ class SimNode:
         self._busy_time_total += cost
         self._messages_in.value += 1
         self._bytes_in.value += size
-        # Inlined EventQueue.push_call -- canonical entry layout lives there.
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, (ready_at, 0, seq, handlers[type(message)], (src, message)))
-        queue._live += 1
+        # Inlined Simulator.post_at -- canonical entry layout lives there.
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (ready_at, seq, handlers[type(message)], (src, message)))
 
     def charge_execution(self, commands: int = 1) -> None:
         self._reserve(self._execute_per_command * commands)
@@ -230,12 +226,14 @@ class SimNode:
             table = host.replica.handlers
             handlers.update(table.values())
             handlers.add(table._unknown)
-        heap = self._sim._queue._heap
+        # Call entries are (time, seq, callback, args), as Simulator.post_at
+        # lays them out; the rewrite keeps (time, seq), the sort key.
+        heap = self._sim._heap
         guard = self._fire_if_up
         for index, entry in enumerate(heap):
-            args = entry[4]
-            if args is not None and entry[3] in handlers:
-                heap[index] = (entry[0], 0, entry[2], guard, (entry[3], *args))
+            args = entry[3]
+            if args is not None and entry[2] in handlers:
+                heap[index] = (entry[0], entry[1], guard, (entry[2], *args))
         for host in self.hosts:
             host.replica.on_crash()
 
@@ -256,7 +254,7 @@ class SimNode:
 
     def set_sluggish(self, factor: float) -> None:
         """Make the node's CPU ``factor`` times slower (1.0 restores normal speed)."""
-        if factor <= 0:
+        if not factor > 0:
             raise ValueError("sluggish factor must be positive")
         self._sluggish_factor = factor
         self._sim.metrics.counter("faults.sluggish_changes").increment()

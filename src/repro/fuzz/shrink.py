@@ -196,7 +196,7 @@ def _safe_candidates(scenario: Scenario) -> List[Tuple[str, Scenario]]:
 
 
 def _candidate_builders(scenario: Scenario):
-    """Yield thunks building (label, candidate) edits in priority order."""
+    """Yield thunks building (label, candidate) edits, biggest lever first."""
     # 1. Fewer events (the biggest lever for replay comprehension).
     for kept in _event_subsets(scenario.events):
         yield lambda kept=kept: (

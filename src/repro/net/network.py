@@ -182,15 +182,13 @@ class SimNetwork:
         bandwidth = self._bandwidth
         if bandwidth:
             delay += size / bandwidth
-        # Inlined EventQueue.push_call (canonical entry layout lives there):
+        # Inlined Simulator.post_at (canonical entry layout lives there):
         # delivery is the hottest scheduling site of all.  The rare duplicate
         # copy below goes through sim.post_at instead.
         args = (src, message, size)
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, (now + delay, 0, seq, arrive, args))
-        queue._live += 1
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, (now + delay, seq, arrive, args))
         if faults.duplicate_probability and faults.should_duplicate(src, dst, self._rng):
             # A retransmitted copy of the same message with its own latency
             # draw; protocols must tolerate it (at-most-once execution,

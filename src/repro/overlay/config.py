@@ -84,15 +84,16 @@ class OverlayConfig:
             )
         if self.num_groups < 1:
             raise ConfigurationError("num_groups must be >= 1")
-        if self.relay_timeout <= 0:
+        # `not x > 0`, not `x <= 0`: NaN fails every comparison.
+        if not self.relay_timeout > 0:
             raise ConfigurationError("relay_timeout must be positive")
         if self.relay_levels < 1:
             raise ConfigurationError("relay_levels must be >= 1")
         if self.group_response_threshold is not None and not 0.0 < self.group_response_threshold <= 1.0:
             raise ConfigurationError("group_response_threshold must be in (0, 1]")
-        if self.thrifty_fallback_timeout <= 0:
+        if not self.thrifty_fallback_timeout > 0:
             raise ConfigurationError("thrifty_fallback_timeout must be positive")
-        if self.commit_fallback_timeout is not None and self.commit_fallback_timeout <= 0:
+        if self.commit_fallback_timeout is not None and not self.commit_fallback_timeout > 0:
             raise ConfigurationError(
                 "commit_fallback_timeout must be positive (or None to disable)"
             )

@@ -112,19 +112,21 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         self.overlay = OverlayConfig.coerce(self.overlay)
-        if self.heartbeat_interval <= 0:
+        # `not x > 0`, not `x <= 0`: NaN fails every comparison.
+        if not self.heartbeat_interval > 0:
             raise ConfigurationError("heartbeat_interval must be positive")
         if self.session_window < 1:
             raise ConfigurationError("session_window must be >= 1")
         # A zero timer re-arms at +0 forever: virtual time never advances.
         for knob in ("phase1_timeout", "fill_gap_timeout"):
-            if getattr(self, knob) <= 0:
+            if not getattr(self, knob) > 0:
                 raise ConfigurationError(f"{knob} must be positive")
-        if self.recovery_timeout is not None and self.recovery_timeout <= 0:
+        if self.recovery_timeout is not None and not self.recovery_timeout > 0:
             raise ConfigurationError("recovery_timeout must be positive (or None to disable)")
-        if self.leader_retry_timeout is not None and self.leader_retry_timeout <= 0:
+        if self.leader_retry_timeout is not None and not self.leader_retry_timeout > 0:
             raise ConfigurationError("leader_retry_timeout must be positive (or None to disable)")
-        if self.election_timeout_min <= 0 or self.election_timeout_max < self.election_timeout_min:
+        low, high = self.election_timeout_min, self.election_timeout_max
+        if not low > 0 or not high >= low:
             raise ConfigurationError("invalid election timeout range")
         if self.election_timeout_min <= self.heartbeat_interval:
             raise ConfigurationError(
@@ -132,7 +134,7 @@ class ProtocolConfig:
             )
         if self.batch_max_commands < 1:
             raise ConfigurationError("batch_max_commands must be >= 1 (1 disables batching)")
-        if self.batch_max_delay is not None and self.batch_max_delay <= 0:
+        if self.batch_max_delay is not None and not self.batch_max_delay > 0:
             raise ConfigurationError("batch_max_delay must be positive (or None to disable)")
         if self.pipeline_depth is not None and self.pipeline_depth < 1:
             raise ConfigurationError("pipeline_depth must be >= 1 (or None for unbounded)")

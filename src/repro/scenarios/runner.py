@@ -187,8 +187,9 @@ class ScenarioRunner:
         cluster = self.build()
         events_fired: List[str] = []
         cluster.start()
+        # A fresh simulator's clock reads 0.0, so each delay is the event's time.
         for event in self.scenario.events:
-            cluster.sim.schedule_at(event.at, self._fire, cluster, event, events_fired)
+            cluster.sim.schedule(event.at, self._fire, cluster, event, events_fired)
         violations: List[Violation] = []
         try:
             cluster.sim.run(until=self.scenario.duration)

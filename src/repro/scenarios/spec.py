@@ -90,7 +90,8 @@ class ScenarioEvent:
     groups: Tuple[Tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        # `not x >= 0` rather than `x < 0`: NaN fails every comparison.
+        if not self.at >= 0:
             raise ConfigurationError("event time must be non-negative")
         if self.action not in EVENT_ACTIONS:
             raise ConfigurationError(
@@ -106,7 +107,7 @@ class ScenarioEvent:
             # Same invariant the NetworkFaults constructor enforces; the
             # runner assigns the live fault object directly.
             raise ConfigurationError(f"{self.action} probability must be in [0, 1)")
-        if self.action == "sluggish" and self.factor <= 0:
+        if self.action == "sluggish" and not self.factor > 0:
             raise ConfigurationError("sluggish factor must be positive")
 
     # ------------------------------------------------------------- factories
@@ -244,9 +245,9 @@ class Scenario:
             raise ConfigurationError("num_nodes must be >= 1")
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ConfigurationError("duration must be positive")
-        if self.client_timeout is None or self.client_timeout <= 0:
+        if self.client_timeout is None or not self.client_timeout > 0:
             raise ConfigurationError("client_timeout must be positive")
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")

@@ -1,19 +1,45 @@
 """The discrete-event simulator core.
 
-:class:`Simulator` owns the virtual clock, the event queue, the random
+:class:`Simulator` owns the virtual clock, the event heap, the random
 streams and the metrics registry.  Components schedule work with
-:meth:`Simulator.schedule` (relative delay) or :meth:`Simulator.schedule_at`
-(absolute time) and may cancel it via the returned :class:`~repro.sim.events.Event`
-(its ``time``/``cancelled``/``cancel()`` are the whole timer interface).
-Fire-and-forget hot paths (the network fabric, the node CPU queue) use
-:meth:`Simulator.post_at`, which skips the Event allocation.
+:meth:`Simulator.schedule` (relative delay) and may cancel it via the
+returned :class:`Event` (its ``time``/``cancelled``/``cancel()`` are the
+whole timer interface).  Fire-and-forget hot paths (the network fabric, the
+node CPU queue) use :meth:`Simulator.post_at`, which skips the Event
+allocation.
 
-The engine is single-threaded and runs events strictly in
-``(time, priority, insertion order)`` order, which makes every run with the
-same seed bit-for-bit reproducible.  The main loop in :meth:`Simulator.run`
-is deliberately inlined -- it pops heap entries directly instead of going
-through ``peek_time()`` + ``step()``, which would traverse the heap top
-twice per event.  Any change here must keep the pop order identical; the
+The heap is the simulator's own list of ``(time, seq, payload, args)``
+entries in two flavours:
+
+* ``(time, seq, Event, None)`` -- a cancellable timer pushed by
+  :meth:`Simulator.schedule`; a cancelled one is dropped when it surfaces.
+* ``(time, seq, callback, args)`` -- a call entry pushed by
+  :meth:`Simulator.post_at` for the hot paths that never cancel.
+
+``seq`` is a unique, monotonically increasing tiebreaker, so tuple
+comparison resolves before reaching the payload, equal times fire in
+schedule order and every run with the same seed is bit-for-bit
+reproducible.  The flavour is told apart by ``entry[3] is None``.
+
+CANONICAL ENTRY LAYOUT: :meth:`Simulator.post_at` is the one written-out
+definition of a call entry.  It is hand-inlined at the three hottest
+scheduling sites -- ``SimNode._send_as``/``SimNode._arrive_for``
+(cluster/node.py) and ``SimNetwork.send`` (net/network.py) -- so changing
+the entry shape means updating every one of them; grep for "post_at" to find
+the list.  The message path's args are ``(src, dst, message, size)`` for
+``SimNetwork.send``, ``(src, message, size)`` for the delivery entry (the
+destination's ``arrive``) and ``(src, message)`` for the handler a node
+queues behind its receive cost (dispatch happens at arrival, so that entry's
+callback is the replica's handler itself); no envelope wraps the message.
+
+Entries are not immutable: ``SimNode.crash`` (cluster/node.py) replaces each
+of its still-queued handler entries, in place, with one that keeps
+``(time, seq)`` and calls ``_fire_if_up(handler, src, message)``.  Only the
+payload changes, never the sort key, so the heap invariant and the pop order
+hold without a re-heapify.
+
+The main loop in :meth:`Simulator.run` is deliberately inlined: one heap
+traversal per event.  Any change here must keep the pop order identical; the
 golden-fingerprint tests (``tests/test_golden_fingerprints.py``) are the
 tripwire.
 """
@@ -22,12 +48,27 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
+
+
+class Event:
+    """A timer: ``callback(*args)`` at virtual ``time`` unless cancelled first."""
+
+    __slots__ = ("time", "callback", "args", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Mark the timer so the run loop drops it when it surfaces (idempotent)."""
+        self.cancelled = True
 
 
 class Simulator:
@@ -35,7 +76,8 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._queue = EventQueue()
+        self._heap: List[tuple] = []
+        self._seq = 0
         self._streams = RandomStreams(seed)
         self._metrics = MetricsRegistry()
         self._running = False
@@ -54,7 +96,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        """Entries still due to fire: call entries and uncancelled timers (a scan)."""
+        return sum(1 for entry in self._heap if entry[3] is not None or not entry[2].cancelled)
 
     # ------------------------------------------------------------------ rng / metrics
     @property
@@ -66,47 +109,15 @@ class Simulator:
         return self._metrics
 
     # ------------------------------------------------------------------ scheduling
-    # schedule / schedule_at return the queued Event itself: it carries
-    # ``time`` and ``cancelled`` and its ``cancel()`` keeps
-    # ``pending_events`` exact.  Both inline EventQueue.push (the canonical
-    # entry layout lives there).
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` seconds of virtual time."""
-        if delay < 0:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` after ``delay`` seconds; return the timer."""
+        if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
         time = self._now + delay
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, queue)
-        heappush(queue._heap, (time, priority, seq, event, None))
-        queue._live += 1
-        return event
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at an absolute virtual ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time!r}, which is in the past (now={self._now!r})"
-            )
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, queue)
-        heappush(queue._heap, (time, priority, seq, event, None))
-        queue._live += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, callback, args)
+        heappush(self._heap, (time, seq, event, None))
         return event
 
     def post_at(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> None:
@@ -115,39 +126,25 @@ class Simulator:
         For engine-internal fire-and-forget work (message delivery, CPU-queue
         completions) whose times are derived from ``now`` plus a non-negative
         cost and whose events are never cancelled.  Anything user-facing or
-        cancellable should use :meth:`schedule` / :meth:`schedule_at`.  The
-        queue push is inlined (see ``EventQueue.push_call``) because this is
-        the single most-called scheduling entry point.
+        cancellable should use :meth:`schedule`.  This is the canonical call
+        entry that the hottest sites inline (see the module docstring).
         """
-        queue = self._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heappush(queue._heap, (time, 0, seq, callback, args))
-        queue._live += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, callback, args))
 
     # ------------------------------------------------------------------ running
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue produced an event in the past")
-        self._now = event.time
-        self._events_processed += 1
-        event.fire()
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+        """Run until the heap drains, ``until`` is reached, or ``max_events`` fire.
 
         Returns the virtual time at which the run stopped.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(f"cannot run until {until!r}, before now={self._now!r}")
         self._running = True
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         # The hot loop allocates heavily (heap entries, event args, messages)
         # but almost entirely acyclically, so reference counting reclaims it;
         # the cyclic collector only adds generation-scan pauses.  Suspend it
@@ -160,28 +157,25 @@ class Simulator:
             budget = float("inf") if max_events is None else max_events
             horizon = float("inf") if until is None else until
             # Inlined pop->fire loop: one heap traversal per event, cancelled
-            # entries discarded as they surface.  `heap` is bound once; the
-            # queue clears its list in place, so the binding stays valid even
-            # across a mid-run reset().
+            # timers discarded as they surface.
             while heap:
                 if executed >= budget:
                     break
                 entry = heap[0]
-                args = entry[4]
+                args = entry[3]
                 if args is not None:
-                    # Fire-and-forget call entry: (time, 0, seq, cb, args).
+                    # Call entry: (time, seq, callback, args).
                     time = entry[0]
                     if time > horizon:
                         self._now = until
                         break
                     heappop(heap)
-                    queue._live -= 1
                     self._now = time
                     self._events_processed += 1
-                    entry[3](*args)
+                    entry[2](*args)
                     executed += 1
                     continue
-                event = entry[3]
+                event = entry[2]
                 if event.cancelled:
                     heappop(heap)
                     continue
@@ -190,27 +184,19 @@ class Simulator:
                     self._now = until
                     break
                 heappop(heap)
-                event._queue = None
-                queue._live -= 1
                 self._now = time
                 self._events_processed += 1
                 event.callback(*event.args)
                 executed += 1
-            else:
-                queue._live = 0
-            if until is not None and self._now < until and queue.peek_time() is None:
-                self._now = until
+            if until is not None and self._now < until:
+                # Nothing live left (drained, or only cancelled timers behind
+                # the max_events stop): the clock runs on to ``until``.
+                while heap and heap[0][3] is None and heap[0][2].cancelled:
+                    heappop(heap)
+                if not heap:
+                    self._now = until
             return self._now
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-
-    def reset(self, seed: Optional[int] = None) -> None:
-        """Clear the queue and clock; optionally reseed the random streams."""
-        self._queue.clear()
-        self._now = 0.0
-        self._events_processed = 0
-        if seed is not None:
-            self._streams = RandomStreams(seed)
-        self._metrics = MetricsRegistry()

@@ -35,12 +35,3 @@ class RandomStreams:
         stream = random.Random(seed)
         self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Create a child factory whose master seed is derived from ``name``."""
-        digest = hashlib.sha256(f"{self._master_seed}:fork:{name}".encode("utf-8")).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "big"))
-
-    def reset(self) -> None:
-        """Forget all streams so they are re-created from the master seed."""
-        self._streams.clear()

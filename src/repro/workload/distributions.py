@@ -44,7 +44,7 @@ class ZipfianKeys(KeyDistribution):
 
     def __init__(self, num_keys: int, theta: float = 0.99) -> None:
         super().__init__(num_keys)
-        if theta <= 0:
+        if not theta > 0:
             raise WorkloadError("theta must be positive")
         self.theta = theta
         weights = [1.0 / math.pow(rank + 1, theta) for rank in range(num_keys)]

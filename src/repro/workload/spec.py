@@ -52,7 +52,7 @@ class WorkloadSpec:
             raise WorkloadError("read_ratio must be in [0, 1]")
         if self.distribution not in ("uniform", "zipfian"):
             raise WorkloadError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "zipfian" and self.zipf_theta <= 0:
+        if self.distribution == "zipfian" and not self.zipf_theta > 0:
             raise WorkloadError("zipf_theta must be positive")
 
     # ------------------------------------------------------------------ presets

@@ -73,10 +73,14 @@ class TestNodeCPUModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigurationError):
             NodeCPUModel(recv_per_message=-1.0)
+        with pytest.raises(ConfigurationError):
+            NodeCPUModel(per_byte=float("nan"))
 
     def test_invalid_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             NodeCPUModel().scaled(0.0)
+        with pytest.raises(ConfigurationError):
+            NodeCPUModel().scaled(float("nan"))
 
 
 class TestSimNode:
@@ -226,6 +230,8 @@ class TestSimNode:
         sim, network, nodes = self._setup()
         with pytest.raises(ValueError):
             nodes[0].set_sluggish(0)
+        with pytest.raises(ValueError):
+            nodes[0].set_sluggish(float("nan"))
 
     def test_charges_accumulate_busy_time(self):
         sim, network, nodes = self._setup()

@@ -126,6 +126,42 @@ def test_non_positive_paxos_timeouts_are_rejected(knob, value):
         ProtocolConfig(**{knob: value})
 
 
+FLOAT_KNOBS = (
+    "heartbeat_interval",
+    "election_timeout_min",
+    "election_timeout_max",
+    "phase1_timeout",
+    "fill_gap_timeout",
+    "recovery_timeout",
+    "leader_retry_timeout",
+    "batch_max_delay",
+)
+
+
+@pytest.mark.parametrize("knob", FLOAT_KNOBS)
+def test_nan_float_knobs_are_rejected(knob):
+    # NaN fails every comparison, so only a `not x > 0` check rejects it.
+    overrides = {knob: float("nan")}
+    if knob == "batch_max_delay":
+        overrides["batch_max_commands"] = 4  # a delay alone is rejected anyway
+    match = "election timeout" if knob.startswith("election") else knob
+    with pytest.raises(ConfigurationError, match=match):
+        ProtocolConfig(**overrides)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("relay", "relay_timeout"),
+        ("relay", "commit_fallback_timeout"),
+        ("thrifty", "thrifty_fallback_timeout"),
+    ],
+)
+def test_nan_overlay_timeouts_are_rejected(kind, name):
+    with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
+        OverlayConfig(kind=kind, **{name: float("nan")})
+
+
 def test_overlay_table_covers_exactly_the_overlay_config_fields():
     assert set(FIELDS_READ) == set(OVERLAY_KINDS)
     assert set(OVERLAY_NON_DEFAULT) == {f.name for f in fields(OverlayConfig)} - {"kind"}

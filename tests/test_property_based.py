@@ -10,7 +10,7 @@ from repro.analysis.model import messages_at_follower, messages_at_leader
 from repro.overlay.groups import RelayGroupPlan, contiguous_groups, round_robin_groups
 from repro.protocol.ballot import Ballot
 from repro.quorum.systems import FastQuorum, MajorityQuorum
-from repro.sim.events import EventQueue
+from repro.sim.engine import Simulator
 from repro.sim.metrics import Histogram
 from repro.statemachine.command import Command, OpType
 from repro.statemachine.kvstore import KVStore
@@ -18,19 +18,26 @@ from repro.statemachine.log import ReplicatedLog
 
 
 # --------------------------------------------------------------------------- sim
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-def test_event_queue_pops_in_nondecreasing_time_order(times):
-    queue = EventQueue()
-    for time in times:
-        queue.push(time, lambda: None)
-    popped = []
-    while True:
-        event = queue.pop()
-        if event is None:
-            break
-        popped.append(event.time)
-    assert popped == sorted(popped)
-    assert len(popped) == len(times)
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), st.booleans()),
+                min_size=1, max_size=200))
+def test_simulator_fires_uncancelled_events_in_time_then_schedule_order(plan):
+    sim = Simulator()
+    fired = []
+    live = [index for index, (_, cancel) in enumerate(plan) if not cancel]
+
+    def fire(index):
+        fired.append(index)
+        assert sim.pending_events == len(live) - len(fired)
+
+    timers = [sim.schedule(delay, fire, index) for index, (delay, _) in enumerate(plan)]
+    for timer, (_, cancel) in zip(timers, plan):
+        if cancel:
+            timer.cancel()
+    assert sim.pending_events == len(live)
+    sim.run()
+    # sorted() is stable, so equal times keep schedule order (FIFO).
+    assert fired == sorted(live, key=lambda index: plan[index][0])
+    assert sim.pending_events == 0
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=1, max_size=200),

@@ -364,7 +364,7 @@ class TestDeterminism:
         second = run_scenario(scenario.with_seed(scenario.seed + 1))
         assert first.fingerprint() != second.fingerprint()
 
-    def test_simulator_reset_reruns_cleanly(self):
+    def test_same_seed_simulators_rerun_identically(self):
         def drive(sim: Simulator):
             observed = []
             rng = sim.random.stream("probe")
@@ -378,13 +378,9 @@ class TestDeterminism:
             sim.run()
             return observed
 
-        sim = Simulator(seed=99)
-        first = drive(sim)
-        sim.reset(seed=99)
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
-        second = drive(sim)
-        assert first == second
+        first = drive(Simulator(seed=99))
+        assert first == drive(Simulator(seed=99))
+        assert first != drive(Simulator(seed=100))
 
 
 class TestScenarioSpecValidation:
@@ -407,6 +403,16 @@ class TestScenarioSpecValidation:
     def test_negative_event_time_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioEvent.crash(-1.0, node=0)
+
+    def test_nan_event_time_rejected(self):
+        # NaN fails every comparison, so only a `not at >= 0` check rejects it.
+        with pytest.raises(ConfigurationError, match="event time"):
+            ScenarioEvent.crash(float("nan"), node=0)
+
+    @pytest.mark.parametrize("field", ["duration", "client_timeout"])
+    def test_nan_scenario_durations_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            Scenario(name="nan", **{field: float("nan")})
 
     @pytest.mark.parametrize(
         "event",
@@ -442,6 +448,8 @@ class TestScenarioSpecValidation:
     def test_non_positive_sluggish_factor_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioEvent.sluggish(0.5, node=1, factor=0.0)
+        with pytest.raises(ConfigurationError):
+            ScenarioEvent.sluggish(0.5, node=1, factor=float("nan"))
 
     def test_epaxos_accepts_only_session_window_override(self):
         from repro.scenarios.runner import ScenarioRunner

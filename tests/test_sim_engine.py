@@ -5,129 +5,110 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
+from repro.sim.engine import Event, Simulator
 
 
-class TestEventQueue:
-    def test_events_pop_in_time_order(self):
-        queue = EventQueue()
+class TestEventHeap:
+    def test_events_fire_in_time_order(self, sim):
         fired = []
-        queue.push(2.0, fired.append, ("b",))
-        queue.push(1.0, fired.append, ("a",))
-        queue.push(3.0, fired.append, ("c",))
-        order = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            order.append(event.time)
-        assert order == [1.0, 2.0, 3.0]
+        sim.schedule(2.0, fired.append, "b")
+        sim.schedule(1.0, fired.append, "a")
+        sim.post_at(3.0, fired.append, ("c",))
+        sim.run()
+        assert fired == ["a", "b", "c"]
 
-    def test_same_time_events_preserve_insertion_order(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        second = queue.push(1.0, lambda: None)
-        assert queue.pop() is first
-        assert queue.pop() is second
+    def test_same_time_events_preserve_insertion_order(self, sim):
+        # FIFO on equal times holds across timers and call entries alike.
+        fired = []
+        sim.schedule(1.0, fired.append, "first")
+        sim.post_at(1.0, fired.append, ("second",))
+        sim.schedule(1.0, fired.append, "third")
+        sim.run()
+        assert fired == ["first", "second", "third"]
 
-    def test_priority_breaks_ties_before_sequence(self):
-        queue = EventQueue()
-        low = queue.push(1.0, lambda: None, priority=5)
-        high = queue.push(1.0, lambda: None, priority=0)
-        assert queue.pop() is high
-        assert queue.pop() is low
+    def test_cancelled_events_are_skipped(self, sim):
+        fired = []
+        cancelled = sim.schedule(1.0, fired.append, "cancelled")
+        sim.schedule(2.0, fired.append, "kept")
+        cancelled.cancel()
+        sim.run()
+        assert fired == ["kept"]
+        assert sim.events_processed == 1
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        cancelled = queue.push(1.0, lambda: None)
-        kept = queue.push(2.0, lambda: None)
-        queue.cancel(cancelled)
-        assert queue.pop() is kept
-        assert queue.pop() is None
+    def test_pending_events_counts_entries_still_due(self, sim):
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.post_at(3.0, print, ())
+        assert sim.pending_events == 3
+        event.cancel()
+        assert sim.pending_events == 2
 
-    def test_len_tracks_live_events(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        queue.cancel(event)
-        assert len(queue) == 1
-
-    def test_negative_time_validated_at_engine_boundary(self):
-        # The queue itself is branch-lean and trusts its callers; negative
-        # times are rejected once, at the Simulator scheduling boundary.
-        sim = Simulator()
+    def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
+
+    def test_nan_delay_rejected(self, sim):
+        # NaN fails every comparison: accepted, it would fire at now = nan
+        # and the clock would then run backwards.
+        fired = []
         with pytest.raises(SimulationError):
-            sim.schedule_at(-1.0, lambda: None)
+            sim.schedule(float("nan"), lambda: fired.append(sim.now))
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1.0]
 
-    def test_direct_event_cancel_keeps_len_exact(self):
-        # Regression: Event.cancel() used to skip the queue's live-count
-        # decrement, so len(queue) drifted unless queue.cancel() was used.
-        # All three cancel paths now share one implementation.
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        event.cancel()
-        assert len(queue) == 1
-        event.cancel()  # idempotent
-        assert len(queue) == 1
+    @pytest.mark.parametrize("until", [float("nan"), -1.0, 0.5])
+    def test_run_until_before_now_rejected(self, sim, until):
+        # `time > nan` is always false, so run(until=nan) would never stop;
+        # an `until` in the past would set the clock back to it.
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(max_events=1)
+        with pytest.raises(SimulationError):
+            sim.run(until=until)
+        assert sim.now == 1.0 and sim.pending_events == 1
 
-    def test_cancel_after_pop_does_not_corrupt_len(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        popped = queue.pop()
-        assert popped is first
-        assert len(queue) == 1
-        # Cancelling an already-popped event must not double-decrement.
-        popped.cancel()
-        assert len(queue) == 1
-
-    def test_timer_handle_cancel_keeps_len_exact(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
+    def test_cancel_is_idempotent_and_keeps_pending_exact(self, sim):
+        event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending_events == 2
-        handle.cancel()
+        event.cancel()
         assert sim.pending_events == 1
-        handle.cancel()
+        event.cancel()
         assert sim.pending_events == 1
 
-    def test_scheduled_event_is_the_timer(self):
-        sim = Simulator()
+    def test_cancel_after_fire_does_not_corrupt_pending(self, sim):
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(max_events=1)
+        assert sim.pending_events == 1
+        first.cancel()  # already fired: nothing left to drop
+        assert sim.pending_events == 1
+
+    def test_scheduled_event_is_the_timer(self, sim):
         sim.schedule(0.5, lambda: None)
         sim.run()
         relative = sim.schedule(0.25, lambda: None)
-        absolute = sim.schedule_at(2.0, lambda: None)
+        later = sim.schedule(1.5, lambda: None)
         soon = sim.schedule(0.0, lambda: None)
-        assert (relative.time, absolute.time, soon.time) == (0.75, 2.0, 0.5)
+        assert (relative.time, later.time, soon.time) == (0.75, 2.0, 0.5)
         assert isinstance(relative, Event) and not relative.cancelled
         assert sim.pending_events == 3
-        absolute.cancel()
-        assert absolute.cancelled and sim.pending_events == 2
-        absolute.cancel()  # idempotent
-        assert sim.pending_events == 2
+        later.cancel()
+        assert later.cancelled and sim.pending_events == 2
         sim.run()
-        relative.cancel()  # already fired: nothing left to decrement
+        relative.cancel()  # already fired: nothing left to drop
         assert sim.pending_events == 0
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        queue.cancel(first)
-        assert queue.peek_time() == 5.0
-
-    def test_clear_empties_queue(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert queue.pop() is None
-        assert len(queue) == 0
+    def test_run_until_runs_the_clock_past_cancelled_timers(self, sim):
+        # Stopped by max_events with only a cancelled timer left, the run
+        # still advances to `until`; a live entry left behind holds it back.
+        sim.schedule(0.5, lambda: None)
+        sim.schedule(1.0, lambda: None).cancel()
+        assert sim.run(until=3.0, max_events=1) == 3.0
+        sim.schedule(0.5, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        assert sim.run(until=5.0, max_events=1) == 3.5
 
 
 class TestSimulator:
@@ -179,12 +160,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
-    def test_schedule_at_in_the_past_rejected(self, sim):
-        sim.schedule(0.2, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_at(0.1, lambda: None)
-
     def test_max_events_limits_execution(self, sim):
         fired = []
         for index in range(5):
@@ -200,36 +175,11 @@ class TestSimulator:
         sim.schedule(0.1, reenter)
         sim.run()
 
-    def test_reset_clears_pending_events_and_clock(self, sim):
-        sim.schedule(0.5, lambda: None)
-        sim.run()
-        sim.reset(seed=7)
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
-        assert sim.events_processed == 0
-
     def test_events_processed_counts(self, sim):
         for _ in range(3):
             sim.schedule(0.1, lambda: None)
         sim.run()
         assert sim.events_processed == 3
-
-    def test_mid_run_reset_keeps_bookkeeping_exact(self, sim):
-        # Regression for the deferred-counter experiment: a callback may
-        # reset() the simulator mid-run; the queue length and event counter
-        # must reflect post-reset reality, not pre-reset accumulation.
-        fired = []
-
-        def resetter():
-            sim.reset()
-            sim.schedule(0.1, fired.append, "a")
-            sim.schedule(0.2, fired.append, "b")
-
-        sim.schedule(0.1, resetter)
-        sim.run(max_events=2)
-        assert fired == ["a"]
-        assert sim.pending_events == 1
-        assert sim.events_processed == 1  # reset zeroed the pre-reset count
 
     def test_run_to_until_with_empty_queue_advances_clock(self, sim):
         sim.run(until=1.5)
@@ -264,14 +214,47 @@ class TestRandomStreams:
         streams = RandomStreams(3)
         assert streams.stream("a") is streams.stream("a")
 
-    def test_fork_changes_master_seed(self):
-        from repro.sim.rng import RandomStreams
-
-        parent = RandomStreams(5)
-        child = parent.fork("worker")
-        assert child.master_seed != parent.master_seed
-
     def test_simulator_uses_seeded_streams(self):
         a = Simulator(seed=9).random.stream("net").random()
         b = Simulator(seed=9).random.stream("net").random()
         assert a == b
+
+
+class TestHeapEntries:
+    """Every push site, inlined or not, lays entries out as ``Simulator.post_at`` does."""
+
+    @staticmethod
+    def assert_well_formed(heap):
+        seqs = set()
+        for index, entry in enumerate(heap):
+            assert type(entry) is tuple and len(entry) == 4
+            time, seq, payload, args = entry
+            assert type(time) is float and type(seq) is int
+            assert seq not in seqs
+            seqs.add(seq)
+            if isinstance(payload, Event):
+                assert args is None
+            else:
+                assert callable(payload) and type(args) is tuple
+            if index:
+                assert heap[(index - 1) // 2] < entry
+
+    def test_entries_keep_their_shape_through_a_crash(self):
+        from repro.cluster.builder import build_cluster
+
+        cluster = build_cluster("pigpaxos", num_nodes=7, num_clients=8, seed=5, relay_groups=2)
+        sim = cluster.sim
+        # Call entries leave the heap within microseconds of virtual time, so
+        # the heap is checked after every event of a window around the crash.
+        cluster.run(0.19)
+        while sim.now < 0.2:
+            self.assert_well_formed(sim._heap)
+            sim.run(until=0.2, max_events=1)
+        victim = cluster.nodes[cluster.leader_id()]
+        victim.crash()
+        guarded = [entry for entry in sim._heap if entry[2] == victim._fire_if_up]
+        assert guarded  # the crash rewrote queued handlers in place
+        for _ in range(150):
+            self.assert_well_formed(sim._heap)
+            sim.run(until=0.4, max_events=1)
+        assert cluster.total_completed_requests() > 0

@@ -36,6 +36,8 @@ class TestWorkloadSpec:
             WorkloadSpec(read_ratio=1.5)
         with pytest.raises(WorkloadError):
             WorkloadSpec(distribution="latest")
+        with pytest.raises(WorkloadError):
+            WorkloadSpec(distribution="zipfian", zipf_theta=float("nan"))
 
 
 class TestDistributions:
@@ -67,6 +69,8 @@ class TestDistributions:
             UniformKeys(0)
         with pytest.raises(WorkloadError):
             ZipfianKeys(10, theta=0)
+        with pytest.raises(WorkloadError):
+            ZipfianKeys(10, theta=float("nan"))
 
 
 class TestCommandGenerator:
