@@ -14,7 +14,6 @@ Paxos' correctness argument unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.overlay.base import FanoutOverlay
@@ -25,7 +24,6 @@ from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import (
     ClientReply,
     ClientRequest,
-    Commit,
     FillReply,
     FillRequest,
     Heartbeat,
@@ -111,19 +109,6 @@ class MultiPaxosReplica(Replica):
         self._heartbeat_timer: Optional[TimerLike] = None
         self._fill_pending = False
 
-        # Incremental commit-frontier scan state (see _apply_commit_frontier):
-        # slots examined once and found uncommitted (the log's own gap set,
-        # so its writes can record dirt for exactly these); a lazy min-heap
-        # mirror of that set for the "anything missing at or below the
-        # announced frontier?" verdict; gap slots not yet re-judged against
-        # the current announcing ballot; the highest slot ever scanned; and
-        # the ballot of the most recent scan.
-        self._frontier_gaps: set = self.log.gap_slots
-        self._frontier_gap_heap: List[int] = []
-        self._frontier_stale: set = set()
-        self._frontier_scanned_upto = 0
-        self._last_frontier_ballot: Optional[Ballot] = None
-
     # ------------------------------------------------------------------ setup
     @property
     def quorum(self) -> QuorumSystem:
@@ -150,7 +135,6 @@ class MultiPaxosReplica(Replica):
             P1b: self._on_p1b,
             P2a: self._on_p2a,
             P2b: self._on_p2b,
-            Commit: self._on_commit,
             Heartbeat: self._on_heartbeat,
             FillRequest: self._on_fill_request,
             FillReply: self._on_fill_reply,
@@ -158,7 +142,7 @@ class MultiPaxosReplica(Replica):
 
     def _relayed_handlers(self) -> Dict[type, Any]:
         # A relayed heartbeat carries no vote (its handler returns None);
-        # anything else relayed (an explicit Commit) takes ordinary dispatch.
+        # anything else relayed takes ordinary dispatch.
         return {
             P2a: self._process_p2a,
             P1a: self._process_p1a,
@@ -496,94 +480,18 @@ class MultiPaxosReplica(Replica):
             self._reply_to_clients(proposal.clients, command, result, self.node_id)
 
     def _apply_commit_frontier(self, commit_upto: int, ballot: Ballot) -> None:
-        """Follower-side phase-3: mark slots <= commit_upto committed.
+        """Follower-side phase-3: learn the frontier ``commit_upto`` announced under ``ballot``.
 
-        A follower only trusts its local entry for a slot if that entry was
-        accepted under the same ballot as the message announcing the commit;
-        otherwise the slot is left for gap-filling.
-
-        The scan is incremental: a naive implementation rescans the whole
-        ``(commit_upto_local, commit_upto]`` window on every message, which
-        is quadratic across a recovery gap (a node returning from a crash
-        rescanned thousands of slots per P2a).  Instead, each slot is
-        examined once; slots found uncommitted are remembered in a gap set
-        and re-examined only when their log entry actually changed
-        (``ReplicatedLog.dirty_slots``: late accepts, fill commits) or when
-        the announcing ballot changed -- exactly the cases in which the full
-        rescan could have newly committed them.  Commit decisions, the
-        ``missing`` verdict and the resulting fill-request scheduling are
-        bit-for-bit identical to the full rescan (the golden-fingerprint
-        tests cover this).
+        :meth:`ReplicatedLog.commit_announced` commits what the announcement
+        vouches for.  A slot it cannot commit -- no entry, or one of another
+        ballot -- holds the frontier below ``commit_upto``, and the missing
+        slots are asked of the leader after ``fill_gap_timeout``.
         """
         if commit_upto <= self.commit_upto:
             return
-        log = self.log
-        gaps = self._frontier_gaps
-        dirty = log.dirty_slots
-        stale = self._frontier_stale
-        if ballot != self._last_frontier_ballot:
-            # A different ballot is announcing commits: every remembered gap
-            # must be re-judged against it (the full rescan would have).
-            self._last_frontier_ballot = ballot
-            stale.clear()
-            stale.update(gaps)
-        if gaps:
-            # Re-examine exactly the gap slots the old full rescan could have
-            # newly committed, bounded by the announced frontier: slots whose
-            # entries changed (late accepts, fill commits) and slots not yet
-            # judged against the current ballot.
-            if dirty:
-                pending = {s for s in gaps & dirty if s <= commit_upto}
-            else:
-                pending = set()
-            if stale:
-                pending.update(s for s in stale if s <= commit_upto)
-            for slot in sorted(pending):
-                stale.discard(slot)
-                entry = log.get(slot)
-                if entry is None:
-                    continue
-                if entry.committed:
-                    gaps.discard(slot)
-                elif entry.ballot == ballot:
-                    entry.committed = True
-                    gaps.discard(slot)
-        if dirty:
-            # Retain dirt for gap slots beyond this announcement: they were
-            # not re-judged (the full rescan would not have reached them
-            # either) and must be rechecked when a later announcement covers
-            # them.  Everything else has been consumed or is irrelevant.
-            if gaps:
-                keep = [s for s in dirty if s > commit_upto and s in gaps]
-                dirty.clear()
-                dirty.update(keep)
-            else:
-                dirty.clear()
-        heap = self._frontier_gap_heap
-        entries = log.by_slot
-        start = self._frontier_scanned_upto + 1
-        low = self.commit_upto + 1
-        if start < low:
-            start = low
-        for slot in range(start, commit_upto + 1):
-            if slot in entries:
-                entry = entries[slot]
-                if entry.ballot == ballot or entry.committed:
-                    # Commit the entry in hand.  Nothing is recorded in
-                    # dirty_slots: dirt is only ever read back for gap
-                    # slots, and a slot committed here is not one.
-                    entry.committed = True
-                    continue
-            gaps.add(slot)
-            heappush(heap, slot)
-        if commit_upto > self._frontier_scanned_upto:
-            self._frontier_scanned_upto = commit_upto
-        self.commit_upto = log.committed_through(self.commit_upto)
+        self.commit_upto = self.log.commit_announced(commit_upto, ballot, self.commit_upto)
         self._execute_ready()
-        while heap and heap[0] not in gaps:
-            heappop(heap)
-        missing = bool(heap) and heap[0] <= commit_upto
-        if missing and not self._fill_pending and self.leader_id is not None:
+        if self.commit_upto < commit_upto and not self._fill_pending and self.leader_id is not None:
             self._fill_pending = True
             self.ctx.schedule(self.config.fill_gap_timeout, self._request_fill, commit_upto)
 
@@ -611,13 +519,6 @@ class MultiPaxosReplica(Replica):
     def _on_fill_reply(self, src: int, msg: FillReply) -> None:
         for slot, ballot, command in msg.entries:
             self.log.commit(slot, ballot, command)
-        self._advance_commit_frontier()
-        self._execute_ready()
-
-    def _on_commit(self, src: int, msg: Commit) -> None:
-        self.log.commit(msg.slot, msg.ballot, msg.command)
-        self._observe_leader(msg.ballot)
-        self._apply_commit_frontier(msg.commit_upto, msg.ballot)
         self._advance_commit_frontier()
         self._execute_ready()
 

@@ -17,7 +17,6 @@ from repro.protocol.messages import (
     P1b,
     P2a,
     P2b,
-    Commit,
     FillRequest,
     FillReply,
     Heartbeat,
@@ -33,7 +32,6 @@ __all__ = [
     "P1b",
     "P2a",
     "P2b",
-    "Commit",
     "FillRequest",
     "FillReply",
     "Heartbeat",

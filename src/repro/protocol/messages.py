@@ -1,12 +1,12 @@
 """Wire messages shared by Multi-Paxos and PigPaxos (and the client API).
 
 These correspond one-to-one to the arrows in the paper's Figure 1/2:
-``P1a``/``P1b`` are propose/promise, ``P2a``/``P2b`` are accept/accepted and
-``Commit`` is phase-3.  Phase-3 is normally piggybacked on the next ``P2a``
-through its ``commit_upto`` field, exactly as in the Multi-Paxos optimization
-the paper applies to both Paxos and PigPaxos.
+``P1a``/``P1b`` are propose/promise and ``P2a``/``P2b`` are accept/accepted.
+Phase-3 has no message of its own: it rides on the next ``P2a`` (and on
+each ``Heartbeat``) through their ``commit_upto`` field, exactly as in the
+Multi-Paxos optimization the paper applies to both Paxos and PigPaxos.
 
-The per-message types (client request/reply, phase-2, commit, heartbeat) are
+The per-message types (client request/reply, phase-2, heartbeat) are
 hand-written ``__slots__`` classes rather than frozen dataclasses: one is
 allocated per protocol step per follower, and the frozen-dataclass
 ``object.__setattr__``-per-field constructor costs ~2.5x a plain ``__init__``
@@ -155,22 +155,6 @@ class P2b(Message):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"P2b(ballot={self.ballot} slot={self.slot} voter={self.voter} ok={self.ok})"
-
-
-class Commit(Message):
-    """Explicit phase-3 commit notification (used when there is no next P2a)."""
-
-    __slots__ = ("ballot", "slot", "command", "commit_upto", "payload_bytes")
-
-    def __init__(self, ballot: Ballot, slot: int, command: object, commit_upto: int = 0) -> None:
-        self.ballot = ballot
-        self.slot = slot
-        self.command = command
-        self.commit_upto = commit_upto
-        self.payload_bytes = getattr(command, "payload_bytes", 0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Commit(ballot={self.ballot} slot={self.slot})"
 
 
 # --------------------------------------------------------------------- catch-up

@@ -1,7 +1,7 @@
 """Vote trackers used by leaders while collecting responses.
 
-``VoteTracker`` counts acks/nacks from distinct voters for one decision
-(one slot at one ballot).  ``BallotVoteTracker`` does the same for phase-1,
+``VoteTracker`` counts acks from distinct voters for one decision (one
+slot at one ballot).  ``BallotVoteTracker`` does the same for phase-1,
 additionally remembering the highest previously-accepted command reported per
 slot, which the new leader must re-propose (the "Ok, but" arrow in the
 paper's Figure 1).
@@ -16,58 +16,27 @@ from repro.errors import QuorumError
 
 
 class VoteTracker:
-    """Counts positive/negative votes from distinct voters."""
+    """Counts positive votes from distinct voters."""
 
-    def __init__(self, required: int, voters: Optional[Set[int]] = None) -> None:
+    def __init__(self, required: int) -> None:
         if required < 1:
             raise QuorumError("a quorum requires at least one vote")
         self.required = required
-        self._allowed = set(voters) if voters is not None else None
         self._acks: Set[int] = set()
-        self._nacks: Set[int] = set()
 
     def ack(self, voter: int) -> bool:
         """Record a positive vote; returns True if the quorum is now satisfied."""
-        if self._allowed is not None:
-            self._validate(voter)
-        if voter not in self._nacks:
-            self._acks.add(voter)
+        self._acks.add(voter)
         # ``satisfied``'s test, inlined: the leader acks once per vote.
         return len(self._acks) >= self.required
-
-    def nack(self, voter: int) -> None:
-        if self._allowed is not None:
-            self._validate(voter)
-        self._acks.discard(voter)
-        self._nacks.add(voter)
-
-    def _validate(self, voter: int) -> None:
-        """Reject a voter outside the restricted voter set (restricted trackers only)."""
-        if voter not in self._allowed:
-            raise QuorumError(f"voter {voter} is not part of this quorum")
 
     @property
     def ack_count(self) -> int:
         return len(self._acks)
 
     @property
-    def nack_count(self) -> int:
-        return len(self._nacks)
-
-    @property
     def satisfied(self) -> bool:
         return len(self._acks) >= self.required
-
-    @property
-    def rejected(self) -> bool:
-        """True when enough voters nacked that the quorum can never be met."""
-        if self._allowed is None:
-            return False
-        remaining = len(self._allowed) - len(self._nacks)
-        return remaining < self.required
-
-    def voters(self) -> Set[int]:
-        return set(self._acks)
 
 
 @dataclass
@@ -107,9 +76,6 @@ class BallotVoteTracker:
         if commit_upto > self._commit_uptos.get(voter, -1):
             self._commit_uptos[voter] = commit_upto
         return self._tracker.ack(voter)
-
-    def nack(self, voter: int) -> None:
-        self._tracker.nack(voter)
 
     @property
     def satisfied(self) -> bool:

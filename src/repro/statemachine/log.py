@@ -34,15 +34,15 @@ class LogEntry:
 class ReplicatedLog:
     """Slot-indexed log with gap-aware in-order execution.
 
-    ``gap_slots`` and ``dirty_slots`` serve the Paxos commit-frontier scan,
-    which re-examines only slots that could have become committable instead
-    of rescanning its whole announced window per message (which was
-    quadratic across a recovery gap).  The scan owns ``gap_slots``: the
-    slots it examined and found it could not commit.  ``dirty_slots``
-    records each of those whose entry :meth:`accept`/:meth:`commit` then
-    created, replaced or committed, since the scan last consumed it.  Dirt
-    is read back only for gap slots, so it is recorded only for them: the
-    common accept, of a slot no scan has reached, costs a membership test.
+    The log also learns the Paxos commit frontier a leader announces
+    (:meth:`commit_announced`), and it keeps that scan incremental: a full
+    rescan of the announced window per message was quadratic across a
+    recovery gap.  Each slot is scanned once; ``gap_slots`` remembers the
+    ones the scan could not commit, and ``dirty_slots`` the gaps due for
+    re-judging -- their entry was created, replaced or committed since
+    (:meth:`accept`/:meth:`commit` record it), or the announcing ballot
+    changed.  Dirt is recorded only for gaps, so the common accept, of a
+    slot no scan has reached, costs a membership test.
     """
 
     def __init__(self) -> None:
@@ -53,8 +53,13 @@ class ReplicatedLog:
         self.get = self.by_slot.get
         self._next_execute = 1
         self._max_slot = 0
+        # The commit-frontier scan's state (see commit_announced): the gaps,
+        # the gaps due for re-judging, the highest slot ever scanned, and
+        # the ballot of the last announcement.
         self.gap_slots: set = set()
         self.dirty_slots: set = set()
+        self._scanned_upto = 0
+        self._announcing_ballot: Optional[Tuple[int, int]] = None
 
     # ----------------------------------------------------------------- access
     def __len__(self) -> int:
@@ -146,6 +151,53 @@ class ReplicatedLog:
         :meth:`is_committed` call per slot.
         """
         entries = self.by_slot
+        slot = frontier + 1
+        while slot in entries and entries[slot].committed:
+            slot += 1
+        return slot - 1
+
+    def commit_announced(self, upto: int, ballot: Tuple[int, int], frontier: int) -> int:
+        """Commit what a leader's ``commit_upto = upto`` under ``ballot`` vouches for.
+
+        ``frontier`` is the caller's commit frontier, below ``upto``; returns
+        the new one.  Every uncommitted slot in ``(frontier, upto]`` whose
+        entry was accepted under ``ballot`` commits; one without an entry,
+        or with an entry of another ballot, stays a gap and holds the
+        frontier below ``upto`` until a fill or a later announcement covers
+        it.  The result is exactly that of rescanning the whole window,
+        but each slot is scanned once and a gap is re-judged only when it
+        is dirty (see the class docstring).
+        """
+        entries = self.by_slot
+        gaps = self.gap_slots
+        dirty = self.dirty_slots
+        if ballot != self._announcing_ballot:
+            # Another ballot is announcing: every remembered gap is re-judged.
+            self._announcing_ballot = ballot
+            dirty |= gaps
+        if dirty:
+            # Dirt above the announcement waits for one that covers it.
+            due = [slot for slot in dirty if slot <= upto]
+            dirty.difference_update(due)
+            for slot in due:
+                if slot in entries:
+                    entry = entries[slot]
+                    if entry.ballot == ballot or entry.committed:
+                        entry.committed = True
+                        gaps.discard(slot)
+        start = self._scanned_upto + 1
+        if start <= frontier:
+            start = frontier + 1
+        for slot in range(start, upto + 1):
+            if slot in entries:
+                entry = entries[slot]
+                if entry.ballot == ballot or entry.committed:
+                    entry.committed = True
+                    continue
+            gaps.add(slot)
+        if upto > self._scanned_upto:
+            self._scanned_upto = upto
+        # committed_through(frontier), inlined: one frame per announcement.
         slot = frontier + 1
         while slot in entries and entries[slot].committed:
             slot += 1

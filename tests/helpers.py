@@ -198,6 +198,46 @@ def drive_against_per_send_reference(
     return records, sim.metrics.counters()
 
 
+# --------------------------------------------------------------------- paxos
+class FullRescanFollower:
+    """The commit-frontier rule applied the naive way: every announcement
+    rescans its whole window ``(commit_upto, announced]``."""
+
+    def __init__(self):
+        self.entries = {}  # slot -> [ballot, committed]
+        self.commit_upto = 0
+
+    def accept(self, slot, ballot):
+        entry = self.entries.get(slot)
+        if entry is not None and not entry[1] and ballot < entry[0]:
+            return  # a stale accept never replaces a newer entry
+        self.entries[slot] = [ballot, entry is not None and entry[1]]
+
+    def fill(self, slot, ballot):
+        entry = self.entries.get(slot)
+        if entry is None or not entry[1]:
+            self.entries[slot] = [ballot, True]
+        self._advance()
+
+    def announce(self, upto, ballot):
+        """Commit what the window's ballot vouches for; report whether a slot is missing."""
+        if upto <= self.commit_upto:
+            return False
+        missing = False
+        for slot in range(self.commit_upto + 1, upto + 1):
+            entry = self.entries.get(slot)
+            if entry is None or (entry[0] != ballot and not entry[1]):
+                missing = True
+            else:
+                entry[1] = True
+        self._advance()
+        return missing
+
+    def _advance(self):
+        while self.commit_upto + 1 in self.entries and self.entries[self.commit_upto + 1][1]:
+            self.commit_upto += 1
+
+
 # --------------------------------------------------------------------- scenarios
 @functools.lru_cache(maxsize=None)
 def library_run(name: str):

@@ -10,9 +10,11 @@ Three families:
   ``payload_bytes`` (fixed at construction): per-instance sizes, header-only
   for metadata types and bare objects, nothing shared between models.  The
   per-type equivalence with a from-scratch walk is ``tests/test_wire_sizes.py``.
-* The incremental Paxos commit-frontier scan must behave exactly like a
-  full window rescan: late accepts into remembered gaps, fill commits, and
-  ballot changes must all be picked up.
+* The incremental Paxos commit-frontier scan
+  (:meth:`~repro.statemachine.log.ReplicatedLog.commit_announced`) must
+  behave exactly like a full window rescan -- late accepts into remembered
+  gaps, fill commits and ballot changes must all be picked up -- and must
+  stay incremental: across a recovery gap it probes each slot about once.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from bisect import insort
 
 import pytest
 
+from helpers import FakeContext, FullRescanFollower
 from repro.net.message import Message
 from repro.net.sizes import SizeModel
 from repro.sim.metrics import Histogram
@@ -215,14 +218,14 @@ class TestIncrementalCommitFrontier:
         # Slot 2 missing: the frontier stalls and slots 2..3 become gaps.
         replica._apply_commit_frontier(3, ballot)
         assert replica.commit_upto == 1
-        assert 2 in replica._frontier_gaps
+        assert 2 in replica.log.gap_slots
         # The late accept for slot 2 arrives; the *next* frontier scan must
         # re-examine the remembered gap and commit straight through.
         second = Command(op=OpType.PUT, key="a", value="2", client_id=7, request_id=2)
         replica.log.accept(2, ballot, second)
         replica._apply_commit_frontier(3, ballot)
         assert replica.commit_upto == 3
-        assert not replica._frontier_gaps
+        assert not replica.log.gap_slots
 
     def test_ballot_change_rejudges_remembered_gaps(self):
         from repro.protocol.ballot import Ballot
@@ -237,7 +240,7 @@ class TestIncrementalCommitFrontier:
         # Announced under the old ballot: entry mismatches, slot 1 is a gap.
         replica._apply_commit_frontier(1, old_ballot)
         assert replica.commit_upto == 0
-        assert 1 in replica._frontier_gaps
+        assert 1 in replica.log.gap_slots
         # Same entry, new announcing ballot: the gap must be re-judged and
         # committed even though the log entry itself never changed.
         replica._apply_commit_frontier(1, new_ballot)
@@ -262,11 +265,10 @@ class TestIncrementalCommitFrontier:
         # Full-rescan semantics: slots <= the announced frontier with a
         # matching ballot commit (2 and 3 did); slot 1 stays the gap.
         assert committed_high
-        assert 1 in replica._frontier_gaps
+        assert 1 in replica.log.gap_slots
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_steps_match_a_full_rescan(self, seed):
-        from helpers import FakeContext
         from repro.paxos.replica import MultiPaxosReplica
         from repro.protocol.ballot import Ballot
         from repro.protocol.config import ProtocolConfig
@@ -278,7 +280,7 @@ class TestIncrementalCommitFrontier:
         replica = MultiPaxosReplica(config=ProtocolConfig(initial_leader=0))
         replica.bind(ctx)
         replica.leader_id = 0  # fill requests are only scheduled with a known leader
-        reference = _FullRescanFollower()
+        reference = FullRescanFollower()
         ballots = (Ballot(1, 0), Ballot(2, 2))
         # One command per slot, so a late accept or a fill never contradicts
         # a committed slot.
@@ -319,41 +321,88 @@ class TestIncrementalCommitFrontier:
             } == {slot: entry[1] for slot, entry in reference.entries.items()}, where
             assert len(replica.log) == len(reference.entries), where
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_log_alone_matches_a_full_rescan(self, seed):
+        from repro.protocol.ballot import Ballot
+        from repro.statemachine.command import Command, OpType
+        from repro.statemachine.log import ReplicatedLog
 
-class _FullRescanFollower:
-    """The commit-frontier rule applied the naive way: every announcement
-    rescans its whole window ``(commit_upto, announced]``."""
-
-    def __init__(self):
-        self.entries = {}  # slot -> [ballot, committed]
-        self.commit_upto = 0
-
-    def accept(self, slot, ballot):
-        entry = self.entries.get(slot)
-        if entry is not None and not entry[1] and ballot < entry[0]:
-            return  # a stale accept never replaces a newer entry
-        self.entries[slot] = [ballot, entry is not None and entry[1]]
-
-    def fill(self, slot, ballot):
-        entry = self.entries.get(slot)
-        if entry is None or not entry[1]:
-            self.entries[slot] = [ballot, True]
-        self._advance()
-
-    def announce(self, upto, ballot):
-        """Commit what the window's ballot vouches for; report whether a slot is missing."""
-        if upto <= self.commit_upto:
-            return False
-        missing = False
-        for slot in range(self.commit_upto + 1, upto + 1):
-            entry = self.entries.get(slot)
-            if entry is None or (entry[0] != ballot and not entry[1]):
-                missing = True
+        rng = random.Random(seed)
+        log = ReplicatedLog()
+        frontier = 0
+        reference = FullRescanFollower()
+        ballots = (Ballot(1, 0), Ballot(2, 2), Ballot(3, 1))
+        commands = {
+            slot: Command(op=OpType.PUT, key="k", value=str(slot), client_id=7, request_id=slot)
+            for slot in range(1, 41)
+        }
+        for step in range(150):
+            kind = rng.random()
+            ballot = rng.choice(ballots)
+            missing = expected_missing = None
+            if kind < 0.45:
+                high = max(reference.commit_upto, 1) + (8 if rng.random() < 0.6 else 1)
+                slot = rng.randint(1, min(high, 40))
+                log.accept(slot, ballot, commands[slot])
+                reference.accept(slot, ballot)
+            elif kind < 0.6:
+                slot = rng.randint(1, 40)
+                log.commit(slot, ballot, commands[slot])
+                frontier = log.committed_through(frontier)
+                reference.fill(slot, ballot)
             else:
-                entry[1] = True
-        self._advance()
-        return missing
+                upto = rng.randint(1, 42)
+                missing = False
+                if upto > frontier:
+                    frontier = log.commit_announced(upto, ballot, frontier)
+                    missing = frontier < upto
+                expected_missing = reference.announce(upto, ballot)
+            where = f"seed {seed} step {step}"
+            assert missing == expected_missing, where
+            assert frontier == reference.commit_upto, where
+            assert {
+                slot: log.get(slot).committed for slot in reference.entries
+            } == {slot: entry[1] for slot, entry in reference.entries.items()}, where
+            assert log.dirty_slots <= log.gap_slots, where
 
-    def _advance(self):
-        while self.commit_upto + 1 in self.entries and self.entries[self.commit_upto + 1][1]:
-            self.commit_upto += 1
+    def test_recovery_gap_is_scanned_once_not_per_announcement(self):
+        """A follower back from a crash holds no entry for the first ``gap``
+        slots; each of ``rounds`` P2as then announces a frontier one slot
+        higher.  A rescan of the whole window per announcement probes the
+        log about ``gap * rounds`` times; the incremental scan probes each
+        gap slot once plus a few probes per round."""
+        from repro.paxos.replica import MultiPaxosReplica
+        from repro.protocol.ballot import Ballot
+        from repro.protocol.config import ProtocolConfig
+        from repro.protocol.messages import P2a
+        from repro.statemachine.command import Command, OpType
+
+        class CountingDict(dict):
+            probes = 0
+
+            def __contains__(self, key):
+                self.probes += 1
+                return dict.__contains__(self, key)
+
+            def __getitem__(self, key):
+                self.probes += 1
+                return dict.__getitem__(self, key)
+
+            def get(self, key, default=None):
+                self.probes += 1
+                return dict.get(self, key, default)
+
+        gap, rounds = 5000, 200
+        replica = MultiPaxosReplica(config=ProtocolConfig(initial_leader=0))
+        replica.bind(FakeContext(node_id=1, all_nodes=[0, 1, 2]))
+        log = replica.log
+        log.by_slot = CountingDict()
+        log.get = log.by_slot.get
+        ballot = Ballot(1, 0)
+        for slot in range(gap + 1, gap + rounds + 1):
+            command = Command(op=OpType.PUT, key="k", value=str(slot), client_id=7, request_id=slot)
+            vote = replica._process_p2a(0, P2a(ballot=ballot, slot=slot, command=command, commit_upto=slot - 1))
+            assert vote.ok
+        assert replica.commit_upto == 0  # slot 1 never arrived
+        assert len(log.gap_slots) == gap
+        assert log.by_slot.probes < 2 * (gap + rounds) + 4 * rounds, log.by_slot.probes

@@ -10,7 +10,7 @@ from repro.protocol.ballot import Ballot
 from repro.protocol.messages import (
     ClientReply,
     ClientRequest,
-    Commit,
+    FillReply,
     Heartbeat,
     P1a,
     P1b,
@@ -225,12 +225,12 @@ class TestRelayRole:
     def test_unlisted_relayed_type_takes_ordinary_dispatch_and_yields_nothing(self):
         replica, ctx = make_replica(node_id=3)
         command = Command(op=OpType.PUT, key="x", payload_size=8)
-        commit = Commit(ballot=Ballot(1, 0), slot=1, command=command, commit_upto=1)
-        assert replica.relayed[Commit](1, commit) is None
-        assert replica.log.is_committed(1)  # handled by _on_commit
+        fill = FillReply(entries=((1, Ballot(1, 0), command),))
+        assert replica.relayed[FillReply](1, fill) is None
+        assert replica.log.is_committed(1)  # handled by _on_fill_reply
         # Through the relay path: a leaf answers with an empty aggregate.
-        commit = Commit(ballot=Ballot(1, 0), slot=2, command=command, commit_upto=2)
-        replica.on_message(1, RelayRequest(inner=commit, children=(), agg_id=8, timeout=0.05))
+        fill = FillReply(entries=((2, Ballot(1, 0), command),))
+        replica.on_message(1, RelayRequest(inner=fill, children=(), agg_id=8, timeout=0.05))
         [(dst, aggregate)] = ctx.sent_of_type(RelayAggregate)
         assert dst == 1 and aggregate.responses == ()
         assert replica.log.is_committed(2)

@@ -80,26 +80,6 @@ class TestVoteTracker:
         assert not tracker.ack(1)
         assert tracker.ack_count == 1
 
-    def test_nack_overrides_ack(self):
-        tracker = VoteTracker(required=2)
-        tracker.ack(1)
-        tracker.nack(1)
-        assert tracker.ack_count == 0
-        assert tracker.nack_count == 1
-        # Further acks from a nacked voter are ignored.
-        tracker.ack(1)
-        assert tracker.ack_count == 0
-
-    def test_restricted_voter_set(self):
-        tracker = VoteTracker(required=2, voters={1, 2, 3})
-        with pytest.raises(QuorumError):
-            tracker.ack(9)
-
-    def test_rejected_when_quorum_impossible(self):
-        tracker = VoteTracker(required=3, voters={1, 2, 3})
-        tracker.nack(1)
-        assert tracker.rejected
-
     def test_zero_required_rejected(self):
         with pytest.raises(QuorumError):
             VoteTracker(required=0)
@@ -118,12 +98,6 @@ class TestBallotVoteTracker:
         tracker = BallotVoteTracker(required=1)
         tracker.ack(1)
         assert tracker.commands_to_repropose() == {}
-
-    def test_nack_does_not_satisfy(self):
-        tracker = BallotVoteTracker(required=2)
-        tracker.ack(1)
-        tracker.nack(2)
-        assert not tracker.satisfied
 
 
 class TestBallot:

@@ -41,7 +41,6 @@ from repro.protocol.ballot import Ballot
 from repro.protocol.messages import (
     ClientReply,
     ClientRequest,
-    Commit,
     FillReply,
     FillRequest,
     Heartbeat,
@@ -78,7 +77,7 @@ def reference_payload(obj) -> int:
         return reference_payload(obj.result)
     if isinstance(obj, P1b):
         return sum(reference_payload(command) + 16 for _, command in obj.accepted.values())
-    if isinstance(obj, (P2a, Commit)):
+    if isinstance(obj, P2a):
         return reference_payload(obj.command)
     if isinstance(obj, FillReply):
         return sum(reference_payload(command) + 16 for _, _, command in obj.entries)
@@ -121,7 +120,6 @@ SAMPLES = [
     ClientReply(1, 1, 1000, True), ClientReply(1, 1, 1000, True, result=CommandResult(1, True, "né")),
     P1a(BALLOT), P1b(BALLOT, 2, True), P1b(BALLOT, 2, True, {4: (BALLOT, BATCH), 5: (BALLOT, NoOp())}),
     P2a(BALLOT, 4, PUT), P2a(BALLOT, 4, NoOp()), P2a(BALLOT, 4, "not a command"), P2A_BATCH, VOTE,
-    Commit(BALLOT, 4, NON_ASCII), Commit(BALLOT, 4, BATCH),
     FillRequest((1, 2), 3), FillReply(((1, BALLOT, PUT), (2, BALLOT, NoOp()), (3, BALLOT, BATCH))),
     Heartbeat(BALLOT, 7),
     RelayRequest(Heartbeat(BALLOT), (), agg_id=1, timeout=0.05), RELAYED_BATCH,
