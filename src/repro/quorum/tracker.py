@@ -31,10 +31,6 @@ class VoteTracker:
         return len(self._acks) >= self.required
 
     @property
-    def ack_count(self) -> int:
-        return len(self._acks)
-
-    @property
     def satisfied(self) -> bool:
         return len(self._acks) >= self.required
 
@@ -80,10 +76,6 @@ class BallotVoteTracker:
     @property
     def satisfied(self) -> bool:
         return self._tracker.satisfied
-
-    @property
-    def ack_count(self) -> int:
-        return self._tracker.ack_count
 
     def commands_to_repropose(self) -> Dict[int, object]:
         """Slot -> command that must be re-proposed by the new leader."""

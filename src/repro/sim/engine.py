@@ -12,7 +12,8 @@ The heap is the simulator's own list of ``(time, seq, payload, args)``
 entries in two flavours:
 
 * ``(time, seq, Event, None)`` -- a cancellable timer pushed by
-  :meth:`Simulator.schedule`; a cancelled one is dropped when it surfaces.
+  :meth:`Simulator.schedule`; a cancelled one is dropped when it surfaces
+  or at the next compaction, whichever comes first.
 * ``(time, seq, callback, args)`` -- a call entry pushed by
   :meth:`Simulator.post_at` for the hot paths that never cancel.
 
@@ -32,6 +33,17 @@ destination's ``arrive``) and ``(src, message)`` for the handler a node
 queues behind its receive cost (dispatch happens at arrival, so that entry's
 callback is the replica's handler itself); no envelope wraps the message.
 
+COMPACTION: cancelled timers are not left to surface.  Once ``seq`` reaches
+a mark, :meth:`Simulator.schedule` rebuilds the heap in place without them
+(``heap[:] = live; heapify(heap)`` -- the :meth:`Simulator.run` loop and
+``SimNode.crash`` hold the same list object) and sets the next mark to
+``seq + max(_COMPACT_FLOOR, len(heap))``.  Only timers are ever cancelled,
+so the dead entries are at most the heap's size ``L`` after the last
+compaction plus the timers pushed since: the heap holds its live entries
+plus fewer than ``2 * max(L, _COMPACT_FLOOR)`` dead ones, and a rebuild
+scans at most two entries per push since the one before (amortised O(1)).
+``(time, seq)`` is unique, so the rebuild moves no entry in the pop order.
+
 Entries are not immutable: ``SimNode.crash`` (cluster/node.py) replaces each
 of its still-queued handler entries, in place, with one that keeps
 ``(time, seq)`` and calls ``_fire_if_up(handler, src, message)``.  Only the
@@ -47,12 +59,16 @@ tripwire.
 from __future__ import annotations
 
 import gc
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RandomStreams
+
+#: The fewest pushes between two compactions of the heap (see the module
+#: docstring); above it, the heap's size after the last compaction.
+_COMPACT_FLOOR = 128
 
 
 class Event:
@@ -67,7 +83,11 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Mark the timer so the run loop drops it when it surfaces (idempotent)."""
+        """Mark the timer dead (idempotent).
+
+        The run loop drops it when it surfaces, or the next compaction of
+        the heap does, whichever comes first (see the module docstring).
+        """
         self.cancelled = True
 
 
@@ -78,6 +98,7 @@ class Simulator:
         self._now = 0.0
         self._heap: List[tuple] = []
         self._seq = 0
+        self._compact_at = _COMPACT_FLOOR
         self._streams = RandomStreams(seed)
         self._metrics = MetricsRegistry()
         self._running = False
@@ -117,7 +138,13 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, callback, args)
-        heappush(self._heap, (time, seq, event, None))
+        heap = self._heap
+        heappush(heap, (time, seq, event, None))
+        if seq >= self._compact_at:
+            # Drop the cancelled timers, in place (see the module docstring).
+            heap[:] = [entry for entry in heap if entry[3] is not None or not entry[2].cancelled]
+            heapify(heap)
+            self._compact_at = seq + max(_COMPACT_FLOOR, len(heap))
         return event
 
     def post_at(self, time: float, callback: Callable[..., Any], args: tuple = ()) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from repro.analysis.model import messages_at_follower, messages_at_leader
 from repro.overlay.groups import RelayGroupPlan, contiguous_groups, round_robin_groups
 from repro.protocol.ballot import Ballot
 from repro.quorum.systems import FastQuorum, MajorityQuorum
+from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Histogram
 from repro.statemachine.command import Command, OpType
@@ -38,6 +40,66 @@ def test_simulator_fires_uncancelled_events_in_time_then_schedule_order(plan):
     # sorted() is stable, so equal times keep schedule order (FIFO).
     assert fired == sorted(live, key=lambda index: plan[index][0])
     assert sim.pending_events == 0
+
+
+# A step is ("schedule" | "post_at", delay, steps it issues when it fires),
+# ("cancel", which timer so far) or, at top level only, ("run", max_events).
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0])
+_CANCEL = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=50))
+_NESTED = st.one_of(
+    st.tuples(st.sampled_from(["schedule", "post_at"]), _DELAYS, st.just(())), _CANCEL
+)
+_STEP = st.one_of(
+    st.tuples(st.sampled_from(["schedule", "post_at"]), _DELAYS, st.lists(_NESTED, max_size=3)),
+    _CANCEL,
+    st.tuples(st.just("run"), st.integers(min_value=0, max_value=8)),
+)
+
+
+class _Driver:
+    """Plays one list of steps on a simulator, logging what fires."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.timers = []
+        self.fired = []
+
+    def play(self, step):
+        kind = step[0]
+        if kind == "run":
+            self.sim.run(max_events=step[1])
+        elif kind == "cancel":
+            if self.timers:
+                self.timers[step[1] % len(self.timers)].cancel()
+        else:
+            label = len(self.fired), len(self.timers), kind
+            if kind == "schedule":
+                self.timers.append(self.sim.schedule(step[1], self.fire, label, step[2]))
+            else:
+                self.sim.post_at(self.sim.now + step[1], self.fire, (label, step[2]))
+
+    def fire(self, label, steps):
+        self.fired.append((label, self.sim.now))
+        for step in steps:
+            self.play(step)
+
+
+@given(st.lists(_STEP, min_size=1, max_size=80), st.integers(min_value=1, max_value=4))
+@settings(max_examples=150)
+def test_heap_compaction_keeps_the_fire_order_of_a_heap_that_never_compacts(steps, floor):
+    reference = _Driver(Simulator())
+    reference.sim._compact_at = float("inf")
+    with mock.patch.object(engine, "_COMPACT_FLOOR", floor):
+        compacting = _Driver(Simulator())
+        heap = compacting.sim._heap
+        for step in [*steps, ("run", None)]:
+            for driver in (compacting, reference):
+                driver.play(step)
+            assert compacting.fired == reference.fired
+            assert compacting.sim.events_processed == reference.sim.events_processed
+            assert compacting.sim.now == reference.sim.now
+            assert compacting.sim.pending_events == reference.sim.pending_events
+            assert compacting.sim._heap is heap
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False), min_size=1, max_size=200),

@@ -76,9 +76,10 @@ class TestVoteTracker:
 
     def test_duplicate_acks_do_not_double_count(self):
         tracker = VoteTracker(required=2)
-        tracker.ack(1)
         assert not tracker.ack(1)
-        assert tracker.ack_count == 1
+        assert not tracker.ack(1)
+        assert not tracker.satisfied
+        assert tracker.ack(2) and tracker.satisfied
 
     def test_zero_required_rejected(self):
         with pytest.raises(QuorumError):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.builder import build_cluster
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator
+from repro.sim import engine
+from repro.sim.engine import _COMPACT_FLOOR, Event, Simulator
 
 
 class TestEventHeap:
@@ -109,6 +111,37 @@ class TestEventHeap:
         sim.schedule(0.5, lambda: None)
         sim.schedule(1.0, lambda: None)
         assert sim.run(until=5.0, max_events=1) == 3.5
+
+
+class TestCompaction:
+    """Cancelled timers leave the heap at the next compaction, not when they surface."""
+
+    def test_probe_point_heap_is_near_its_live_size(self):
+        # Left to surface, cancelled timers would be 1 684 of 1 711 entries here.
+        cluster = build_cluster("pigpaxos", num_nodes=7, num_clients=8, seed=5, relay_groups=2)
+        cluster.run(0.2)
+        live = cluster.sim.pending_events
+        assert len(cluster.sim._heap) <= 2 * live + _COMPACT_FLOOR
+
+    def test_closed_loop_heap_does_not_grow_with_completed_ops(self, monkeypatch):
+        # Every request arms a 2 s timeout that its reply cancels; left to
+        # surface, a 1 s run would keep one dead timer per completed op.
+        lengths = []
+        heappop = engine.heappop
+
+        def recording_heappop(heap):
+            lengths.append(len(heap))
+            return heappop(heap)
+
+        monkeypatch.setattr(engine, "heappop", recording_heappop)
+        cluster = build_cluster("paxos", num_nodes=1, num_clients=8, seed=1)
+        cluster.run(0.5)
+        first_half = max(lengths)
+        lengths.clear()
+        cluster.sim.run(until=1.0)
+        second_half = max(lengths)
+        assert second_half <= first_half <= 2 * _COMPACT_FLOOR
+        assert cluster.total_completed_requests() > 20 * first_half
 
 
 class TestSimulator:
@@ -240,8 +273,6 @@ class TestHeapEntries:
                 assert heap[(index - 1) // 2] < entry
 
     def test_entries_keep_their_shape_through_a_crash(self):
-        from repro.cluster.builder import build_cluster
-
         cluster = build_cluster("pigpaxos", num_nodes=7, num_clients=8, seed=5, relay_groups=2)
         sim = cluster.sim
         # Call entries leave the heap within microseconds of virtual time, so
@@ -252,9 +283,23 @@ class TestHeapEntries:
             sim.run(until=0.2, max_events=1)
         victim = cluster.nodes[cluster.leader_id()]
         victim.crash()
-        guarded = [entry for entry in sim._heap if entry[2] == victim._fire_if_up]
+        heap = sim._heap
+        guarded = {entry for entry in heap if entry[2] == victim._fire_if_up}
         assert guarded  # the crash rewrote queued handlers in place
+        # The next schedule() compacts: the rebuild must keep the rewritten
+        # entries as they are, and the list the crash rewrote in place.
+        sim._compact_at = mark = sim._seq
+        for _ in range(50):
+            if sim._compact_at != mark:
+                break
+            self.assert_well_formed(heap)
+            sim.run(until=0.4, max_events=1)
+        assert sim._compact_at != mark and sim._heap is heap
+        kept = {entry for entry in heap if entry[2] == victim._fire_if_up}
+        assert kept and kept <= guarded
+        # A rewritten entry missing from the heap fired: it sorts before all left.
+        assert all(entry[:2] < heap[0][:2] for entry in guarded - kept)
         for _ in range(150):
-            self.assert_well_formed(sim._heap)
+            self.assert_well_formed(heap)
             sim.run(until=0.4, max_events=1)
         assert cluster.total_completed_requests() > 0
