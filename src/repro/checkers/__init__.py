@@ -24,14 +24,12 @@ tests and benchmarks can also run them against hand-built clusters.
 
 Example -- checking a cluster you built yourself::
 
-    from repro.checkers import HistoryRecorder, check_linearizability, run_log_checks
+    from repro.checkers import check_linearizability, run_log_checks
     from repro.cluster.builder import build_cluster
 
-    recorder = HistoryRecorder()
-    cluster = build_cluster("pigpaxos", num_nodes=5, num_clients=4, seed=3,
-                            history_recorder=recorder)
+    cluster = build_cluster("pigpaxos", num_nodes=5, num_clients=4, seed=3)
     cluster.run(1.0)
-    violations = run_log_checks(cluster) + check_linearizability(recorder.history())
+    violations = run_log_checks(cluster) + check_linearizability(cluster.history())
     assert not violations, violations
 
 For EPaxos clusters substitute :func:`run_epaxos_checks` for

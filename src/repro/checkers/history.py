@@ -1,9 +1,10 @@
 """Operation-history recording for safety checking.
 
-A :class:`HistoryRecorder` is attached to the benchmark clients (via
-``build_cluster(history_recorder=...)``) and records, for every client command,
-the invocation time, the completion time and the observed result.  The
-resulting :class:`History` is what the linearizability checker searches.
+Every cluster's benchmark clients record into one :class:`HistoryRecorder`
+(``build_cluster`` wires it; ``Cluster.history()`` reads it back): for every
+client command, the invocation time, the completion time and the observed
+result.  The resulting :class:`History` is what the linearizability checker
+searches.
 
 Operations are keyed by ``(client_id, request_id)``: a client that retries
 a timed-out request re-sends the *same* command, so retries collapse onto

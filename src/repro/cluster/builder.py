@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.checkers.history import History, HistoryRecorder
 from repro.cluster.cpu import NodeCPUModel
 from repro.cluster.node import ShardReplicaHost, SimNode
 from repro.cluster.topologies import lan_topology
@@ -21,7 +22,7 @@ from repro.net.topology import Topology
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.resolver import ConfigLike, build_replica, resolve_config
 from repro.shard.addressing import SHARD_ENDPOINT_STRIDE, shard_endpoint
-from repro.shard.router import ShardMap, ShardRouter, round_robin_leaders
+from repro.shard.router import ShardRouter, round_robin_leaders
 from repro.sim.engine import Simulator
 from repro.workload.client import ClosedLoopClient
 from repro.workload.spec import WorkloadSpec
@@ -77,7 +78,8 @@ class Cluster:
     ``nodes`` are the machines; each hosts one replica per consensus group.
     The group table (:meth:`shard_views`) is derived from them once, and
     every replica-level query reads it: an unsharded cluster is its
-    one-group case, whose endpoint ids are the node ids.
+    one-group case, whose endpoint ids are the node ids.  Every client
+    records into one ``recorder``, read back through :meth:`history`.
     """
 
     def __init__(
@@ -88,6 +90,7 @@ class Cluster:
         topology: Topology,
         nodes: Dict[int, SimNode],
         clients: List[ClosedLoopClient],
+        recorder: HistoryRecorder,
     ) -> None:
         self.protocol = protocol
         self.sim = sim
@@ -95,6 +98,7 @@ class Cluster:
         self.topology = topology
         self.nodes = nodes
         self.clients = clients
+        self._recorder = recorder
         # lint: ok(no-unordered-iteration) nodes insertion order is ascending node id (built from sorted topology.node_ids)
         machines = list(nodes.values())
         self.num_shards = len(machines[0].hosts)
@@ -165,7 +169,11 @@ class Cluster:
         return not check_prefix_agreement(self)
 
     def total_completed_requests(self) -> int:
-        return sum(client.stats.received for client in self.clients)
+        return sum(len(client.stats.completions) for client in self.clients)
+
+    def history(self) -> History:
+        """Every client operation so far, for the linearizability checker."""
+        return self._recorder.history()
 
     def crash_node(self, node_id: int) -> None:
         self.nodes[node_id].crash()
@@ -187,19 +195,19 @@ def build_cluster(
     client_timeout: float = 2.0,
     drop_probability: float = 0.0,
     topology: Optional[Topology] = None,
-    history_recorder=None,
 ) -> Cluster:
     """Wire one simulated deployment; the only place a cluster is built.
 
     The parameters are what a :class:`~repro.scenarios.spec.Scenario` can
     express (``ScenarioRunner.build`` is one call to this function) plus an
-    explicit ``topology`` -- which replaces the ``num_nodes``-node LAN --
-    and the ``history_recorder`` every client operation is recorded into.
-    ``protocol_config`` is resolved, never mutated, by
-    :func:`~repro.protocol.resolver.resolve_config`; an overlay is named
-    there (``{"overlay": ...}``) and nowhere else.  ``shards > 1`` hosts one
-    replica per consensus group on every node, leaders spread round-robin
-    and clients routing each command by its key (see :mod:`repro.shard`).
+    explicit ``topology``, which replaces the ``num_nodes``-node LAN.  Every
+    client operation is recorded into the cluster's own recorder
+    (:meth:`Cluster.history`).  ``protocol_config`` is resolved, never
+    mutated, by :func:`~repro.protocol.resolver.resolve_config`; an overlay
+    is named there (``{"overlay": ...}``) and nowhere else.  Every node hosts one
+    replica per consensus group and clients route each command by its key
+    (see :mod:`repro.shard`); ``shards > 1`` spreads the groups' leaders
+    round-robin.
 
     Example::
 
@@ -209,6 +217,8 @@ def build_cluster(
     """
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    if not client_timeout > 0:
+        raise ConfigurationError(f"client_timeout must be > 0, got {client_timeout}")
     topology = topology or lan_topology(num_nodes)
     node_ids = list(topology.node_ids)
     # The fabric folds every endpoint id onto its machine modulo the
@@ -228,8 +238,9 @@ def build_cluster(
     sim = Simulator(seed=seed)
     network = SimNetwork(sim, topology, faults=NetworkFaults(drop_probability=drop_probability))
 
-    # An unsharded cluster keeps the configured initial leader.
-    leaders = round_robin_leaders(shards, node_ids) if shards > 1 else [None]
+    leaders = round_robin_leaders(shards, node_ids)
+    # An unsharded cluster's replicas keep the configured initial leader.
+    replica_leaders = leaders if shards > 1 else [None]
     region_map = topology.region_map()
     zone_map = topology.zone_map()
     nodes = {node_id: SimNode(node_id, sim, network, cpu=NODE_CPU) for node_id in node_ids}
@@ -239,12 +250,11 @@ def build_cluster(
         regions = {shard_endpoint(shard, n): region_map[n] for n in node_ids if n in region_map}
         zones = {shard_endpoint(shard, n): zone_map[n] for n in node_ids if n in zone_map}
         for node_id in node_ids:
-            replica = build_replica(protocol, config, regions, zones, leaders[shard])
+            replica = build_replica(protocol, config, regions, zones, replica_leaders[shard])
             nodes[node_id].host(replica, members, shard)
         groups.append(members)
-    router = (
-        ShardRouter(ShardMap(shards, workload.num_keys), groups, leaders) if shards > 1 else None
-    )
+    router = ShardRouter([workload.key(i) for i in range(workload.num_keys)], groups, leaders)
+    recorder = HistoryRecorder()
 
     target_policy = "random" if protocol == "epaxos" else "leader"
     clients: List[ClosedLoopClient] = []
@@ -254,12 +264,11 @@ def build_cluster(
             sim=sim,
             network=network,
             spec=workload,
-            targets=list(topology.node_ids),
+            router=router,
+            recorder=recorder,
             target_policy=target_policy,
             request_timeout=client_timeout,
             start_time=CLIENT_START_TIME,
-            recorder=history_recorder,
-            router=router,
         )
         clients.append(client)
 
@@ -270,6 +279,7 @@ def build_cluster(
         topology=topology,
         nodes=nodes,
         clients=clients,
+        recorder=recorder,
     )
 
 

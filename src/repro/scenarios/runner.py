@@ -1,9 +1,10 @@
 """Compiles a :class:`~repro.scenarios.spec.Scenario` onto the simulator.
 
 ``ScenarioRunner`` is the bridge between the declarative spec layer and the
-concrete stack: it builds the topology, protocol config, cluster, clients
-and history recorder, arms the timed event schedule, runs the simulation,
-and applies the requested checkers post-hoc.  The returned
+concrete stack: it builds the topology and, with one ``build_cluster``
+call, the cluster with its clients and history recorder, arms the timed
+event schedule, runs the simulation, and applies the requested checkers
+post-hoc.  The returned
 :class:`ScenarioResult` bundles everything a test or benchmark needs: the
 cluster (for poking at replica state), the recorded history, the violations
 found, a determinism fingerprint, and -- on demand, never during the run --
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.bench.results import RunResult
-from repro.checkers.history import History, HistoryRecorder
+from repro.checkers.history import History
 from repro.checkers.invariants import Violation, run_epaxos_checks, run_log_checks
 from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import Cluster, build_cluster
@@ -133,7 +134,6 @@ class ScenarioRunner:
 
     def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self._recorder = HistoryRecorder()
 
     # ------------------------------------------------------------------ build
     def build(self) -> Cluster:
@@ -162,7 +162,6 @@ class ScenarioRunner:
             client_timeout=scenario.client_timeout,
             drop_probability=scenario.drop_probability,
             topology=topology,
-            history_recorder=self._recorder,
         )
 
     # ------------------------------------------------------------------ run
@@ -205,7 +204,7 @@ class ScenarioRunner:
                 )
             )
 
-        history = self._recorder.history()
+        history = cluster.history()
         if "log_invariants" in self.scenario.checks:
             violations.extend(self._grouped_checks(cluster, run_log_checks))
         if "epaxos_invariants" in self.scenario.checks:

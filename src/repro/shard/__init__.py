@@ -14,7 +14,8 @@ the single-group simulator into a sharded deployment:
 
 The cluster-side hosting lives in :mod:`repro.cluster.node`: every replica,
 shard 0's included, runs in a :class:`~repro.cluster.node.ShardReplicaHost`
-wired by ``build_cluster(shards=n)``, so an unsharded cluster is the
+wired by ``build_cluster(shards=n)``, and every client routes through a
+:class:`~repro.shard.router.ShardRouter`, so an unsharded cluster is the
 one-group case; scenarios opt in with ``Scenario(shards=N)``.  Sharding
 defaults off everywhere.
 """

@@ -1,25 +1,22 @@
 """Deterministic key->shard routing and leader placement.
 
-The workload layer generates fixed-width Paxi-style keys (``k0042``), so the
-router partitions the *index space* ``[0, num_keys)`` into contiguous ranges
--- shard ``i`` owns ``[i*K//S, (i+1)*K//S)`` -- and recovers the index by
-parsing the digits back out of the key.  Keys that do not follow the
-``k<digits>`` convention fall back to ``zlib.crc32`` (never ``hash()``,
-whose salt would break run-to-run determinism) so the mapping stays total.
+The router partitions the workload's key *index space* ``[0, num_keys)``
+into contiguous ranges -- shard ``i`` owns ``[i*K//S, (i+1)*K//S)`` -- and
+resolves it once per cluster into a table over the keys themselves (key
+``i`` is ``WorkloadSpec.key(i)``), so a client's per-command lookup is one
+dict subscript.  The table holds exactly the keys a client can draw.
 
-Every mapping here is pure arithmetic over immutable tuples: no dict or set
-iteration, no RNG, no ambient state.  Two processes with the same
-``(num_shards, num_keys)`` agree on every key, which is what lets the
-per-key linearizability checker treat a sharded run exactly like an
-unsharded one.
+Every mapping here is pure arithmetic over sequences and immutable tuples:
+no dict or set iteration, no RNG, no ambient state.  Two processes with the
+same keys and groups agree on every key, which is what lets the per-key
+linearizability checker treat a sharded run exactly like an unsharded one.
 """
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.shard.addressing import shard_endpoint
@@ -56,12 +53,6 @@ class ShardMap:
         """The shard owning key index ``index`` (indices wrap modulo keyspace)."""
         return bisect_right(self._boundaries, index % self.num_keys) - 1
 
-    def shard_of_key(self, key: str) -> int:
-        """The shard owning ``key``; total over arbitrary strings."""
-        if len(key) >= 2 and key[0] == "k" and key[1:].isdigit():
-            return self.shard_of_index(int(key[1:]))
-        return zlib.crc32(key.encode("utf-8")) % self.num_shards
-
     def range_of(self, shard: int) -> Tuple[int, int]:
         """Half-open index range ``[lo, hi)`` owned by ``shard``."""
         if not 0 <= shard < self.num_shards:
@@ -88,55 +79,34 @@ def round_robin_leaders(num_shards: int, node_ids: Sequence[int]) -> Tuple[int, 
 class ShardRouter:
     """What a workload client needs to aim a command at the right group.
 
-    Holds the key-range map plus, per shard, the group's replica endpoints
-    and its initial leader endpoint.  Instances are immutable after
-    construction; clients keep their own mutable leader *hints* on top.
+    ``keys[i]`` is the workload's key ``i``; ``groups[s]`` is shard ``s``'s
+    replica endpoints and ``leaders[s]`` its initial leader endpoint.  The
+    shard count is ``len(groups)`` (one for an unsharded cluster).
+    ``shard_of`` maps every key to its owning shard.  Instances are not
+    mutated after construction; clients keep their own mutable leader
+    *hints* on top.
     """
 
     def __init__(
         self,
-        shard_map: ShardMap,
+        keys: Sequence[str],
         groups: Sequence[Sequence[int]],
         leaders: Sequence[int],
     ) -> None:
-        if len(groups) != shard_map.num_shards:
+        shard_map = ShardMap(len(groups), len(keys))
+        if len(leaders) != len(groups):
             raise ConfigurationError(
-                f"expected {shard_map.num_shards} shard groups, got {len(groups)}"
+                f"expected {len(groups)} shard leaders, got {len(leaders)}"
             )
-        if len(leaders) != shard_map.num_shards:
-            raise ConfigurationError(
-                f"expected {shard_map.num_shards} shard leaders, got {len(leaders)}"
-            )
-        self._map = shard_map
-        self._groups: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(group) for group in groups
-        )
-        self._leaders: Tuple[int, ...] = tuple(leaders)
-        for shard, (group, leader) in enumerate(zip(self._groups, self._leaders)):
+        self.groups: Tuple[Tuple[int, ...], ...] = tuple(tuple(group) for group in groups)
+        self.leaders: Tuple[int, ...] = tuple(leaders)
+        for shard, (group, leader) in enumerate(zip(self.groups, self.leaders)):
             if not group:
                 raise ConfigurationError(f"shard {shard} has an empty replica group")
             if leader not in group:
                 raise ConfigurationError(
                     f"shard {shard} leader endpoint {leader} is not in its group"
                 )
-
-    @property
-    def num_shards(self) -> int:
-        return self._map.num_shards
-
-    @property
-    def shard_map(self) -> ShardMap:
-        return self._map
-
-    @property
-    def leaders(self) -> Tuple[int, ...]:
-        return self._leaders
-
-    def shard_of_key(self, key: str) -> int:
-        return self._map.shard_of_key(key)
-
-    def group_of(self, shard: int) -> Tuple[int, ...]:
-        return self._groups[shard]
-
-    def leader_of(self, shard: int) -> int:
-        return self._leaders[shard]
+        self.shard_of: Dict[str, int] = {
+            key: shard_map.shard_of_index(index) for index, key in enumerate(keys)
+        }

@@ -220,9 +220,10 @@ def sent_by_kind(counters: Dict[str, float]) -> Dict[str, Dict[str, float]]:
 # --------------------------------------------------------------------------
 # Per-shard aggregation
 #
-# Sharded clusters record ``shard.<s>.requests`` / ``shard.<s>.completions``
-# from the routing clients (one request per issued command, one completion
-# per successful reply; retries re-use the original request's count).  The
+# Every run records ``shard.<s>.requests`` / ``shard.<s>.completions`` from
+# the routing clients (one request per issued command, one completion per
+# successful reply; retries re-use the original request's count); an
+# unsharded run records shard 0's.  The
 # physical ``node.<id>.*`` counters above deliberately stay machine-level --
 # co-hosted shard instances bill traffic to their host -- so these helpers
 # are the *logical* per-group view that sits alongside them.
@@ -232,7 +233,8 @@ def shard_traffic(counters: Dict[str, float]) -> Dict[int, Dict[str, float]]:
     """Per-shard workload traffic from a counter dump.
 
     Returns ``{shard: {requests, completions}}`` parsed from the
-    ``shard.<s>.*`` counters; empty for unsharded runs (which record none).
+    ``shard.<s>.*`` counters: one entry per group, so an unsharded run
+    reports shard 0 alone.  Empty for a cluster built without clients.
     """
     traffic: Dict[int, Dict[str, float]] = {}
     for name, value in sorted(counters.items()):
@@ -251,7 +253,9 @@ def shard_summary(counters: Dict[str, float]) -> Dict[str, float]:
     ``hottest_share`` is the hottest shard's fraction of all completions
     (1/num_shards = perfectly balanced, 1.0 = one shard took everything) --
     the single number that tells a scaling benchmark whether its win came
-    from real load-spreading or from one group doing all the work.
+    from real load-spreading or from one group doing all the work.  An
+    unsharded run reports one group, whose ``hottest_share`` is 1.0 once it
+    completes an operation.
     """
     traffic = shard_traffic(counters)
     if not traffic:

@@ -19,16 +19,13 @@ class CommandGenerator:
         self._distribution: KeyDistribution = make_distribution(
             spec.distribution, spec.num_keys, spec.zipf_theta
         )
+        self._key = spec.key
         self._request_id = 0
-
-    def key_for_index(self, index: int) -> str:
-        """A key string padded to the spec's key size (Paxi uses fixed-width keys)."""
-        return f"k{index:0{max(1, self.spec.key_size - 1)}d}"
 
     def next_command(self) -> Command:
         self._request_id += 1
         index = self._distribution.next_index(self._rng)
-        key = self.key_for_index(index)
+        key = self._key(index)
         is_read = self._rng.random() < self.spec.read_ratio
         if is_read:
             return Command(

@@ -55,6 +55,15 @@ class WorkloadSpec:
         if self.distribution == "zipfian" and not self.zipf_theta > 0:
             raise WorkloadError("zipf_theta must be positive")
 
+    def key(self, index: int) -> str:
+        """Key ``index`` padded to ``key_size`` (Paxi uses fixed-width keys).
+
+        The one key format: the generator draws ``key(i)`` for ``i`` in
+        ``[0, num_keys)`` and the cluster's shard router is built over
+        exactly those keys.
+        """
+        return f"k{index:0{max(1, self.key_size - 1)}d}"
+
     # ------------------------------------------------------------------ presets
     @classmethod
     def paper_default(cls) -> "WorkloadSpec":

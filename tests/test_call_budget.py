@@ -59,7 +59,9 @@ BUDGETS = [
             min_completed=20,
             seed=5,
         ),
-        # measured 1706.6; 1810.1 (pinned at 1816.0, budget 1995) before a
+        # measured 1707.7; 1706.6 (1711.6 re-measured) before every client
+        # took the one routed, always-recording path, 1810.1 (pinned at
+        # 1816.0, budget 1995) before a
         # delivered message was dispatched at arrival, a relay's leaves
         # shared one request and a log entry was filled in without a
         # constructor call, 1873.1 (budget 2060) before messages travelled
@@ -90,15 +92,17 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 296.1; 310.4 (pinned at 311.8, budget 345) before the
-        # dispatch, relay-request and log-entry cuts above, 350.5 (budget
+        # measured 275.8; 296.1 (budget 325) before the client looked its
+        # shard up in a table once per command instead of calling the
+        # router on every send, 310.4 (pinned at 311.8, budget 345) before
+        # the dispatch, relay-request and log-entry cuts above, 350.5 (budget
         # 385) before every link drew its
         # delay from its record (a NormalLatency.delay call per send, and
         # a ShardAwareLatency.delay around it) and the envelope cut above,
         # 372.3 (budget 410), 383.3 (budget 425), 406.5
         # (budget 450), 440.3 (budget 485), 547 (budget 600) and 792 before,
         # as above
-        325,
+        305,
     ),
     (
         Scenario(
@@ -112,7 +116,9 @@ BUDGETS = [
             min_completed=1000,
             seed=5,
         ),
-        # measured 224.4 over 1480 ops; 232.0 (pinned at 236.0, budget 260)
+        # measured 217.5 over 1480 ops; 224.4 (budget 247) before the
+        # client's recorder and target wrappers were cut, 232.0 (pinned at
+        # 236.0, budget 260)
         # before the dispatch, relay-request and log-entry cuts above,
         # 248.0 (budget 275) before the
         # link-record draw and envelope cuts above, 279.8 (budget 310)
@@ -122,7 +128,7 @@ BUDGETS = [
         # path cuts above, 337.5 (budget 370) before the frame cuts, 341.1
         # with the two per-protocol batchers this cell was pinned against,
         # so sharing one cost nothing
-        247,
+        240,
     ),
     (
         Scenario(
@@ -136,7 +142,8 @@ BUDGETS = [
             min_completed=100,
             seed=5,
         ),
-        # measured 663.8 over 379 ops; 679.6 (pinned at 681.9, budget 750)
+        # measured 658.7 over 379 ops; 663.8 before the client wrapper
+        # cuts above, 679.6 (pinned at 681.9, budget 750)
         # before the dispatch cut above, 741.9 (budget 815) before the
         # link-record draw and envelope cuts above, 765.4 (budget 845)
         # before the one-call apply above, 776.4 (budget 855) before the
@@ -157,11 +164,12 @@ BUDGETS = [
             min_completed=1000,
             seed=5,
         ),
-        # measured 400.5 over 1360 ops; 426.6 (pinned at 427.6, budget
-        # 470) before the dispatch and log-entry cuts above, 475.8 before
+        # measured 394.2 over 1360 ops; 400.5 (budget 440) before the
+        # client wrapper cuts above, 426.6 (pinned at 427.6, budget 470)
+        # before the dispatch and log-entry cuts above, 475.8 before
         # the link-record draw and envelope cuts above, when this cell was
         # added
-        440,
+        435,
     ),
 ]
 

@@ -402,8 +402,19 @@ class TestBuilder:
         with pytest.raises(ConfigurationError, match="node ids must be in"):
             build_cluster("paxos", topology=topology, shards=shards, num_clients=1)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+    def test_client_timeout_must_be_positive(self, timeout):
+        # A zero timeout re-fires at the same virtual time forever; a
+        # negative or NaN one fails inside the run.  Both are caught at build.
+        with pytest.raises(ConfigurationError, match="client_timeout"):
+            build_cluster("paxos", num_nodes=3, num_clients=1, client_timeout=timeout)
+
     def test_unsharded_cluster_is_the_one_group_case(self):
         cluster = build_cluster(protocol="paxos", num_nodes=5, num_clients=3, seed=4)
+        # Client side: one group of the node ids, hinted at the first node.
+        for client in cluster.clients:
+            assert client._groups == (tuple(cluster.node_ids),)
+            assert client._leader_hints == [cluster.node_ids[0]]
         cluster.run(0.5)
         views = cluster.shard_views()
         assert len(views) == 1 and views[0].shard == 0
@@ -415,6 +426,10 @@ class TestBuilder:
         hosts = cluster.all_replica_hosts()
         assert [host.endpoint_id for host in hosts] == list(cluster.nodes)
         assert [host.replica for host in hosts] == [node.replica for node in cluster.nodes.values()]
+        # Every operation is counted for the one group and recorded.
+        counters = cluster.sim.metrics.counters()
+        assert counters["shard.0.requests"] == len(cluster.history()) > 0
+        assert counters["shard.0.completions"] == cluster.total_completed_requests() > 0
 
     def test_cluster_run_is_repeatable_for_same_seed(self):
         first = build_cluster(protocol="paxos", num_nodes=5, num_clients=5, seed=9)

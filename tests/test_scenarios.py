@@ -14,7 +14,6 @@ import itertools
 import pytest
 
 from helpers import library_run
-from repro.checkers.history import HistoryRecorder
 from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
 from repro.fuzz.mutations import apply_mutation
@@ -539,7 +538,6 @@ class TestScenarioCompilation:
         scenario = get_scenario("pig-baseline-5")
         assert not scenario.events and not scenario.wan and scenario.hierarchy is None
         via_runner = run_scenario(scenario)
-        recorder = HistoryRecorder()
         cluster = build_cluster(
             scenario.protocol,
             num_nodes=scenario.num_nodes,
@@ -549,13 +547,12 @@ class TestScenarioCompilation:
             protocol_config=scenario.config_overrides,
             relay_groups=scenario.relay_groups,
             client_timeout=scenario.client_timeout,
-            history_recorder=recorder,
         )
         cluster.run(scenario.duration)
         direct = ScenarioResult(
             scenario=scenario,
             cluster=cluster,
-            history=recorder.history(),
+            history=cluster.history(),
             violations=[],
             completed_requests=cluster.total_completed_requests(),
             events_processed=cluster.sim.events_processed,

@@ -1,11 +1,12 @@
 """Property tests for the sharding layer (:mod:`repro.shard`).
 
-The router is the one component every sharded client trusts blindly: a key
-that maps to two shards (or none) silently splits one register's history
-across two consensus groups, which the per-group checkers cannot see.  So
-the properties here are exhaustive over the keyspace, not sampled: every
-key maps to exactly one shard, the shard ranges partition the keyspace
-exactly, and the mapping is deterministic and iteration-order independent.
+The router is the one component every client trusts blindly: a key that
+maps to two shards (or none) silently splits one register's history across
+two consensus groups, which the per-group checkers cannot see.  So the
+properties here are exhaustive over the keyspace, not sampled: every key
+maps to exactly one shard, the shard ranges partition the keyspace exactly,
+the router's table holds exactly the keys a client can draw, and the
+mapping is deterministic and iteration-order independent.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ArrivalSink, SizedProbe, drive_against_per_send_reference
+from repro.cluster.builder import build_cluster
 from repro.cluster.topologies import lan_topology, wan_topology
 from repro.errors import ConfigurationError
 from repro.lint import LintEngine, default_rules
@@ -32,14 +34,12 @@ from repro.shard import (
     shard_of_endpoint,
 )
 from repro.sim.engine import Simulator
+from repro.workload.generator import CommandGenerator
+from repro.workload.spec import WorkloadSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHARD_PACKAGE = REPO_ROOT / "src" / "repro" / "shard"
 
-
-def key_for_index(index, key_size=8):
-    """The workload generator's fixed-width key format (k0000012)."""
-    return f"k{index:0{max(1, key_size - 1)}d}"
 
 #: (num_shards, num_keys) shapes covering 1 shard, even and uneven splits,
 #: prime counts and the one-key-per-shard extreme.
@@ -50,16 +50,13 @@ class TestShardMapPartition:
     @pytest.mark.parametrize("num_shards,num_keys", SHAPES)
     def test_every_key_maps_to_exactly_one_shard(self, num_shards, num_keys):
         shard_map = ShardMap(num_shards, num_keys)
-        key_size = 8
         for index in range(num_keys):
-            key = key_for_index(index, key_size)
             owners = [
                 shard
                 for shard in range(num_shards)
                 if shard_map.range_of(shard)[0] <= index < shard_map.range_of(shard)[1]
             ]
-            assert owners == [shard_map.shard_of_key(key)]
-            assert shard_map.shard_of_index(index) == owners[0]
+            assert owners == [shard_map.shard_of_index(index)]
 
     @pytest.mark.parametrize("num_shards,num_keys", SHAPES)
     def test_ranges_partition_keyspace_exactly(self, num_shards, num_keys):
@@ -77,24 +74,31 @@ class TestShardMapPartition:
 
     @pytest.mark.parametrize("num_shards,num_keys", SHAPES)
     def test_mapping_is_deterministic_and_order_independent(self, num_shards, num_keys):
-        keys = [key_for_index(index, 8) for index in range(num_keys)]
-        baseline = {key: ShardMap(num_shards, num_keys).shard_of_key(key) for key in keys}
-        # A fresh map, queried in a shuffled order, agrees key-for-key.
-        shuffled = list(keys)
-        random.Random(17).shuffle(shuffled)
-        remap = ShardMap(num_shards, num_keys)
-        assert {key: remap.shard_of_key(key) for key in shuffled} == baseline
-        # And re-querying the same map is stable.
-        assert [remap.shard_of_key(key) for key in keys] == [baseline[key] for key in keys]
+        spec = WorkloadSpec(num_keys=num_keys)
+        keys = [spec.key(index) for index in range(num_keys)]
+        groups = [[shard_endpoint(shard, 0)] for shard in range(num_shards)]
+        leaders = round_robin_leaders(num_shards, [0])
+        first = ShardRouter(keys, groups, leaders).shard_of
+        second = ShardRouter(keys, groups, leaders).shard_of
+        # Two routers agree key-for-key, and in the same (key index) order.
+        assert list(first.items()) == list(second.items())
+        assert list(first) == keys
 
-    def test_non_conforming_keys_hash_stably(self):
-        # Keys outside the generator's k<digits> format fall back to CRC32:
-        # deterministic across processes (unlike hash()) and in range.
-        shard_map = ShardMap(4, 25)
-        for key in ("watermark", "", "k", "kxyz", "k-3", "key0001"):
-            shard = shard_map.shard_of_key(key)
-            assert 0 <= shard < 4
-            assert ShardMap(4, 25).shard_of_key(key) == shard
+    @pytest.mark.parametrize("num_shards,num_keys", SHAPES)
+    @pytest.mark.parametrize("key_size", [1, 2, 3, 8, 12])
+    def test_client_table_holds_exactly_the_drawable_keys(self, num_shards, num_keys, key_size):
+        # The table a built cluster's clients route by: every key the
+        # generator can draw (key_size 1-3 leaves keys unpadded or short),
+        # each owned by its index's shard, and nothing else.
+        spec = WorkloadSpec(num_keys=num_keys, key_size=key_size)
+        cluster = build_cluster("paxos", num_nodes=3, num_clients=1, shards=num_shards, workload=spec)
+        table = cluster.clients[0]._shard_of
+        shard_map = ShardMap(num_shards, num_keys)
+        assert table == {spec.key(index): shard_map.shard_of_index(index) for index in range(num_keys)}
+        assert len(table) == num_keys
+        generator = CommandGenerator(spec, client_id=1, rng=random.Random(num_keys))
+        drawn = {generator.next_command().key for _ in range(4 * num_keys)}
+        assert drawn <= set(table)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError):
@@ -168,38 +172,34 @@ class TestAddressing:
 
 
 class TestShardRouter:
-    def _router(self, num_shards=4, num_keys=25, nodes=(0, 1, 2, 3, 4)):
-        nodes = list(nodes)
-        groups = [
-            [shard_endpoint(shard, node) for node in nodes] for shard in range(num_shards)
-        ]
-        return ShardRouter(
-            ShardMap(num_shards, num_keys),
-            groups,
-            round_robin_leaders(num_shards, nodes),
-        )
-
     def test_routes_key_to_owning_group(self):
-        router = self._router()
+        nodes = [0, 1, 2, 3, 4]
+        groups = [[shard_endpoint(shard, node) for node in nodes] for shard in range(4)]
+        spec = WorkloadSpec(num_keys=25)
+        router = ShardRouter(
+            [spec.key(index) for index in range(25)], groups, round_robin_leaders(4, nodes)
+        )
         for index in range(25):
-            key = key_for_index(index, 8)
-            shard = router.shard_of_key(key)
-            group = router.group_of(shard)
-            assert router.leader_of(shard) in group
+            shard = router.shard_of[spec.key(index)]
+            group = router.groups[shard]
+            assert router.leaders[shard] in group
             assert all(shard_of_endpoint(endpoint) == shard for endpoint in group)
 
     def test_rejects_mismatched_groups_and_leaders(self):
-        shard_map = ShardMap(2, 10)
+        keys = [WorkloadSpec(num_keys=10).key(index) for index in range(10)]
         groups = [[shard_endpoint(0, 0)], [shard_endpoint(1, 0)]]
         with pytest.raises(ConfigurationError):
-            ShardRouter(shard_map, groups[:1], [0, shard_endpoint(1, 0)])
+            ShardRouter(keys, groups[:1], [0, shard_endpoint(1, 0)])
         with pytest.raises(ConfigurationError):
-            ShardRouter(shard_map, groups, [0])
+            ShardRouter(keys, groups, [0])
         with pytest.raises(ConfigurationError):
             # Leader outside its own group.
-            ShardRouter(shard_map, groups, [0, shard_endpoint(1, 4)])
+            ShardRouter(keys, groups, [0, shard_endpoint(1, 4)])
         with pytest.raises(ConfigurationError):
-            ShardRouter(shard_map, [groups[0], []], [0, shard_endpoint(1, 0)])
+            ShardRouter(keys, [groups[0], []], [0, shard_endpoint(1, 0)])
+        with pytest.raises(ConfigurationError):
+            # More groups than keys.
+            ShardRouter(keys[:1], groups, [0, shard_endpoint(1, 0)])
 
 
 class TestShardPackageHygiene:

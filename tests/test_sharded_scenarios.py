@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from helpers import library_run
-from repro.checkers.history import HistoryRecorder
 from repro.checkers.linearizability import check_linearizability
 from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
@@ -25,10 +24,10 @@ from repro.sim.metrics import shard_summary, shard_traffic
 from repro.workload.spec import WorkloadSpec
 
 
-def _sharded_cluster(recorder=None):
+def _sharded_cluster():
     return build_cluster(
         "paxos", num_nodes=5, num_clients=4, seed=9, shards=4,
-        workload=WorkloadSpec.checking_default(num_keys=8), history_recorder=recorder,
+        workload=WorkloadSpec.checking_default(num_keys=8),
     )
 
 
@@ -69,30 +68,6 @@ class TestShardedFaultScenarios:
         assert summary["completions_total"] == run.completed_requests
 
 
-class _MisroutingRouter:
-    """Wraps a real router but shifts every key one shard over."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    @property
-    def num_shards(self):
-        return self._inner.num_shards
-
-    @property
-    def leaders(self):
-        return self._inner.leaders
-
-    def shard_of_key(self, key):
-        return (self._inner.shard_of_key(key) + 1) % self._inner.num_shards
-
-    def group_of(self, shard):
-        return self._inner.group_of(shard)
-
-    def leader_of(self, shard):
-        return self._inner.leader_of(shard)
-
-
 class TestMisroutingMutation:
     def test_client_sending_keys_to_wrong_group_trips_linearizability(self):
         # Mutation test: ONE client routes every key to the wrong group's
@@ -101,11 +76,13 @@ class TestMisroutingMutation:
         # the per-group log checks MUST stay green -- but reads through the
         # correct group never observe the misrouted writes, which is
         # exactly the split-brain the linearizability checker exists for.
-        recorder = HistoryRecorder()
-        cluster = _sharded_cluster(recorder)
+        cluster = _sharded_cluster()
         victim = cluster.clients[0]
-        assert victim._router is not None
-        victim._router = _MisroutingRouter(victim._router)
+        # Shift every key of the victim's routing table one shard over.
+        num_shards = len(victim._groups)
+        victim._shard_of = {
+            key: (shard + 1) % num_shards for key, shard in victim._shard_of.items()
+        }
         cluster.start()
         cluster.sim.run(until=1.0)
 
@@ -113,7 +90,7 @@ class TestMisroutingMutation:
 
         for view in cluster.shard_views():
             assert run_log_checks(view) == []
-        violations = check_linearizability(recorder.history())
+        violations = check_linearizability(cluster.history())
         assert violations, (
             "misrouted client went undetected: a key's history split across "
             "two groups must violate linearizability"
@@ -121,11 +98,10 @@ class TestMisroutingMutation:
 
     def test_control_run_without_mutation_is_clean(self):
         # The control for the mutation above: identical build, no tampering.
-        recorder = HistoryRecorder()
-        cluster = _sharded_cluster(recorder)
+        cluster = _sharded_cluster()
         cluster.start()
         cluster.sim.run(until=1.0)
-        assert check_linearizability(recorder.history()) == []
+        assert check_linearizability(cluster.history()) == []
 
 
 class TestBuilderRejections:
