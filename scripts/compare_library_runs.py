@@ -19,7 +19,9 @@ an identical record on both trees::
     PYTHONPATH=src python scripts/compare_library_runs.py --dump new.json
     python scripts/compare_library_runs.py --compare old.json new.json
 
-``--compare`` exits 1 and names every row and key that differs.  A full dump
+``--compare`` exits 1 and names every row and key that differs (``DIFFERS``),
+and every checker whose verdict flipped between clean (no violations) and
+tripped (``FLIPPED``); its summary line counts the flips.  A full dump
 is 44 library rows plus 21 x 4 EPaxos rows (about 75 s per tree on one
 core).  Command uids are reset before every run, so a row's messages do not
 depend on the runs before it.
@@ -111,8 +113,12 @@ def _differing_keys(old: dict, new: dict):
             yield key
 
 
+def _verdict(row: dict, checker: str) -> str:
+    return "tripped" if row["violations"].get(checker) else "clean"
+
+
 def compare(old: dict, new: dict) -> int:
-    differing = 0
+    differing = flipped = 0
     for row in sorted(old.keys() | new.keys()):
         if row not in old or row not in new:
             print(f"DIFFERS: {row}: only in {'old' if row in old else 'new'}")
@@ -121,8 +127,13 @@ def compare(old: dict, new: dict) -> int:
             for key in _differing_keys(old[row], new[row]):
                 print(f"DIFFERS: {row}: {key}")
             differing += 1
+            for checker in sorted(old[row]["violations"].keys() | new[row]["violations"].keys()):
+                before, after = _verdict(old[row], checker), _verdict(new[row], checker)
+                if before != after:
+                    print(f"FLIPPED: {row} {checker} {before} -> {after}")
+                    flipped += 1
     rows = len(old.keys() | new.keys())
-    print(f"{rows - differing}/{rows} runs identical")
+    print(f"{rows - differing}/{rows} runs identical, {flipped} verdicts flipped")
     return 1 if differing else 0
 
 

@@ -18,16 +18,17 @@ There is one charged send and one charged receive (``SimNode._send_as`` /
 travels under and the handler table it is dispatched through.  Every host
 binds the same bodies to its own endpoint, so all of a machine's replicas
 queue on its CPU through identical arithmetic.  Dispatch happens at arrival:
-the replica's handler itself is queued behind the receive cost, and the crash
-guard lives in :meth:`SimNode.crash`, which re-routes the handlers still
-queued through a check made when they fire.
+the replica's handler itself is queued behind the receive cost.  Crashes
+are fail-stop, as in the paper: :meth:`SimNode.crash` drops every send,
+handler and replica timer the machine had queued, and ``_arrive_for``
+black-holes what lands while it is down.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-from heapq import heappush
+from heapq import heapify, heappush
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster.cpu import NodeCPUModel
@@ -103,10 +104,10 @@ class SimNode:
         through to the network: ``SizeModel.size_of`` inlined for a wire
         type, which only has to read its ``payload_bytes``; anything without
         one goes through the model itself (header-only for a non-wire
-        object, an error for a ``Message``).
+        object, an error for a ``Message``).  Nothing runs on a crashed
+        machine, so nothing sends from one; a send queued before a crash
+        never departs (see :meth:`crash`).
         """
-        if self._crashed:
-            return
         try:
             payload = message.payload_bytes
         except AttributeError:
@@ -196,26 +197,16 @@ class SimNode:
         return self._crashed
 
     def crash(self) -> None:
-        """Silently stop processing messages and queueing sends.
+        """Fail-stop: drop all the work this machine had queued, and stop.
 
-        Arrivals from now on are black-holed, queued handlers and replica
-        timers are dropped, and ``_send_as`` queues nothing new.  A send
-        already charged before the crash still leaves at its CPU
-        completion, though: ``_send_as`` judges the crash when it queues the
-        send, not when the send departs, so this is not yet the paper's
-        crash model (where nothing leaves a crashed node).
-
-        The crash guard of delivered messages lives here, not on the
-        delivery path: ``_arrive_for`` queues a replica's handler directly,
-        so one pass over the event heap rewrites each still-queued call
-        entry whose callback is one of this machine's hosts' handlers into
-        ``_fire_if_up(handler, src, message)``.  The sort key is kept, so
-        the heap order and the event count do not change; the flag is read
-        when the entry fires, so a handler still queued at a recovery runs.
-
-        A machine crash takes down *every* replica it hosts: the hosts read
-        this node's ``_crashed`` flag, so only their replicas' crash hooks
-        need calling.
+        One pass rebuilds the event heap without this machine's queued
+        sends (taken back out of ``node.<id>.messages_out``/``bytes_out``:
+        they never leave), its hosts' queued handlers and its replicas'
+        timers (``Event.owner``; cancelled).  Until :meth:`recover`,
+        :meth:`_arrive_for` black-holes every arrival, so nothing of this
+        machine runs while it is down and nothing it had queued runs after.
+        Every hosted replica goes down with it; only their crash hooks need
+        calling.
         """
         if self._crashed:
             return
@@ -226,22 +217,29 @@ class SimNode:
             table = host.replica.handlers
             handlers.update(table.values())
             handlers.add(table._unknown)
-        # Call entries are (time, seq, callback, args), as Simulator.post_at
-        # lays them out; the rewrite keeps (time, seq), the sort key.
         heap = self._sim._heap
-        guard = self._fire_if_up
-        for index, entry in enumerate(heap):
-            args = entry[3]
-            if args is not None and entry[2] in handlers:
-                heap[index] = (entry[0], entry[1], guard, (entry[2], *args))
+        send = self._network_send
+        kept = []
+        # Timers are (time, seq, Event, None), call entries (time, seq,
+        # callback, args): see Simulator.schedule and post_at.
+        for entry in heap:
+            payload, args = entry[2], entry[3]
+            if args is None:
+                if payload.owner is self:
+                    payload.cancel()
+                    continue
+            elif payload is send:
+                self._messages_out.value -= 1
+                self._bytes_out.value -= args[3]
+                continue
+            elif payload in handlers:
+                continue
+            kept.append(entry)
+        # In place, as compaction does: the run loop holds this list.
+        heap[:] = kept
+        heapify(heap)
         for host in self.hosts:
             host.replica.on_crash()
-
-    def _fire_if_up(self, handler: Callable[[int, Any], None], src: int, message: Any) -> None:
-        """A handler queued before a crash: dropped if the machine is still down."""
-        if self._crashed:
-            return
-        handler(src, message)
 
     def recover(self) -> None:
         if not self._crashed:
@@ -293,8 +291,13 @@ class ShardReplicaHost:
         self.endpoint_id = shard_endpoint(shard, machine.node_id)
         self._machine = machine
         self._sim = machine._sim
-        self._all_nodes: List[int] = list(members)
-        self._rng = self._sim.random.stream(f"node-{self.endpoint_id}")
+        # NodeContext fields fixed for the host's lifetime: plain attributes,
+        # so a replica's read is not a call (``now`` and ``crashed`` read
+        # live state and stay properties).
+        self.node_id = self.endpoint_id
+        self.all_nodes: Sequence[int] = list(members)
+        self.rng: random.Random = self._sim.random.stream(f"node-{self.endpoint_id}")
+        self.metrics: MetricsRegistry = self._sim.metrics
         # The machine's charged send/receive, under this shard's endpoint id
         # and dispatching through this shard's replica's handler table (built
         # by bind); every other CPU charge is the machine's own method.
@@ -309,33 +312,14 @@ class ShardReplicaHost:
 
     # ------------------------------------------------------------------ NodeContext API
     @property
-    def node_id(self) -> int:
-        return self.endpoint_id
-
-    @property
-    def all_nodes(self) -> Sequence[int]:
-        return self._all_nodes
-
-    @property
     def now(self) -> float:
         return self._sim._now
 
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._sim.metrics
-
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> TimerLike:
-        return self._sim.schedule(delay, self._guarded, callback, args)
-
-    def _guarded(self, callback: Callable[..., Any], args: tuple) -> None:
-        """Timer callbacks registered by the replica are dropped while crashed."""
-        if self._machine._crashed:
-            return
-        callback(*args)
+        """A replica timer, owned by the machine: its crash cancels it."""
+        event = self._sim.schedule(delay, callback, *args)
+        event.owner = self._machine
+        return event
 
     # ------------------------------------------------------------------ faults
     @property

@@ -1130,6 +1130,17 @@ class EPaxosReplica(Replica):
         super().on_crash()
         if self._batcher is not None:
             self._batcher.reset()
+        # The crash cancelled the recovery timers: a stamp or a recovery
+        # left behind would keep the sweep from ever re-arming them.
+        self._recoveries.clear()
+        self._first_blocked.clear()
+        self._blocked_timers.clear()
+
+    def on_recover(self) -> None:
+        # Re-stamp what is still blocked, so recovery fires even if the
+        # cluster stays quiet after this node comes back.
+        if self._recovery_timeout is not None and self._pending_execution:
+            self._maybe_recover_blocked()
 
     # ------------------------------------------------------------------ introspection
     def status(self) -> Dict[str, object]:

@@ -135,4 +135,4 @@ class FanoutOverlay(ABC):
         """Re-randomise any topology state (relay groups); default no-op."""
 
     def on_crash(self) -> None:
-        """Drop volatile overlay state when the host node crashes."""
+        """Drop volatile overlay state at a crash, which cancelled its timers."""

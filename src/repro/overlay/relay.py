@@ -493,17 +493,10 @@ class RelayFanout(FanoutOverlay):
 
     # ------------------------------------------------------------------ lifecycle
     def on_crash(self) -> None:
-        # lint: ok(no-unordered-iteration) timer cancellation is order-insensitive; nothing is scheduled here
-        for session in self._sessions.values():
-            if session.timer is not None:
-                session.timer.cancel()
+        # The machine's crash already cancelled every timer these held.
         self._sessions.clear()
         self._flushed_parents.clear()
         self._flushed_count = 0
-        # lint: ok(no-unordered-iteration) timer cancellation is order-insensitive; nothing is scheduled here
-        for commit_round in self._pending_commits.values():
-            if commit_round.timer is not None:
-                commit_round.timer.cancel()
         self._pending_commits.clear()
 
     # ------------------------------------------------------------------ introspection

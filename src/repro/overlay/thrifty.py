@@ -108,10 +108,7 @@ class ThriftyFanout(FanoutOverlay):
 
     # ------------------------------------------------------------------ lifecycle
     def on_crash(self) -> None:
-        # lint: ok(no-unordered-iteration) timer cancellation is order-insensitive; nothing is scheduled here
-        for round_state in self._pending.values():
-            if round_state.timer is not None:
-                round_state.timer.cancel()
+        # The machine's crash already cancelled every round's timer.
         self._pending.clear()
 
     # ------------------------------------------------------------------ introspection

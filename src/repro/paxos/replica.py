@@ -582,9 +582,11 @@ class MultiPaxosReplica(Replica):
         self._proposals.clear()
         self._pending_requests.clear()
         self._phase1_tracker = None
-        if self._heartbeat_timer is not None:
-            self._heartbeat_timer.cancel()
-            self._heartbeat_timer = None
+        # The machine's crash cancelled every timer of this replica, a
+        # pending _request_fill too: a flag left set would block every
+        # later fill.
+        self._heartbeat_timer = None
+        self._fill_pending = False
         self._reset_batching()
 
     def on_recover(self) -> None:

@@ -35,8 +35,8 @@ callback is the replica's handler itself); no envelope wraps the message.
 
 COMPACTION: cancelled timers are not left to surface.  Once ``seq`` reaches
 a mark, :meth:`Simulator.schedule` rebuilds the heap in place without them
-(``heap[:] = live; heapify(heap)`` -- the :meth:`Simulator.run` loop and
-``SimNode.crash`` hold the same list object) and sets the next mark to
+(``heap[:] = live; heapify(heap)`` -- the :meth:`Simulator.run` loop
+holds the same list object) and sets the next mark to
 ``seq + max(_COMPACT_FLOOR, len(heap))``.  Only timers are ever cancelled,
 so the dead entries are at most the heap's size ``L`` after the last
 compaction plus the timers pushed since: the heap holds its live entries
@@ -44,11 +44,11 @@ plus fewer than ``2 * max(L, _COMPACT_FLOOR)`` dead ones, and a rebuild
 scans at most two entries per push since the one before (amortised O(1)).
 ``(time, seq)`` is unique, so the rebuild moves no entry in the pop order.
 
-Entries are not immutable: ``SimNode.crash`` (cluster/node.py) replaces each
-of its still-queued handler entries, in place, with one that keeps
-``(time, seq)`` and calls ``_fire_if_up(handler, src, message)``.  Only the
-payload changes, never the sort key, so the heap invariant and the pop order
-hold without a re-heapify.
+CRASHES: ``SimNode.crash`` (cluster/node.py) rebuilds the heap in place, as
+compaction does, without what the machine owns: its queued sends and
+handlers, and its replicas' timers (cancelled; :attr:`Event.owner` is the
+machine, stamped by ``ShardReplicaHost.schedule``).  Entries are never
+rewritten: each one fires as it was pushed or is gone.
 
 The main loop in :meth:`Simulator.run` is deliberately inlined: one heap
 traversal per event.  Any change here must keep the pop order identical; the
@@ -72,15 +72,19 @@ _COMPACT_FLOOR = 128
 
 
 class Event:
-    """A timer: ``callback(*args)`` at virtual ``time`` unless cancelled first."""
+    """A timer: ``callback(*args)`` at virtual ``time`` unless cancelled first.
 
-    __slots__ = ("time", "callback", "args", "cancelled")
+    ``owner`` is the machine whose crash cancels it, or ``None``.
+    """
+
+    __slots__ = ("time", "callback", "args", "cancelled", "owner")
 
     def __init__(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
         self.time = time
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.owner: Any = None
 
     def cancel(self) -> None:
         """Mark the timer dead (idempotent).

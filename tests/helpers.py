@@ -116,6 +116,30 @@ class ArrivalSink:
         return [message for _, _, message, _ in self.arrivals]
 
 
+def crash_owned_entries(machine, heap) -> List[tuple]:
+    """The entries of ``heap`` that ``machine``'s crash must drop.
+
+    Its queued sends (``SimNetwork.send`` call entries from one of its
+    hosts' endpoint ids), the handlers its hosts' replicas queued, and the
+    uncancelled timers it owns.
+    """
+    endpoints = {host.endpoint_id for host in machine.hosts}
+    handlers = set()
+    for host in machine.hosts:
+        handlers.update(host.replica.handlers.values())
+        handlers.add(host.replica.handlers._unknown)
+    send = machine._network.send
+    owned = []
+    for entry in heap:
+        payload, args = entry[2], entry[3]
+        if args is None:
+            if payload.owner is machine and not payload.cancelled:
+                owned.append(entry)
+        elif (payload == send and args[0] in endpoints) or payload in handlers:
+            owned.append(entry)
+    return owned
+
+
 class SizedProbe:
     """A bare wire object with a given payload (sized like any message)."""
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import SizedProbe
+from helpers import SizedProbe, crash_owned_entries
 from repro.checkers import run_log_checks
 from repro.cluster.builder import build_cluster
 from repro.cluster.cpu import NodeCPUModel
@@ -151,11 +151,6 @@ class TestSimNode:
         assert sim.metrics.counter("net.messages_undeliverable").value == 1
         assert sim.metrics.counter("net.messages_delivered").value == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a send charged before its node crashed still departs at its CPU "
-        "completion; fixing it moves the crash scenarios' fingerprints",
-    )
     def test_crashed_sender_emits_nothing(self):
         # The paper's crash model: nothing leaves a crashed node, including a
         # send it had already charged to its CPU.  Node 0's send departs at
@@ -167,12 +162,10 @@ class TestSimNode:
         sim.run()
         assert nodes[1].replica.received == []
         assert sim.metrics.counter("net.messages_sent").value == 0
+        # The send never left, so it is not counted as the machine's either.
+        assert sim.metrics.counter("node.0.messages_out").value == 0
+        assert sim.metrics.counter("node.0.bytes_out").value == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a handler queued before its node crashed still runs when the node "
-        "recovers before it fires; fixing it moves the crash scenarios' fingerprints",
-    )
     def test_handler_queued_before_crash_never_runs(self):
         # The paper's crash model: a crash loses the work the node had
         # accepted but not yet done, whenever it recovers.  The ping lands on
@@ -185,6 +178,18 @@ class TestSimNode:
         sim.schedule(0.006, nodes[1].recover)
         sim.run()
         assert nodes[1].replica.received == []
+
+    def test_timer_set_before_crash_never_fires_after_recovery(self):
+        # The paper's crash model: a replica's timers are volatile state.
+        # Node 1 arms a 10 ms timer, crashes at 3 ms and recovers at 6 ms.
+        sim, nodes = self._slow_link_setup()
+        fired = []
+        timer = nodes[1].hosts[0].schedule(0.01, fired.append, "timeout")
+        sim.schedule(0.003, nodes[1].crash)
+        sim.schedule(0.006, nodes[1].recover)
+        sim.run()
+        assert fired == []
+        assert timer.cancelled
 
     def test_recovery_between_send_and_arrival_is_delivered(self):
         sim, nodes = self._slow_link_setup()
@@ -318,8 +323,10 @@ class TestDispatch:
     @pytest.mark.parametrize("shards", [1, 2], ids=["unsharded", "shards-0-and-1"])
     def test_handler_queued_at_crash_never_runs(self, shards):
         # Dispatch happens at arrival, so the queued entry is the replica's
-        # handler itself; the crash must still keep it from running, for a
-        # registered type and the catch-all alike, on every hosted shard.
+        # handler itself.  The crash drops it from the heap, for a
+        # registered type and the catch-all alike, with the machine's
+        # queued sends and replica timers, on every hosted shard; nothing of
+        # it runs after a recovery, and work the machine does not own stays.
         sim = Simulator(seed=0)
         network = SimNetwork(sim, lan_topology(3))
         machine = SimNode(0, sim, network)
@@ -327,18 +334,72 @@ class TestDispatch:
             machine.host(_RecordingReplica(), [shard_endpoint(s, n) for n in (0, 1, 2)], s)
             for s in range(shards)
         ]
+        fired = []
+        timers = []
         for host in hosts:
             host.arrive(1, "registered", 64)
             host.arrive(1, 42, 64)
-        queued = sim.pending_events
-        assert queued == 2 * shards
+            host.send(1, "outbound")
+            timers.append(host.schedule(0.001, fired.append, host.shard))
+        sim.schedule(0.002, fired.append, "bystander")
+        assert len(crash_owned_entries(machine, sim._heap)) == 4 * shards
         machine.crash()
-        # The guard rewrites entries; it neither drops nor adds one.
-        assert sim.pending_events == queued
+        assert crash_owned_entries(machine, sim._heap) == []
+        assert all(timer.cancelled for timer in timers)
+        assert sim.pending_events == 1
+        machine.recover()
         sim.run()
         assert [host.replica.handled for host in hosts] == [[]] * shards
-        assert sim.events_processed == queued
-        assert sim.metrics.counters()["node.0.messages_in"] == 2 * shards
+        assert fired == ["bystander"]
+        counters = sim.metrics.counters()
+        assert counters["node.0.messages_in"] == 2 * shards
+        assert counters["node.0.messages_out"] == 0
+        assert counters["net.messages_sent"] == 0
+
+
+class TestReplicaCrash:
+    """What a crash takes from a replica: every timer it had armed."""
+
+    def test_no_liveness_timer_survives_a_recovery(self):
+        # A Paxos replica runs one _check_leader_liveness chain.  The crash
+        # cancels the chain's pending timer, and on_recover starts a new one:
+        # after the recovery there must still be exactly one.
+        cluster = build_cluster("paxos", num_nodes=3, seed=1)
+        sim = cluster.sim
+        node = cluster.nodes[1]
+        sim.schedule(0.30, node.crash)
+        sim.schedule(0.32, node.recover)
+        cluster.run(3.0)
+        liveness = [
+            entry for entry in sim._heap
+            if entry[3] is None and not entry[2].cancelled
+            and entry[2].callback == node.replica._check_leader_liveness
+        ]
+        assert len(liveness) == 1
+
+    def test_follower_crashed_with_a_fill_pending_fills_again(self):
+        # The crash cancels the follower's pending _request_fill, so its
+        # pending flag must go with it.  Severing 0<->2 leaves node 2 with a
+        # gap; it crashes the moment it arms the fill and is back 150 ms
+        # later, and must then catch up with the leader.
+        cluster = build_cluster("paxos", num_nodes=3, num_clients=2, seed=1)
+        sim = cluster.sim
+        faults = cluster.network.faults
+        cluster.start()
+        sim.schedule(0.2, faults.sever_link, 0, 2)
+        sim.schedule(0.3, faults.heal_link, 0, 2)
+        sim.run(until=0.2)
+        follower = cluster.nodes[2]
+        while not follower.replica._fill_pending:
+            sim.run(until=1.0, max_events=1)
+        assert sim.now < 1.0
+        follower.crash()
+        sim.schedule(0.15, follower.recover)
+        sim.run(until=3.0)
+        leader = cluster.nodes[0].replica
+        assert leader.is_leader
+        assert follower.replica.commit_upto >= leader.commit_upto - 50
+        assert run_log_checks(cluster) == []
 
 
 class TestTopologies:

@@ -1,4 +1,5 @@
-"""scripts/compare_library_runs.py --compare: equal records pass, a moved key is named."""
+"""scripts/compare_library_runs.py --compare: equal records pass, a moved key
+is named, and so is a checker whose verdict flipped."""
 
 from __future__ import annotations
 
@@ -69,7 +70,9 @@ def test_a_differing_key_fails_and_is_named(tmp_path, capsys, row, path, value, 
     assert [line for line in out.splitlines() if line.startswith("DIFFERS")] == [
         f"DIFFERS: {named}"
     ]
-    assert "1/2 runs identical" in out
+    # Reordered messages of a tripped checker are a difference, not a flip.
+    assert "FLIPPED" not in out
+    assert "1/2 runs identical, 0 verdicts flipped" in out
 
 
 def test_a_counter_only_one_side_has_is_named(tmp_path, capsys):
@@ -86,3 +89,27 @@ def test_a_row_only_one_side_ran_fails(tmp_path, capsys):
     del new["epaxos-baseline-5|key-index"]
     assert _compare(tmp_path, _RECORD, new) == 1
     assert "DIFFERS: epaxos-baseline-5|key-index: only in old" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "row, checker, messages, flip",
+    [
+        ("epaxos-baseline-5|key-index", "epaxos_conflict_ordering", None,
+         "tripped -> clean"),
+        ("pig-baseline-5|library", "linearizability", ["stale read of k"],
+         "clean -> tripped"),
+    ],
+)
+def test_a_flipped_verdict_is_named(tmp_path, capsys, row, checker, messages, flip):
+    new = copy.deepcopy(_RECORD)
+    if messages is None:
+        del new[row]["violations"][checker]
+    else:
+        new[row]["violations"][checker] = messages
+    assert _compare(tmp_path, _RECORD, new) == 1
+    out = capsys.readouterr().out
+    assert f"DIFFERS: {row}: violations[{checker}]" in out
+    assert [line for line in out.splitlines() if line.startswith("FLIPPED")] == [
+        f"FLIPPED: {row} {checker} {flip}"
+    ]
+    assert "1/2 runs identical, 1 verdicts flipped" in out

@@ -224,6 +224,34 @@ class TestLazyArming:
         # Both instances now execute.
         assert replica.graph.is_executed((4, 1)) and replica.graph.is_executed((4, 2))
 
+    def test_crash_takes_the_recovery_bookkeeping_its_timers_backed(self):
+        # A crash cancels every replica timer (SimNode.crash).  The recovery
+        # round, the stamp and the deadline timer must go with them, or
+        # the sweep would never re-arm them after the recovery.
+        replica, ctx = _replica(node_id=0, recovery_timeout=0.3)
+        _block_and_trip_deadline(replica, ctx)
+        assert (4, 1) in replica._recoveries
+        for timer in ctx.timers:
+            timer.cancel()
+        replica.on_crash()
+        assert not replica._recoveries
+        assert not replica._first_blocked and not replica._blocked_timers
+        ctx.clear_sent()
+        # Back up, the still-blocked dependency is re-stamped and re-armed,
+        # so recovery fires even if nothing else arrives.
+        replica.on_recover()
+        [deadline_timer] = ctx.pending_timers()
+        ctx.advance(0.3)
+        deadline_timer.fire()
+        assert (4, 1) in replica._recoveries
+        assert {dst for dst, _ in ctx.sent_of_type(EPrepare)} == {1, 2, 3, 4}
+
+    def test_recovery_without_blocked_work_arms_nothing(self):
+        replica, ctx = _replica(node_id=0, recovery_timeout=0.3)
+        replica.on_crash()
+        replica.on_recover()
+        assert not ctx.timers
+
 
 class TestDecisionTable:
     def test_commit_evidence_is_adopted_immediately(self):

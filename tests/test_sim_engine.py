@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import crash_owned_entries
 from repro.cluster.builder import build_cluster
 from repro.errors import SimulationError
 from repro.sim import engine
@@ -282,12 +283,14 @@ class TestHeapEntries:
             self.assert_well_formed(sim._heap)
             sim.run(until=0.2, max_events=1)
         victim = cluster.nodes[cluster.leader_id()]
-        victim.crash()
         heap = sim._heap
-        guarded = {entry for entry in heap if entry[2] == victim._fire_if_up}
-        assert guarded  # the crash rewrote queued handlers in place
-        # The next schedule() compacts: the rebuild must keep the rewritten
-        # entries as they are, and the list the crash rewrote in place.
+        lost = {entry[:2] for entry in crash_owned_entries(victim, heap)}
+        assert lost  # the leader had queued work to lose
+        victim.crash()
+        # The purge rebuilt the list the run loop holds, in place.
+        assert sim._heap is heap and crash_owned_entries(victim, heap) == []
+        self.assert_well_formed(heap)
+        # The next schedule() compacts: the rebuild keeps every entry's shape.
         sim._compact_at = mark = sim._seq
         for _ in range(50):
             if sim._compact_at != mark:
@@ -295,11 +298,10 @@ class TestHeapEntries:
             self.assert_well_formed(heap)
             sim.run(until=0.4, max_events=1)
         assert sim._compact_at != mark and sim._heap is heap
-        kept = {entry for entry in heap if entry[2] == victim._fire_if_up}
-        assert kept and kept <= guarded
-        # A rewritten entry missing from the heap fired: it sorts before all left.
-        assert all(entry[:2] < heap[0][:2] for entry in guarded - kept)
+        victim.recover()
+        # Nothing the victim lost comes back to run after its recovery.
         for _ in range(150):
             self.assert_well_formed(heap)
+            assert lost.isdisjoint(entry[:2] for entry in heap)
             sim.run(until=0.4, max_events=1)
         assert cluster.total_completed_requests() > 0
