@@ -22,7 +22,7 @@ an identical record on both trees::
 ``--compare`` exits 1 and names every row and key that differs (``DIFFERS``),
 and every checker whose verdict flipped between clean (no violations) and
 tripped (``FLIPPED``); its summary line counts the flips.  A full dump
-is 44 library rows plus 21 x 4 EPaxos rows (about 75 s per tree on one
+is 45 library rows plus 21 x 4 EPaxos rows (about 75 s per tree on one
 core).  Command uids are reset before every run, so a row's messages do not
 depend on the runs before it.
 """

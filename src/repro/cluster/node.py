@@ -202,7 +202,8 @@ class SimNode:
         One pass rebuilds the event heap without this machine's queued
         sends (taken back out of ``node.<id>.messages_out``/``bytes_out``:
         they never leave), its hosts' queued handlers and its replicas'
-        timers (``Event.owner``; cancelled).  Until :meth:`recover`,
+        timers (``Event.owner``; cancelled), and gives back the CPU time
+        reserved for that work.  Until :meth:`recover`,
         :meth:`_arrive_for` black-holes every arrival, so nothing of this
         machine runs while it is down and nothing it had queued runs after.
         Every hosted replica goes down with it; only their crash hooks need
@@ -212,6 +213,11 @@ class SimNode:
             return
         self._crashed = True
         self._sim.metrics.counter("faults.crashes").increment()
+        # The CPU time reserved past now was for work that never runs.
+        now = self._sim.now
+        if self._busy_until > now:
+            self._busy_time_total -= self._busy_until - now
+            self._busy_until = now
         handlers = set()
         for host in self.hosts:
             table = host.replica.handlers

@@ -50,6 +50,13 @@ partition (``tests/test_scenarios.py`` pins both on
 * ``phase2-quorum-one`` -- ``MajorityQuorum.phase2_size`` is 1: a leader
   commits on its own vote alone.
 
+One re-seeds the Paxos family's chosen-slot overwrite, the pre-fix phase 1:
+
+* ``promise-prunes-executed`` -- a promise leaves out every entry its voter
+  has executed, so a new leader whose quorum executed a chosen slot
+  re-proposes a stale value or a no-op over it.  ``tests/test_scenarios.py``
+  pins it on ``paxos-leader-churn-chosen-slot``.
+
 One switches off at-most-once execution:
 
 * ``session-dedup-off`` -- the store's session table never finds a member,
@@ -151,6 +158,13 @@ def _make_misrouted_replies(original):
     return reply_misrouted
 
 
+def _make_pruning_promise(original):
+    def accepted_entries_unexecuted(self, after):
+        return original(self, max(after, self.log.next_execute_slot - 1))
+
+    return accepted_entries_unexecuted
+
+
 @contextmanager
 def _patched(cls, attr, make_value) -> Iterator[None]:
     original = cls.__dict__[attr]
@@ -222,6 +236,14 @@ def _reply_misroute() -> Iterator[None]:
 
 
 @contextmanager
+def _promise_prunes_executed() -> Iterator[None]:
+    from repro.paxos.replica import MultiPaxosReplica
+
+    with _patched(MultiPaxosReplica, "_accepted_entries", _make_pruning_promise):
+        yield
+
+
+@contextmanager
 def _vote_count_early() -> Iterator[None]:
     from repro.quorum.tracker import VoteTracker
 
@@ -240,8 +262,9 @@ def _phase2_quorum_one() -> Iterator[None]:
 #: Mutation name -> context manager factory.  The first four live in the
 #: EPaxos stack, so mutation-fuzz runs of those should use an epaxos-only
 #: profile (``recovery-noop`` bites only where recovery runs); the next two
-#: only bite on runs that batch; the next two only on the Paxos family; the
-#: last only where a retried command commits twice.
+#: only bite on runs that batch; the next three only on the Paxos family
+#: (``promise-prunes-executed`` only across a leader change); the last only
+#: where a retried command commits twice.
 MUTATIONS: Dict[str, object] = {
     "vote-dedup": _vote_dedup,
     "key-index": _key_index,
@@ -251,6 +274,7 @@ MUTATIONS: Dict[str, object] = {
     "reply-misroute": _reply_misroute,
     "vote-count-early": _vote_count_early,
     "phase2-quorum-one": _phase2_quorum_one,
+    "promise-prunes-executed": _promise_prunes_executed,
     "session-dedup-off": _session_dedup_off,
 }
 

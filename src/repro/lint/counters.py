@@ -40,8 +40,6 @@ REPLICA_COUNTERS: FrozenSet[str] = frozenset(
         "orphaned_proposal_replies_suppressed",
         "orphaned_batch_replies_suppressed",
         "fill_requests",
-        "leader_fill_requests",
-        "leader_fill_retries",
         "unknown_message",
         # --- PigPaxos / relay overlay
         "relay_rounds",

@@ -159,12 +159,12 @@ class MultiPaxosReplica(Replica):
         self.promised = self.ballot
         self.count("phase1_started")
         tracker = BallotVoteTracker(self.quorum.phase1_size)
-        tracker.ack(self.node_id, self._accepted_entries(), self.commit_upto)
+        tracker.ack(self.node_id, self._accepted_entries(self.commit_upto))
         self._phase1_tracker = tracker
         if tracker.satisfied:  # single-node cluster
             self._become_leader()
             return
-        self._fanout_phase1(P1a(ballot=self.ballot))
+        self._fanout_phase1(P1a(ballot=self.ballot, commit_upto=self.commit_upto))
         if self._phase1_timer is not None:
             self._phase1_timer.cancel()
         self._phase1_timer = self.ctx.schedule(self.config.phase1_timeout, self._phase1_timed_out)
@@ -182,13 +182,14 @@ class MultiPaxosReplica(Replica):
             p1a, round_id=("p1", p1a.ballot), quorum_size=self.quorum.phase1_size
         )
 
-    def _accepted_entries(self) -> Dict[int, Tuple[Ballot, object]]:
-        """This node's accepted-but-possibly-uncommitted entries, for P1b."""
-        entries: Dict[int, Tuple[Ballot, object]] = {}
-        for entry in self.log.entries():
-            if not entry.executed:
-                entries[entry.slot] = (entry.ballot, entry.command)
-        return entries
+    def _accepted_entries(self, after: int) -> Dict[int, Tuple[Ballot, object]]:
+        """Every entry this node holds above slot ``after``, executed or not, for P1b."""
+        by_slot = self.log.by_slot
+        return {
+            slot: (by_slot[slot].ballot, by_slot[slot].command)
+            for slot in range(after + 1, self.log.max_slot + 1)
+            if slot in by_slot
+        }
 
     def _process_p1a(self, src: int, msg: P1a) -> P1b:
         """Acceptor logic for a phase-1a; returns the promise without sending it."""
@@ -196,17 +197,21 @@ class MultiPaxosReplica(Replica):
             self.promised = msg.ballot
             self._observe_leader(msg.ballot)
             return P1b(ballot=msg.ballot, voter=self.node_id, ok=True,
-                       accepted=self._accepted_entries(), commit_upto=self.commit_upto)
+                       accepted=self._accepted_entries(msg.commit_upto))
         return P1b(ballot=self.promised, voter=self.node_id, ok=False)
 
     def _on_p1a(self, src: int, msg: P1a) -> None:
         self.send(src, self._process_p1a(src, msg))
 
     def _on_p1b(self, src: int, msg: P1b) -> None:
+        if self.promised > self.ballot:
+            # This candidate has since promised a higher ballot: leading at
+            # its own would break that promise.
+            self._phase1_tracker = None
         if self.is_leader or self._phase1_tracker is None:
             return
         if msg.ok and msg.ballot == self.ballot:
-            if self._phase1_tracker.ack(msg.voter, msg.accepted, msg.commit_upto):
+            if self._phase1_tracker.ack(msg.voter, msg.accepted):
                 self._become_leader()
         elif not msg.ok and msg.ballot > self.ballot:
             # Someone promised a higher ballot; adopt it and back off.
@@ -224,75 +229,22 @@ class MultiPaxosReplica(Replica):
         self.count("became_leader")
         self._overlay.complete_round(("p1", self.ballot))
 
-        # Re-propose every command reported by the promise quorum, fill gaps
-        # with no-ops.  Slots at or below the quorum's committed frontier are
-        # already decided somewhere; re-proposing the quorum's highest-ballot
-        # accepted command there is still safe (classic synod recovery -- for
-        # a committed slot that command necessarily equals the chosen one),
-        # but a slot whose entry was executed (and therefore pruned from
-        # every promise) must not be filled with a fresh no-op: it is fetched
-        # from the reporting voters instead.
-        to_repropose = tracker.commands_to_repropose() if tracker else {}
-        quorum_commit_upto = tracker.max_commit_upto if tracker else 0
-        highest = max(list(to_repropose) + [self.log.max_slot, self.commit_upto, quorum_commit_upto, 0])
-        self.next_slot = highest + 1
+        # Classic synod recovery.  Every promise, this node's own included,
+        # reports each entry its voter holds above this node's commit
+        # frontier, so each slot this node has not committed gets the
+        # highest-ballot command any promise reported -- for a chosen slot
+        # that is the chosen command -- or a no-op if none did.
+        to_repropose = tracker.commands_to_repropose()
+        self.next_slot = max([*to_repropose, self.log.max_slot, self.commit_upto]) + 1
         for slot in range(self.commit_upto + 1, self.next_slot):
-            if self.log.is_committed(slot):
-                continue
-            command = to_repropose.get(slot)
-            if command is None:
-                if slot <= quorum_commit_upto:
-                    continue  # pruned/executed elsewhere: fetch, don't overwrite
-                existing = self.log.get(slot)
-                command = existing.command if existing is not None else NoOp()
-            self._propose_in_slot(command, (), slot)
-        if quorum_commit_upto > self.commit_upto and tracker:
-            self._fetch_committed_slots(tracker.commit_reports(), quorum_commit_upto)
+            if not self.log.is_committed(slot):
+                command = to_repropose.get(slot)
+                self._propose_in_slot(NoOp() if command is None else command, (), slot)
 
         for client_src, request in self._pending_requests:
             self._propose(request, client_src)
         self._pending_requests.clear()
         self._schedule_heartbeat()
-
-    def _fetch_committed_slots(self, commit_reports: Dict[int, int], upto: int) -> None:
-        """Ask promise voters for committed slots this new leader is missing.
-
-        Requests go to every voter whose reported frontier exceeds ours;
-        replies are idempotent (``log.commit`` tolerates duplicates of the
-        same command), so over-asking only costs messages.  A retry timer
-        re-requests (from every peer) until the gap closes: under message
-        loss a one-shot request could strand the leader behind a permanent
-        gap it will never propose into.
-        """
-        missing = tuple(
-            slot for slot in range(self.commit_upto + 1, upto + 1)
-            if not self.log.is_committed(slot)
-        )
-        if not missing:
-            return
-        self.count("leader_fill_requests")
-        # lint: ok(no-unordered-iteration) insertion order is promise-arrival order, deterministic under the sim; sorting would shift recorded fingerprints
-        for voter, reported in commit_reports.items():
-            if voter == self.node_id or reported <= self.commit_upto:
-                continue
-            wanted = tuple(slot for slot in missing if slot <= reported)
-            if wanted:
-                self.send(voter, FillRequest(slots=wanted, requester=self.node_id))
-        self.ctx.schedule(self.config.fill_gap_timeout, self._leader_fill_check, upto)
-
-    def _leader_fill_check(self, upto: int) -> None:
-        """Re-request committed slots still missing after recovery."""
-        if not self.is_leader or self.commit_upto >= upto:
-            return
-        missing = tuple(
-            slot for slot in range(self.commit_upto + 1, upto + 1)
-            if not self.log.is_committed(slot)
-        )
-        if missing:
-            self.count("leader_fill_retries")
-            for peer in self.peers:
-                self.send(peer, FillRequest(slots=missing, requester=self.node_id))
-        self.ctx.schedule(self.config.fill_gap_timeout, self._leader_fill_check, upto)
 
     # ------------------------------------------------------------------ client path
     def _on_client_request(self, src: int, msg: ClientRequest) -> None:

@@ -89,9 +89,14 @@ class ClientReply(Message):
 # lint: ok(no-frozen-dataclass-hot-path) phase-1 runs once per leader change, not per command; ctor cost is irrelevant here
 @dataclass(frozen=True, slots=True)
 class P1a(Message):
-    """Phase-1a: "lead with ballot b?"."""
+    """Phase-1a: "lead with ballot b?".
+
+    ``commit_upto`` is the candidate's gap-free committed frontier: every
+    promise reports the entries its voter holds above it.
+    """
 
     ballot: Ballot
+    commit_upto: int = 0
 
 
 # lint: ok(no-frozen-dataclass-hot-path) phase-1 runs once per leader change, not per command; ctor cost is irrelevant here
@@ -99,17 +104,15 @@ class P1a(Message):
 class P1b(Message):
     """Phase-1b promise.  ``accepted`` maps slot -> (ballot, command).
 
-    ``commit_upto`` is the voter's gap-free committed frontier.  Executed
-    entries are pruned from ``accepted`` (they would grow without bound), so
-    the frontier is how a new leader learns that slots exist beyond its own
-    log and must be fetched -- not overwritten with fresh proposals.
+    It holds every entry the voter has above the candidate's
+    ``P1a.commit_upto``, executed or not, so the candidate's quorum sees
+    every slot it has not committed (classic synod recovery).
     """
 
     ballot: Ballot
     voter: int
     ok: bool
     accepted: Dict[int, Tuple[Ballot, object]] = field(default_factory=dict)
-    commit_upto: int = 0
 
     @property
     def payload_bytes(self) -> int:

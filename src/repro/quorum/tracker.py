@@ -47,21 +47,17 @@ class BallotVoteTracker:
     def __init__(self, required: int) -> None:
         self._tracker = VoteTracker(required)
         self._accepted: Dict[int, _SlotVote] = {}
-        self._commit_uptos: Dict[int, int] = {}
 
     def ack(
         self,
         voter: int,
         accepted: Optional[Dict[int, Tuple[Tuple[int, int], object]]] = None,
-        commit_upto: int = 0,
     ) -> bool:
         """Record a promise, merging the voter's previously accepted entries.
 
         ``accepted`` maps slot -> (ballot, command) as reported by the voter.
         For each slot we keep the command accepted at the highest ballot,
-        which is what the new leader must re-propose.  ``commit_upto`` is the
-        voter's committed frontier; the new leader must treat every slot up
-        to the quorum's maximum as already decided.
+        which is what the new leader must re-propose.
         """
         if accepted:
             # lint: ok(no-unordered-iteration) keep-highest-ballot merge per slot; order-insensitive
@@ -69,8 +65,6 @@ class BallotVoteTracker:
                 current = self._accepted.get(slot)
                 if current is None or ballot > current.ballot:
                     self._accepted[slot] = _SlotVote(ballot=ballot, command=command)
-        if commit_upto > self._commit_uptos.get(voter, -1):
-            self._commit_uptos[voter] = commit_upto
         return self._tracker.ack(voter)
 
     @property
@@ -80,12 +74,3 @@ class BallotVoteTracker:
     def commands_to_repropose(self) -> Dict[int, object]:
         """Slot -> command that must be re-proposed by the new leader."""
         return {slot: vote.command for slot, vote in sorted(self._accepted.items())}
-
-    def commit_reports(self) -> Dict[int, int]:
-        """Voter -> committed frontier reported with that voter's promise."""
-        return dict(self._commit_uptos)
-
-    @property
-    def max_commit_upto(self) -> int:
-        """Highest committed frontier reported by any promise (0 if none)."""
-        return max(self._commit_uptos.values(), default=0)

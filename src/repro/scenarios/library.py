@@ -319,6 +319,32 @@ def _scenarios() -> List[Scenario]:
             description="Fuzz-found (seed 257, shrunk): a deposed leader must not answer a client with the result of the NoOp that displaced its proposal.",
         ),
         Scenario(
+            # Found by drawing the Paxos-family timing knobs (fuzz seed 66,
+            # shrunk).  Elections every few tens of milliseconds, and a
+            # severed link, change leaders while slots are chosen.  A slot
+            # chosen under one ballot may be executed by every voter of the
+            # next leader's phase-1 quorum but one, which still holds an
+            # older value: unless a promise reports executed entries too,
+            # the new leader re-proposes that older value over the chosen
+            # one, and the follower's log refuses it (a runtime abort).
+            name="paxos-leader-churn-chosen-slot",
+            protocol="paxos",
+            num_nodes=5,
+            num_clients=2,
+            duration=0.375,
+            seed=66,
+            client_timeout=0.4,
+            workload=WorkloadSpec(num_keys=3, distribution="zipfian",
+                                  unique_values=True),
+            config_overrides={"heartbeat_interval": 0.02,
+                              "election_timeout_min": 0.04,
+                              "election_timeout_max": 0.042},
+            checks=PAXOS_CHECK_NAMES + ("progress",),
+            min_completed=150,  # seed completes 454
+            events=(E.sever_link(0.247, 0, 4),),
+            description="Fuzz-found (seed 66, shrunk): under fast leader churn a new leader must re-propose a chosen slot's value even where its quorum has executed it.",
+        ),
+        Scenario(
             # Fuzz-found regression (fleet seed 462, shrunk).  A region
             # partition of a 12-node WAN cluster forces explicit-prepare
             # recovery of fast-committed instances; the recovery's

@@ -14,7 +14,7 @@ linearizable total order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StateMachineError
 
@@ -24,11 +24,12 @@ class LogEntry:
 
     One is created per accepted slot on every replica, so it is a plain
     slotted object with no ``__init__``: :meth:`ReplicatedLog.accept`, its
-    only constructor, fills in ``slot``, ``ballot``, ``command``,
-    ``committed`` and ``executed`` directly, and creating one costs no call.
+    only constructor, fills in ``slot``, ``ballot``, ``command`` and
+    ``committed`` directly, and creating one costs no call.  Whether an
+    entry has run is the log's execute frontier, not a flag on the entry.
     """
 
-    __slots__ = ("slot", "ballot", "command", "committed", "executed")
+    __slots__ = ("slot", "ballot", "command", "committed")
 
 
 class ReplicatedLog:
@@ -82,10 +83,6 @@ class ReplicatedLog:
     def executed_count(self) -> int:
         return self._next_execute - 1
 
-    def entries(self) -> Iterator[LogEntry]:
-        for slot in sorted(self.by_slot):
-            yield self.by_slot[slot]
-
     # ----------------------------------------------------------------- writes
     def accept(self, slot: int, ballot: Tuple[int, int], command: object) -> LogEntry:
         """Record ``command`` as accepted in ``slot`` under ``ballot``.
@@ -117,7 +114,6 @@ class ReplicatedLog:
         entry.ballot = ballot
         entry.command = command
         entry.committed = committed
-        entry.executed = False
         entries[slot] = entry
         if slot in self.gap_slots:
             self.dirty_slots.add(slot)
@@ -224,7 +220,6 @@ class ReplicatedLog:
             if not entry.committed:
                 break
             result = apply_fn(entry.command)
-            entry.executed = True
             if results is not None:
                 results.append((entry, result))
             slot += 1
@@ -232,16 +227,6 @@ class ReplicatedLog:
         return slot - start
 
     # ----------------------------------------------------------------- queries
-    def first_gap(self) -> int:
-        """Lowest slot >= 1 that holds no entry."""
-        slot = 1
-        while slot in self.by_slot:
-            slot += 1
-        return slot
-
-    def uncommitted_slots(self) -> List[int]:
-        return [slot for slot, entry in sorted(self.by_slot.items()) if not entry.committed]
-
     def committed_uids(self) -> Dict[int, Optional[int]]:
         """``slot -> command uid`` of every committed slot (for agreement checks)."""
         # lint: ok(no-unordered-iteration) a mapping to compare by item, not to walk; callers sort what they iterate

@@ -272,7 +272,7 @@ def _ref_logs(cluster):
 def _ref_slot_agreement(cluster):
     violations, chosen = [], {}
     for node_id, log in _ref_logs(cluster):
-        for entry in log.entries():
+        for _, entry in sorted(log.by_slot.items()):
             if not entry.committed:
                 continue
             uid = getattr(entry.command, "uid", None)

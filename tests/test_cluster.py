@@ -166,6 +166,20 @@ class TestSimNode:
         assert sim.metrics.counter("node.0.messages_out").value == 0
         assert sim.metrics.counter("node.0.bytes_out").value == 0
 
+    def test_crash_gives_back_the_cpu_time_of_dropped_work(self):
+        # Ten 10 ms sends reserve 0.1 s of node 0's CPU; it crashes at 5 ms,
+        # so it was busy for those 5 ms only, and idle from its recovery.
+        cpu = NodeCPUModel(recv_per_message=0.0, send_per_message=0.01, per_byte=0.0)
+        sim, network, nodes = self._setup(cpu=cpu)
+        for _ in range(10):
+            nodes[0].replica.send(1, "ping")
+        assert nodes[0].busy_time_total == pytest.approx(0.1)
+        sim.schedule(0.005, nodes[0].crash)
+        sim.schedule(0.006, nodes[0].recover)
+        sim.run()
+        assert nodes[0].busy_time_total == pytest.approx(0.005)
+        assert nodes[0].busy_until == pytest.approx(0.006)
+
     def test_handler_queued_before_crash_never_runs(self):
         # The paper's crash model: a crash loses the work the node had
         # accepted but not yet done, whenever it recovers.  The ping lands on

@@ -116,6 +116,7 @@ class TestMutations:
     def test_mutations_are_reversible(self, name):
         from repro.epaxos.graph import DependencyGraph
         from repro.epaxos.replica import EPaxosReplica
+        from repro.paxos.replica import MultiPaxosReplica
         from repro.protocol.base import Replica
         from repro.quorum.systems import MajorityQuorum
         from repro.quorum.tracker import VoteTracker
@@ -132,6 +133,7 @@ class TestMutations:
                 Replica.__dict__["_reply_to_clients"],
                 VoteTracker.__dict__["ack"],
                 MajorityQuorum.__dict__["phase2_size"],
+                MultiPaxosReplica.__dict__["_accepted_entries"],
             )
 
         before = patch_points()

@@ -43,6 +43,26 @@ that mattered:
   each surfacing later as a no-op event, so 93 061 -> 93 050 events.
 
 Every golden without a crash is byte-identical.
+
+Single-path leader recovery (a promise reports every entry above the
+candidate's commit frontier, executed or not, and the new leader fetches
+nothing) re-recorded the two goldens whose leader change lands on a
+lagging candidate or a split vote:
+
+* ``pig-planet-region-loss-49`` -- node 26 of the partitioned region wins
+  the election after the heal at commit frontier 72, with slots through
+  217 chosen elsewhere.  It used to re-propose the 16 unexecuted slots the
+  promises reported and fetch the 129 executed ones; it now re-proposes
+  all 145 through the relay trees: 103 649 -> 133 743 events and
+  329 -> 336 operations;
+* ``pig-planet-zone-crash-75`` -- after the zone crash, nodes 73, 52, 49
+  and 50 run phase 1 at once, and the last three promise node 73's
+  ballot 2.73.  Node 52 used to lead at its own 2.52 anyway, and 49 and
+  50 retried at 3.49 and 3.50 until node 50 led; now all three abandon
+  their ballots and node 73 leads: five leaderships become two, and
+  93 050 -> 72 254 events.  Node 73 answers clients slower than node 50
+  did (p50 156 ms against 76 ms over 1.7-2.5 s), so 132 -> 96
+  operations.
 """
 
 from __future__ import annotations
@@ -96,9 +116,9 @@ GOLDEN_FINGERPRINTS = {
     # zoneless relay plan is the historical single-level planner, and
     # leaves never ack commits, so these pins plus the unchanged controls
     # prove the degenerate path pays zero determinism tax.
-    "pig-planet-region-loss-49": "a039e512ffd78607d66975866cccf9f724ffb8bbb3b4ab5c1a087eee525b600c",
+    "pig-planet-region-loss-49": "d6c6198a79a0114ec965d09d8ef9a6c3c0a412e5b72166f5f0151e1e069bda92",
     # Re-recorded for the fail-stop crash model (see the module docstring).
-    "pig-planet-zone-crash-75": "e2a88ab485c4cf61b0aec58a49964280becd24cbe019c051c6984cdda43cab71",
+    "pig-planet-zone-crash-75": "886103dfa18d6e9b74bca6c00b9ba35fab40df1af8a68dd9d792f86c31d26110",
     "epaxos-planet-deep-relay-crash-49": "f386db4dc4eb95904a4f8206d8c03e69c28ec076520d58529b327a5a1e3a6831",
     "pig-planet-wan-degradation-81": "bbe9bdce1768b25639358974823bf082319e0702d735cdd5e661b3e8fcf56292",
 }

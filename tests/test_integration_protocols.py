@@ -43,11 +43,11 @@ class TestPaxosCluster:
             follower = node.replica
             assert follower.log.executed_count > 0
             # Follower state is a prefix of the leader's: every executed slot matches.
-            for entry in follower.log.entries():
-                if entry.executed:
-                    leader_entry = leader.log.get(entry.slot)
-                    assert leader_entry is not None
-                    assert getattr(leader_entry.command, "uid", None) == getattr(entry.command, "uid", None)
+            for slot in range(1, follower.log.next_execute_slot):
+                entry = follower.log.get(slot)
+                leader_entry = leader.log.get(slot)
+                assert leader_entry is not None
+                assert getattr(leader_entry.command, "uid", None) == getattr(entry.command, "uid", None)
 
     def test_reads_and_writes_both_served(self):
         cluster = run_cluster("paxos", workload=WorkloadSpec(num_keys=10, read_ratio=0.5))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from helpers import FakeContext
 from repro.fuzz.mutations import apply_mutation
 from repro.paxos.replica import MultiPaxosReplica
@@ -18,7 +20,7 @@ from repro.protocol.messages import (
     P2a,
     P2b,
 )
-from repro.statemachine.command import Command, OpType
+from repro.statemachine.command import Command, NoOp, OpType
 
 
 def make_replica(node_id: int = 0, cluster: int = 5, leader: int = 0):
@@ -36,14 +38,37 @@ def client_request(key: str = "k", client_id: int = 1000, request_id: int = 1) -
 
 def elect(replica, ctx):
     """Drive the replica through phase-1 until it is the leader."""
-    replica.start()
-    for timer in list(ctx.pending_timers()):
-        if timer.delay == 0.0:
-            timer.fire()
+    begin_phase1(replica, ctx)
     for voter in (1, 2):
         replica.on_message(voter, P1b(ballot=replica.ballot, voter=voter, ok=True))
     assert replica.is_leader
     ctx.clear_sent()
+
+
+def begin_phase1(replica, ctx):
+    """Start the replica, which runs phase 1 at once as the initial leader."""
+    replica.start()
+    for timer in list(ctx.pending_timers()):
+        if timer.delay == 0.0:
+            timer.fire()
+
+
+def campaign(replica, ctx):
+    """Let the replica's election timeout lapse, so it runs phase 1."""
+    ctx.advance(1.0)
+    for timer in list(ctx.pending_timers()):
+        if timer.callback == replica._check_leader_liveness:
+            timer.fire()
+    assert replica._phase1_tracker is not None
+
+
+def replica_that_executed(node_id, ballot, commands):
+    """A follower that accepted ``commands`` in slots 1.. under ``ballot`` and executed them."""
+    replica, ctx = make_replica(node_id=node_id, leader=ballot.node_id)
+    for slot, command in enumerate(commands, start=1):
+        replica.on_message(ballot.node_id, P2a(ballot=ballot, slot=slot, command=command, commit_upto=slot - 1))
+    replica.on_message(ballot.node_id, Heartbeat(ballot=ballot, commit_upto=len(commands)))
+    return replica, ctx
 
 
 class TestPhase1:
@@ -93,6 +118,17 @@ class TestPhase1:
         assert replica.is_leader
         reproposed = [msg for _, msg in ctx.sent_of_type(P2a) if msg.slot == 1]
         assert reproposed and reproposed[0].command is old_command
+
+    def test_candidate_that_promised_a_higher_ballot_does_not_lead(self):
+        replica, ctx = make_replica(node_id=3, leader=3)
+        begin_phase1(replica, ctx)
+        assert replica.ballot == Ballot(1, 3)
+        replica.on_message(0, P1a(ballot=Ballot(2, 0)))
+        for voter in (1, 2):
+            replica.on_message(voter, P1b(ballot=Ballot(1, 3), voter=voter, ok=True))
+        assert not replica.is_leader
+        assert replica.promised == Ballot(2, 0)
+        assert ctx.sent_of_type(P2a) == []
 
 
 class TestPhase2:
@@ -358,76 +394,86 @@ class TestAtMostOnceExecution:
         assert ctx.metrics.counter("paxos.duplicate_commands_skipped").value == 1
 
 
-class TestRecoveryCommitFrontier:
-    """A new leader must treat the quorum's committed frontier as decided.
+class TestRecoveryReportsEverySlot:
+    """Phase 1 is classic synod recovery, along one path.
 
-    Executed entries are pruned from P1b promises, so without the frontier a
-    recovering leader would propose fresh no-ops over committed slots --
-    which is exactly the StateMachineError the partition scenarios caught.
+    A promise reports every entry its voter holds above the candidate's
+    commit frontier, executed or not, and the new leader re-proposes the
+    highest-ballot report in each slot it has not committed (a no-op where
+    nothing was reported).  It fetches nothing.
     """
 
-    def test_new_leader_skips_slots_committed_elsewhere(self):
+    def test_voter_reports_executed_slots_above_the_candidates_frontier(self):
+        commands = [Command(op=OpType.PUT, key=f"k{slot}") for slot in (1, 2, 3)]
+        voter, ctx = replica_that_executed(1, Ballot(2, 4), commands)
+        assert voter.log.executed_count == 3
+        voter.on_message(3, P1a(ballot=Ballot(3, 3), commit_upto=1))
+        promise = ctx.sent_of_type(P1b)[-1][1]
+        assert promise.ok
+        assert promise.accepted == {2: (Ballot(2, 4), commands[1]), 3: (Ballot(2, 4), commands[2])}
+
+    @pytest.mark.parametrize("higher_first", [True, False])
+    def test_higher_ballot_report_beats_a_lower_ballot_one(self, higher_first):
         replica, ctx = make_replica(node_id=3, leader=3)
-        replica.start()
-        for timer in list(ctx.pending_timers()):
-            if timer.delay == 0.0:
-                timer.fire()
-        ballot = replica.ballot
-        pending_command = Command(op=OpType.PUT, key="p", value="pending")
-        replica.on_message(1, P1b(ballot=ballot, voter=1, ok=True, commit_upto=7))
-        replica.on_message(2, P1b(
-            ballot=ballot, voter=2, ok=True,
-            accepted={8: (Ballot(1, 0), pending_command)}, commit_upto=7,
-        ))
+        begin_phase1(replica, ctx)
+        stale = Command(op=OpType.PUT, key="x", value="stale")
+        chosen = Command(op=OpType.PUT, key="x", value="chosen")
+        reports = [{1: (Ballot(2, 4), chosen)}, {1: (Ballot(1, 0), stale)}]
+        if not higher_first:
+            reports.reverse()
+        for voter, accepted in zip((1, 2), reports):
+            replica.on_message(voter, P1b(ballot=replica.ballot, voter=voter, ok=True, accepted=accepted))
         assert replica.is_leader
-        assert replica.next_slot == 9
+        assert {msg.slot: msg.command for _, msg in ctx.sent_of_type(P2a)} == {1: chosen}
 
-        # Slots 1..7 are committed (and executed/pruned) on the voters: the
-        # new leader must not propose anything there...
-        proposed_slots = {msg.slot for _, msg in ctx.sent_of_type(P2a)}
-        assert proposed_slots == {8}
-        # ...but must fetch them from the voters that reported the frontier.
-        fills = ctx.sent_of_type(FillRequest)
-        assert {dst for dst, _ in fills} == {1, 2}
-        assert all(set(msg.slots) == set(range(1, 8)) for _, msg in fills)
-
-    def test_reported_commands_below_frontier_are_still_reproposed(self):
-        # A voter holds slot 5 accepted-but-unexecuted (so it IS in its
-        # promise) while the quorum frontier is 7.  Re-proposing the reported
-        # command is safe and keeps recovery live even if every replica that
-        # had slot 5 committed crashes before answering a fill.
-        replica, ctx = make_replica(node_id=3, leader=3)
+    def test_lagging_candidate_reproposes_every_reported_slot_above_its_frontier(self):
+        replica, ctx = make_replica(node_id=3, leader=0)
         replica.start()
-        for timer in list(ctx.pending_timers()):
-            if timer.delay == 0.0:
-                timer.fire()
-        ballot = replica.ballot
-        surviving = Command(op=OpType.PUT, key="s", value="survivor")
-        replica.on_message(1, P1b(
-            ballot=ballot, voter=1, ok=True,
-            accepted={5: (Ballot(1, 0), surviving)}, commit_upto=7,
-        ))
-        replica.on_message(2, P1b(ballot=ballot, voter=2, ok=True, commit_upto=7))
+        old = Ballot(1, 0)
+        for slot in (1, 2):
+            replica.on_message(0, P2a(ballot=old, slot=slot, command=Command(op=OpType.PUT, key="a"),
+                                      commit_upto=slot - 1))
+        replica.on_message(0, Heartbeat(ballot=old, commit_upto=2))
+        assert replica.commit_upto == 2
+        ctx.clear_sent()
+        campaign(replica, ctx)
+        assert {msg.commit_upto for _, msg in ctx.sent_of_type(P1a)} == {2}
+
+        third = Command(op=OpType.PUT, key="c")
+        fifth = Command(op=OpType.PUT, key="e")
+        replica.on_message(1, P1b(ballot=replica.ballot, voter=1, ok=True,
+                                  accepted={3: (old, third), 5: (old, fifth)}))
+        replica.on_message(2, P1b(ballot=replica.ballot, voter=2, ok=True))
         assert replica.is_leader
         proposed = {msg.slot: msg.command for _, msg in ctx.sent_of_type(P2a)}
-        assert 5 in proposed and proposed[5] is surviving
-        # The pruned slots are fetched, never filled with fresh no-ops.
-        assert set(proposed) == {5}
+        assert sorted(proposed) == [3, 4, 5]
+        assert proposed[3] is third and proposed[5] is fifth
+        assert isinstance(proposed[4], NoOp)
+        assert replica.next_slot == 6
+        assert ctx.sent_of_type(FillRequest) == []
 
-    def test_fill_reply_completes_the_recovered_prefix(self):
-        replica, ctx = make_replica(node_id=3, leader=3)
-        replica.start()
-        for timer in list(ctx.pending_timers()):
-            if timer.delay == 0.0:
-                timer.fire()
-        ballot = replica.ballot
-        replica.on_message(1, P1b(ballot=ballot, voter=1, ok=True, commit_upto=3))
-        replica.on_message(2, P1b(ballot=ballot, voter=2, ok=True, commit_upto=3))
-        assert replica.is_leader
+    def test_chosen_value_survives_when_its_holder_has_executed_it(self):
+        # Slot 1 was chosen at ballot 2.4: node 1 accepted, committed and
+        # executed it.  Node 2 still holds a stale value from ballot 1.0.
+        # Their two promises and the candidate's own are its quorum, so
+        # node 1's promise must report the executed slot, or the candidate
+        # re-proposes the stale value over the chosen one.
+        chosen = Command(op=OpType.PUT, key="x", value="chosen")
+        stale = Command(op=OpType.PUT, key="x", value="stale")
+        holder, holder_ctx = replica_that_executed(1, Ballot(2, 4), [chosen])
+        laggard, laggard_ctx = make_replica(node_id=2, leader=0)
+        laggard.on_message(0, P2a(ballot=Ballot(1, 0), slot=1, command=stale, commit_upto=0))
 
-        commands = {slot: Command(op=OpType.PUT, key=f"k{slot}", value=f"v{slot}") for slot in (1, 2, 3)}
-        entries = tuple((slot, Ballot(1, 0), commands[slot]) for slot in (1, 2, 3))
-        replica.on_message(1, FillReply(entries=entries))
-        assert replica.commit_upto == 3
-        assert replica.store.get("k3") == "v3"
-        assert replica.log.executed_count == 3
+        candidate, ctx = make_replica(node_id=3, leader=0)
+        candidate.start()
+        candidate.on_message(4, Heartbeat(ballot=Ballot(2, 4), commit_upto=0))
+        campaign(candidate, ctx)
+        p1a = ctx.sent_of_type(P1a)[0][1]
+        for voter, voter_ctx in ((holder, holder_ctx), (laggard, laggard_ctx)):
+            voter.on_message(3, p1a)
+            candidate.on_message(voter.node_id, voter_ctx.sent_of_type(P1b)[-1][1])
+        assert candidate.is_leader
+        p2a = next(msg for _, msg in ctx.sent_of_type(P2a) if msg.slot == 1)
+        assert p2a.command is chosen
+        holder.on_message(3, p2a)  # accepted: nothing overwrites the holder's committed slot
+        assert holder_ctx.sent_of_type(P2b)[-1][1].ok

@@ -31,6 +31,7 @@ from repro.scenarios import __main__ as cli
 from repro.scenarios.sweep import run_outcome
 from repro.sim.engine import Simulator
 from repro.statemachine import command as command_module
+from repro.statemachine.log import ReplicatedLog
 from repro.workload.spec import WorkloadSpec
 
 CANNED = sorted(all_scenarios())
@@ -208,6 +209,43 @@ class TestMutationsAreCaught:
             "slot_agreement": (1, _PINS["partition/count-early/slot_agreement"]),
         }
 
+    def test_promise_pruning_mutation_is_caught(self, monkeypatch):
+        """Promises that leave out executed entries let a new leader
+        re-propose a stale value over a chosen slot under fast leader
+        churn; the follower's log refuses the overwrite (the run aborts)."""
+        result = _run_mutated(
+            monkeypatch, "promise-prunes-executed", get_scenario("paxos-leader-churn-chosen-slot")
+        )
+        assert not result.ok
+        assert _verdicts(result) == {
+            "runtime": (1, _PINS["churn/prunes-executed/runtime"]),
+        }
+
+    def test_promise_pruning_mutation_is_caught_without_the_accept_guard(self, monkeypatch):
+        """Guards are not checkers: with ``ReplicatedLog.accept``'s refusal
+        to overwrite a committed slot patched out, the post-hoc log checks
+        and linearizability still catch the overwrite."""
+        original = ReplicatedLog.accept
+
+        def accept_over_committed(self, slot, ballot, command):
+            existing = self.by_slot.get(slot)
+            if existing is None or not existing.committed:
+                return original(self, slot, ballot, command)
+            existing.committed = False
+            entry = original(self, slot, ballot, command)
+            entry.committed = True
+            return entry
+
+        monkeypatch.setattr(ReplicatedLog, "accept", accept_over_committed)
+        result = _run_mutated(
+            monkeypatch, "promise-prunes-executed", get_scenario("paxos-leader-churn-chosen-slot")
+        )
+        assert _verdicts(result) == {
+            "linearizability": (1, _PINS["churn/prunes-executed/unguarded/linearizability"]),
+            "prefix_agreement": (7, _PINS["churn/prunes-executed/unguarded/prefix_agreement"]),
+            "slot_agreement": (335, _PINS["churn/prunes-executed/unguarded/slot_agreement"]),
+        }
+
     def test_epaxos_vote_dedup_mutation_is_caught(self, monkeypatch):
         """Re-seed the pre-fix bug: every delivered PreAccept/Accept reply
         counts as a fresh vote, so retransmissions prematurely satisfy the
@@ -278,7 +316,8 @@ class TestMutationsAreCaught:
 #: sha256 of each check's violation messages joined by newlines.  The EPaxos
 #: pins were recorded before the checkers were rewritten for fewer calls: the
 #: rewrite must report the same violations, word for word and in the same
-#: order.  The ``partition/`` pins are the Paxos-family mutations.
+#: order.  The ``partition/`` and ``churn/`` pins are the Paxos-family
+#: mutations.
 _PINS = {
     "torture/conflict_ordering":
         "8768c35de2f884988e0efd4477a79e1998520259dea9dd3ab554e6b2399d8101",
@@ -312,6 +351,14 @@ _PINS = {
         "cbf7cfc1872762ad1a274924e401c16e7f5d1c38b7d3f4629450dcbf3e483998",
     "partition/count-early/runtime":
         "f1fe2e32069e1c57c3bcfd2dda8bcccfd976770bd5b1cb8d8145e9d3a9cf2fa4",
+    "churn/prunes-executed/runtime":
+        "86c4bf6bf21186cdcffd4f173b99558d0496679fef14f3c55a1bfaad010401c7",
+    "churn/prunes-executed/unguarded/linearizability":
+        "a6c0d61d97037a7e5abd85484236d1e8846e8b733d875903bd6141eaaeee8964",
+    "churn/prunes-executed/unguarded/prefix_agreement":
+        "4794b980af237afbe9caee24373d8b41d181c1d91ab85f75547ddadb4b4dfd27",
+    "churn/prunes-executed/unguarded/slot_agreement":
+        "50e6e59094712338494d69ac5ad2047dd71fbd257e4e0641052382289599601f",
     "partition/count-early/slot_agreement":
         "a4e18afa54d7d75fc2a556c23a1ab167774347d16c9fec1d794b33b134d68288",
 }

@@ -147,13 +147,14 @@ class TestReplicatedLog:
         with pytest.raises(StateMachineError):
             log.accept(0, Ballot(1, 0), put())
 
-    def test_first_gap_and_uncommitted(self):
+    def test_sparse_log_keeps_its_gap(self):
         log = ReplicatedLog()
         ballot = Ballot(1, 0)
         log.accept(1, ballot, put("a"))
         log.accept(3, ballot, put("c"))
-        assert log.first_gap() == 2
-        assert log.uncommitted_slots() == [1, 3]
+        assert (len(log), log.max_slot) == (2, 3)
+        assert 2 not in log and log.get(2) is None
+        assert not log.is_committed(1) and not log.is_committed(3)
 
     def test_committed_prefix_uids_stops_at_gap(self):
         log = ReplicatedLog()
