@@ -21,13 +21,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
-from _common import RESULTS_DIR, comparison_table, report
+from repro.bench.plots import format_table
 from repro.scenarios import ScenarioResult, all_scenarios, run_scenario
 from repro.scenarios.library import EPAXOS_CHECK_NAMES
 from repro.scenarios.spec import Scenario
 from repro.sim.metrics import bottleneck_node, sent_by_kind, shard_summary
 from repro.workload.spec import WorkloadSpec
 
+RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_scenarios.json"
 
 
@@ -79,12 +80,15 @@ def run_section(section: Section) -> List[dict]:
 
 def table(section: Section, records: Sequence[dict]) -> List[str]:
     rows = [tuple(show(r) if callable(show) else r[show] for _, show in section.columns) for r in records]
-    return comparison_table([header for header, _ in section.columns], rows)
+    return format_table([header for header, _ in section.columns], rows).splitlines()
 
 
 def write_section(section: Section, records: List[dict]) -> None:
-    """Write the report table and merge the records into BENCH_scenarios.json."""
-    report(section.report_name, section.title, table(section, records))
+    """Write (and print) the report table and merge the records into BENCH_scenarios.json."""
+    body = "\n".join([f"# {section.title}", *table(section, records), ""])
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    (RESULTS_DIR / f"{section.report_name}.txt").write_text(body, encoding="utf-8")
+    print(body)
     try:
         data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
     except (FileNotFoundError, json.JSONDecodeError):  # first run, or a torn earlier write

@@ -140,7 +140,7 @@ CLASS_NAME_RE = re.compile(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\.([A-Za-z_
 #: The builtin and stdlib names the markdown may cite.
 STDLIB_NAMES = frozenset({"AttributeError", "None", "OrderedDict", "Counter.update"})
 #: Where the classes the markdown may name are defined.
-CLASS_ROOTS = ("src/repro", "tests")
+CLASS_ROOTS = ("src/repro", "tests", "benchmarks")
 
 
 def defined_classes() -> dict[str, tuple[set[str], set[str]]]:
@@ -198,7 +198,8 @@ def unknown_class_names(text: str, classes) -> list[str]:
         if cited in STDLIB_NAMES:
             continue
         if name not in classes:
-            problems.append(f"names `{cited}`, but no class {name} is defined under src/repro or tests")
+            problems.append(f"names `{cited}`, but no class {name} is defined under "
+                            f"{', '.join(CLASS_ROOTS)}")
         elif attribute and not _has_attribute(classes, name, attribute):
             problems.append(f"names `{cited}`, but class {name} has no attribute {attribute}")
     return problems

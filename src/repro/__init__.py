@@ -18,7 +18,7 @@ Demirbas, SIGMOD 2021).  It contains:
   key-value store and quorum systems.
 * ``repro.workload`` -- the Paxi-style load: closed-loop clients and key
   distributions.
-* ``repro.bench`` -- result records and table/chart formatters only; it
+* ``repro.bench`` -- the result record and the table formatter only; it
   builds and runs nothing.
 * ``repro.analysis`` -- the paper's analytical message-load model
   (Tables 1 and 2, Section 6).

@@ -1,16 +1,12 @@
 """Text rendering of benchmark results.
 
 The benchmark harness runs in a terminal/CI environment with no plotting
-dependencies, so figures are rendered as ASCII charts and aligned tables.
-Every ``benchmarks/bench_fig*.py`` module prints the same series the paper
-plots, so a reader can compare shapes directly.
+dependencies, so results are rendered as aligned plain-text tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
-Series = Sequence[Tuple[float, float]]
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -36,47 +32,3 @@ def _fmt(value: object) -> str:
             return f"{value:.2f}"
         return f"{value:.4f}"
     return str(value)
-
-
-def ascii_chart(
-    series_by_label: Dict[str, Series],
-    width: int = 70,
-    height: int = 18,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """Scatter several series onto a shared-axis ASCII chart."""
-    markers = "*o+x#@%&"
-    points = [
-        (x, y, markers[index % len(markers)])
-        for index, (label, series) in enumerate(series_by_label.items())
-        for x, y in series
-    ]
-    if not points:
-        return "(no data)"
-
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    x_span = (x_max - x_min) or 1.0
-    y_span = (y_max - y_min) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for x, y, marker in points:
-        col = int((x - x_min) / x_span * (width - 1))
-        row = height - 1 - int((y - y_min) / y_span * (height - 1))
-        grid[row][col] = marker
-
-    lines = []
-    lines.append(f"{y_label} (top={_fmt(y_max)}, bottom={_fmt(y_min)})")
-    for row in grid:
-        lines.append("|" + "".join(row))
-    lines.append("+" + "-" * width)
-    lines.append(f" {x_label}: {_fmt(x_min)} .. {_fmt(x_max)}")
-    legend = "  ".join(
-        f"{markers[index % len(markers)]}={label}"
-        for index, label in enumerate(series_by_label)
-    )
-    lines.append(" legend: " + legend)
-    return "\n".join(lines)

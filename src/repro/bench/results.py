@@ -1,15 +1,14 @@
 """Benchmark result records.
 
 ``RunResult`` summarizes one cluster run at one load level (it is what
-:meth:`repro.scenarios.ScenarioResult.stats` fills); ``SweepResult`` collects
-the runs of a client-count sweep and exposes the latency/throughput series
-plotted in the paper's figures.
+:meth:`repro.scenarios.ScenarioResult.stats` fills); a client-count sweep is
+a list of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -62,49 +61,3 @@ class RunResult:
             f"tput={self.throughput:9.1f} req/s  lat(mean/p50/p99)="
             f"{self.latency_mean_ms:6.2f}/{self.latency_p50 * 1000:6.2f}/{self.latency_p99_ms:6.2f} ms"
         )
-
-
-@dataclass
-class SweepResult:
-    """Results of varying the offered load (number of closed-loop clients)."""
-
-    label: str
-    runs: List[RunResult] = field(default_factory=list)
-
-    def add(self, run: RunResult) -> None:
-        self.runs.append(run)
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __iter__(self):
-        return iter(self.runs)
-
-    # ------------------------------------------------------------------ series
-    def latency_throughput_series(self, percentile: str = "mean") -> List[Tuple[float, float]]:
-        """(throughput, latency_ms) points, in the order the sweep was run."""
-        series = []
-        for run in self.runs:
-            if percentile == "mean":
-                latency = run.latency_mean
-            elif percentile == "p50":
-                latency = run.latency_p50
-            elif percentile == "p99":
-                latency = run.latency_p99
-            else:
-                raise ValueError(f"unknown percentile {percentile!r}")
-            series.append((run.throughput, latency * 1000.0))
-        return series
-
-    def max_throughput(self) -> float:
-        return max((run.throughput for run in self.runs), default=0.0)
-
-    def best_run(self) -> Optional[RunResult]:
-        if not self.runs:
-            return None
-        return max(self.runs, key=lambda run: run.throughput)
-
-    def summary(self) -> str:
-        lines = [f"== {self.label} =="]
-        lines.extend(run.row() for run in self.runs)
-        return "\n".join(lines)

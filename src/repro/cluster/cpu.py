@@ -2,12 +2,13 @@
 
 The simulator's stand-in for the paper's m5a.large instances.  A node is a
 single-server queue; the costs below are the service times of the work items
-that queue on it.  The defaults were calibrated so that the simulated
-25-node Multi-Paxos cluster saturates around the ~2,000 req/s the paper
-reports (``benchmarks/bench_fig8_latency_throughput_25.py`` checks the
-shape) and the leader's per-request cost is dominated by the 2(N-1)
-messages it exchanges -- the exact bottleneck structure of the paper's
-analytical model (Section 6.1).
+that queue on it.  The defaults were calibrated against the ~2,000 req/s
+at which the paper's 25-node Multi-Paxos cluster saturates; the simulated
+one peaks at 2,893 req/s at 300 clients (cell ``fig8-paxos-c300`` of
+``benchmarks/results/SCORECARD.md``, read by row ``fig8.pig-over-paxos``).
+The leader's per-request cost is dominated by the 2(N-1) messages it
+exchanges -- the exact bottleneck structure of the paper's analytical
+model (Section 6.1).
 
 ``epaxos_bookkeeping_cost`` deserves a note: a pure message-count model makes
 EPaxos look artificially good because its messages are spread over all nodes.

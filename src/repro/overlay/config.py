@@ -49,8 +49,10 @@ class OverlayConfig:
             region map is available (the WAN deployment of Figure 9).
         relay_timeout: How long a relay waits for its subtree before
             flushing a partial aggregate.
-        group_response_threshold: Optional fraction of a group a relay
-            waits for before flushing early (Section 4.2); ``None`` waits
+        group_response_threshold: Optional fraction of its children a
+            relay waits for before flushing early (Section 4.2), rounded
+            up: ``max(1, ceil(threshold * children))``.  With 2 or 3
+            children, 0.75 rounds up to the whole group.  ``None`` waits
             for the whole group.
         relay_levels: Relay-tree depth (1 = the paper's single layer).
         fixed_relays: Disable per-round relay rotation (ablation).

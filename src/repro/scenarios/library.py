@@ -205,8 +205,8 @@ def _scenarios() -> List[Scenario]:
             duration=1.8,
             seed=29,
             checks=PAXOS_CHECK_NAMES + ("progress",),
-            min_completed=1300,  # seed completes 3943
-            config_overrides={"group_response_threshold": 0.75},
+            min_completed=1300,  # seed completes 4074
+            config_overrides={"group_response_threshold": 0.5},
             events=tuple(
                 E.reshuffle_relays(round(0.2 * step, 3)) for step in range(1, 8)
             ),

@@ -1,20 +1,35 @@
-"""Tests for the measurement side of the harness: result records, plots, and
-``ScenarioResult.stats()`` -- the one place completions become numbers."""
+"""Tests for the measurement side of the harness: result records, tables,
+``ScenarioResult.stats()`` -- the one place completions become numbers -- and
+the paper scorecard's scoring (``benchmarks/paper.py``)."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro import Scenario, WorkloadSpec, run_scenario
-from repro.bench.plots import ascii_chart, format_table
-from repro.bench.results import RunResult, SweepResult
+from repro.bench.plots import format_table
+from repro.bench.results import RunResult
 from repro.errors import ConfigurationError
 from repro.scenarios import ScenarioEvent
 from repro.sim.metrics import Histogram
+
+
+def _load_paper():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "paper.py"
+    spec = importlib.util.spec_from_file_location("paper", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+paper = _load_paper()
 
 
 def _result(throughput: float, latency: float = 0.002, clients: int = 10) -> RunResult:
@@ -41,22 +56,6 @@ class TestResults:
         assert data["throughput"] == 1000.0
         assert data["latency_p99_ms"] == pytest.approx(4.0)
         json.dumps(data)  # JSON-serialisable
-
-    def test_sweep_series_and_max(self):
-        sweep = SweepResult(label="test")
-        for throughput, latency in [(100, 0.001), (500, 0.002), (480, 0.01)]:
-            sweep.add(_result(throughput, latency))
-        assert sweep.max_throughput() == 500
-        assert sweep.best_run().throughput == 500
-        series = sweep.latency_throughput_series()
-        assert series[0] == (100, 1.0)
-        assert len(series) == 3
-
-    def test_unknown_percentile_rejected(self):
-        sweep = SweepResult(label="test")
-        sweep.add(_result(100))
-        with pytest.raises(ValueError):
-            sweep.latency_throughput_series(percentile="p75")
 
 
 TINY = Scenario(
@@ -147,13 +146,12 @@ class TestStats:
         assert result.stats(start=0.1).completed_requests > 0  # majority still alive
 
     def test_client_sweep_is_a_replace_loop(self):
-        sweep = SweepResult(label="paxos n=3")
-        for clients in (1, 8):
-            scenario = replace(TINY, duration=0.3, num_clients=clients)
-            sweep.add(run_scenario(scenario).stats(start=0.1))
+        sweep = [
+            run_scenario(replace(TINY, duration=0.3, num_clients=clients)).stats(start=0.1)
+            for clients in (1, 8)
+        ]
         assert [run.num_clients for run in sweep] == [1, 8]
-        assert sweep.runs[1].throughput > sweep.runs[0].throughput
-        assert sweep.best_run().throughput == sweep.max_throughput()
+        assert sweep[1].throughput > sweep[0].throughput
 
     def test_equivalence_pin_with_the_deleted_bench_harness(self):
         """9-node PigPaxos r=2, paper workload, seed 42: numbers recorded from
@@ -182,11 +180,64 @@ class TestPlots:
         assert len(lines) == 4
         assert "paxos" in lines[2] and "pigpaxos" in lines[3]
 
-    def test_ascii_chart_renders_series(self):
-        chart = ascii_chart({"paxos": [(0, 1), (10, 2)], "pig": [(0, 1.5), (10, 1.6)]},
-                            width=20, height=5)
-        assert "legend" in chart
-        assert "*" in chart and "o" in chart
 
-    def test_ascii_chart_empty(self):
-        assert ascii_chart({}) == "(no data)"
+def _reading(violations: int = 0):
+    window = _result(1000.0)
+    return paper.Reading(window=window, completed=800, counters={}, rates=[], violations=violations)
+
+
+HELD = paper.Claim("held", "Table 1", "Ml, N=25, r=2", "6", lambda _: 6.0, paper.Bound("±", 6),
+                   "exact")
+
+
+class TestScorecard:
+    def test_a_breached_bound_fails_its_row_and_the_exit_code(self, tmp_path):
+        assert paper.run([HELD], tmp_path) == 0
+        breached = replace(HELD, id="breached", bound=paper.Bound(">", 6))
+        assert paper.run([HELD, breached], tmp_path) == 1
+        rows = json.loads((tmp_path / "SCORECARD.json").read_text(encoding="utf-8"))["rows"]
+        assert [(row["id"], row["pass"], row["margin"]) for row in rows] == [
+            ("held", True, 0.0), ("breached", False, 0.0)]
+        card = (tmp_path / "SCORECARD.md").read_text(encoding="utf-8")
+        assert "1 of 2 rows pass." in card
+        assert "| breached | Table 1 | Ml, N=25, r=2 | 6 | 6 | > 6 | +0 | **FAIL** |" in card
+
+    def test_a_cell_with_violations_fails_a_row_its_bound_holds(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paper, "read", lambda scenario: _reading(violations=3))
+        claim = replace(HELD, metric=lambda s: s["run"][0].window.throughput,
+                        bound=paper.Bound(">", 0.0), cells={"run": (TINY,)})
+        assert paper.run([claim], tmp_path) == 1
+        assert "| 1000 | > 0 | +1e+03 | **FAIL** (3 violations) |" in (
+            tmp_path / "SCORECARD.md").read_text(encoding="utf-8")
+
+    def test_a_cell_read_by_several_rows_runs_once(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(paper, "read", lambda scenario: reads.append(scenario) or _reading())
+        claim = replace(HELD, metric=lambda s: 1.0, cells={"run": (TINY,)})
+        rows, readings = paper.score([claim, replace(claim, id="again")])
+        assert reads == [TINY] and list(readings) == [TINY.name]
+        assert [row["cells"] for row in rows] == [[TINY.name], [TINY.name]]
+
+    @pytest.mark.parametrize("bound, inside, outside", [
+        (paper.Bound(">", 1.0), 1.5, 1.0),
+        (paper.Bound(">=", 1.0), 1.0, 0.5),
+        (paper.Bound("<", 1.0), 0.5, 1.0),
+        (paper.Bound("<=", 1.0), 1.0, 1.5),
+        (paper.Bound("±", 3.0, 0.5), 3.5, 3.6),
+        (paper.Bound("±", 3.0), 3.0, math.nan),
+    ])
+    def test_bounds(self, bound, inside, outside):
+        assert bound.holds(inside) and bound.margin(inside) >= 0
+        assert not bound.holds(outside)
+
+    def test_unknown_bound_op_rejected(self):
+        with pytest.raises(ValueError):
+            paper.Bound("~", 1.0)
+
+    def test_every_cell_name_names_one_scenario(self):
+        by_name = {}
+        for claim in paper.CLAIMS:
+            for scenarios in claim.cells.values():
+                for scenario in scenarios:
+                    assert by_name.setdefault(scenario.name, scenario) == scenario
+        assert len({claim.id for claim in paper.CLAIMS}) == len(paper.CLAIMS)

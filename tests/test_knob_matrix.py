@@ -310,7 +310,7 @@ class TestResolverNeverMutatesItsInput:
         # Reshuffle events: the runner must find the leader's relay plan either way.
         (
             "pig-relay-churn",
-            {"overlay": {"kind": "relay", "num_groups": 3, "group_response_threshold": 0.75}},
+            {"overlay": {"kind": "relay", "num_groups": 3, "group_response_threshold": 0.5}},
         ),
     ],
 )

@@ -17,6 +17,7 @@ from helpers import library_run
 from repro.cluster.builder import build_cluster
 from repro.errors import ConfigurationError
 from repro.fuzz.mutations import apply_mutation
+from repro.lint.counters import REPLICA_COUNTERS
 from repro.scenarios import (
     Scenario,
     ScenarioEvent,
@@ -35,6 +36,32 @@ from repro.statemachine.log import ReplicatedLog
 from repro.workload.spec import WorkloadSpec
 
 CANNED = sorted(all_scenarios())
+
+#: Replica counters are recorded as ``<protocol>.<name>``.
+REPLICA_PREFIXES = ("paxos.", "pigpaxos.", "epaxos.")
+
+#: The ``REPLICA_COUNTERS`` no library run moves, and why.  A counter that
+#: starts moving, or stops, fails the test until this table says so.
+NEVER_MOVED = {
+    "conflicting_commit_overwrites_refused":
+        "EPaxos refusing a second, different commit of one instance; only a bug sends one",
+    "duplicate_prepare_replies":
+        "a second PrepareReply from one voter; no run duplicates messages mid-recovery",
+    "late_aggregates_dropped":
+        "an aggregate for a round neither open nor rooted here; no library timing makes one",
+    "orphaned_batch_replies_suppressed":
+        "a batch a recovery decided as a no-op; no batched EPaxos run recovers one",
+    "preaccept_replies_rejected":
+        "a nack or stray-ballot PreAcceptReply; no recovery starts while a leader pre-accepts",
+    "recoveries_fast_path_disproved":
+        "recovery proving a fast path never fired; no crash splits two conflicting quorums",
+    "recoveries_noop":
+        "recovery finding no replica that holds the command; no run loses every copy",
+    "recovery_noop_commits":
+        "the commit of such a no-op; follows recoveries_noop",
+    "unknown_message":
+        "a message type with no handler; every wired type has one",
+}
 
 
 class TestCannedScenarios:
@@ -72,6 +99,20 @@ class TestCannedScenarios:
 
     def test_relay_churn_scenario_reshuffles(self):
         assert library_run("pig-relay-churn").counters.get("pigpaxos.group_reshuffles", 0) >= 1
+
+    def test_relay_churn_scenario_flushes_early(self):
+        # A relay flushes after ceil(threshold x children) answers; the late
+        # ones are forwarded on.  None are forwarded if the threshold rounds
+        # up to the whole group.
+        counters = library_run("pig-relay-churn").counters
+        assert counters.get("pigpaxos.late_responses_forwarded", 0) > 0
+
+    def test_only_allowlisted_replica_counters_never_move(self):
+        moved = set()
+        for name in CANNED:
+            moved.update(key.split(".", 1)[1] for key, value in library_run(name).counters.items()
+                         if value and key.startswith(REPLICA_PREFIXES))
+        assert sorted(REPLICA_COUNTERS - moved) == sorted(NEVER_MOVED)
 
     def test_timeout_storm_exercises_relay_timeouts(self):
         counters = library_run("pig-relay-timeout-storm").counters
