@@ -119,7 +119,7 @@ class SimNode:
         # operation order identical so times stay bit-for-bit reproducible.
         cost = (self._send_per_message + self._per_byte * size) * self._sluggish_factor
         sim = self._sim
-        now = sim._now
+        now = sim.now
         busy = self._busy_until
         ready_at = (now if now > busy else busy) + cost
         self._busy_until = ready_at
@@ -151,7 +151,7 @@ class SimNode:
             cost += self._client_request_extra
         cost *= self._sluggish_factor
         sim = self._sim
-        now = sim._now
+        now = sim.now
         busy = self._busy_until
         ready_at = (now if now > busy else busy) + cost
         self._busy_until = ready_at
@@ -186,7 +186,7 @@ class SimNode:
     def _reserve(self, cost: float) -> None:
         """Reserve ``cost`` seconds on the node's CPU (single-server queue)."""
         cost *= self._sluggish_factor
-        now = self._sim._now
+        now = self._sim.now
         busy = self._busy_until
         self._busy_until = (now if now > busy else busy) + cost
         self._busy_time_total += cost
@@ -304,6 +304,9 @@ class ShardReplicaHost:
         self.all_nodes: Sequence[int] = list(members)
         self.rng: random.Random = self._sim.random.stream(f"node-{self.endpoint_id}")
         self.metrics: MetricsRegistry = self._sim.metrics
+        # The replica's clock (Replica.bind): the simulator, whose ``now``
+        # is a plain attribute, so a hot-path clock read is not a call.
+        self.clock = self._sim
         # The machine's charged send/receive, under this shard's endpoint id
         # and dispatching through this shard's replica's handler table (built
         # by bind); every other CPU charge is the machine's own method.
@@ -319,7 +322,7 @@ class ShardReplicaHost:
     # ------------------------------------------------------------------ NodeContext API
     @property
     def now(self) -> float:
-        return self._sim._now
+        return self._sim.now
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> TimerLike:
         """A replica timer, owned by the machine: its crash cancels it."""

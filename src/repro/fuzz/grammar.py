@@ -121,7 +121,9 @@ def generate_scenario(seed: int, profile: FuzzProfile = DEFAULT_PROFILE) -> Scen
         if rng.random() < 0.25:
             config_overrides["relay_timeout"] = rng.choice((0.02, 0.1))
         if rng.random() < 0.25:
-            config_overrides["group_response_threshold"] = rng.choice((0.5, 0.75))
+            # Both flush early even on a relay with 2 or 3 children, where
+            # any value above 1/2 or 2/3 rounds up to the whole group.
+            config_overrides["group_response_threshold"] = rng.choice((0.5, 0.3))
     else:
         overlay = _sample_overlay(rng, protocol, num_nodes, wan)
         if overlay is not None:

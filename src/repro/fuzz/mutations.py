@@ -45,8 +45,9 @@ paper's own protocol; each must trip the log checkers on a leader-minority
 partition (``tests/test_scenarios.py`` pins both on
 ``pig-partition-leader-minority``):
 
-* ``vote-count-early`` -- ``VoteTracker.ack`` reports the quorum one vote
-  early, so phase 1 and phase 2 both complete a vote short.
+* ``vote-count-early`` -- ``VoteTracker.ack`` and ``VoteTracker.ack_all``
+  (the relay root's per-aggregate count) report the quorum one vote early,
+  so phase 1 and phase 2 both complete a vote short.
 * ``phase2-quorum-one`` -- ``MajorityQuorum.phase2_size`` is 1: a leader
   commits on its own vote alone.
 
@@ -112,8 +113,9 @@ def _noop_every_recovery(self, recovery, msg):
 
 
 def _make_early_ack(original):
-    def ack_one_vote_early(self, voter):
-        original(self, voter)
+    # Wraps ``ack(voter)`` and ``ack_all(voters)`` alike.
+    def ack_one_vote_early(self, votes):
+        original(self, votes)
         return len(self._acks) >= self.required - 1
 
     return ack_one_vote_early
@@ -247,7 +249,8 @@ def _promise_prunes_executed() -> Iterator[None]:
 def _vote_count_early() -> Iterator[None]:
     from repro.quorum.tracker import VoteTracker
 
-    with _patched(VoteTracker, "ack", _make_early_ack):
+    with (_patched(VoteTracker, "ack", _make_early_ack),
+          _patched(VoteTracker, "ack_all", _make_early_ack)):
         yield
 
 

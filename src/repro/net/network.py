@@ -134,7 +134,7 @@ class SimNetwork:
         except KeyError:
             arrive, locality, base, low, width, stddev, floor = self._resolve_link(src, dst)
         sim = self._sim
-        now = sim._now
+        now = sim.now
         if size is None:
             size = self._size_model.size_of(message)
         self._sent_counter.value += 1

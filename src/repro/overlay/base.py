@@ -12,8 +12,9 @@ special case.
 The overlay talks back to its hosting replica through the narrow
 :class:`OverlayHost` surface: sending, scheduling, the host's relayed-message
 table (a wrapped inner message applied as a follower, the response returned
-instead of sent), and the host's dispatch table, through which unwrapped
-responses re-enter ordinary message handling.
+instead of sent), its vote table, through which a fan-out root hands over
+the votes of one aggregate in one call, and its dispatch table for the
+overlay's own wire types.
 
 Example (unit-style, with the test FakeContext stand-in)::
 
@@ -53,8 +54,9 @@ class OverlayHost(Protocol):
     node context (send/schedule/rng/metrics),
     ``relayed[type(inner)](src, inner)`` applies a relayed inner message
     locally and *returns* the response (or None) so a relay can aggregate
-    it, and ``handlers[type(response)](src, response)`` feeds an unwrapped
-    response into the replica's ordinary dispatch.
+    it, and ``votes[type(responses[0])](src, responses)`` feeds the votes
+    of one aggregate to the replica: one call per aggregate, which by
+    default dispatches each vote through ``handlers``.
     """
 
     protocol_name: str
@@ -62,6 +64,7 @@ class OverlayHost(Protocol):
     node_id: int
     handlers: Mapping[type, Callable[[int, Any], None]]
     relayed: Mapping[type, Callable[[int, Message], Optional[Message]]]
+    votes: Mapping[type, Callable[[int, Tuple[Any, ...]], None]]
     peers: Tuple[int, ...]
 
     def send(self, dst: int, message: Any) -> None: ...

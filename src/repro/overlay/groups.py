@@ -9,6 +9,14 @@ the optional multi-level nesting of Section 6.3) and dynamic reshuffling
 (Section 4.1).  :class:`~repro.overlay.relay.RelayFanout` drives it for both
 protocol families.
 
+A round's work is one draw per relay.  Each plan sets up, once, a pool per
+group (and per zone, for each relay that can be excluded from it) holding
+the member list, its size and the size's ``bit_length()``; a round draws
+each relay with the ``getrandbits`` rejection loop that ``rng.choice``
+runs, inlined, so the draws, the trees and the RNG state are exactly those
+of ``rng.choice``.  What a drawn index yields is memoised in its pool, so a
+relay's one-level subtree is built once per plan, not once per round.
+
 Hierarchical topologies (region -> zone -> node) get a topology-aware plan:
 :class:`HierarchicalGroupPlan` keeps one group per region (the one-level
 special case is exactly :func:`region_groups`) and, at ``relay_levels > 1``,
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.overlay.messages import RelaySubtree
@@ -98,6 +106,9 @@ class RelayGroupPlan:
         self._leaves: Dict[int, RelaySubtree] = {
             member: RelaySubtree(node_id=member) for member in sorted(seen)
         }
+        #: ``levels`` -> one :class:`_RelayPool` per group, set up by the
+        #: first round built at that depth.
+        self._pools: Dict[int, Tuple[_RelayPool, ...]] = {}
 
     @property
     def num_groups(self) -> int:
@@ -133,30 +144,96 @@ class RelayGroupPlan:
         fixed_relays: bool = False,
     ) -> List[RelaySubtree]:
         """Build one relay tree per group for a single round."""
-        return [
-            self._build_group_tree(group, rng, levels, fixed_relays) for group in self.groups
-        ]
+        pools = self._pools
+        if levels in pools:
+            group_pools = pools[levels]
+        else:
+            group_pools = pools[levels] = self._group_pools(levels)
+        return self._draw(group_pools, rng.getrandbits, fixed_relays)
 
-    def _build_group_tree(
+    def _group_pools(self, levels: int) -> Tuple[_RelayPool, ...]:
+        return tuple([_RelayPool(group, levels) for group in self.groups])
+
+    def _draw(
         self,
-        members: List[int],
-        rng: random.Random,
-        levels: int,
+        pools: Tuple[_RelayPool, ...],
+        getrandbits: Callable[[int], int],
         fixed_relays: bool,
-    ) -> RelaySubtree:
-        relay = members[0] if fixed_relays else rng.choice(members)
-        rest = [member for member in members if member != relay]
-        if levels <= 1 or len(rest) <= 1:
+    ) -> List[RelaySubtree]:
+        """One relay per pool, in order, and the tree below each.
+
+        A relay is the pool's first member when relays are fixed, else a
+        draw of ``Random.choice``'s own ``getrandbits`` rejection loop
+        (CPython's ``_randbelow_with_getrandbits``), inlined: the same
+        draws, so the same trees and RNG state, as ``rng.choice(members)``.
+        Sub-relays are drawn depth first, as the recursion always drew them.
+        """
+        trees = []
+        for pool in pools:
+            index = 0
+            if not fixed_relays:
+                n = pool.n
+                k = pool.k
+                index = getrandbits(k)
+                while index >= n:
+                    index = getrandbits(k)
+            drawn = pool.drawn
+            if index in drawn:
+                tree = drawn[index]
+            else:
+                tree = drawn[index] = self._expand(pool, index)
+            if pool.nested:
+                tree = RelaySubtree(
+                    pool.members[index], tuple(self._draw(tree, getrandbits, fixed_relays))
+                )
+            # ``+=``, not ``append``: adding a tree costs no call.
+            trees += (tree,)
+        return trees
+
+    def _expand(self, pool: _RelayPool, index: int) -> Any:
+        """What drawing ``pool.members[index]`` yields, computed once per plan.
+
+        A relay that nests sub-relays yields the pools they are drawn from:
+        the rest of its members split into about ``sqrt`` contiguous
+        sub-groups, one level down.  Any other relay yields its whole
+        subtree, the rest of its members as leaves.
+        """
+        relay = pool.members[index]
+        rest = [member for member in pool.members if member != relay]
+        if not pool.nested:
             leaves = self._leaves
             return RelaySubtree(node_id=relay, children=tuple([leaves[member] for member in rest]))
-        # Multi-level: split the remainder into sub-groups, one sub-relay each.
         num_subgroups = max(1, int(round(len(rest) ** 0.5)))
-        subgroups = contiguous_groups(rest, num_subgroups)
-        children = tuple(
-            self._build_group_tree(subgroup, rng, levels - 1, fixed_relays)
-            for subgroup in subgroups
-        )
-        return RelaySubtree(node_id=relay, children=children)
+        return tuple([
+            _RelayPool(subgroup, pool.levels - 1)
+            for subgroup in contiguous_groups(rest, num_subgroups)
+        ])
+
+
+class _RelayPool:
+    """The members one relay is drawn from, set up once per plan.
+
+    ``n`` is the member count and ``k`` its ``bit_length()``, the two
+    numbers a draw needs.  ``drawn`` memoises, by drawn index, what that
+    relay yields (:meth:`RelayGroupPlan._expand`): its subtree, or -- when
+    it ``nested`` sub-relays -- the pools they are drawn from.  A new plan
+    (a reshuffle, ``set_plan``) has new pools, so nothing outlives its plan.
+    """
+
+    __slots__ = ("members", "n", "k", "levels", "nested", "zones", "drawn")
+
+    def __init__(self, members: List[int], levels: int, zones: Optional[list] = None) -> None:
+        self.members = members
+        self.n = n = len(members)
+        self.k = n.bit_length()
+        self.levels = levels
+        #: A region group's zones as ``(members, {excluded relay or None:
+        #: pool})`` pairs (:class:`HierarchicalGroupPlan`); None otherwise.
+        self.zones = zones
+        # A relay nests sub-relays while levels remain and more than one
+        # other member is left; a region relay always nests its zone relays.
+        self.nested = zones is not None or (levels > 1 and n > 2)
+        self.drawn: Dict[int, Any] = {}
 
 
 @dataclass
@@ -229,26 +306,35 @@ class HierarchicalGroupPlan(RelayGroupPlan):
             new_groups.append([m for zone in shuffled_partition for m in zone])
         return HierarchicalGroupPlan(groups=new_groups, zones=new_zones)
 
-    def build_trees(
-        self,
-        rng: random.Random,
-        levels: int = 1,
-        fixed_relays: bool = False,
-    ) -> List[RelaySubtree]:
+    def _group_pools(self, levels: int) -> Tuple[_RelayPool, ...]:
         if levels <= 1:
-            # One-level trees are zone-blind; the base builder draws the
-            # same relays a plain region plan would.
-            return super().build_trees(rng, levels, fixed_relays)
-        trees: List[RelaySubtree] = []
-        for group, zone_partition in zip(self.groups, self.zones):
-            relay = group[0] if fixed_relays else rng.choice(group)
-            children: List[RelaySubtree] = []
-            for zone_members in zone_partition:
-                rest = [n for n in zone_members if n != relay]
-                if not rest:
-                    continue
-                children.append(
-                    self._build_group_tree(rest, rng, levels - 1, fixed_relays)
+            # One-level trees are zone-blind: the same pools, so the same
+            # relays, as a plain region plan.
+            return super()._group_pools(levels)
+        return tuple([
+            _RelayPool(group, levels, zones=[(zone, {}) for zone in partition])
+            for group, partition in zip(self.groups, self.zones)
+        ])
+
+    def _expand(self, pool: _RelayPool, index: int) -> Any:
+        """A region relay nests one sub-relay per zone it leaves non-empty.
+
+        Each zone's pool is set up once for each relay that can be excluded
+        from it (``None`` when the region relay is outside the zone).
+        """
+        if pool.zones is None:
+            return super()._expand(pool, index)
+        relay = pool.members[index]
+        children = []
+        for zone, by_excluded in pool.zones:
+            excluded = relay if relay in zone else None
+            if excluded in by_excluded:
+                zone_pool = by_excluded[excluded]
+            else:
+                rest = [member for member in zone if member != relay]
+                zone_pool = by_excluded[excluded] = (
+                    _RelayPool(rest, pool.levels - 1) if rest else None
                 )
-            trees.append(RelaySubtree(node_id=relay, children=tuple(children)))
-        return trees
+            if zone_pool is not None:
+                children.append(zone_pool)
+        return tuple(children)

@@ -428,13 +428,13 @@ class RelayFanout(FanoutOverlay):
                 self.host.count("late_aggregates_dropped")
             return
 
-        if msg.responses:
+        responses = msg.responses
+        if responses:
             # No session was ever open for this id: we are the top of the
-            # tree (the round's fan-out root).  Unwrap and feed each vote
-            # into the host's ordinary dispatch; stale votes are ignored there.
-            handlers = self.host.handlers
-            for response in msg.responses:
-                handlers[type(response)](src, response)
+            # tree (the round's fan-out root).  The votes answer one relayed
+            # message, so they share a type: hand the whole tuple to the
+            # host's vote table in one call; stale votes are ignored there.
+            self.host.votes[type(responses[0])](src, responses)
         else:
             self.host.count("late_aggregates_dropped")
 

@@ -122,7 +122,7 @@ class MultiPaxosReplica(Replica):
         self._election_timeout = rng.uniform(
             self.config.election_timeout_min, self.config.election_timeout_max
         )
-        self._last_leader_contact = self.ctx.now
+        self._last_leader_contact = self.clock.now
         if self.config.initial_leader is not None and self.node_id == self.config.initial_leader:
             self.ctx.schedule(0.0, self._start_phase1)
         self.ctx.schedule(self._election_timeout, self._check_leader_liveness)
@@ -148,6 +148,9 @@ class MultiPaxosReplica(Replica):
             P1a: self._process_p1a,
             Heartbeat: self._on_heartbeat,
         }
+
+    def _vote_handlers(self) -> Dict[type, Any]:
+        return {P2b: self._on_p2b_aggregate}
 
     # ------------------------------------------------------------------ phase 1
     def _start_phase1(self) -> None:
@@ -343,7 +346,7 @@ class MultiPaxosReplica(Replica):
         ballot = msg.ballot
         if ballot >= self.promised:
             self.promised = ballot
-            self._last_leader_contact = self.ctx.now
+            self._last_leader_contact = self.clock.now
             if ballot.node_id != self.node_id:
                 self.leader_id = ballot.node_id
                 if self.is_leader and ballot > self.ballot:
@@ -375,6 +378,41 @@ class MultiPaxosReplica(Replica):
         if proposal.committed:
             return
         if proposal.tracker.ack(msg.voter):
+            self._commit_slot(slot)
+
+    def _on_p2b_aggregate(self, src: int, votes: Tuple[P2b, ...]) -> None:
+        """The votes of one relay aggregate: :meth:`_on_p2b` on each, counted at once.
+
+        An aggregate answers one P2a, so every vote in it is for one slot.
+        The ok votes of this leader's ballot go to the slot's tracker in one
+        :meth:`VoteTracker.ack_all`, and the slot commits at most once --
+        what one :meth:`_on_p2b` per vote would leave.  A nack above this
+        ballot ends the leadership mid-tuple, so then the tuple is replayed
+        vote by vote: the votes before it still count, those after it not.
+        """
+        if not self.is_leader:
+            return
+        ballot = self.ballot
+        # ``+=``, not ``append``: collecting a voter costs no call.
+        voters = []
+        for vote in votes:
+            if vote.ok:
+                if vote.ballot == ballot:
+                    voters += (vote.voter,)
+            elif vote.ballot > ballot:
+                for each in votes:
+                    self._on_p2b(src, each)
+                return
+        if not voters:
+            return
+        slot = votes[0].slot
+        proposals = self._proposals
+        if slot not in proposals:
+            return
+        proposal = proposals[slot]
+        if proposal.committed:
+            return
+        if proposal.tracker.ack_all(voters):
             self._commit_slot(slot)
 
     # ------------------------------------------------------------------ commit & execute
@@ -476,7 +514,7 @@ class MultiPaxosReplica(Replica):
 
     # ------------------------------------------------------------------ liveness
     def _observe_leader(self, ballot: Ballot) -> None:
-        self._last_leader_contact = self.ctx.now
+        self._last_leader_contact = self.clock.now
         # ballot.node_id is the proposer (.leader is a property alias; the
         # plain field skips a Python-level call on every message).
         if ballot.node_id != self.node_id:
@@ -518,11 +556,11 @@ class MultiPaxosReplica(Replica):
 
     def _check_leader_liveness(self) -> None:
         if not self.is_leader:
-            silent_for = self.ctx.now - self._last_leader_contact
+            silent_for = self.clock.now - self._last_leader_contact
             if silent_for >= self._election_timeout:
                 self.count("election_triggered")
                 self._start_phase1()
-                self._last_leader_contact = self.ctx.now
+                self._last_leader_contact = self.clock.now
         self.ctx.schedule(self._election_timeout, self._check_leader_liveness)
 
     # ------------------------------------------------------------------ crash / recover
@@ -542,7 +580,7 @@ class MultiPaxosReplica(Replica):
         self._reset_batching()
 
     def on_recover(self) -> None:
-        self._last_leader_contact = self.ctx.now
+        self._last_leader_contact = self.clock.now
         self.ctx.schedule(self._election_timeout, self._check_leader_liveness)
 
     # ------------------------------------------------------------------ introspection

@@ -9,8 +9,10 @@ machine (:class:`repro.cluster.node.SimNode`) hosts.
 Every replica also owns a :class:`~repro.overlay.base.FanoutOverlay` through
 which it routes wide-cast (one-to-many) messages; the base class provides
 the :class:`~repro.overlay.base.OverlayHost` surface the overlay calls back
-into: the ``relayed`` table for a message a relay tree delivered, the
-``handlers`` table for a vote it unwrapped.
+into, three tables built by :meth:`Replica.bind`: ``handlers`` for the
+overlay's own wire types, ``relayed`` for a message a relay tree delivered,
+and ``votes`` for the votes of one relay aggregate, handed over as a tuple
+in one call.
 """
 
 from __future__ import annotations
@@ -76,15 +78,22 @@ Handler = Callable[[int, Any], None]
 #: relay tree delivered and *returns* the vote (or None) instead of sending it.
 RelayedHandler = Callable[[int, Any], Optional[Any]]
 
+#: An aggregated-vote handler: ``handler(src, votes)`` takes the tuple of
+#: votes one relay aggregate carried to the fan-out root.
+VotesHandler = Callable[[int, Tuple[Any, ...]], None]
+
 
 class HandlerTable(dict):
     """``type(message) -> handler``; an unlisted type resolves to ``unknown``.
 
     ``table[type(message)](src, message)`` is the whole of message dispatch,
-    whoever performs it: the host node for a delivered message, the relay
-    overlay for an unwrapped vote, :meth:`Replica.on_message` for everything
-    else -- and, on :attr:`Replica.relayed`, the relay overlay for a message
-    it delivered.  Exact types only -- a wire type is never subclassed.
+    whoever performs it: the host node for a delivered message,
+    :meth:`Replica._on_votes` for each vote of a relay aggregate,
+    :meth:`Replica.on_message` for everything else.  On
+    :attr:`Replica.relayed` the relay overlay applies a message it
+    delivered, and on :attr:`Replica.votes` the fan-out root hands over an
+    aggregate's votes, ``table[type(votes[0])](src, votes)``.  Exact types
+    only -- a wire type is never subclassed.
     """
 
     __slots__ = ("_unknown",)
@@ -119,11 +128,18 @@ class Replica(ABC):
         #: The host node's context; a plain attribute like ``node_id``.  None
         #: until :meth:`bind`, so unbound use fails with an AttributeError.
         self.ctx: Optional[NodeContext] = None
+        #: Where the replica reads the time, as ``self.clock.now``; set by
+        #: :meth:`bind` to the context's ``clock`` if it has one (the
+        #: simulator, whose ``now`` is a plain attribute), else the context.
+        self.clock: Any = None
         #: The dispatch table (:class:`HandlerTable`), built by :meth:`bind`.
         self.handlers: Optional[HandlerTable] = None
         #: The relayed-message table (:meth:`_relayed_handlers`), built by
         #: :meth:`bind` next to ``handlers``.
         self.relayed: Optional[HandlerTable] = None
+        #: The aggregated-vote table (:meth:`_vote_handlers`), built by
+        #: :meth:`bind` next to ``handlers``.
+        self.votes: Optional[HandlerTable] = None
         self._overlay: FanoutOverlay = overlay or DirectFanout()
         self._overlay.bind(self)
         # Per-replica counter cache: ``count()`` fires on most protocol
@@ -135,6 +151,7 @@ class Replica(ABC):
     def bind(self, ctx: NodeContext) -> None:
         """Attach the replica to its host node context."""
         self.ctx = ctx
+        self.clock = getattr(ctx, "clock", ctx)
         self._counter_cache.clear()
         # Shadow the class-level send helper with the context's bound method:
         # replica sends are the hottest protocol->node edge, and the instance
@@ -152,6 +169,9 @@ class Replica(ABC):
         # dispatch, and on_message returns None: the relay has nothing to
         # aggregate for it.
         self.relayed = HandlerTable(self._relayed_handlers(), self.on_message)
+        # A vote type with no aggregate handler is fed vote by vote through
+        # ordinary dispatch.
+        self.votes = HandlerTable(self._vote_handlers(), self._on_votes)
 
     @property
     def overlay(self) -> FanoutOverlay:
@@ -180,6 +200,22 @@ class Replica(ABC):
         fire-and-forget traffic) and yields no response.
         """
         return {}
+
+    def _vote_handlers(self) -> Dict[type, VotesHandler]:
+        """The vote types a relay root hands over a whole aggregate at a time.
+
+        An aggregate holds every vote a relay tree gathered for one relayed
+        message, so all of one type.  Listing that type lets the protocol
+        count the tuple in one call; every other type takes
+        :meth:`_on_votes`, one ordinary dispatch per vote.
+        """
+        return {}
+
+    def _on_votes(self, src: int, votes: Tuple[Any, ...]) -> None:
+        """Feed an aggregate's votes, in order, through ordinary dispatch."""
+        handlers = self.handlers
+        for vote in votes:
+            handlers[type(vote)](src, vote)
 
     def on_message(self, src: int, message: Any) -> None:
         """Handle a message delivered off the wire from endpoint ``src``."""

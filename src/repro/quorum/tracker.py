@@ -10,7 +10,7 @@ paper's Figure 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import QuorumError
 
@@ -28,6 +28,15 @@ class VoteTracker:
         """Record a positive vote; returns True if the quorum is now satisfied."""
         self._acks.add(voter)
         # ``satisfied``'s test, inlined: the leader acks once per vote.
+        return len(self._acks) >= self.required
+
+    def ack_all(self, voters: Iterable[int]) -> bool:
+        """Record several positive votes at once; True if the quorum is now satisfied.
+
+        The relay root counts a whole aggregate's votes with one call, so
+        the leader pays per aggregate instead of per vote.
+        """
+        self._acks.update(voters)
         return len(self._acks) >= self.required
 
     @property

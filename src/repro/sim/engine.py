@@ -99,7 +99,10 @@ class Simulator:
     """Single-threaded deterministic discrete-event simulator."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, not a
+        #: property: hot paths read it, and a property read is a call.
+        #: Only :meth:`run` advances it.
+        self.now = 0.0
         self._heap: List[tuple] = []
         self._seq = 0
         self._compact_at = _COMPACT_FLOOR
@@ -109,11 +112,6 @@ class Simulator:
         self._events_processed = 0
 
     # ------------------------------------------------------------------ clock
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (useful for progress/debugging)."""
@@ -138,7 +136,7 @@ class Simulator:
         """Schedule ``callback(*args)`` after ``delay`` seconds; return the timer."""
         if not delay >= 0:
             raise SimulationError(f"delay must be non-negative, got {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, callback, args)
@@ -172,8 +170,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
-        if until is not None and not until >= self._now:
-            raise SimulationError(f"cannot run until {until!r}, before now={self._now!r}")
+        if until is not None and not until >= self.now:
+            raise SimulationError(f"cannot run until {until!r}, before now={self.now!r}")
         self._running = True
         heap = self._heap
         # The hot loop allocates heavily (heap entries, event args, messages)
@@ -198,10 +196,10 @@ class Simulator:
                     # Call entry: (time, seq, callback, args).
                     time = entry[0]
                     if time > horizon:
-                        self._now = until
+                        self.now = until
                         break
                     heappop(heap)
-                    self._now = time
+                    self.now = time
                     self._events_processed += 1
                     entry[2](*args)
                     executed += 1
@@ -212,21 +210,21 @@ class Simulator:
                     continue
                 time = entry[0]
                 if time > horizon:
-                    self._now = until
+                    self.now = until
                     break
                 heappop(heap)
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 event.callback(*event.args)
                 executed += 1
-            if until is not None and self._now < until:
+            if until is not None and self.now < until:
                 # Nothing live left (drained, or only cancelled timers behind
                 # the max_events stop): the clock runs on to ``until``.
                 while heap and heap[0][3] is None and heap[0][2].cancelled:
                     heappop(heap)
                 if not heap:
-                    self._now = until
-            return self._now
+                    self.now = until
+            return self.now
         finally:
             self._running = False
             if gc_was_enabled:

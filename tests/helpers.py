@@ -262,6 +262,40 @@ class FullRescanFollower:
             self.commit_upto += 1
 
 
+# --------------------------------------------------------------------- overlay
+def per_round_trees(plan, rng, levels=1, fixed_relays=False):
+    """A plan's relay trees built the per-round way: fresh member lists and
+    one ``rng.choice`` per relay, every group, every round."""
+    from repro.overlay.groups import HierarchicalGroupPlan, contiguous_groups
+    from repro.overlay.messages import RelaySubtree
+
+    def group_tree(members, levels):
+        relay = members[0] if fixed_relays else rng.choice(members)
+        rest = [member for member in members if member != relay]
+        if levels <= 1 or len(rest) <= 1:
+            return RelaySubtree(relay, tuple(RelaySubtree(member) for member in rest))
+        subgroups = contiguous_groups(rest, max(1, int(round(len(rest) ** 0.5))))
+        return RelaySubtree(relay, tuple(group_tree(sub, levels - 1) for sub in subgroups))
+
+    if levels <= 1 or not isinstance(plan, HierarchicalGroupPlan):
+        return [group_tree(group, levels) for group in plan.groups]
+    trees = []
+    for group, partition in zip(plan.groups, plan.zones):
+        relay = group[0] if fixed_relays else rng.choice(group)
+        children = []
+        for zone in partition:
+            rest = [member for member in zone if member != relay]
+            if rest:
+                children.append(group_tree(rest, levels - 1))
+        trees.append(RelaySubtree(relay, tuple(children)))
+    return trees
+
+
+def tree_shape(tree):
+    """A relay tree as nested ``(node_id, children)`` tuples, comparable by ``==``."""
+    return (tree.node_id, tuple(tree_shape(child) for child in tree.children))
+
+
 # --------------------------------------------------------------------- scenarios
 @functools.lru_cache(maxsize=None)
 def library_run(name: str):

@@ -132,6 +132,7 @@ class TestMutations:
                 KVStore.__dict__["__init__"],
                 Replica.__dict__["_reply_to_clients"],
                 VoteTracker.__dict__["ack"],
+                VoteTracker.__dict__["ack_all"],
                 MajorityQuorum.__dict__["phase2_size"],
                 MultiPaxosReplica.__dict__["_accepted_entries"],
             )

@@ -202,6 +202,98 @@ class TestPhase2:
         assert dst == 1234 and reply.client_id == 1234
 
 
+def _leader_state(replica, ctx):
+    return (
+        replica.is_leader,
+        replica.promised,
+        replica.ballot,
+        replica.leader_id,
+        replica.commit_upto,
+        replica.log.committed_uids(),
+        sorted((slot, p.committed) for slot, p in replica._proposals.items()),
+        [(dst, type(m).__name__, getattr(m, "request_id", None)) for dst, m in ctx.sent],
+    )
+
+
+def _elected_pair(cluster):
+    """Two identical leaders of a ``cluster``-node group at ballot 1.0."""
+    pair = []
+    for _ in range(2):
+        replica, ctx = make_replica(cluster=cluster)
+        begin_phase1(replica, ctx)
+        for voter in range(1, replica.quorum.phase1_size):
+            replica.on_message(voter, P1b(ballot=replica.ballot, voter=voter, ok=True))
+        assert replica.is_leader
+        ctx.clear_sent()
+        pair.append((replica, ctx))
+    return pair
+
+
+class TestAggregatedVotes:
+    """A relay aggregate's P2b votes counted in one call leave the leader
+    exactly as one ``_on_p2b`` per vote does."""
+
+    @staticmethod
+    def _feed(pair, src, votes):
+        (aggregated, _), (per_vote, _) = pair
+        aggregated.votes[P2b](src, votes)
+        for vote in votes:
+            per_vote.handlers[P2b](src, vote)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_vote_tuples_match_per_vote_dispatch(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        cluster = rng.choice((3, 5, 7, 9))
+        pair = _elected_pair(cluster)
+        (leader, _), _ = pair
+        current, stale, higher = leader.ballot, Ballot(0, 2), Ballot(2, cluster - 1)
+        proposed = 0
+        for round_index in range(60):
+            if rng.random() < 0.3:
+                request = client_request(request_id=round_index)
+                for replica, _ in pair:
+                    replica.on_message(1000, request)
+                proposed += 1
+            slot = rng.randint(1, proposed + 1)
+            votes = []
+            for _ in range(rng.randint(1, 7)):
+                voter = rng.randrange(1, cluster)  # duplicates included
+                roll = rng.random()
+                if roll < 0.65:
+                    votes.append(P2b(ballot=current, slot=slot, voter=voter, ok=True))
+                elif roll < 0.8:
+                    votes.append(P2b(ballot=stale, slot=slot, voter=voter, ok=True))
+                elif roll < 0.97:
+                    nack_ballot = rng.choice((stale, current))
+                    votes.append(P2b(ballot=nack_ballot, slot=slot, voter=voter, ok=False))
+                else:
+                    votes.append(P2b(ballot=higher, slot=slot, voter=voter, ok=False))
+            self._feed(pair, rng.randrange(1, cluster), tuple(votes))
+            assert _leader_state(*pair[0]) == _leader_state(*pair[1])
+
+    @pytest.mark.parametrize("before, committed", [((1,), False), ((1, 2), True)])
+    def test_a_higher_nack_mid_tuple_ends_leadership_after_the_votes_before_it(
+        self, before, committed
+    ):
+        pair = _elected_pair(5)
+        request = client_request()
+        for replica, _ in pair:
+            replica.on_message(1000, request)
+        ballot = pair[0][0].ballot
+        votes = (
+            *(P2b(ballot=ballot, slot=1, voter=v, ok=True) for v in before),
+            P2b(ballot=Ballot(5, 3), slot=1, voter=3, ok=False),
+            P2b(ballot=ballot, slot=1, voter=4, ok=True),
+        )
+        self._feed(pair, 1, votes)
+        for replica, _ in pair:
+            assert not replica.is_leader and replica.promised == Ballot(5, 3)
+            assert replica.log.is_committed(1) is committed
+        assert _leader_state(*pair[0]) == _leader_state(*pair[1])
+
+
 class TestCommitPropagation:
     def test_piggybacked_commit_frontier_executes_on_follower(self):
         replica, ctx = make_replica(node_id=1)

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from helpers import per_round_trees, tree_shape
 from repro.errors import ConfigurationError
 from repro.overlay.groups import (
+    HierarchicalGroupPlan,
     RelayGroupPlan,
     contiguous_groups,
     region_groups,
@@ -104,6 +106,57 @@ class TestRelayGroupPlan:
         tree = plan.build_trees(rng=random.Random(0))[0]
         assert tree.node_id == 9
         assert tree.children == ()
+
+
+def _random_plan(rng):
+    """A plain plan over 1-30 members, or a region/zone plan over 1-40."""
+    members = rng.sample(range(100), rng.randint(1, 40))
+    if rng.random() < 0.4:
+        region_of = {m: f"r{rng.randrange(3)}" for m in members if rng.random() < 0.9}
+        zone_of = {m: f"z{rng.randrange(4)}" for m in members if rng.random() < 0.9}
+        return HierarchicalGroupPlan.from_hierarchy(members, region_of, zone_of)
+    members = members[:30]
+    num_groups = rng.randint(1, 5)
+    if rng.random() < 0.5:
+        return RelayGroupPlan(groups=contiguous_groups(members, num_groups))
+    return RelayGroupPlan(groups=round_robin_groups(members, num_groups))
+
+
+class TestCachedTreesMatchPerRoundBuilder:
+    """The per-plan pools draw exactly what one ``rng.choice`` per relay drew:
+    equal trees and an equal RNG state after every round."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_plans_levels_and_reshuffles(self, seed):
+        rng = random.Random(seed)
+        plan = _random_plan(rng)
+        reference = plan
+        for levels in (1, 2, 3):
+            for fixed_relays in (False, True):
+                cached_rng = random.Random(seed * 7 + levels)
+                reference_rng = random.Random(seed * 7 + levels)
+                for round_index in range(24):
+                    if round_index == 12:
+                        plan = plan.reshuffle(cached_rng)
+                        reference = reference.reshuffle(reference_rng)
+                        assert plan == reference
+                    trees = plan.build_trees(cached_rng, levels, fixed_relays)
+                    expected = per_round_trees(reference, reference_rng, levels, fixed_relays)
+                    assert [tree_shape(t) for t in trees] == [tree_shape(t) for t in expected]
+                    assert cached_rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_planet_region_plan(self, levels):
+        members = list(range(1, 81))
+        region_of = {m: f"r{m // 27}" for m in members}
+        zone_of = {m: f"z{m // 9}" for m in members}
+        plan = HierarchicalGroupPlan.from_hierarchy(members, region_of, zone_of)
+        cached_rng, reference_rng = random.Random(5), random.Random(5)
+        for _ in range(200):
+            trees = plan.build_trees(cached_rng, levels)
+            expected = per_round_trees(plan, reference_rng, levels)
+            assert [tree_shape(t) for t in trees] == [tree_shape(t) for t in expected]
+        assert cached_rng.getstate() == reference_rng.getstate()
 
 
 class TestPigPaxosPresetConfig:
