@@ -8,7 +8,9 @@ bytecode), so a change that cuts calls should also show whether the
 bytecode behind them fell.  ``sys.settrace`` with ``f_trace_opcodes``
 counts every opcode executed and every Python frame entered (a generator
 resumption included) during ``ScenarioRunner.run``; C code is not traced.
-Both are divided by the run's completed operations.
+Both are divided by the run's completed operations.  The run's history
+fingerprint is printed next to them, so two trees' counts can be checked
+to come from the same run.
 
 Each workload runs once, in this process, at the ledger's ``--quick``
 shrink: every simulated time divided by 3, after an untraced probe build.
@@ -18,7 +20,6 @@ Usage::
 
     python scripts/count_instructions.py                      # all eight workloads, seed 1
     python scripts/count_instructions.py --workload lan25_pig --seed 2
-    python scripts/count_instructions.py --json OUT           # also write the rows as JSON
 
 The workloads are read from ``benchmarks/ledger/workloads.py``, which this
 script only imports.
@@ -27,7 +28,6 @@ script only imports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -85,19 +85,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
                         help="a workload to count (repeatable; default: all)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--json", type=Path, help="also write the rows to this file")
     args = parser.parse_args(argv)
 
-    rows = {}
-    print(f"{'workload':<20} {'ops':>6} {'frames/op':>10} {'instructions/op':>16}")
+    print(f"{'workload':<20} {'ops':>6} {'frames/op':>10} {'instructions/op':>16}  fingerprint")
     for name in args.workload or list(WORKLOADS):
-        row = rows[name] = count(name, args.seed)
+        row = count(name, args.seed)
         print(f"{name:<20} {row['completed']:>6} {row['frames_per_op']:>10.1f} "
-              f"{row['instructions_per_op']:>16.1f}", flush=True)
-    if args.json is not None:
-        args.json.write_text(json.dumps(
-            {"seed": args.seed, "shrink": SHRINK, "workloads": rows}, indent=2, sort_keys=True
-        ) + "\n")
+              f"{row['instructions_per_op']:>16.1f}  {row['fingerprint']}", flush=True)
     return 0
 
 

@@ -681,9 +681,9 @@ class EPaxosReplica(Replica):
         if (
             self._recovery_timeout is not None
             and self._pending_execution
-            and self.ctx.now >= self._next_blocked_scan
+            and self.clock.now >= self._next_blocked_scan
         ):
-            self._next_blocked_scan = self.ctx.now + self._recovery_timeout * 0.25
+            self._next_blocked_scan = self.clock.now + self._recovery_timeout * 0.25
             self._maybe_recover_blocked()
 
     # ------------------------------------------------------------------ explicit-prepare recovery
@@ -701,7 +701,7 @@ class EPaxosReplica(Replica):
         with the knob unset -- schedule nothing and keep their recorded
         fingerprints.
         """
-        now = self.ctx.now
+        now = self.clock.now
         blocked_now: Set[InstanceId] = set()
         committed = self.graph.is_committed
         deps_of = self.graph.deps_of

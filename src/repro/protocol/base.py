@@ -49,6 +49,15 @@ class NodeContext(Protocol):
     def now(self) -> float: ...
 
     @property
+    def clock(self) -> Any:
+        """What replicas read the time from, as ``clock.now``.
+
+        A plain ``now`` attribute (the simulator's), so a hot-path clock
+        read is not a call; a context may be its own clock.
+        """
+        ...
+
+    @property
     def rng(self) -> random.Random: ...
 
     @property
@@ -128,9 +137,8 @@ class Replica(ABC):
         #: The host node's context; a plain attribute like ``node_id``.  None
         #: until :meth:`bind`, so unbound use fails with an AttributeError.
         self.ctx: Optional[NodeContext] = None
-        #: Where the replica reads the time, as ``self.clock.now``; set by
-        #: :meth:`bind` to the context's ``clock`` if it has one (the
-        #: simulator, whose ``now`` is a plain attribute), else the context.
+        #: Where the replica reads the time, as ``self.clock.now``: the
+        #: context's ``clock``, set by :meth:`bind`.
         self.clock: Any = None
         #: The dispatch table (:class:`HandlerTable`), built by :meth:`bind`.
         self.handlers: Optional[HandlerTable] = None
@@ -151,7 +159,7 @@ class Replica(ABC):
     def bind(self, ctx: NodeContext) -> None:
         """Attach the replica to its host node context."""
         self.ctx = ctx
-        self.clock = getattr(ctx, "clock", ctx)
+        self.clock = ctx.clock
         self._counter_cache.clear()
         # Shadow the class-level send helper with the context's bound method:
         # replica sends are the hottest protocol->node edge, and the instance

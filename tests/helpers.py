@@ -36,6 +36,8 @@ class FakeContext:
         self._node_id = node_id
         self._all_nodes = list(all_nodes)
         self._now = 0.0
+        #: The replicas' clock (``NodeContext.clock``): this context's ``now``.
+        self.clock = self
         self.sent: List[Tuple[int, Any]] = []
         self.timers: List[FakeTimer] = []
         self._rng = random.Random(seed)
